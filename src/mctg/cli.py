@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import datetime as dt
 import json
 import os
 import sys
@@ -15,11 +16,11 @@ import sys
 import numpy as np
 
 from . import evalcli, ppo
-from .env import EnvError
-from .garch import GarchError, rolling_forecast
+from .env import EnvError, TradingEnv
+from .garch import REFIT_EVERY, WINDOW, GarchError, rolling_forecast
 from .marketdata import (Frequency, MarketDataError, ObservationNormalizer,
                          load_bars, resample, save_bars, simulate_market, split)
-from .nn import NetworkError
+from .nn import AdamState, NetworkError
 from .policy import Policy, PolicyError
 from .ppo import PpoError
 
@@ -43,9 +44,14 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _load_config(path: str | None) -> dict:
+    cfg = evalcli.load_config(path)
+    evalcli.check_config_keys(cfg)
+    return cfg
+
+
 def cmd_generate_data(args) -> int:
-    cfg = evalcli.load_config(args.config)
-    gen = evalcli.market_params_from_config(cfg)
+    gen = evalcli.section_from_config(_load_config(args.config), "market")
     series = simulate_market(gen, args.days, args.seed)
     save_bars(series, args.out)
     print(f"wrote {len(series)} five-minute bars ({args.days} days) to {args.out}")
@@ -80,20 +86,19 @@ def _load_split_dataset(data_path: str, cfg: dict, garch_window: int,
 
 
 def cmd_train(args) -> int:
-    cfg = evalcli.load_config(args.config)
+    cfg = _load_config(args.config)
     variant = evalcli.VARIANTS[args.variant]
-    garch_window = evalcli.config_get(cfg, "garch.window", int, 250)
-    garch_refit = evalcli.config_get(cfg, "garch.refit_every", int, 20)
+    garch_window, garch_refit = evalcli.garch_settings_from_config(cfg)
     train_ds, _, boundary = _load_split_dataset(args.data, cfg, garch_window, garch_refit)
 
     normalizer = ObservationNormalizer().fit(train_ds, range(train_ds.n_days))
-    ppo_config = evalcli.ppo_config_from_config(cfg, total_steps=args.total_steps)
-    env_config = evalcli.env_config_from_config(cfg)
-    env = evalcli.TradingEnv(train_ds, env_config, normalizer)
+    overrides = {} if args.total_steps is None else {"total_steps": args.total_steps}
+    ppo_config = evalcli.section_from_config(cfg, "ppo", **overrides)
+    env = TradingEnv(train_ds, evalcli.section_from_config(cfg, "env"), normalizer)
 
     rng = np.random.default_rng(args.seed)
     policy = Policy(variant.policy_config(), rng)
-    adam = evalcli.AdamState(policy.parameters(), ppo_config.learning_rate)
+    adam = AdamState(policy.parameters(), ppo_config.learning_rate)
 
     os.makedirs(args.out_dir, exist_ok=True)
     metadata = {
@@ -112,17 +117,17 @@ def cmd_train(args) -> int:
     rows = ppo.train(policy, env, ppo_config, rng, adam=adam,
                      checkpoint_fn=checkpoint_fn)
     _write_csv(os.path.join(args.out_dir, "log.csv"), LOG_COLUMNS, rows)
+    # Whole rollouts only: a remainder of total_steps shorter than one is not run.
+    steps = rows[-1]["steps"]
     final = os.path.join(args.out_dir, "checkpoint.json")
     evalcli.save_checkpoint(final, variant.name, policy, normalizer, adam,
-                            training_step=ppo_config.total_steps, rng=rng,
-                            metadata=metadata)
-    print(f"trained {variant.name} for {ppo_config.total_steps} steps; "
-          f"checkpoint at {final}")
+                            training_step=steps, rng=rng, metadata=metadata)
+    print(f"trained {variant.name} for {steps} steps; checkpoint at {final}")
     return 0
 
 
 def cmd_backtest(args) -> int:
-    cfg = evalcli.load_config(args.config)
+    cfg = _load_config(args.config)
     checkpoint = evalcli.load_checkpoint(args.checkpoint)
     if args.variant is not None and args.variant != checkpoint.variant:
         raise evalcli.EvalError(
@@ -130,19 +135,17 @@ def cmd_backtest(args) -> int:
             f"{checkpoint.policy_config.state_dim}); requested variant "
             f"{args.variant} has a different network shape")
     meta = checkpoint.metadata
-    import datetime as dt
     boundary = dt.date.fromisoformat(meta["split_boundary"]) \
         if "split_boundary" in meta else None
+    garch_window, garch_refit = evalcli.garch_settings_from_config(cfg)
     train_ds, test_ds, _ = _load_split_dataset(
-        args.data, cfg,
-        meta.get("garch_window", evalcli.config_get(cfg, "garch.window", int, 250)),
-        meta.get("garch_refit_every", evalcli.config_get(cfg, "garch.refit_every", int, 20)),
-        boundary=boundary)
+        args.data, cfg, meta.get("garch_window", garch_window),
+        meta.get("garch_refit_every", garch_refit), boundary=boundary)
     dataset = train_ds if args.segment == "train" else test_ds
 
     policy = checkpoint.build_policy()
     normalizer = checkpoint.build_normalizer()
-    env_config = evalcli.env_config_from_config(cfg, random_start=False)
+    env_config = evalcli.section_from_config(cfg, "env", random_start=False)
     metrics, equity_rows, trajectory_rows = evalcli.backtest(
         policy, dataset, env_config, normalizer)
 
@@ -201,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-garch", help="emit daily bars with a sigma column")
     p.add_argument("--data", required=True, help="5-minute bar CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=250)
-    p.add_argument("--refit-every", type=int, default=20)
+    p.add_argument("--window", type=int, default=WINDOW)
+    p.add_argument("--refit-every", type=int, default=REFIT_EVERY)
     p.set_defaults(func=cmd_fit_garch)
 
     p = sub.add_parser("train", help="train a variant with PPO")

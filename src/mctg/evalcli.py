@@ -12,13 +12,14 @@ import datetime as dt
 import json
 import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import ppo as ppo_mod
 from .env import EnvConfig, TradingEnv, buy_and_hold
-from .garch import rolling_forecast
+from .garch import REFIT_EVERY, WINDOW, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import AdamState
@@ -199,21 +200,10 @@ def save_checkpoint(path: str, variant: str, policy: Policy,
                     training_step: int = 0, rng: np.random.Generator | None = None,
                     metadata: dict | None = None) -> None:
     """Write a JSON checkpoint atomically (temp file + rename)."""
-    cfg = policy.config
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "variant": variant,
-        "policy_config": {
-            "branches": list(cfg.branches),
-            "garch_feature": cfg.garch_feature,
-            "branch_hidden": list(cfg.branch_hidden),
-            "branch_out": cfg.branch_out,
-            "dropout": cfg.dropout,
-            "trunk_hidden": cfg.trunk_hidden,
-            "init_log_std": cfg.init_log_std,
-            "log_std_min": cfg.log_std_min,
-            "log_std_max": cfg.log_std_max,
-        },
+        "policy_config": asdict(policy.config),
         "params": {name: np.asarray(p).tolist()
                    for name, p in zip(policy.parameter_names(), policy.parameters())},
         "adam": adam.to_dict() if adam is not None else None,
@@ -238,14 +228,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise EvalError(f"{path}: checkpoint format version {version}, "
                         f"this build reads version {CHECKPOINT_VERSION}")
-    pc = doc["policy_config"]
-    config = PolicyConfig(
-        branches=tuple(pc["branches"]), garch_feature=pc["garch_feature"],
-        branch_hidden=tuple(pc["branch_hidden"]), branch_out=pc["branch_out"],
-        dropout=pc["dropout"], trunk_hidden=pc["trunk_hidden"],
-        init_log_std=pc["init_log_std"], log_std_min=pc["log_std_min"],
-        log_std_max=pc["log_std_max"],
-    )
+    stored = {f.name: doc["policy_config"][f.name] for f in fields(PolicyConfig)}
+    # JSON stores the config's tuples as lists.
+    config = PolicyConfig(**{name: tuple(v) if isinstance(v, list) else v
+                             for name, v in stored.items()})
     params = {name: np.asarray(v, dtype=np.float64) for name, v in doc["params"].items()}
     return Checkpoint(
         variant=doc["variant"], policy_config=config, param_values=params,
@@ -315,55 +301,62 @@ def config_get(cfg: dict, key: str, cast, default):
         raise EvalError(f"config key {key}: {e}") from None
 
 
-def market_params_from_config(cfg: dict) -> MarketGenParams:
-    regime = config_get(cfg, "market.regime_length", int, 0)
-    return MarketGenParams(
-        drift=config_get(cfg, "market.drift", float, 0.0005),
-        alpha0=config_get(cfg, "market.alpha0", float, 2.5e-6),
-        alpha1=config_get(cfg, "market.alpha1", float, 0.05),
-        beta1=config_get(cfg, "market.beta1", float, 0.90),
-        intraday_noise=config_get(cfg, "market.intraday_noise", float, 0.1),
-        start_price=config_get(cfg, "market.start_price", float, 10.0),
-        base_volume=config_get(cfg, "market.base_volume", float, 1e5),
-        regime_length=regime if regime > 0 else None,
-        start_date=dt.date.fromisoformat(
-            config_get(cfg, "market.start_date", str, "2015-01-05")),
-    )
+def _positive_or_none(raw: str) -> int | None:
+    value = int(raw)
+    return value if value > 0 else None
 
 
-def ppo_config_from_config(cfg: dict, total_steps: int | None = None) -> ppo_mod.PpoConfig:
-    return ppo_mod.PpoConfig(
-        learning_rate=config_get(cfg, "ppo.learning_rate", float, 2.5e-4),
-        rollout=config_get(cfg, "ppo.rollout", int, 1024),
-        gamma=config_get(cfg, "ppo.gamma", float, 0.99),
-        minibatches=config_get(cfg, "ppo.minibatches", int, 4),
-        clip_epsilon=config_get(cfg, "ppo.clip_epsilon", float, 0.2),
-        gae_lambda=config_get(cfg, "ppo.gae_lambda", float, 0.95),
-        epochs_per_update=config_get(cfg, "ppo.epochs_per_update", int, 4),
-        value_coef=config_get(cfg, "ppo.value_coef", float, 0.5),
-        entropy_coef=config_get(cfg, "ppo.entropy_coef", float, 0.01),
-        max_grad_norm=config_get(cfg, "ppo.max_grad_norm", float, 0.5),
-        total_steps=(total_steps if total_steps is not None
-                     else config_get(cfg, "ppo.total_steps", int, 2_000_000)),
-        checkpoint_every=config_get(cfg, "ppo.checkpoint_every", int, 0),
-    )
+# Field type -> cast of its raw string, where the type itself is not the cast.
+# An ``int | None`` field reads a non-positive value as None.
+_CASTS = {int | None: _positive_or_none, dt.date: dt.date.fromisoformat}
+
+# Dotted config section -> (dataclass it fills, fields a config file cannot
+# set). Defaults live only on the dataclasses. The episode range is chosen by
+# each command, never read from a file.
+_SECTIONS = {
+    "market": (MarketGenParams, ()),
+    "ppo": (ppo_mod.PpoConfig, ()),
+    "env": (EnvConfig, ("start", "end", "min_episode_steps")),
+}
+
+CONFIG_KEYS = tuple(
+    f"{section}.{f.name}"
+    for section, (cls, fixed) in _SECTIONS.items()
+    for f in fields(cls) if f.name not in fixed
+) + ("garch.window", "garch.refit_every", "data.split_boundary", "data.train_fraction")
 
 
-def env_config_from_config(cfg: dict, **overrides) -> EnvConfig:
-    kwargs = dict(
-        initial_cash=config_get(cfg, "env.initial_cash", float, 1_000_000.0),
-        tax_rate=config_get(cfg, "env.tax_rate", float, 0.001),
-        lot_size=config_get(cfg, "env.lot_size", int, 100),
-        random_start=config_get(cfg, "env.random_start", bool, False),
-    )
-    kwargs.update(overrides)
-    return EnvConfig(**kwargs)
+def check_config_keys(cfg: dict) -> None:
+    """One config file serves every command, so a key no command reads is a typo."""
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise EvalError(f"unknown config key {key!r}")
+
+
+def section_from_config(cfg: dict, section: str, **overrides):
+    """Build a section's dataclass from the keys present in ``cfg``; absent
+    keys keep the dataclass defaults and ``overrides`` win over both."""
+    cls, fixed = _SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = f"{section}.{f.name}"
+        if f.name not in fixed and key in cfg:
+            kwargs[f.name] = config_get(cfg, key, _CASTS.get(hints[f.name], hints[f.name]),
+                                        None)
+    return cls(**{**kwargs, **overrides})
+
+
+def garch_settings_from_config(cfg: dict) -> tuple[int, int]:
+    """(window, refit_every) for the rolling volatility forecasts."""
+    return (config_get(cfg, "garch.window", int, WINDOW),
+            config_get(cfg, "garch.refit_every", int, REFIT_EVERY))
 
 
 # -- dataset pipeline ------------------------------------------------------------
 
-def build_dataset(five_min: BarSeries, garch_window: int = 250,
-                  garch_refit_every: int = 20) -> AlignedDataset:
+def build_dataset(five_min: BarSeries, garch_window: int,
+                  garch_refit_every: int) -> AlignedDataset:
     """Resample a 5-minute feed, attach rolling volatility forecasts, align.
 
     Day i's volatility forecast is causal: it only sees close-to-close
@@ -372,9 +365,7 @@ def build_dataset(five_min: BarSeries, garch_window: int = 250,
     daily, weekly = resample(five_min)
     closes = daily.values[:, 3]
     returns = np.diff(np.log(closes))
-    sigma = rolling_forecast(returns, window=min(garch_window, max(50, len(returns))),
-                             refit_every=garch_refit_every) \
-        if len(returns) >= 1 else np.empty(0)
+    sigma = rolling_forecast(returns, window=garch_window, refit_every=garch_refit_every)
     # returns[t] ends on day t+1, so its forecast belongs to day t+1; day 0
     # gets the positive warm-up floor.
     daily_vol = np.concatenate([[1e-8], sigma])

@@ -20,6 +20,8 @@ from scipy import optimize
 
 ALPHA0_FLOOR = 1e-12
 LOG2PI = math.log(2.0 * math.pi)
+WINDOW = 250        # days of returns behind each rolling fit
+REFIT_EVERY = 20    # days between rolling refits
 
 
 class GarchError(Exception):
@@ -194,7 +196,7 @@ def forecast_one_step(params: GarchParams, state: GarchState) -> float:
                      + params.beta1 * state.last_variance)
 
 
-def rolling_forecast(daily_returns, window: int = 250, refit_every: int = 20,
+def rolling_forecast(daily_returns, window: int = WINDOW, refit_every: int = REFIT_EVERY,
                      on_fit=None, warmup_floor: float = 1e-8) -> np.ndarray:
     """Causal rolling one-step-ahead volatility forecasts.
 

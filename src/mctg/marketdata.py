@@ -334,9 +334,6 @@ class ObservationNormalizer:
     def __init__(self):
         self.fitted_ = False
 
-    def get_params(self, deep: bool = True) -> dict:
-        return {}
-
     def fit(self, dataset: AlignedDataset, day_indices) -> "ObservationNormalizer":
         day_indices = list(day_indices)
         if not day_indices:
@@ -365,10 +362,6 @@ class ObservationNormalizer:
             (obs.mid_window - self.mid_mean_) / self.mid_std_,
             (obs.long_window - self.long_mean_) / self.long_std_,
         )
-
-    def fit_transform(self, dataset: AlignedDataset, day_indices) -> list[Observation]:
-        self.fit(dataset, day_indices)
-        return [self.transform(window_at(dataset, k)) for k in day_indices]
 
     def to_dict(self) -> dict:
         if not self.fitted_:

@@ -168,11 +168,8 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     new_log_prob = policy_mod.gaussian_log_prob(u, mean, std)
     entropy = policy_mod.gaussian_entropy(std)
 
-    delta = new_log_prob - batch["old_log_prob"]
-    rho = np.exp(np.clip(delta, -RATIO_EXP_CLAMP, RATIO_EXP_CLAMP))
-    unclipped = rho * adv
-    clipped = np.clip(rho, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon) * adv
-    surrogate = np.minimum(unclipped, clipped)
+    rho = prob_ratio(new_log_prob, batch["old_log_prob"])
+    surrogate = ppo_surrogate(rho, adv, config.clip_epsilon)
 
     v_err = value - ret
     loss = float(-surrogate.mean() + config.value_coef * np.mean(v_err ** 2)
@@ -182,11 +179,13 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
             f"non-finite PPO loss (policy={-surrogate.mean()}, value={np.mean(v_err ** 2)})")
 
     # d loss / d new_log_prob: the min picks the unclipped term, or the clipped
-    # one, which only moves with rho inside the clip band.
+    # one, which only moves with rho inside the clip band; where the ratio's
+    # exponent clamp saturates, rho does not move at all.
+    unclipped = rho * adv
     inside = (rho > 1.0 - config.clip_epsilon) & (rho < 1.0 + config.clip_epsilon)
-    active = (unclipped <= clipped) | inside
-    active &= np.abs(delta) < RATIO_EXP_CLAMP
-    d_log_prob = np.where(active, rho * adv, 0.0) * (-1.0 / n)
+    active = (unclipped <= surrogate) | inside
+    active &= np.abs(new_log_prob - batch["old_log_prob"]) < RATIO_EXP_CLAMP
+    d_log_prob = np.where(active, unclipped, 0.0) * (-1.0 / n)
 
     z = (u - mean) / std
     d_mean = d_log_prob * z / std

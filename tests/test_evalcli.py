@@ -1,5 +1,8 @@
 import csv
+import datetime as dt
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ from mctg.env import EnvConfig, buy_and_hold
 from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, backtest,
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
-from mctg.marketdata import ObservationNormalizer, save_bars
+from mctg.marketdata import MarketGenParams, ObservationNormalizer, save_bars
 from mctg.nn import AdamState
-from mctg.policy import Policy
+from mctg.policy import Policy, PolicyConfig
+from mctg.ppo import PpoConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CONFIG_TEXT = """\
 # test configuration
@@ -154,6 +160,20 @@ class TestCheckpoint:
         assert ckpt.metadata == {"seed": 5}
         assert ckpt.rng_state is not None
 
+    def test_nondefault_policy_config_roundtrip(self, tmp_path):
+        cfg = PolicyConfig(branches=("long", "short"), garch_feature=False,
+                           branch_hidden=(5, 3), branch_out=2, dropout=0.1,
+                           trunk_hidden=7, init_log_std=-1.0, log_std_min=-3.0,
+                           log_std_max=0.5)
+        path, ckpt = self.roundtrip(tmp_path, Policy(cfg, np.random.default_rng(1)))
+        assert ckpt.policy_config == cfg
+        # the format_version 1 layout: every field, in field order, tuples as lists
+        assert list(json.loads(path.read_text())["policy_config"].items()) == [
+            ("branches", ["long", "short"]), ("garch_feature", False),
+            ("branch_hidden", [5, 3]), ("branch_out", 2), ("dropout", 0.1),
+            ("trunk_hidden", 7), ("init_log_std", -1.0), ("log_std_min", -3.0),
+            ("log_std_max", 0.5)]
+
     def test_adam_state_roundtrip(self, tmp_path):
         policy = small_variant_policy("DNN", 4)
         _, ckpt = self.roundtrip(tmp_path, policy)
@@ -227,6 +247,104 @@ class TestConfigFile:
             evalcli.config_get(cfg, "k.bad", int, 0)
 
 
+# (key, raw value, value its setting must hold): every accepted key at least
+# once, plus the special casts.
+CONFIG_CASES = [
+    ("market.drift", "0.001", 0.001),
+    ("market.alpha0", "3e-6", 3e-6),
+    ("market.alpha1", "0.04", 0.04),
+    ("market.beta1", "0.85", 0.85),
+    ("market.intraday_noise", "0.2", 0.2),
+    ("market.start_price", "12", 12.0),
+    ("market.base_volume", "2e5", 2e5),
+    ("market.regime_length", "50", 50),
+    ("market.regime_length", "0", None),
+    ("market.regime_length", "-3", None),
+    ("market.start_date", "2016-03-07", dt.date(2016, 3, 7)),
+    ("ppo.learning_rate", "1e-3", 1e-3),
+    ("ppo.rollout", "32", 32),
+    ("ppo.gamma", "0.9", 0.9),
+    ("ppo.minibatches", "2", 2),
+    ("ppo.clip_epsilon", "0.1", 0.1),
+    ("ppo.gae_lambda", "0.9", 0.9),
+    ("ppo.epochs_per_update", "2", 2),
+    ("ppo.value_coef", "0.25", 0.25),
+    ("ppo.entropy_coef", "0", 0.0),
+    ("ppo.max_grad_norm", "1", 1.0),
+    ("ppo.total_steps", "4096", 4096),
+    ("ppo.checkpoint_every", "3", 3),
+    ("env.initial_cash", "5e5", 5e5),
+    ("env.tax_rate", "0.002", 0.002),
+    ("env.lot_size", "10", 10),
+    ("env.random_start", "true", True),
+    ("env.random_start", "1", True),
+    ("env.random_start", "yes", True),
+    ("env.random_start", "false", False),
+    ("env.random_start", "0", False),
+    ("env.random_start", "no", False),
+    ("garch.window", "60", 60),
+    ("garch.refit_every", "10", 10),
+    ("data.split_boundary", "2015-06-01", dt.date(2015, 6, 1)),
+    ("data.train_fraction", "0.4", 0.4),
+]
+
+
+def config_setting(cfg, key, dataset):
+    section, name = key.split(".")
+    if section == "garch":
+        window, refit = evalcli.garch_settings_from_config(cfg)
+        return {"window": window, "refit_every": refit}[name]
+    if section == "data":
+        boundary = evalcli.split_boundary_from_config(cfg, dataset)
+        if name == "train_fraction":
+            # the fraction picks the boundary day by index
+            return dataset.trading_days.index(boundary) / dataset.n_days
+        return boundary
+    return getattr(evalcli.section_from_config(cfg, section), name)
+
+
+class TestConfigMapping:
+    def test_cases_cover_exactly_the_accepted_keys(self):
+        assert len(evalcli.CONFIG_KEYS) == len(set(evalcli.CONFIG_KEYS)) == 29
+        assert {key for key, _, _ in CONFIG_CASES} == set(evalcli.CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key,raw,want", CONFIG_CASES)
+    def test_key_lands_in_its_setting(self, key, raw, want, small_dataset):
+        got = config_setting({key: raw}, key, small_dataset)
+        assert got == want and type(got) is type(want)
+
+    def test_empty_config_gives_dataclass_defaults(self):
+        assert evalcli.section_from_config({}, "market") == MarketGenParams()
+        assert evalcli.section_from_config({}, "ppo") == PpoConfig()
+        assert evalcli.section_from_config({}, "env") == EnvConfig()
+
+    def test_overrides_win(self):
+        cfg = {"ppo.total_steps": "4096", "env.random_start": "true"}
+        assert evalcli.section_from_config(cfg, "ppo", total_steps=2048).total_steps == 2048
+        assert not evalcli.section_from_config(cfg, "env", random_start=False).random_start
+
+    @pytest.mark.parametrize("key", ["ppo.learning_rat", "env.start", "env.end",
+                                     "env.min_episode_steps", "garch.alpha1", "seed"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(EvalError, match=re.escape(key)):
+            evalcli.check_config_keys({key: "1"})
+
+    def test_unknown_key_fails_the_command(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("ppo.learning_rat = 1\n")
+        rc = cli.main(["generate-data", "--out", str(tmp_path / "bars.csv"),
+                       "--days", "6", "--config", str(config)])
+        assert rc == 1
+        assert "ppo.learning_rat" in capsys.readouterr().err
+        assert not (tmp_path / "bars.csv").exists()
+
+    def test_readme_lists_exactly_the_accepted_keys(self):
+        text = README.read_text()
+        section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"`([a-z]+\.[a-z0-9_]+)`", section)
+        assert sorted(listed) == sorted(evalcli.CONFIG_KEYS)
+
+
 class TestCli:
     def test_generate_data_writes_expected_rows(self, tmp_path):
         out = tmp_path / "bars.csv"
@@ -257,6 +375,18 @@ class TestCli:
         with open(out_dir / "log.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["update"] for r in rows] == ["1", "2"]
+
+    def test_training_step_counts_whole_rollouts(self, cli_workspace, tmp_path,
+                                                  capsys):
+        # the config's rollout is 64, so 130 requested steps run as 2 x 64
+        out_dir = tmp_path / "partial"
+        rc = cli.main(["train", "--data", str(cli_workspace["data"]),
+                       "--variant", "DNN", "--config", str(cli_workspace["config"]),
+                       "--seed", "3", "--total-steps", "130",
+                       "--out-dir", str(out_dir)])
+        assert rc == 0
+        assert load_checkpoint(str(out_dir / "checkpoint.json")).training_step == 128
+        assert "for 128 steps" in capsys.readouterr().out
 
     def test_train_is_seed_deterministic(self, cli_workspace, tmp_path):
         out_dir = tmp_path / "rerun"

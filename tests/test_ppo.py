@@ -226,6 +226,24 @@ class TestLossAndGrads:
             rel = np.linalg.norm(g - fd) / denom if denom > 0 else 0.0
             assert rel < 1e-5
 
+    def test_policy_loss_is_the_surrogate(self):
+        rng = np.random.default_rng(17)
+        policy = tiny_policy(rng)
+        config = PpoConfig(rollout=64, minibatches=1, total_steps=64)
+        batch = random_batch(policy, rng, n=64)
+        out, _ = policy.forward(batch["obs"], mode="eval")
+        new = gaussian_log_prob(batch["u"], out.action_mean, out.action_std)
+        # rows 0-7 clamp the ratio's exponent (both signs); the rest spread
+        # the ratio over about [0.6, 1.65], across both clip edges
+        shift = np.concatenate([[80.0, -80.0] * 4, rng.uniform(-0.5, 0.5, size=56)])
+        batch["old_log_prob"] = new + shift
+        rho = prob_ratio(new, batch["old_log_prob"])
+        assert np.sum(np.abs(rho - 1.0) > config.clip_epsilon) > 8
+
+        _, stats, _ = ppo_loss_and_grads(policy, batch, config, mode="eval")
+        want = -ppo_surrogate(rho, batch["advantages"], config.clip_epsilon).mean()
+        assert stats.policy_loss == want
+
     def test_stats_ranges(self):
         rng = np.random.default_rng(10)
         policy = tiny_policy(rng)
