@@ -75,12 +75,27 @@ def cmd_fit_garch(args) -> int:
     return 0
 
 
+def _checkpoint_value(cfg: dict, keys, resolved, pinned, name: str):
+    """``pinned``, the value the checkpoint was trained with, when there is one;
+    else ``resolved``, the config's. A config key that resolves to a different
+    value than the checkpoint's is an error, since it would do nothing."""
+    if pinned is None:
+        return resolved
+    key = next((k for k in keys if k in cfg), None)
+    if key is not None and resolved != pinned:
+        raise evalcli.EvalError(f"config key {key} resolves to {resolved}, but the "
+                                f"checkpoint was trained with {name} = {pinned}")
+    return pinned
+
+
 def _load_split_dataset(data_path: str, cfg: dict, garch_window: int,
                         garch_refit: int, boundary=None):
     five_min = load_bars(data_path, Frequency.FIVE_MIN)
     dataset = evalcli.build_dataset(five_min, garch_window, garch_refit)
-    if boundary is None:
-        boundary = evalcli.split_boundary_from_config(cfg, dataset)
+    # data.split_boundary wins over data.train_fraction when both are set.
+    boundary = _checkpoint_value(cfg, ("data.split_boundary", "data.train_fraction"),
+                                 evalcli.split_boundary_from_config(cfg, dataset),
+                                 boundary, "split_boundary")
     train_ds, test_ds = split(dataset, boundary)
     return train_ds, test_ds, boundary
 
@@ -139,8 +154,12 @@ def cmd_backtest(args) -> int:
         if "split_boundary" in meta else None
     garch_window, garch_refit = evalcli.garch_settings_from_config(cfg)
     train_ds, test_ds, _ = _load_split_dataset(
-        args.data, cfg, meta.get("garch_window", garch_window),
-        meta.get("garch_refit_every", garch_refit), boundary=boundary)
+        args.data, cfg,
+        _checkpoint_value(cfg, ("garch.window",), garch_window,
+                          meta.get("garch_window"), "garch_window"),
+        _checkpoint_value(cfg, ("garch.refit_every",), garch_refit,
+                          meta.get("garch_refit_every"), "garch_refit_every"),
+        boundary=boundary)
     dataset = train_ds if args.segment == "train" else test_ds
 
     policy = checkpoint.build_policy()

@@ -41,10 +41,6 @@ class VariantConfig:
     branches: tuple[str, ...]
     garch_feature: bool
 
-    def __post_init__(self):
-        if not self.branches:
-            raise EvalError("a variant needs at least one branch")
-
     def policy_config(self, **overrides) -> PolicyConfig:
         return PolicyConfig(branches=self.branches,
                             garch_feature=self.garch_feature, **overrides)
@@ -69,13 +65,7 @@ class Metrics:
     final_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "profit_rate_annualized": self.profit_rate_annualized,
-            "profit_rate_cumulative": self.profit_rate_cumulative,
-            "tax_rate_annualized": self.tax_rate_annualized,
-            "n_trades": self.n_trades,
-            "final_value": self.final_value,
-        }
+        return asdict(self)
 
 
 def profit_rate(curve, trading_days_per_year: int = TRADING_DAYS_PER_YEAR

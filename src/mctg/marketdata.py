@@ -39,9 +39,10 @@ class Frequency(Enum):
     WEEKLY = "weekly"
 
 
-def _iso_week(date: dt.date) -> tuple[int, int]:
+def _iso_week(date: dt.date) -> int:
+    """ISO week key ``iso_year * 100 + iso_week``; it grows with the date."""
     iso = date.isocalendar()
-    return (iso[0], iso[1])
+    return iso[0] * 100 + iso[1]
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,12 @@ class AlignedDataset:
     weekly: BarSeries
     daily_volatility: np.ndarray
     trading_days: list[dt.date]
-    _daily_index: dict[dt.date, int] = field(repr=False, default_factory=dict)
-    _fm_slices: dict[dt.date, slice] = field(repr=False, default_factory=dict)
+    _daily_index: dict[dt.date, int] = field(repr=False)
+    _fm_slices: dict[dt.date, slice] = field(repr=False)
+    # Per daily row: completed weekly bars before its ISO week, and the first
+    # daily row of that week.
+    _weeks_before: np.ndarray = field(repr=False)
+    _week_start: np.ndarray = field(repr=False)
 
     @property
     def n_days(self) -> int:
@@ -270,18 +275,17 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     fm_groups = _group_by_date(five_min)
     fm_full = {d: sl for d, sl in fm_groups.items()
                if sl.stop - sl.start == BARS_PER_DAY}
-    week_keys = [_iso_week(t.date()) for t in weekly.timestamps]
+    week_keys = np.array([_iso_week(t.date()) for t in weekly.timestamps], dtype=np.int64)
+    day_keys = np.array([_iso_week(t.date()) for t in daily.timestamps], dtype=np.int64)
+    weeks_before = np.searchsorted(week_keys, day_keys)
+    week_start = np.searchsorted(day_keys, day_keys)
 
     trading_days: list[dt.date] = []
     daily_index: dict[dt.date, int] = {}
     fm_slices: dict[dt.date, slice] = {}
     for i, ts in enumerate(daily.timestamps):
         d = ts.date()
-        if i < MID_DAYS - 1 or d not in fm_full:
-            continue
-        key = _iso_week(d)
-        completed = sum(1 for k in week_keys if k < key)
-        if completed < LONG_WEEKS - 1:
+        if i < MID_DAYS - 1 or d not in fm_full or weeks_before[i] < LONG_WEEKS - 1:
             continue
         trading_days.append(d)
         daily_index[d] = i
@@ -289,7 +293,7 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     if not trading_days:
         raise MarketDataError("no trading day admits a full observation window")
     return AlignedDataset(five_min, daily, weekly, daily_vol, trading_days,
-                          daily_index, fm_slices)
+                          daily_index, fm_slices, weeks_before, week_start)
 
 
 def window_at(dataset: AlignedDataset, day_index: int) -> Observation:
@@ -307,17 +311,11 @@ def window_at(dataset: AlignedDataset, day_index: int) -> Observation:
         dataset.daily.values[i - MID_DAYS + 1:i + 1],
         dataset.daily_volatility[i - MID_DAYS + 1:i + 1, None],
     ])
-
-    key = _iso_week(d)
-    daily_dates = dataset.daily.dates()
-    j = i
-    while j > 0 and _iso_week(daily_dates[j - 1]) == key:
-        j -= 1
-    partial = _aggregate(dataset.daily.values[j:i + 1])
-    completed_rows = [dataset.weekly.values[w]
-                      for w, t in enumerate(dataset.weekly.timestamps)
-                      if _iso_week(t.date()) < key]
-    long = np.vstack(completed_rows[-(LONG_WEEKS - 1):] + [partial])
+    w = dataset._weeks_before[i]
+    long = np.vstack([
+        dataset.weekly.values[w - LONG_WEEKS + 1:w],
+        _aggregate(dataset.daily.values[dataset._week_start[i]:i + 1]),
+    ])
     return Observation(short, mid, long)
 
 
@@ -329,7 +327,8 @@ class ObservationNormalizer:
     ``*_mean_`` / ``*_std_`` attributes.
     """
 
-    _KINDS = ("short", "mid", "long")
+    # Window kind -> shape of its statistics: one value per window column.
+    _KINDS = {"short": SHORT_SHAPE[1:], "mid": MID_SHAPE[1:], "long": LONG_SHAPE[1:]}
 
     def __init__(self):
         self.fitted_ = False
@@ -376,10 +375,21 @@ class ObservationNormalizer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObservationNormalizer":
+        """Rebuild from ``to_dict`` output. Each statistic must have its
+        window's column shape and be finite, and each std must be > 0, as
+        ``fit`` writes them; anything else would broadcast or divide silently."""
         norm = cls()
-        for kind in cls._KINDS:
-            setattr(norm, f"{kind}_mean_", np.asarray(data[kind]["mean"], dtype=np.float64))
-            setattr(norm, f"{kind}_std_", np.asarray(data[kind]["std"], dtype=np.float64))
+        for kind, shape in cls._KINDS.items():
+            for stat in ("mean", "std"):
+                value = np.asarray(data[kind][stat], dtype=np.float64)
+                if value.shape != shape:
+                    raise MarketDataError(
+                        f"normalizer {kind}.{stat} has shape {value.shape}, expected {shape}")
+                if not np.all(np.isfinite(value)):
+                    raise MarketDataError(f"normalizer {kind}.{stat} is not finite")
+                if stat == "std" and np.any(value <= 0):
+                    raise MarketDataError(f"normalizer {kind}.std has an entry <= 0")
+                setattr(norm, f"{kind}_{stat}_", value)
         norm.fitted_ = True
         return norm
 

@@ -245,35 +245,16 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
     return UpdateStats(**{k: v / passes for k, v in agg.items()})
 
 
-class _FlatObsCache:
-    """Day-indexed cache of flattened observations (they are action-free)."""
-
-    def __init__(self, env, policy: policy_mod.Policy):
-        self.env = env
-        self.policy = policy
-        self.store: dict[int, dict[str, np.ndarray]] = {}
-
-    def get(self, day_index: int) -> dict[str, np.ndarray]:
-        flat = self.store.get(day_index)
-        if flat is None:
-            flat = self.policy.flatten_observation(self.env.observation(day_index))
-            self.store[day_index] = flat
-        return flat
-
-
 def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
-                    rng: np.random.Generator, carry=None, episode_returns=None,
-                    obs_cache: _FlatObsCache | None = None):
+                    rng: np.random.Generator, carry=None, episode_returns=None):
     """Step the environment ``n_steps`` times under a frozen policy snapshot,
     resetting on episode end. Returns the filled buffer and the carry state for
     the next rollout."""
-    if obs_cache is None:
-        obs_cache = _FlatObsCache(env, policy)
     buffer = TrajectoryBuffer(n_steps, policy.config.input_dims())
 
     if carry is None:
-        state, _ = env.reset(rng)
-        flat = obs_cache.get(state.day_index)
+        _, obs = env.reset(rng)
+        flat = policy.flatten_observation(obs)
         ep_return = 0.0
     else:
         flat, ep_return = carry
@@ -285,14 +266,13 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
         buffer.add(flat, float(u), float(action), float(log_prob),
                    result.reward, float(out.value), result.done)
         ep_return += result.reward
+        obs = result.observation
         if result.done:
             if episode_returns is not None:
                 episode_returns.append(ep_return)
             ep_return = 0.0
-            state, _ = env.reset(rng)
-            flat = obs_cache.get(state.day_index)
-        else:
-            flat = obs_cache.get(result.info["day_index"])
+            _, obs = env.reset(rng)
+        flat = policy.flatten_observation(obs)
 
     out, _ = policy.forward(flat, mode="eval")
     buffer.bootstrap_value = float(out.value)
@@ -309,7 +289,6 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
     """
     if adam is None:
         adam = AdamState(policy.parameters(), config.learning_rate)
-    obs_cache = _FlatObsCache(env, policy)
     recent = deque(maxlen=10)
     rows: list[dict] = []
     carry = None
@@ -317,8 +296,7 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
     for k in range(1, n_updates + 1):
         episode_returns: list[float] = []
         buffer, carry = collect_rollout(env, policy, config.rollout, rng,
-                                        carry=carry, episode_returns=episode_returns,
-                                        obs_cache=obs_cache)
+                                        carry=carry, episode_returns=episode_returns)
         buffer.finalize(config.gamma, config.gae_lambda)
         stats = update(policy, buffer, config, adam, rng)
         recent.extend(episode_returns)

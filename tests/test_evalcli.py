@@ -431,6 +431,41 @@ class TestCli:
         assert doc["metrics"]["n_trades"] == \
             sum(int(r["order_shares"]) != 0 for r in traj)
 
+    @pytest.mark.parametrize("line,want", [
+        ("garch.window = 100", ["garch.window", "100", "120"]),
+        ("garch.refit_every = 31", ["garch.refit_every", "31", "30"]),
+        ("data.split_boundary = 2015-06-01",
+         ["data.split_boundary", "2015-06-01", "{boundary}"]),
+        ("data.train_fraction = 0.5", ["data.train_fraction", "{boundary}"]),
+    ], ids=["garch.window", "garch.refit_every", "data.split_boundary",
+            "data.train_fraction"])
+    def test_backtest_rejects_config_that_conflicts_with_checkpoint(
+            self, cli_workspace, tmp_path, capsys, line, want):
+        boundary = load_checkpoint(str(cli_workspace["checkpoint"])).metadata["split_boundary"]
+        config = tmp_path / "conflict.cfg"
+        config.write_text(CONFIG_TEXT + line + "\n")
+        rc = cli.main(["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
+                       "--data", str(cli_workspace["data"]), "--config", str(config),
+                       "--out-metrics", str(tmp_path / "m.json"),
+                       "--out-equity", str(tmp_path / "e.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        for text in want:
+            assert text.format(boundary=boundary) in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_backtest_accepts_config_equal_to_checkpoint(self, cli_workspace,
+                                                         tmp_path):
+        boundary = load_checkpoint(str(cli_workspace["checkpoint"])).metadata["split_boundary"]
+        config = tmp_path / "same.cfg"
+        config.write_text(CONFIG_TEXT + f"data.split_boundary = {boundary}\n"
+                          "data.train_fraction = 0.8\n")
+        rc = cli.main(["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
+                       "--data", str(cli_workspace["data"]), "--config", str(config),
+                       "--out-metrics", str(tmp_path / "m.json"),
+                       "--out-equity", str(tmp_path / "e.csv")])
+        assert rc == 0
+
     def test_backtest_variant_mismatch_exits_one(self, cli_workspace, tmp_path,
                                                  capsys):
         rc = cli.main(["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),

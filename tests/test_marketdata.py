@@ -106,7 +106,77 @@ def make_series(n_days, seed=0, **kwargs):
     return simulate_market(gen, n_days, seed)
 
 
+def minimum_history_bars():
+    """30 weeks of weekly bars, but only the last 30 daily bars and their
+    5-minute days: exactly one day admits a full window."""
+    five_min = make_series(150)   # exactly 30 weeks
+    daily, weekly = resample(five_min)
+    daily30 = md.BarSeries(Frequency.DAILY, daily.timestamps[-30:],
+                           daily.values[-30:])
+    cutoff = dt.datetime.combine(daily30.timestamps[0].date(), dt.time())
+    keep = [i for i, t in enumerate(five_min.timestamps) if t >= cutoff]
+    fm = md.BarSeries(Frequency.FIVE_MIN,
+                      [five_min.timestamps[i] for i in keep],
+                      five_min.values[keep])
+    return fm, daily30, weekly
+
+
+def scanning_windows(five_min, daily, weekly, vol):
+    """Trading days and their (short, mid, long) windows, found by scanning:
+    a day's completed weeks are every weekly bar of an earlier ISO
+    (year, week), and its partial week starts where the walk back through
+    the daily bars leaves its ISO week. The reference for align/window_at."""
+    full = {d: sl for d, sl in md._group_by_date(five_min).items()
+            if sl.stop - sl.start == 48}
+    dates = daily.dates()
+    week_keys = [t.date().isocalendar()[:2] for t in weekly.timestamps]
+    days, windows = [], []
+    for i, d in enumerate(dates):
+        key = d.isocalendar()[:2]
+        completed = [w for w, k in enumerate(week_keys) if k < key]
+        if i < 29 or d not in full or len(completed) < 29:
+            continue
+        j = i
+        while j > 0 and dates[j - 1].isocalendar()[:2] == key:
+            j -= 1
+        days.append(d)
+        windows.append((
+            five_min.values[full[d]],
+            np.hstack([daily.values[i - 29:i + 1], vol[i - 29:i + 1, None]]),
+            np.vstack([weekly.values[completed[-29:]],
+                       md._aggregate(daily.values[j:i + 1])]),
+        ))
+    return days, windows
+
+
+def frozen_market_bars():
+    """The acceptance suite's frozen market: 770 days from 2015-01-05, so
+    ISO week 2015-W53 reaches into January 2016."""
+    five_min = make_series(770, seed=2024, drift=0.004, regime_length=50)
+    return (five_min, *resample(five_min))
+
+
+def span_2020_bars():
+    """Across ISO week 2020-W53, which ends on 2021-01-03."""
+    five_min = make_series(220, seed=3, start_date=dt.date(2020, 6, 1))
+    return (five_min, *resample(five_min))
+
+
 class TestAlign:
+    @pytest.mark.parametrize("bars", [frozen_market_bars, span_2020_bars,
+                                      minimum_history_bars])
+    def test_matches_scanning_oracle(self, bars):
+        five_min, daily, weekly = bars()
+        vol = np.linspace(0.01, 0.02, len(daily))
+        ds = align(five_min, daily, weekly, vol)
+        days, windows = scanning_windows(five_min, daily, weekly, vol)
+        assert ds.trading_days == days
+        for k, (short, mid, long) in enumerate(windows):
+            obs = window_at(ds, k)
+            assert np.array_equal(obs.short_window, short)
+            assert np.array_equal(obs.mid_window, mid)
+            assert np.array_equal(obs.long_window, long)
+
     def test_thirty_five_weeks(self):
         five_min = make_series(175)   # exactly 35 Mon-Fri weeks
         daily, weekly = resample(five_min)
@@ -118,16 +188,7 @@ class TestAlign:
         assert ds.trading_days[0] == daily.timestamps[145].date()
 
     def test_minimum_history_single_day(self):
-        five_min = make_series(150)   # exactly 30 weeks
-        daily, weekly = resample(five_min)
-        # keep only the last 30 daily bars and their 5-min days
-        daily30 = md.BarSeries(Frequency.DAILY, daily.timestamps[-30:],
-                               daily.values[-30:])
-        cutoff = dt.datetime.combine(daily30.timestamps[0].date(), dt.time())
-        keep = [i for i, t in enumerate(five_min.timestamps) if t >= cutoff]
-        fm = md.BarSeries(Frequency.FIVE_MIN,
-                          [five_min.timestamps[i] for i in keep],
-                          five_min.values[keep])
+        fm, daily30, weekly = minimum_history_bars()
         ds = align(fm, daily30, weekly, np.full(30, 0.01))
         assert ds.n_days == 1
         assert ds.trading_days[0] == daily30.timestamps[-1].date()
@@ -236,6 +297,21 @@ class TestNormalizer:
                              for k in range(ds.n_days)])
         assert np.all(np.abs(stacked.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(stacked.std(axis=0) - 1.0) < 1e-9)
+
+    @pytest.mark.parametrize("kind,stat,value,match", [
+        ("short", "mean", np.zeros((48, 6)), "shape"),
+        ("mid", "std", 1.0, "shape"),
+        ("long", "mean", [0.0, 0.0, 0.0, 0.0, 0.0, np.nan], "finite"),
+        ("short", "std", [1.0, 1.0, 1.0, 1.0, np.inf, 1.0], "finite"),
+        ("mid", "std", [1.0] * 6 + [0.0], "<= 0"),
+    ], ids=["short-mean-48x6", "mid-std-scalar", "long-mean-nan", "short-std-inf",
+            "mid-std-zero"])
+    def test_from_dict_rejects_bad_statistics(self, small_normalizer, kind, stat,
+                                              value, match):
+        data = small_normalizer.to_dict()
+        data[kind][stat] = np.asarray(value).tolist()
+        with pytest.raises(MarketDataError, match=f"{kind}.{stat}.*{match}"):
+            ObservationNormalizer.from_dict(data)
 
     def test_unfitted_raises(self, small_dataset):
         with pytest.raises(MarketDataError, match="not fitted"):

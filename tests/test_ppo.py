@@ -194,6 +194,21 @@ class TestBuffer:
         # 5-step episodes: dones at indices 4, 9, 14
         assert list(np.nonzero(buf.done)[0]) == [4, 9, 14]
 
+    def test_rows_are_the_env_observations_across_a_carry(self, small_dataset,
+                                                          small_normalizer):
+        rng = np.random.default_rng(9)
+        cfg = PolicyConfig(branch_hidden=(4,), branch_out=3, dropout=0.0,
+                           trunk_hidden=4)
+        policy = Policy(cfg, np.random.default_rng(10))
+        env = TradingEnv(small_dataset, EnvConfig(start=0, end=5), small_normalizer)
+        first, carry = collect_rollout(env, policy, 7, rng)
+        second, _ = collect_rollout(env, policy, 6, rng, carry=carry)
+        for i in range(13):
+            buf, row = (first, i) if i < 7 else (second, i - 7)
+            expected = policy.flatten_observation(env.observation(i % 5))
+            for name in cfg.branches:
+                assert np.array_equal(buf.obs[name][row], expected[name])
+
 
 class TestLossAndGrads:
     def test_finite_difference_full_loss(self):
