@@ -10,7 +10,7 @@ from .evalcli import (Metrics, VariantConfig, VARIANTS, backtest, load_checkpoin
                       profit_rate, report, save_checkpoint, tax_rate)
 from .garch import (FitReport, GarchParams, GarchState, filter_variances, fit,
                     forecast_one_step, log_likelihood, rolling_forecast)
-from .marketdata import (AlignedDataset, Bar, BarSeries, Frequency, MarketGenParams,
+from .marketdata import (AlignedDataset, BarSeries, Frequency, MarketGenParams,
                          Observation, ObservationNormalizer, align, load_bars,
                          resample, simulate_market, split, window_at)
 from .policy import Policy, PolicyConfig, PolicyOutput, log_prob_and_entropy, sample_action

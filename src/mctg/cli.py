@@ -90,11 +90,12 @@ def _checkpoint_value(cfg: dict, keys, resolved, pinned, name: str):
 
 def _load_split_dataset(data_path: str, cfg: dict, garch_window: int,
                         garch_refit: int, boundary=None):
+    split_settings = evalcli.split_settings_from_config(cfg)
     five_min = load_bars(data_path, Frequency.FIVE_MIN)
     dataset = evalcli.build_dataset(five_min, garch_window, garch_refit)
     # data.split_boundary wins over data.train_fraction when both are set.
     boundary = _checkpoint_value(cfg, ("data.split_boundary", "data.train_fraction"),
-                                 evalcli.split_boundary_from_config(cfg, dataset),
+                                 evalcli.split_boundary(dataset, *split_settings),
                                  boundary, "split_boundary")
     train_ds, test_ds = split(dataset, boundary)
     return train_ds, test_ds, boundary
@@ -103,13 +104,14 @@ def _load_split_dataset(data_path: str, cfg: dict, garch_window: int,
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     variant = evalcli.VARIANTS[args.variant]
+    overrides = {} if args.total_steps is None else {"total_steps": args.total_steps}
+    ppo_config = evalcli.section_from_config(cfg, "ppo", **overrides)
+    env_config = evalcli.section_from_config(cfg, "env")
     garch_window, garch_refit = evalcli.garch_settings_from_config(cfg)
     train_ds, _, boundary = _load_split_dataset(args.data, cfg, garch_window, garch_refit)
 
     normalizer = ObservationNormalizer().fit(train_ds, range(train_ds.n_days))
-    overrides = {} if args.total_steps is None else {"total_steps": args.total_steps}
-    ppo_config = evalcli.section_from_config(cfg, "ppo", **overrides)
-    env = TradingEnv(train_ds, evalcli.section_from_config(cfg, "env"), normalizer)
+    env = TradingEnv(train_ds, env_config, normalizer)
 
     rng = np.random.default_rng(args.seed)
     policy = Policy(variant.policy_config(), rng)
@@ -149,6 +151,9 @@ def cmd_backtest(args) -> int:
             f"checkpoint was trained as {checkpoint.variant} (state dimension "
             f"{checkpoint.policy_config.state_dim}); requested variant "
             f"{args.variant} has a different network shape")
+    policy = checkpoint.build_policy()
+    normalizer = checkpoint.build_normalizer()
+    env_config = evalcli.section_from_config(cfg, "env", random_start=False)
     meta = checkpoint.metadata
     boundary = dt.date.fromisoformat(meta["split_boundary"]) \
         if "split_boundary" in meta else None
@@ -161,10 +166,6 @@ def cmd_backtest(args) -> int:
                           meta.get("garch_refit_every"), "garch_refit_every"),
         boundary=boundary)
     dataset = train_ds if args.segment == "train" else test_ds
-
-    policy = checkpoint.build_policy()
-    normalizer = checkpoint.build_normalizer()
-    env_config = evalcli.section_from_config(cfg, "env", random_start=False)
     metrics, equity_rows, trajectory_rows = evalcli.backtest(
         policy, dataset, env_config, normalizer)
 

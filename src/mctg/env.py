@@ -100,7 +100,7 @@ class TradingEnv:
         self.config = config
         self.end = end
         self.normalizer = normalizer
-        self.opens = np.array([dataset.daily_open(i) for i in range(dataset.n_days)])
+        self.opens = dataset.opens
         self._obs_cache: dict[int, Observation] = {}
         self.state: PortfolioState | None = None
         self._prev_value = 0.0
@@ -184,7 +184,7 @@ def buy_and_hold(dataset: AlignedDataset, start: int, end: int,
     """
     if not 0 <= start <= end < dataset.n_days:
         raise EnvError(f"range [{start}, {end}] invalid for {dataset.n_days} days")
-    opens = np.array([dataset.daily_open(i) for i in range(start, end + 1)])
+    opens = dataset.opens[start:end + 1]
     entry = opens[0]
     lot = config.lot_size
     raw = math.floor(config.initial_cash / (entry * (1.0 + config.tax_rate)))

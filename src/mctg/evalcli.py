@@ -218,17 +218,20 @@ def load_checkpoint(path: str) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise EvalError(f"{path}: checkpoint format version {version}, "
                         f"this build reads version {CHECKPOINT_VERSION}")
-    stored = {f.name: doc["policy_config"][f.name] for f in fields(PolicyConfig)}
-    # JSON stores the config's tuples as lists.
-    config = PolicyConfig(**{name: tuple(v) if isinstance(v, list) else v
-                             for name, v in stored.items()})
-    params = {name: np.asarray(v, dtype=np.float64) for name, v in doc["params"].items()}
-    return Checkpoint(
-        variant=doc["variant"], policy_config=config, param_values=params,
-        adam=doc["adam"], training_step=int(doc["training_step"]),
-        rng_state=doc["rng_state"], norm_stats=doc["norm_stats"],
-        metadata=doc.get("metadata", {}),
-    )
+    try:
+        stored = {f.name: doc["policy_config"][f.name] for f in fields(PolicyConfig)}
+        # JSON stores the config's tuples as lists.
+        config = PolicyConfig(**{name: tuple(v) if isinstance(v, list) else v
+                                 for name, v in stored.items()})
+        params = {name: np.asarray(v, dtype=np.float64) for name, v in doc["params"].items()}
+        return Checkpoint(
+            variant=doc["variant"], policy_config=config, param_values=params,
+            adam=doc["adam"], training_step=int(doc["training_step"]),
+            rng_state=doc["rng_state"], norm_stats=doc["norm_stats"],
+            metadata=doc.get("metadata", {}),
+        )
+    except KeyError as e:
+        raise EvalError(f"{path}: checkpoint lacks field {e.args[0]!r}") from None
 
 
 # -- report --------------------------------------------------------------------
@@ -240,20 +243,20 @@ def report(metrics_docs: list[dict]) -> list[dict]:
     appear in the canonical DNN / DNN-GARCH / MCT / MCTG order first, then any
     others in input order.
     """
-    groups: dict[str, list[dict]] = {}
-    for doc in metrics_docs:
-        groups.setdefault(doc["variant"], []).append(doc)
+    groups: dict[str, list[tuple[float, float]]] = {}
+    for n, doc in enumerate(metrics_docs, start=1):
+        try:
+            metrics = doc["metrics"]
+            rates = (metrics["profit_rate_annualized"], metrics["tax_rate_annualized"])
+            groups.setdefault(doc["variant"], []).append(rates)
+        except KeyError as e:
+            raise EvalError(f"metrics document {n} lacks field {e.args[0]!r}") from None
     order = [v for v in VARIANTS if v in groups]
     order += [v for v in groups if v not in order]
-    rows = []
-    for variant in order:
-        docs = groups[variant]
-        rows.append({
-            "variant": variant,
-            "PR": float(np.mean([d["metrics"]["profit_rate_annualized"] for d in docs])),
-            "TR": float(np.mean([d["metrics"]["tax_rate_annualized"] for d in docs])),
-        })
-    return rows
+    return [{"variant": variant,
+             "PR": float(np.mean([pr for pr, _ in groups[variant]])),
+             "TR": float(np.mean([tr for _, tr in groups[variant]]))}
+            for variant in order]
 
 
 # -- flat key=value config -------------------------------------------------------
@@ -362,12 +365,20 @@ def build_dataset(five_min: BarSeries, garch_window: int,
     return align(five_min, daily, weekly, daily_vol)
 
 
-def split_boundary_from_config(cfg: dict, dataset: AlignedDataset) -> dt.date:
-    raw = cfg.get("data.split_boundary")
-    if raw is not None:
-        return dt.date.fromisoformat(raw)
+def split_settings_from_config(cfg: dict) -> tuple[dt.date | None, float]:
+    """(data.split_boundary or None, data.train_fraction), read and checked
+    before any data is built."""
+    boundary = config_get(cfg, "data.split_boundary", dt.date.fromisoformat, None)
     fraction = config_get(cfg, "data.train_fraction", float, 0.8)
     if not 0.0 < fraction < 1.0:
         raise EvalError("data.train_fraction must be in (0, 1)")
+    return boundary, fraction
+
+
+def split_boundary(dataset: AlignedDataset, boundary: dt.date | None,
+                   fraction: float) -> dt.date:
+    """``boundary`` when set, else the trading day ``fraction`` of the way in."""
+    if boundary is not None:
+        return boundary
     idx = min(max(int(dataset.n_days * fraction), 1), dataset.n_days - 1)
     return dataset.trading_days[idx]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -45,38 +46,21 @@ def _iso_week(date: dt.date) -> int:
     return iso[0] * 100 + iso[1]
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One OHLCVA record for a single trading period."""
+class BarError(MarketDataError):
+    """A bar breaks an OHLCVA invariant or the time order; ``index`` is its row."""
 
-    timestamp: dt.datetime
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-    amount: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in
-                   (self.open, self.high, self.low, self.close, self.volume, self.amount)):
-            raise MarketDataError(f"non-finite field in bar at {self.timestamp}")
-        if self.low <= 0:
-            raise MarketDataError(f"non-positive low {self.low} at {self.timestamp}")
-        if self.high < max(self.open, self.close):
-            raise MarketDataError(f"high {self.high} below open/close at {self.timestamp}")
-        if self.low > min(self.open, self.close):
-            raise MarketDataError(f"low {self.low} above open/close at {self.timestamp}")
-        if self.volume < 0 or self.amount < 0:
-            raise MarketDataError(f"negative volume/amount at {self.timestamp}")
-
-    def as_row(self) -> np.ndarray:
-        return np.array([self.open, self.high, self.low, self.close,
-                         self.volume, self.amount], dtype=np.float64)
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 class BarSeries:
-    """Time-ordered bars of one frequency, stored column-wise for slicing."""
+    """Time-ordered bars of one frequency, stored column-wise for slicing.
+
+    Construction raises BarError for the first bar that is non-finite, has
+    low <= 0, a high below or a low above its open/close, negative
+    volume/amount, or a timestamp not after the previous one.
+    """
 
     def __init__(self, frequency: Frequency, timestamps: list[dt.datetime],
                  values: np.ndarray):
@@ -85,26 +69,28 @@ class BarSeries:
             raise MarketDataError(f"bar values must be (n, 6), got {values.shape}")
         if len(timestamps) != values.shape[0]:
             raise MarketDataError("timestamp/value length mismatch")
-        for i in range(1, len(timestamps)):
-            if timestamps[i] <= timestamps[i - 1]:
-                raise MarketDataError(
-                    f"timestamps not strictly increasing at index {i} ({timestamps[i]})")
+        o, h, l, c, v, a = values.T
+        out_of_order = np.zeros(len(values), dtype=bool)
+        out_of_order[1:] = [t <= s for s, t in zip(timestamps, timestamps[1:])]
+        checks = (
+            (~np.isfinite(values).all(axis=1), "non-finite field"),
+            (l <= 0, "non-positive low"),
+            (h < np.maximum(o, c), "high below open/close"),
+            (l > np.minimum(o, c), "low above open/close"),
+            ((v < 0) | (a < 0), "negative volume/amount"),
+            (out_of_order, "timestamp not after previous"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            i = int(np.argmax(bad))
+            reason = next(why for mask, why in checks if mask[i])
+            raise BarError(i, f"{reason} at {timestamps[i]}")
         self.frequency = frequency
         self.timestamps = list(timestamps)
         self.values = values
 
-    @classmethod
-    def from_bars(cls, frequency: Frequency, bars: list[Bar]) -> "BarSeries":
-        ts = [b.timestamp for b in bars]
-        vals = np.array([b.as_row() for b in bars], dtype=np.float64).reshape(len(bars), 6)
-        return cls(frequency, ts, vals)
-
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def bar(self, i: int) -> Bar:
-        o, h, l, c, v, a = self.values[i]
-        return Bar(self.timestamps[i], o, h, l, c, v, a)
 
     def dates(self) -> list[dt.date]:
         return [t.date() for t in self.timestamps]
@@ -116,7 +102,9 @@ def load_bars(path: str, frequency: Frequency) -> BarSeries:
     Rows violating bar invariants or timestamp monotonicity are rejected with
     the offending line number.
     """
-    bars: list[Bar] = []
+    timestamps: list[dt.datetime] = []
+    rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -128,20 +116,17 @@ def load_bars(path: str, frequency: Frequency) -> BarSeries:
             if len(row) != 7:
                 raise MarketDataError(f"{path}: row {lineno}: expected 7 fields, got {len(row)}")
             try:
-                ts = dt.datetime.fromisoformat(row[0].strip())
-                fields = [float(x) for x in row[1:]]
+                timestamps.append(dt.datetime.fromisoformat(row[0].strip()))
+                rows.append([float(x) for x in row[1:]])
             except ValueError as e:
                 raise MarketDataError(f"{path}: row {lineno}: {e}") from None
-            try:
-                bars.append(Bar(ts, *fields))
-            except MarketDataError as e:
-                raise MarketDataError(f"{path}: row {lineno}: {e}") from None
-            if len(bars) >= 2 and bars[-1].timestamp <= bars[-2].timestamp:
-                raise MarketDataError(
-                    f"{path}: row {lineno}: timestamp {ts} not after previous")
-    if not bars:
+            linenos.append(lineno)
+    if not rows:
         raise MarketDataError(f"{path}: no bars")
-    return BarSeries.from_bars(frequency, bars)
+    try:
+        return BarSeries(frequency, timestamps, np.array(rows, dtype=np.float64))
+    except BarError as e:
+        raise MarketDataError(f"{path}: row {linenos[e.index]}: {e}") from None
 
 
 def save_bars(series: BarSeries, path: str) -> None:
@@ -228,19 +213,18 @@ class Observation:
 
 @dataclass(frozen=True)
 class AlignedDataset:
-    """Three bar frequencies plus daily volatility, indexed by trading day."""
+    """Three bar frequencies plus daily volatility, indexed by trading day:
+    row k of the read-only window and open arrays belongs to trading day k."""
 
     five_min: BarSeries
     daily: BarSeries
     weekly: BarSeries
     daily_volatility: np.ndarray
     trading_days: list[dt.date]
-    _daily_index: dict[dt.date, int] = field(repr=False)
-    _fm_slices: dict[dt.date, slice] = field(repr=False)
-    # Per daily row: completed weekly bars before its ISO week, and the first
-    # daily row of that week.
-    _weeks_before: np.ndarray = field(repr=False)
-    _week_start: np.ndarray = field(repr=False)
+    short_windows: np.ndarray = field(repr=False)   # (n_days, 48, 6)
+    mid_windows: np.ndarray = field(repr=False)     # (n_days, 30, 7)
+    long_windows: np.ndarray = field(repr=False)    # (n_days, 30, 6)
+    opens: np.ndarray = field(repr=False)           # (n_days,)
 
     @property
     def n_days(self) -> int:
@@ -249,17 +233,16 @@ class AlignedDataset:
     def date(self, day_index: int) -> dt.date:
         return self.trading_days[day_index]
 
-    def daily_open(self, day_index: int) -> float:
-        return float(self.daily.values[self._daily_index[self.trading_days[day_index]], 0])
-
 
 def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
           daily_vol: np.ndarray) -> AlignedDataset:
-    """Intersect the three frequencies into the days a full window exists for.
+    """Intersect the three frequencies into the days a full window exists for,
+    and build every such day's windows.
 
     A trading day qualifies when it has 48 five-minute bars, at least 30 daily
-    bars ending at it, and at least 29 completed weekly bars before its week
-    (the in-progress week is aggregated from daily bars on demand).
+    bars ending at it, and at least 29 completed weekly bars before its week.
+    The weekly window never looks past the decision day: its last row is the
+    in-progress week aggregated from daily bars up to and including the day.
     """
     if five_min.frequency is not Frequency.FIVE_MIN or \
             daily.frequency is not Frequency.DAILY or \
@@ -272,51 +255,44 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     if not np.all(np.isfinite(daily_vol)) or np.any(daily_vol <= 0):
         raise MarketDataError("daily_vol entries must be finite and positive")
 
-    fm_groups = _group_by_date(five_min)
-    fm_full = {d: sl for d, sl in fm_groups.items()
-               if sl.stop - sl.start == BARS_PER_DAY}
+    fm_starts = {d: sl.start for d, sl in _group_by_date(five_min).items()
+                 if sl.stop - sl.start == BARS_PER_DAY}
+    dates = daily.dates()
     week_keys = np.array([_iso_week(t.date()) for t in weekly.timestamps], dtype=np.int64)
-    day_keys = np.array([_iso_week(t.date()) for t in daily.timestamps], dtype=np.int64)
+    day_keys = np.array([_iso_week(d) for d in dates], dtype=np.int64)
+    # Per daily row: completed weekly bars before its ISO week, and the first
+    # daily row of that week.
     weeks_before = np.searchsorted(week_keys, day_keys)
     week_start = np.searchsorted(day_keys, day_keys)
 
-    trading_days: list[dt.date] = []
-    daily_index: dict[dt.date, int] = {}
-    fm_slices: dict[dt.date, slice] = {}
-    for i, ts in enumerate(daily.timestamps):
-        d = ts.date()
-        if i < MID_DAYS - 1 or d not in fm_full or weeks_before[i] < LONG_WEEKS - 1:
-            continue
-        trading_days.append(d)
-        daily_index[d] = i
-        fm_slices[d] = fm_full[d]
-    if not trading_days:
+    rows = np.array([i for i, d in enumerate(dates) if i >= MID_DAYS - 1
+                     and d in fm_starts and weeks_before[i] >= LONG_WEEKS - 1],
+                    dtype=np.intp)
+    if not len(rows):
         raise MarketDataError("no trading day admits a full observation window")
-    return AlignedDataset(five_min, daily, weekly, daily_vol, trading_days,
-                          daily_index, fm_slices, weeks_before, week_start)
+    trading_days = [dates[i] for i in rows]
+    fm_rows = np.array([fm_starts[d] for d in trading_days])[:, None] + np.arange(BARS_PER_DAY)
+    mid_rows = rows[:, None] + np.arange(1 - MID_DAYS, 1)
+    week_rows = weeks_before[rows, None] + np.arange(1 - LONG_WEEKS, 0)
+    partial_weeks = [_aggregate(daily.values[week_start[i]:i + 1]) for i in rows]
+    windows = (
+        five_min.values[fm_rows],
+        np.concatenate([daily.values[mid_rows], daily_vol[mid_rows, None]], axis=2),
+        np.concatenate([weekly.values[week_rows], np.array(partial_weeks)[:, None]], axis=1),
+        daily.values[rows, 0],
+    )
+    for array in windows:
+        array.flags.writeable = False
+    return AlignedDataset(five_min, daily, weekly, daily_vol, trading_days, *windows)
 
 
 def window_at(dataset: AlignedDataset, day_index: int) -> Observation:
-    """Build the raw (un-normalized) observation for one trading day.
-
-    The weekly window never looks past the decision day: the current week is
-    aggregated from daily bars up to and including it.
-    """
+    """The raw (un-normalized) observation for one trading day: read-only rows
+    of the dataset's window arrays."""
     if not 0 <= day_index < dataset.n_days:
         raise MarketDataError(f"day index {day_index} out of range [0, {dataset.n_days})")
-    d = dataset.trading_days[day_index]
-    i = dataset._daily_index[d]
-    short = dataset.five_min.values[dataset._fm_slices[d]].copy()
-    mid = np.hstack([
-        dataset.daily.values[i - MID_DAYS + 1:i + 1],
-        dataset.daily_volatility[i - MID_DAYS + 1:i + 1, None],
-    ])
-    w = dataset._weeks_before[i]
-    long = np.vstack([
-        dataset.weekly.values[w - LONG_WEEKS + 1:w],
-        _aggregate(dataset.daily.values[dataset._week_start[i]:i + 1]),
-    ])
-    return Observation(short, mid, long)
+    return Observation(dataset.short_windows[day_index], dataset.mid_windows[day_index],
+                       dataset.long_windows[day_index])
 
 
 class ObservationNormalizer:
@@ -334,17 +310,14 @@ class ObservationNormalizer:
         self.fitted_ = False
 
     def fit(self, dataset: AlignedDataset, day_indices) -> "ObservationNormalizer":
-        day_indices = list(day_indices)
-        if not day_indices:
+        days = np.asarray(list(day_indices), dtype=np.intp)
+        if not len(days):
             raise MarketDataError("cannot fit normalizer on an empty day range")
-        stacks = {k: [] for k in self._KINDS}
-        for k in day_indices:
-            obs = window_at(dataset, k)
-            stacks["short"].append(obs.short_window)
-            stacks["mid"].append(obs.mid_window)
-            stacks["long"].append(obs.long_window)
+        if days.min() < 0 or days.max() >= dataset.n_days:
+            raise MarketDataError(f"day indices out of range [0, {dataset.n_days})")
         for kind in self._KINDS:
-            data = np.vstack(stacks[kind])
+            windows = getattr(dataset, f"{kind}_windows")
+            data = windows[days].reshape(-1, windows.shape[2])
             mean = data.mean(axis=0)
             std = data.std(axis=0)
             std[std == 0.0] = 1.0
@@ -381,6 +354,8 @@ class ObservationNormalizer:
         norm = cls()
         for kind, shape in cls._KINDS.items():
             for stat in ("mean", "std"):
+                if stat not in data.get(kind, {}):
+                    raise MarketDataError(f"normalizer lacks {kind}.{stat}")
                 value = np.asarray(data[kind][stat], dtype=np.float64)
                 if value.shape != shape:
                     raise MarketDataError(
@@ -400,14 +375,14 @@ def split(dataset: AlignedDataset, boundary: dt.date) -> tuple[AlignedDataset, A
     Test observations keep the shared bar history, so their 30-bar windows may
     reach back into the training period.
     """
-    train_days = [d for d in dataset.trading_days if d < boundary]
-    test_days = [d for d in dataset.trading_days if d >= boundary]
-    if not train_days:
+    k = bisect_left(dataset.trading_days, boundary)
+    if k == 0:
         raise MarketDataError(f"boundary {boundary} leaves an empty training set")
-    if not test_days:
+    if k == dataset.n_days:
         raise MarketDataError(f"boundary {boundary} leaves an empty test set")
-    return (replace(dataset, trading_days=train_days),
-            replace(dataset, trading_days=test_days))
+    by_day = ("trading_days", "short_windows", "mid_windows", "long_windows", "opens")
+    return tuple(replace(dataset, **{name: getattr(dataset, name)[days] for name in by_day})
+                 for days in (slice(None, k), slice(k, None)))
 
 
 @dataclass(frozen=True)

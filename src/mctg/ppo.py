@@ -40,6 +40,8 @@ class PpoConfig:
     def __post_init__(self):
         if not 0.0 < self.clip_epsilon < 1.0:
             raise PpoError("clip_epsilon must be in (0, 1)")
+        if self.minibatches < 1 or self.epochs_per_update < 1:
+            raise PpoError("minibatches and epochs_per_update must be >= 1")
         if self.rollout % self.minibatches != 0:
             raise PpoError("minibatches must divide the rollout length")
         if self.rollout < 1 or self.total_steps < self.rollout:

@@ -217,7 +217,7 @@ class TestBuyAndHold:
     def test_three_day_hand_accounting(self, small_dataset):
         cfg = EnvConfig(initial_cash=100_000.0)
         curve = buy_and_hold(small_dataset, 0, 2, cfg)
-        o = [small_dataset.daily_open(i) for i in range(3)]
+        o = small_dataset.opens[:3]
         raw = math.floor(100_000.0 / (o[0] * 1.001))
         shares = (raw // 100) * 100
         cash = 100_000.0 - shares * o[0] * 1.001

@@ -197,6 +197,31 @@ class TestCheckpoint:
         with pytest.raises(EvalError, match="corrupt"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("field", ["variant", "policy_config", "params", "adam",
+                                       "training_step", "rng_state", "norm_stats"])
+    def test_missing_field_is_named(self, tmp_path, field):
+        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        del doc[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match=f"lacks field '{field}'"):
+            load_checkpoint(str(path))
+
+    def test_missing_policy_config_field_is_named(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        del doc["policy_config"]["trunk_hidden"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match="lacks field 'trunk_hidden'"):
+            load_checkpoint(str(path))
+
+    def test_metadata_is_optional(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        del doc["metadata"]
+        path.write_text(json.dumps(doc))
+        assert load_checkpoint(str(path)).metadata == {}
+
     def test_missing_parameter_detected(self, tmp_path):
         policy = small_variant_policy("DNN", 4)
         path, _ = self.roundtrip(tmp_path, policy)
@@ -224,6 +249,18 @@ class TestReport:
         rows = report([self.doc("MCT", 0.2, 0.02), self.doc("MCT", 0.4, 0.06)])
         assert rows == [{"variant": "MCT", "PR": pytest.approx(0.3),
                          "TR": pytest.approx(0.04)}]
+
+    @pytest.mark.parametrize("path", [("variant",), ("metrics",),
+                                      ("metrics", "profit_rate_annualized"),
+                                      ("metrics", "tax_rate_annualized")])
+    def test_missing_field_is_named(self, path):
+        doc = self.doc("MCT", 0.2, 0.02)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(EvalError, match=f"document 2.*lacks field '{path[-1]}'"):
+            report([self.doc("DNN", 0.1, 0.01), doc])
 
 
 class TestConfigFile:
@@ -295,7 +332,7 @@ def config_setting(cfg, key, dataset):
         window, refit = evalcli.garch_settings_from_config(cfg)
         return {"window": window, "refit_every": refit}[name]
     if section == "data":
-        boundary = evalcli.split_boundary_from_config(cfg, dataset)
+        boundary = evalcli.split_boundary(dataset, *evalcli.split_settings_from_config(cfg))
         if name == "train_fraction":
             # the fraction picks the boundary day by index
             return dataset.trading_days.index(boundary) / dataset.n_days
@@ -491,6 +528,61 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [r["variant"] for r in rows] == ["DNN", "MCTG"]
         assert float(rows[1]["PR"]) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("command", ["train", "backtest"])
+    @pytest.mark.parametrize("line,key", [
+        ("data.split_boundary = 2015-13-01", "data.split_boundary"),
+        ("data.split_boundary = soon", "data.split_boundary"),
+        ("data.train_fraction = 1.5", "data.train_fraction"),
+        ("data.train_fraction = 0", "data.train_fraction"),
+        ("data.train_fraction = half", "data.train_fraction"),
+    ])
+    def test_bad_split_setting_fails_before_the_dataset_is_built(
+            self, cli_workspace, tmp_path, capsys, monkeypatch, command, line, key):
+        def build_dataset(*args, **kwargs):
+            raise AssertionError("build_dataset called")
+        monkeypatch.setattr(evalcli, "build_dataset", build_dataset)
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG_TEXT + line + "\n")
+        argv = {
+            "train": ["train", "--out-dir", str(tmp_path / "run")],
+            "backtest": ["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
+                         "--out-metrics", str(tmp_path / "m.json"),
+                         "--out-equity", str(tmp_path / "e.csv")],
+        }[command]
+        rc = cli.main(argv + ["--data", str(cli_workspace["data"]),
+                              "--config", str(config)])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+
+    def test_checkpoint_missing_field_fails_backtest_cleanly(self, cli_workspace,
+                                                             tmp_path, capsys):
+        doc = json.loads(cli_workspace["checkpoint"].read_text())
+        del doc["norm_stats"]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        rc = cli.main(["backtest", "--checkpoint", str(checkpoint),
+                       "--data", str(cli_workspace["data"]),
+                       "--out-metrics", str(tmp_path / "m.json"),
+                       "--out-equity", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert "lacks field 'norm_stats'" in capsys.readouterr().err
+
+    def test_report_missing_variant_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"metrics": {"profit_rate_annualized": 0.1,
+                                                "tax_rate_annualized": 0.01}}))
+        rc = cli.main(["report", "--out", str(tmp_path / "table.csv"), str(path)])
+        assert rc == 1
+        assert "lacks field 'variant'" in capsys.readouterr().err
+
+    def test_zero_ppo_loop_count_fails_cleanly(self, cli_workspace, tmp_path, capsys):
+        config = tmp_path / "zero.cfg"
+        config.write_text(CONFIG_TEXT + "ppo.epochs_per_update = 0\n")
+        rc = cli.main(["train", "--data", str(cli_workspace["data"]),
+                       "--config", str(config), "--out-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert "epochs_per_update" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["backtest", "--bogus"]) == 2

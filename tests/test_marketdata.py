@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from mctg import evalcli
 from mctg import marketdata as md
 from mctg.marketdata import (Frequency, MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
@@ -17,6 +18,55 @@ def write_csv(tmp_path, rows, name="bars.csv"):
     return str(path)
 
 
+VALID_ROWS = [
+    ("2020-01-06T09:30", 10, 10.5, 9.9, 10.2, 100, 1010),
+    ("2020-01-06T09:35", 10.2, 10.4, 10.0, 10.1, 50, 505),
+    ("2020-01-06T09:40", 10.1, 10.1, 10.0, 10.0, 80, 805),
+]
+
+# (column of VALID_ROWS[1] to replace, value, message): one case per invariant.
+INVALID_BARS = [
+    (2, float("nan"), "non-finite field"),
+    (4, float("inf"), "non-finite field"),
+    (3, 0.0, "non-positive low"),
+    (2, 10.15, "high below open/close"),
+    (3, 10.15, "low above open/close"),
+    (5, -1.0, "negative volume/amount"),
+    (6, -1.0, "negative volume/amount"),
+    (0, "2020-01-06T09:30", "timestamp not after previous"),
+]
+
+
+def bar_series(rows):
+    return md.BarSeries(Frequency.FIVE_MIN,
+                        [dt.datetime.fromisoformat(row[0]) for row in rows],
+                        np.array([row[1:] for row in rows], dtype=np.float64))
+
+
+class TestBarSeries:
+    def test_valid_rows_accepted(self):
+        assert len(bar_series(VALID_ROWS)) == 3
+
+    @pytest.mark.parametrize("column,value,match", INVALID_BARS)
+    def test_invalid_bar_rejected(self, column, value, match):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][column] = value
+        with pytest.raises(MarketDataError, match=f"{match} at 2020-01-06 09:3") as err:
+            bar_series(rows)
+        assert err.value.index == 1
+
+    def test_first_invalid_row_is_reported(self):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][0] = rows[0][0]   # a repeated timestamp at index 1
+        rows[2][3] = -1.0         # a negative low at index 2
+        with pytest.raises(MarketDataError, match="not after previous") as err:
+            bar_series(rows)
+        assert err.value.index == 1
+
+    def test_empty_series_allowed(self):
+        assert len(md.BarSeries(Frequency.DAILY, [], np.empty((0, 6)))) == 0
+
+
 class TestLoadBars:
     def test_three_row_csv(self, tmp_path):
         path = write_csv(tmp_path, [
@@ -26,8 +76,8 @@ class TestLoadBars:
         ])
         series = load_bars(path, Frequency.FIVE_MIN)
         assert len(series) == 3
-        assert series.bar(0).open == 10.0
-        assert series.bar(2).close == 10.0
+        assert series.values[0, 0] == 10.0   # open
+        assert series.values[2, 3] == 10.0   # close
 
     def test_high_below_low_names_row(self, tmp_path):
         path = write_csv(tmp_path, [
@@ -51,6 +101,13 @@ class TestLoadBars:
         with pytest.raises(MarketDataError, match="expected header"):
             load_bars(str(path), Frequency.FIVE_MIN)
 
+    @pytest.mark.parametrize("column,value,match", INVALID_BARS)
+    def test_invalid_bar_names_row(self, tmp_path, column, value, match):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][column] = value
+        with pytest.raises(MarketDataError, match=f"row 3: {match}"):
+            load_bars(write_csv(tmp_path, rows), Frequency.FIVE_MIN)
+
     def test_roundtrip_save_load(self, small_five_min, tmp_path):
         path = str(tmp_path / "rt.csv")
         md.save_bars(small_five_min, path)
@@ -60,16 +117,22 @@ class TestLoadBars:
 
 
 def constant_day(date, price=10.0, volume=1.0):
+    """48 constant five-minute bars: (timestamps, values)."""
     base = dt.datetime.combine(date, dt.time(9, 30))
-    bars = [md.Bar(base + dt.timedelta(minutes=5 * k), price, price, price, price,
-                   volume, volume * price) for k in range(48)]
-    return bars
+    timestamps = [base + dt.timedelta(minutes=5 * k) for k in range(48)]
+    values = np.tile([price, price, price, price, volume, volume * price], (48, 1))
+    return timestamps, values
+
+
+def five_min_series(*days):
+    """One five-minute BarSeries of consecutive (timestamps, values) days."""
+    return md.BarSeries(Frequency.FIVE_MIN, [t for ts, _ in days for t in ts],
+                        np.vstack([values for _, values in days]))
 
 
 class TestResample:
     def test_constant_day(self):
-        series = md.BarSeries.from_bars(Frequency.FIVE_MIN,
-                                        constant_day(dt.date(2020, 1, 6)))
+        series = five_min_series(constant_day(dt.date(2020, 1, 6)))
         daily, weekly = resample(series)
         assert len(daily) == 1 and len(weekly) == 1
         o, h, l, c, v, a = daily.values[0]
@@ -84,10 +147,9 @@ class TestResample:
 
     def test_week_open_close_from_monday_friday(self):
         # Mon-Fri with a distinct constant price per day.
-        bars = []
-        for k, price in enumerate([10.0, 11.0, 12.0, 13.0, 14.0]):
-            bars += constant_day(dt.date(2020, 1, 6) + dt.timedelta(days=k), price)
-        daily, weekly = resample(md.BarSeries.from_bars(Frequency.FIVE_MIN, bars))
+        days = [constant_day(dt.date(2020, 1, 6) + dt.timedelta(days=k), price)
+                for k, price in enumerate([10.0, 11.0, 12.0, 13.0, 14.0])]
+        daily, weekly = resample(five_min_series(*days))
         assert len(daily) == 5 and len(weekly) == 1
         assert weekly.values[0, 0] == 10.0   # Monday's open
         assert weekly.values[0, 3] == 14.0   # Friday's close
@@ -96,9 +158,9 @@ class TestResample:
         assert weekly.values[0, 4] == 5 * 48.0
 
     def test_incomplete_day_rejected(self):
-        bars = constant_day(dt.date(2020, 1, 6))[:47]
+        timestamps, values = constant_day(dt.date(2020, 1, 6))
         with pytest.raises(MarketDataError, match="47 bars"):
-            resample(md.BarSeries.from_bars(Frequency.FIVE_MIN, bars))
+            resample(md.BarSeries(Frequency.FIVE_MIN, timestamps[:47], values[:47]))
 
 
 def make_series(n_days, seed=0, **kwargs):
@@ -219,7 +281,7 @@ class TestWindowAt:
     def test_mid_last_row_is_decision_day(self, small_dataset):
         ds = small_dataset
         obs = window_at(ds, 0)
-        i = ds._daily_index[ds.trading_days[0]]
+        i = ds.daily.dates().index(ds.trading_days[0])
         assert np.array_equal(obs.mid_window[-1, :6], ds.daily.values[i])
         assert obs.mid_window[-1, 6] == ds.daily_volatility[i]
 
@@ -227,14 +289,14 @@ class TestWindowAt:
         ds = small_dataset
         k = ds.n_days // 2
         obs = window_at(ds, k)
-        sl = ds._fm_slices[ds.trading_days[k]]
+        sl = [t.date() == ds.trading_days[k] for t in ds.five_min.timestamps]
         assert np.array_equal(obs.short_window, ds.five_min.values[sl])
 
     def test_long_window_last_row_is_partial_week(self, small_dataset):
         ds = small_dataset
         k = ds.n_days // 2
         d = ds.trading_days[k]
-        i = ds._daily_index[d]
+        i = ds.daily.dates().index(d)
         # hand-aggregate the in-progress week from daily bars
         week = d.isocalendar()[:2]
         j = i
@@ -244,6 +306,23 @@ class TestWindowAt:
         expected = [rows[0, 0], rows[:, 1].max(), rows[:, 2].min(), rows[-1, 3],
                     rows[:, 4].sum(), rows[:, 5].sum()]
         assert np.allclose(window_at(ds, k).long_window[-1], expected)
+
+    def test_windows_are_read_only(self, small_dataset):
+        ds = small_dataset
+        before = [ds.short_windows.copy(), ds.mid_windows.copy(),
+                  ds.long_windows.copy(), ds.opens.copy()]
+        obs = window_at(ds, 2)
+        for window in (obs.short_window, obs.mid_window, obs.long_window, ds.opens):
+            with pytest.raises(ValueError, match="read-only"):
+                window[0] = 1.0
+        after = [ds.short_windows, ds.mid_windows, ds.long_windows, ds.opens]
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_opens_are_the_daily_opens(self, small_dataset):
+        ds = small_dataset
+        dates = ds.daily.dates()
+        expected = [ds.daily.values[dates.index(d), 0] for d in ds.trading_days]
+        assert np.array_equal(ds.opens, expected)
 
     def test_out_of_range(self, small_dataset):
         with pytest.raises(MarketDataError, match="out of range"):
@@ -260,7 +339,54 @@ class TestWindowAt:
                 window_at(ds, k)
 
 
+def per_day_fit_statistics(dataset, days):
+    """The normalizer statistics by stacking each day's windows in turn: the
+    reference for ObservationNormalizer.fit."""
+    stats = {}
+    for kind in ("short", "mid", "long"):
+        data = np.vstack([getattr(window_at(dataset, k), f"{kind}_window") for k in days])
+        std = data.std(axis=0)
+        std[std == 0.0] = 1.0
+        stats[kind] = (data.mean(axis=0), std)
+    return stats
+
+
+@pytest.fixture(scope="module")
+def frozen_train_dataset():
+    """The acceptance suite's training range: rolling GARCH 250/20, and the
+    last 220 aligned days held out."""
+    dataset = evalcli.build_dataset(frozen_market_bars()[0], 250, 20)
+    return split(dataset, dataset.trading_days[dataset.n_days - 220])[0]
+
+
 class TestNormalizer:
+    def test_fit_matches_per_day_stacking(self, frozen_train_dataset):
+        train = frozen_train_dataset
+        norm = ObservationNormalizer().fit(train, range(train.n_days))
+        for kind, (mean, std) in per_day_fit_statistics(train, range(train.n_days)).items():
+            assert np.array_equal(getattr(norm, f"{kind}_mean_"), mean)
+            assert np.array_equal(getattr(norm, f"{kind}_std_"), std)
+
+    def test_fit_on_chosen_days(self, small_dataset):
+        days = [7, 3, 3, 40]
+        norm = ObservationNormalizer().fit(small_dataset, days)
+        for kind, (mean, std) in per_day_fit_statistics(small_dataset, days).items():
+            assert np.array_equal(getattr(norm, f"{kind}_mean_"), mean)
+            assert np.array_equal(getattr(norm, f"{kind}_std_"), std)
+
+    @pytest.mark.parametrize("days", [[-1], [0, -3], "past-end"])
+    def test_fit_rejects_days_out_of_range(self, small_dataset, days):
+        if days == "past-end":
+            days = [0, small_dataset.n_days]
+        with pytest.raises(MarketDataError, match="out of range"):
+            ObservationNormalizer().fit(small_dataset, days)
+
+    def test_from_dict_rejects_missing_statistic(self, small_normalizer):
+        data = small_normalizer.to_dict()
+        del data["mid"]["std"]
+        with pytest.raises(MarketDataError, match="lacks mid.std"):
+            ObservationNormalizer.from_dict(data)
+
     def test_zscore_arithmetic(self, small_dataset):
         norm = ObservationNormalizer().fit(small_dataset, range(small_dataset.n_days))
         obs = window_at(small_dataset, 3)
@@ -395,6 +521,27 @@ class TestSplit:
         _, test = split(small_dataset, boundary)
         obs = window_at(test, 0)   # needs 30 daily bars before the boundary
         assert obs.mid_window.shape == (30, 7)
+
+    def test_halves_are_rows_of_the_unsplit_dataset(self, small_dataset):
+        ds = small_dataset
+        k = ds.n_days // 3
+        train, test = split(ds, ds.trading_days[k])
+        for name in ("short_windows", "mid_windows", "long_windows", "opens"):
+            whole = getattr(ds, name)
+            assert np.array_equal(getattr(train, name), whole[:k])
+            assert np.array_equal(getattr(test, name), whole[k:])
+        for j in range(test.n_days):
+            obs, ref = window_at(test, j), window_at(ds, k + j)
+            assert np.array_equal(obs.short_window, ref.short_window)
+            assert np.array_equal(obs.mid_window, ref.mid_window)
+            assert np.array_equal(obs.long_window, ref.long_window)
+
+    def test_boundary_between_trading_days(self, small_dataset):
+        ds = small_dataset
+        k = next(j for j in range(1, ds.n_days)
+                 if (ds.trading_days[j] - ds.trading_days[j - 1]).days > 1)
+        train, test = split(ds, ds.trading_days[k] - dt.timedelta(days=1))
+        assert train.n_days == k and test.trading_days[0] == ds.trading_days[k]
 
     def test_boundary_outside_coverage(self, small_dataset):
         with pytest.raises(MarketDataError, match="empty"):

@@ -39,6 +39,10 @@ class TestConfig:
             PpoConfig(rollout=10, minibatches=3)
         with pytest.raises(PpoError):
             PpoConfig(rollout=64, total_steps=32)
+        with pytest.raises(PpoError, match="minibatches"):
+            PpoConfig(minibatches=0)
+        with pytest.raises(PpoError, match="epochs_per_update"):
+            PpoConfig(epochs_per_update=0)
 
 
 class TestGae:
