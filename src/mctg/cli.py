@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evalcli, ppo
 from .env import EnvError, TradingEnv
-from .garch import REFIT_EVERY, WINDOW, GarchError, rolling_forecast
+from .garch import REFIT_EVERY, WARMUP_FLOOR, WINDOW, GarchError, rolling_forecast
 from .marketdata import (Frequency, MarketDataError, ObservationNormalizer,
                          load_bars, resample, save_bars, simulate_market, split)
 from .nn import AdamState, NetworkError
@@ -26,9 +26,6 @@ from .ppo import PpoError
 
 _ERRORS = (evalcli.EvalError, MarketDataError, GarchError, NetworkError,
            PolicyError, EnvError, PpoError, OSError, ValueError)
-
-LOG_COLUMNS = ("update", "steps", "mean_ep_reward", "policy_loss", "value_loss",
-               "entropy", "clip_frac", "approx_kl")
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -63,7 +60,7 @@ def cmd_fit_garch(args) -> int:
     daily, _ = resample(five_min)
     returns = np.diff(np.log(daily.values[:, 3]))
     sigma = rolling_forecast(returns, window=args.window, refit_every=args.refit_every)
-    daily_vol = np.concatenate([[1e-8], sigma])
+    daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "open", "high", "low", "close",
@@ -133,7 +130,7 @@ def cmd_train(args) -> int:
 
     rows = ppo.train(policy, env, ppo_config, rng, adam=adam,
                      checkpoint_fn=checkpoint_fn)
-    _write_csv(os.path.join(args.out_dir, "log.csv"), LOG_COLUMNS, rows)
+    _write_csv(os.path.join(args.out_dir, "log.csv"), tuple(rows[0]), rows)
     # Whole rollouts only: a remainder of total_steps shorter than one is not run.
     steps = rows[-1]["steps"]
     final = os.path.join(args.out_dir, "checkpoint.json")

@@ -177,7 +177,8 @@ class TradingEnv:
 
 def buy_and_hold(dataset: AlignedDataset, start: int, end: int,
                  config: EnvConfig) -> np.ndarray:
-    """Equity curve of investing max whole lots at the first open and holding.
+    """Equity curve of the all-in buy (``map_action`` at a = 1) at the first
+    open, then holding.
 
     The curve is marked at daily opens over [start, end]; entry tax is paid at
     index ``start``.
@@ -186,8 +187,7 @@ def buy_and_hold(dataset: AlignedDataset, start: int, end: int,
         raise EnvError(f"range [{start}, {end}] invalid for {dataset.n_days} days")
     opens = dataset.opens[start:end + 1]
     entry = opens[0]
-    lot = config.lot_size
-    raw = math.floor(config.initial_cash / (entry * (1.0 + config.tax_rate)))
-    shares = (raw // lot) * lot
+    shares = map_action(1.0, PortfolioState(config.initial_cash, 0, start), entry,
+                        config).signed_shares
     cash = config.initial_cash - shares * entry * (1.0 + config.tax_rate)
     return cash + shares * opens

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ppo as ppo_mod
 from .env import EnvConfig, TradingEnv, buy_and_hold
-from .garch import REFIT_EVERY, WINDOW, rolling_forecast
+from .garch import REFIT_EVERY, WARMUP_FLOOR, WINDOW, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import AdamState
@@ -121,7 +121,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     k = 1
     while not env.done:
         out, _ = policy.forward(flat, mode="eval")
-        action = float(np.clip(out.action_mean, -1.0, 1.0))
+        action = float(np.clip(out.action_mean[0], -1.0, 1.0))
         result = env.step(action)
         info = result.info
         if info["order"].signed_shares != 0:
@@ -194,8 +194,7 @@ def save_checkpoint(path: str, variant: str, policy: Policy,
         "format_version": CHECKPOINT_VERSION,
         "variant": variant,
         "policy_config": asdict(policy.config),
-        "params": {name: np.asarray(p).tolist()
-                   for name, p in zip(policy.parameter_names(), policy.parameters())},
+        "params": {name: np.asarray(p).tolist() for name, p in policy.named_parameters()},
         "adam": adam.to_dict() if adam is not None else None,
         "training_step": training_step,
         "rng_state": rng.bit_generator.state if rng is not None else None,
@@ -361,7 +360,7 @@ def build_dataset(five_min: BarSeries, garch_window: int,
     sigma = rolling_forecast(returns, window=garch_window, refit_every=garch_refit_every)
     # returns[t] ends on day t+1, so its forecast belongs to day t+1; day 0
     # gets the positive warm-up floor.
-    daily_vol = np.concatenate([[1e-8], sigma])
+    daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
     return align(five_min, daily, weekly, daily_vol)
 
 

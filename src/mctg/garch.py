@@ -22,6 +22,7 @@ ALPHA0_FLOOR = 1e-12
 LOG2PI = math.log(2.0 * math.pi)
 WINDOW = 250        # days of returns behind each rolling fit
 REFIT_EVERY = 20    # days between rolling refits
+WARMUP_FLOOR = 1e-8  # lowest volatility emitted before the first fit, so it stays > 0
 
 
 class GarchError(Exception):
@@ -197,13 +198,13 @@ def forecast_one_step(params: GarchParams, state: GarchState) -> float:
 
 
 def rolling_forecast(daily_returns, window: int = WINDOW, refit_every: int = REFIT_EVERY,
-                     on_fit=None, warmup_floor: float = 1e-8) -> np.ndarray:
+                     on_fit=None) -> np.ndarray:
     """Causal rolling one-step-ahead volatility forecasts.
 
     Day ``t >= window`` gets a forecast from a fit on ``returns[t-window:t]``
     (re-fit every ``refit_every`` days, parameters reused in between). Warm-up
     days emit the sample std of the returns seen so far, floored at
-    ``warmup_floor`` so the output is always positive. A failed re-fit warns
+    ``WARMUP_FLOOR`` so the output is always positive. A failed re-fit warns
     and falls back to the previous parameters. ``on_fit``, when given, receives
     each FitReport.
     """
@@ -217,7 +218,7 @@ def rolling_forecast(daily_returns, window: int = WINDOW, refit_every: int = REF
     out = np.empty(n, dtype=np.float64)
     for t in range(min(window, n)):
         std = float(np.std(returns[:t], ddof=1)) if t >= 2 else 0.0
-        out[t] = max(std, warmup_floor)
+        out[t] = max(std, WARMUP_FLOOR)
 
     params: GarchParams | None = None
     for t in range(window, n):

@@ -1,8 +1,8 @@
 """Minimal dense-network core in 64-bit numpy.
 
 Forward/backward passes over stacks of dense layers with optional inverted
-dropout, Adam updates, and a finite-difference gradient checker. Inputs may be
-single vectors or (batch, features) matrices.
+dropout, Adam updates, and a finite-difference gradient checker. Inputs are
+(rows, features) matrices; one observation is one row.
 """
 
 from __future__ import annotations
@@ -120,12 +120,12 @@ class ForwardCache:
     pre_acts: list      # per-layer pre-activation (dense) or None
     acts: list          # per-layer output
     masks: list         # dropout keep-masks (already scaled) or None
-    squeezed: bool      # input arrived as a 1-d vector
 
 
 def forward(net: Network, x, mode: str = "eval",
             rng: np.random.Generator | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns the output and a cache for backward.
+    """Run the network on ``x`` of shape (rows, in_dim); returns the
+    (rows, out_dim) output and a cache for backward.
 
     Dropout is inverted: train mode masks and divides by the keep probability,
     eval mode is the identity, so no rescaling is ever needed at eval.
@@ -133,11 +133,8 @@ def forward(net: Network, x, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise NetworkError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
-    squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.in_dim:
-        raise NetworkError(f"input shape {x.shape} does not match in_dim {net.in_dim}")
+        raise NetworkError(f"input shape {x.shape} does not match (rows, {net.in_dim})")
 
     inputs, pre_acts, acts, masks = [], [], [], []
     h = x
@@ -162,23 +159,23 @@ def forward(net: Network, x, mode: str = "eval",
             h = _activate(layer.activation, z)
             masks.append(None)
             acts.append(h)
-    cache = ForwardCache(mode, inputs, pre_acts, acts, masks, squeezed)
-    out = h[0] if squeezed else h
-    return out, cache
+    return h, ForwardCache(mode, inputs, pre_acts, acts, masks)
 
 
 def backward(net: Network, cache: ForwardCache,
              grad_output) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact reverse-mode gradients of the forward map recorded in ``cache``.
 
-    Returns gradients aligned with ``net.parameters()`` plus the gradient with
-    respect to the input. Dropout masks are replayed, never re-sampled.
+    ``grad_output`` has the (rows, out_dim) shape of the output. Returns
+    gradients aligned with ``net.parameters()`` plus the (rows, in_dim) gradient
+    with respect to the input. Dropout masks are replayed, never re-sampled.
     """
     if len(cache.acts) != len(net.layers):
         raise NetworkError("cache does not match network")
     g = np.asarray(grad_output, dtype=np.float64)
-    if cache.squeezed and g.ndim == 1:
-        g = g[None, :]
+    if g.shape != cache.acts[-1].shape:
+        raise NetworkError(
+            f"gradient shape {g.shape} does not match output {cache.acts[-1].shape}")
 
     grads: list[np.ndarray] = []
     for idx in range(len(net.layers) - 1, -1, -1):
@@ -192,8 +189,7 @@ def backward(net: Network, cache: ForwardCache,
             grads.append(dz.T @ cache.inputs[idx])       # weights
             g = dz @ layer.weights
     grads.reverse()
-    grad_input = g[0] if cache.squeezed else g
-    return grads, grad_input
+    return grads, g
 
 
 class AdamState:
@@ -251,7 +247,8 @@ def relative_error(a: float, b: float) -> float:
 
 def grad_check(net: Network, x, rng: np.random.Generator | None = None,
                step: float = 1e-5) -> float:
-    """Max relative error between backward and central finite differences.
+    """Max relative error between backward and central finite differences at
+    the (rows, in_dim) input ``x``.
 
     Uses a random linear functional of the output as the scalar loss and an
     eval-mode forward, so dropout cannot perturb the comparison.
@@ -262,11 +259,10 @@ def grad_check(net: Network, x, rng: np.random.Generator | None = None,
 
     def loss() -> float:
         y, _ = forward(net, x, mode="eval")
-        return float(np.sum(np.atleast_2d(y) * c))
+        return float(np.sum(y * c))
 
     y, cache = forward(net, x, mode="eval")
-    grad_out = np.broadcast_to(c, np.atleast_2d(y).shape)
-    grads, _ = backward(net, cache, grad_out)
+    grads, _ = backward(net, cache, np.broadcast_to(c, y.shape))
 
     worst = 0.0
     for p, g in zip(net.parameters(), grads):

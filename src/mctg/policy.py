@@ -64,7 +64,8 @@ class PolicyConfig:
 
 @dataclass
 class PolicyOutput:
-    """Gaussian head outputs for one observation (or a batch of them)."""
+    """Gaussian head outputs for a batch of observations: ``action_mean`` and
+    ``value`` have shape (rows,); a single observation is a batch of one."""
 
     action_mean: np.ndarray
     action_std: float
@@ -75,10 +76,8 @@ class PolicyOutput:
 class PolicyCache:
     branch_caches: dict = field(default_factory=dict)
     branch_outputs: dict = field(default_factory=dict)
-    state: np.ndarray | None = None
     policy_cache: object = None
     value_cache: object = None
-    squeezed: bool = False
 
 
 class Policy:
@@ -104,32 +103,30 @@ class Policy:
 
     # -- parameter plumbing -------------------------------------------------
 
-    def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        """(checkpoint name, array) for every parameter, in the one order that
+        ``parameters()``, ``parameter_names()`` and ``backward`` share."""
+        named: list[tuple[str, np.ndarray]] = []
+
+        def add_dense(prefix: str, net: nn.Network) -> None:
+            dense = [l for l in net.layers if isinstance(l, nn.DenseLayer)]
+            for i, layer in enumerate(dense):
+                named.append((f"{prefix}.dense{i}.weights", layer.weights))
+                named.append((f"{prefix}.dense{i}.bias", layer.bias))
+
         for name in self.config.branches:
-            params.extend(self.branches[name].parameters())
-            params.append(self.branch_weights[name])
-        params.extend(self.policy_trunk.parameters())
-        params.extend(self.value_trunk.parameters())
-        params.append(self.log_std)
-        return params
+            add_dense(f"branch.{name}", self.branches[name])
+            named.append((f"branch_weight.{name}", self.branch_weights[name]))
+        add_dense("policy_trunk", self.policy_trunk)
+        add_dense("value_trunk", self.value_trunk)
+        named.append(("log_std", self.log_std))
+        return named
+
+    def parameters(self) -> list[np.ndarray]:
+        return [p for _, p in self.named_parameters()]
 
     def parameter_names(self) -> list[str]:
-        names: list[str] = []
-        for name in self.config.branches:
-            n_dense = sum(isinstance(l, nn.DenseLayer) for l in self.branches[name].layers)
-            for i in range(n_dense):
-                names.append(f"branch.{name}.dense{i}.weights")
-                names.append(f"branch.{name}.dense{i}.bias")
-            names.append(f"branch_weight.{name}")
-        for trunk in ("policy_trunk", "value_trunk"):
-            net = getattr(self, trunk)
-            n_dense = sum(isinstance(l, nn.DenseLayer) for l in net.layers)
-            for i in range(n_dense):
-                names.append(f"{trunk}.dense{i}.weights")
-                names.append(f"{trunk}.dense{i}.bias")
-        names.append("log_std")
-        return names
+        return [name for name, _ in self.named_parameters()]
 
     def set_parameters(self, values: list[np.ndarray]) -> None:
         params = self.parameters()
@@ -144,13 +141,14 @@ class Policy:
     # -- observation handling ----------------------------------------------
 
     def flatten_observation(self, obs: Observation) -> dict[str, np.ndarray]:
-        """Flatten the windows of the enabled branches, row-major. The GARCH
-        column is dropped from the mid window when the variant disables it."""
+        """Flatten the windows of the enabled branches, row-major, each into a
+        one-row (1, dim) batch. The GARCH column is dropped from the mid window
+        when the variant disables it."""
         mid = obs.mid_window if self.config.garch_feature else obs.mid_window[:, :6]
         full = {
-            "short": obs.short_window.ravel(),
-            "mid": mid.ravel(),
-            "long": obs.long_window.ravel(),
+            "short": obs.short_window.reshape(1, -1),
+            "mid": mid.reshape(1, -1),
+            "long": obs.long_window.reshape(1, -1),
         }
         return {b: full[b] for b in self.config.branches}
 
@@ -163,47 +161,34 @@ class Policy:
 
     def assemble_state(self, flat_obs: dict[str, np.ndarray], mode: str = "eval",
                        rng: np.random.Generator | None = None) -> tuple[np.ndarray, PolicyCache]:
+        """The (rows, state_dim) concatenation of the weighted branch outputs
+        for (rows, dim) branch inputs."""
         cache = PolicyCache()
         chunks = []
-        squeezed = None
         for name in self.config.branches:
-            x = np.asarray(flat_obs[name], dtype=np.float64)
-            if squeezed is None:
-                squeezed = x.ndim == 1
-            out, bcache = nn.forward(self.branches[name], x, mode=mode, rng=rng)
-            out = np.atleast_2d(out)
-            cache.branch_caches[name] = bcache
+            out, cache.branch_caches[name] = nn.forward(self.branches[name], flat_obs[name],
+                                                        mode=mode, rng=rng)
             cache.branch_outputs[name] = out
             chunks.append(out * self.branch_weights[name])
-        state = np.concatenate(chunks, axis=1)
-        cache.state = state
-        cache.squeezed = bool(squeezed)
-        return (state[0] if squeezed else state), cache
+        return np.concatenate(chunks, axis=1), cache
 
     def forward(self, flat_obs: dict[str, np.ndarray], mode: str = "eval",
                 rng: np.random.Generator | None = None) -> tuple[PolicyOutput, PolicyCache]:
         state, cache = self.assemble_state(flat_obs, mode=mode, rng=rng)
-        state2d = np.atleast_2d(state)
-        mean, pcache = nn.forward(self.policy_trunk, state2d, mode=mode, rng=rng)
-        value, vcache = nn.forward(self.value_trunk, state2d, mode=mode, rng=rng)
-        cache.policy_cache = pcache
-        cache.value_cache = vcache
-        mean = mean[:, 0]
-        value = value[:, 0]
-        if cache.squeezed:
-            mean, value = mean[0], value[0]
-        return PolicyOutput(mean, self.action_std, value), cache
+        mean, cache.policy_cache = nn.forward(self.policy_trunk, state, mode=mode, rng=rng)
+        value, cache.value_cache = nn.forward(self.value_trunk, state, mode=mode, rng=rng)
+        return PolicyOutput(mean[:, 0], self.action_std, value[:, 0]), cache
 
     def backward(self, cache: PolicyCache, d_mean, d_value,
                  d_log_std: float = 0.0) -> list[np.ndarray]:
-        """Gradients of a scalar loss given its derivatives w.r.t. the action
-        mean, the value estimate, and the (raw) log-std. Output order matches
-        ``parameters()``."""
-        d_mean = np.atleast_1d(np.asarray(d_mean, dtype=np.float64))[:, None]
-        d_value = np.atleast_1d(np.asarray(d_value, dtype=np.float64))[:, None]
+        """Gradients of a scalar loss given its (rows,) derivatives w.r.t. the
+        action means and the value estimates, and its derivative w.r.t. the
+        (raw) log-std. Output order matches ``parameters()``."""
+        d_mean = np.asarray(d_mean, dtype=np.float64)[:, None]
+        d_value = np.asarray(d_value, dtype=np.float64)[:, None]
         p_grads, d_state_p = nn.backward(self.policy_trunk, cache.policy_cache, d_mean)
         v_grads, d_state_v = nn.backward(self.value_trunk, cache.value_cache, d_value)
-        d_state = np.atleast_2d(d_state_p) + np.atleast_2d(d_state_v)
+        d_state = d_state_p + d_state_v
 
         grads: list[np.ndarray] = []
         offset = 0
@@ -238,10 +223,12 @@ def gaussian_entropy(std: float) -> float:
 
 
 def sample_action(out: PolicyOutput, rng: np.random.Generator):
-    """Draw u ~ N(mean, std); the environment action is u clipped to [-1, 1].
+    """Draw u ~ N(mean, std) per row; the environment action is u clipped to
+    [-1, 1].
 
-    Returns (action, u, log_prob) where log_prob is the density of the
-    pre-clip draw, so ratios stay well-defined after saturation.
+    Returns (action, u, log_prob), each shaped like ``out.action_mean``, where
+    log_prob is the density of the pre-clip draw, so ratios stay well-defined
+    after saturation.
     """
     u = out.action_mean + out.action_std * rng.standard_normal(np.shape(out.action_mean))
     action = np.clip(u, -1.0, 1.0)

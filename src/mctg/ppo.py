@@ -35,13 +35,15 @@ class PpoConfig:
     entropy_coef: float = 0.01
     max_grad_norm: float = 0.5
     total_steps: int = 2_000_000
-    checkpoint_every: int = 0      # updates between checkpoints; 0 = final only
+    checkpoint_every: int = 0      # updates between checkpoint_fn calls; 0 = none
 
     def __post_init__(self):
         if not 0.0 < self.clip_epsilon < 1.0:
             raise PpoError("clip_epsilon must be in (0, 1)")
         if self.minibatches < 1 or self.epochs_per_update < 1:
             raise PpoError("minibatches and epochs_per_update must be >= 1")
+        if self.checkpoint_every < 0:
+            raise PpoError("checkpoint_every must be >= 0")
         if self.rollout % self.minibatches != 0:
             raise PpoError("minibatches must divide the rollout length")
         if self.rollout < 1 or self.total_steps < self.rollout:
@@ -49,53 +51,18 @@ class PpoConfig:
 
 
 class TrajectoryBuffer:
-    """Fixed-capacity rollout storage; finalize computes GAE exactly once."""
+    """One rollout of ``n_steps``: row t holds step t's flattened observation,
+    pre-clip draw, its log-density, reward, value estimate and episode end;
+    ``bootstrap_value`` is the value estimate after the last step."""
 
-    def __init__(self, capacity: int, obs_dims: dict[str, int]):
-        self.capacity = capacity
-        self.size = 0
-        self.obs = {name: np.empty((capacity, dim)) for name, dim in obs_dims.items()}
-        self.u = np.empty(capacity)
-        self.action = np.empty(capacity)
-        self.old_log_prob = np.empty(capacity)
-        self.reward = np.empty(capacity)
-        self.value = np.empty(capacity)
-        self.done = np.zeros(capacity, dtype=bool)
+    def __init__(self, n_steps: int, obs_dims: dict[str, int]):
+        self.obs = {name: np.empty((n_steps, dim)) for name, dim in obs_dims.items()}
+        self.u = np.empty(n_steps)
+        self.old_log_prob = np.empty(n_steps)
+        self.reward = np.empty(n_steps)
+        self.value = np.empty(n_steps)
+        self.done = np.zeros(n_steps, dtype=bool)
         self.bootstrap_value = 0.0
-        self.advantages: np.ndarray | None = None
-        self.returns: np.ndarray | None = None
-
-    def add(self, flat_obs, u, action, log_prob, reward, value, done) -> None:
-        if self.size >= self.capacity:
-            raise PpoError("buffer full")
-        i = self.size
-        for name, arr in self.obs.items():
-            arr[i] = flat_obs[name]
-        self.u[i] = u
-        self.action[i] = action
-        self.old_log_prob[i] = log_prob
-        self.reward[i] = reward
-        self.value[i] = value
-        self.done[i] = done
-        self.size += 1
-
-    @property
-    def full(self) -> bool:
-        return self.size == self.capacity
-
-    @property
-    def finalized(self) -> bool:
-        return self.advantages is not None
-
-    def finalize(self, gamma: float, lam: float) -> None:
-        if not self.full:
-            raise PpoError(f"finalize on a buffer with {self.size}/{self.capacity} steps")
-        if self.finalized:
-            raise PpoError("buffer already finalized")
-        adv, ret = compute_gae(self.reward, self.value, self.done,
-                               self.bootstrap_value, gamma, lam)
-        self.returns = ret
-        self.advantages = normalize_advantages(adv)
 
 
 def compute_gae(rewards, values, dones, bootstrap_value: float,
@@ -159,8 +126,8 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
            - entropy_coef * entropy
     """
     out, cache = policy.forward(batch["obs"], mode=mode, rng=rng)
-    mean = np.atleast_1d(out.action_mean)
-    value = np.atleast_1d(out.value)
+    mean = out.action_mean
+    value = out.value
     std = out.action_std
     n = len(mean)
 
@@ -216,10 +183,13 @@ def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
 
 def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfig,
            adam: AdamState, rng: np.random.Generator) -> UpdateStats:
-    """Several shuffled minibatch epochs over a finalized rollout buffer."""
-    if not buffer.finalized:
-        raise PpoError("buffer must be finalized before update")
-    n = buffer.capacity
+    """Several shuffled minibatch epochs over one rollout, against its
+    normalized GAE advantages and value targets (``config.gamma``,
+    ``config.gae_lambda``)."""
+    adv, returns = compute_gae(buffer.reward, buffer.value, buffer.done,
+                               buffer.bootstrap_value, config.gamma, config.gae_lambda)
+    advantages = normalize_advantages(adv)
+    n = len(buffer.u)
     mb_size = n // config.minibatches
     params = policy.parameters()
 
@@ -234,8 +204,8 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
                 "obs": {name: arr[idx] for name, arr in buffer.obs.items()},
                 "u": buffer.u[idx],
                 "old_log_prob": buffer.old_log_prob[idx],
-                "advantages": buffer.advantages[idx],
-                "returns": buffer.returns[idx],
+                "advantages": advantages[idx],
+                "returns": returns[idx],
             }
             _, stats, grads = ppo_loss_and_grads(policy, batch, config,
                                                  mode="train", rng=rng)
@@ -261,12 +231,17 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
     else:
         flat, ep_return = carry
 
-    for _ in range(n_steps):
+    for t in range(n_steps):
         out, _ = policy.forward(flat, mode="eval")
         action, u, log_prob = policy_mod.sample_action(out, rng)
-        result = env.step(float(action))
-        buffer.add(flat, float(u), float(action), float(log_prob),
-                   result.reward, float(out.value), result.done)
+        result = env.step(float(action[0]))
+        for name, rows in buffer.obs.items():
+            rows[t] = flat[name][0]
+        buffer.u[t] = u[0]
+        buffer.old_log_prob[t] = log_prob[0]
+        buffer.reward[t] = result.reward
+        buffer.value[t] = out.value[0]
+        buffer.done[t] = result.done
         ep_return += result.reward
         obs = result.observation
         if result.done:
@@ -277,7 +252,7 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
         flat = policy.flatten_observation(obs)
 
     out, _ = policy.forward(flat, mode="eval")
-    buffer.bootstrap_value = float(out.value)
+    buffer.bootstrap_value = out.value[0]
     return buffer, (flat, ep_return)
 
 
@@ -299,7 +274,6 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
         episode_returns: list[float] = []
         buffer, carry = collect_rollout(env, policy, config.rollout, rng,
                                         carry=carry, episode_returns=episode_returns)
-        buffer.finalize(config.gamma, config.gae_lambda)
         stats = update(policy, buffer, config, adam, rng)
         recent.extend(episode_returns)
         rows.append({
@@ -312,8 +286,7 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
             "clip_frac": stats.clip_fraction,
             "approx_kl": stats.approx_kl,
         })
-        if checkpoint_fn is not None and (
-                (config.checkpoint_every and k % config.checkpoint_every == 0)
-                or k == n_updates):
+        if checkpoint_fn is not None and config.checkpoint_every \
+                and k % config.checkpoint_every == 0:
             checkpoint_fn(k, policy, adam)
     return rows

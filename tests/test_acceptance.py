@@ -49,7 +49,7 @@ def deterministic_episode_return(policy, dataset, normalizer) -> float:
     total = 0.0
     while not env.done:
         out, _ = policy.forward(flat, mode="eval")
-        result = env.step(float(np.clip(out.action_mean, -1.0, 1.0)))
+        result = env.step(float(np.clip(out.action_mean[0], -1.0, 1.0)))
         total += result.reward
         if not result.done:
             flat = policy.flatten_observation(result.observation)
@@ -105,7 +105,7 @@ def test_gradient_integrity():
     for _ in range(100):
         sizes = [int(rng.integers(2, 8)) for _ in range(int(rng.integers(2, 5)))]
         net = nn.mlp(sizes, rng=rng)
-        worst = max(worst, nn.grad_check(net, rng.normal(size=sizes[0]), rng))
+        worst = max(worst, nn.grad_check(net, rng.normal(size=(1, sizes[0])), rng))
 
     # full actor-critic gradients, every ablation variant
     worst_policy = 0.0
@@ -123,10 +123,10 @@ def test_gradient_integrity():
             out, _ = policy.forward(flat)
             raw = float(np.clip(policy.log_std, policy.config.log_std_min,
                                 policy.config.log_std_max))
-            return cm * float(out.action_mean) + cv * float(out.value) + cs * raw
+            return cm * out.action_mean[0] + cv * out.value[0] + cs * raw
 
         _, cache = policy.forward(flat)
-        analytic = policy.backward(cache, cm, cv, d_log_std=cs)
+        analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         eps = 1e-6
         for p, g in zip(policy.parameters(), analytic):
             fd = np.zeros_like(p)

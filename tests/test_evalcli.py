@@ -413,6 +413,11 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [r["update"] for r in rows] == ["1", "2"]
 
+    def test_default_run_writes_only_the_final_checkpoint(self, cli_workspace):
+        # ppo.checkpoint_every defaults to 0: no per-update checkpoint_0NNNN.json
+        names = sorted(p.name for p in cli_workspace["out_dir"].glob("checkpoint*.json"))
+        assert names == ["checkpoint.json"]
+
     def test_training_step_counts_whole_rollouts(self, cli_workspace, tmp_path,
                                                   capsys):
         # the config's rollout is 64, so 130 requested steps run as 2 x 64

@@ -13,13 +13,13 @@ def identity_layer(n):
 class TestForward:
     def test_identity_network(self):
         net = Network([identity_layer(4)])
-        x = np.array([1.0, -2.0, 3.0, 0.5])
+        x = np.array([[1.0, -2.0, 3.0, 0.5]])
         y, _ = forward(net, x)
         assert np.array_equal(y, x)
 
     def test_eval_deterministic(self):
         net = mlp([6, 4, 2], dropout=0.5, rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).normal(size=6)
+        x = np.random.default_rng(1).normal(size=(1, 6))
         y1, _ = forward(net, x, mode="eval")
         y2, _ = forward(net, x, mode="eval")
         assert np.array_equal(y1, y2)
@@ -31,26 +31,32 @@ class TestForward:
     def test_train_dropout_needs_rng(self):
         net = mlp([4, 3, 2], dropout=0.25, rng=np.random.default_rng(0))
         with pytest.raises(NetworkError, match="rng"):
-            forward(net, np.zeros(4), mode="train")
+            forward(net, np.zeros((1, 4)), mode="train")
 
     def test_shape_mismatch(self):
         net = mlp([4, 2], rng=np.random.default_rng(0))
         with pytest.raises(NetworkError, match="does not match"):
-            forward(net, np.zeros(5))
+            forward(net, np.zeros((1, 5)))
+
+    def test_one_d_input_rejected(self):
+        # one observation is a batch of one row, never a bare vector
+        net = mlp([4, 2], rng=np.random.default_rng(0))
+        with pytest.raises(NetworkError, match="does not match"):
+            forward(net, np.zeros(4))
 
     def test_batched_matches_loop(self):
         net = mlp([5, 4, 3], rng=np.random.default_rng(0))
         xs = np.random.default_rng(2).normal(size=(7, 5))
         batch, _ = forward(net, xs)
-        singles = np.stack([forward(net, x)[0] for x in xs])
+        singles = np.concatenate([forward(net, xs[i:i + 1])[0] for i in range(len(xs))])
         assert np.allclose(batch, singles, atol=1e-14)
 
     def test_inverted_dropout_preserves_expectation(self):
         rng = np.random.default_rng(3)
         net = mlp([6, 8, 4], dropout=0.25, rng=rng)
-        x = rng.normal(size=6)
+        x = rng.normal(size=(1, 6))
         y_eval, _ = forward(net, x, mode="eval")
-        total = np.zeros(4)
+        total = np.zeros((1, 4))
         n = 10_000
         for _ in range(n):
             y, _ = forward(net, x, mode="train", rng=rng)
@@ -64,24 +70,31 @@ class TestBackward:
     def test_linear_closed_form(self):
         w = np.array([[2.0]])
         net = Network([DenseLayer(w, np.array([0.5]), "identity")])
-        x = np.array([3.0])
+        x = np.array([[3.0]])
         y, cache = forward(net, x, mode="train", rng=np.random.default_rng(0))
-        assert y[0] == pytest.approx(6.5)
-        grads, dx = backward(net, cache, np.array([1.0]))
+        assert y[0, 0] == pytest.approx(6.5)
+        grads, dx = backward(net, cache, np.array([[1.0]]))
         assert grads[0][0, 0] == pytest.approx(3.0)   # dw = x
         assert grads[1][0] == pytest.approx(1.0)      # db = 1
-        assert dx[0] == pytest.approx(2.0)            # dx = w
+        assert dx[0, 0] == pytest.approx(2.0)         # dx = w
 
     def test_tanh_derivative_at_zero(self):
         net = Network([DenseLayer(np.eye(1), np.zeros(1), "tanh")])
-        _, cache = forward(net, np.zeros(1))
-        _, dx = backward(net, cache, np.ones(1))
-        assert dx[0] == pytest.approx(1.0)   # sech^2(0)
+        _, cache = forward(net, np.zeros((1, 1)))
+        _, dx = backward(net, cache, np.ones((1, 1)))
+        assert dx[0, 0] == pytest.approx(1.0)   # sech^2(0)
+
+    def test_gradient_not_shaped_like_output_rejected(self):
+        net = mlp([3, 2], rng=np.random.default_rng(0))
+        _, cache = forward(net, np.zeros((4, 3)))
+        for bad in (np.ones(2), np.ones((1, 2)), np.ones((4, 3))):
+            with pytest.raises(NetworkError, match="gradient shape"):
+                backward(net, cache, bad)
 
     def test_three_layer_finite_difference(self):
         rng = np.random.default_rng(4)
         net = mlp([6, 5, 4, 2], rng=rng)
-        x = rng.normal(size=6)
+        x = rng.normal(size=(1, 6))
         assert grad_check(net, x, rng) < 1e-5
 
 
@@ -133,18 +146,18 @@ class TestGradCheck:
         rng = np.random.default_rng(6)
         net = mlp([5, 3], hidden_activation="identity", rng=rng)
         # linear case leaves only central-difference roundoff
-        assert grad_check(net, rng.normal(size=5), rng) < 1e-7
+        assert grad_check(net, rng.normal(size=(1, 5)), rng) < 1e-7
 
     def test_random_tanh_net(self):
         rng = np.random.default_rng(7)
         net = mlp([32, 16, 8], rng=rng)
-        assert grad_check(net, rng.normal(size=32), rng) < 1e-5
+        assert grad_check(net, rng.normal(size=(1, 32)), rng) < 1e-5
 
     def test_relu_net_off_kink(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             net = mlp([6, 5, 3], hidden_activation="relu", rng=rng)
-            x = rng.normal(size=6)
+            x = rng.normal(size=(1, 6))
             # keep pre-activations away from the kink
             z, _ = forward(net, x)
             assert grad_check(net, x, rng) < 1e-5
@@ -155,5 +168,5 @@ class TestGradCheck:
         for _ in range(100):
             sizes = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 5)))]
             net = mlp(sizes, rng=rng)
-            worst = max(worst, grad_check(net, rng.normal(size=sizes[0]), rng))
+            worst = max(worst, grad_check(net, rng.normal(size=(1, sizes[0])), rng))
         assert worst < 1e-5

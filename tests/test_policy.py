@@ -53,8 +53,8 @@ class TestFlatten:
         obs = random_observation(rng)
         with_vol = Policy(small_config(), rng).flatten_observation(obs)
         without = Policy(small_config(garch_feature=False), rng).flatten_observation(obs)
-        assert with_vol["mid"].shape == (210,)
-        assert without["mid"].shape == (180,)
+        assert with_vol["mid"].shape == (1, 210)
+        assert without["mid"].shape == (1, 180)
         assert np.array_equal(without["mid"].reshape(30, 6), obs.mid_window[:, :6])
 
     def test_single_branch_variant(self):
@@ -67,7 +67,7 @@ class TestFlatten:
         rng = np.random.default_rng(2)
         obs = random_observation(rng)
         flat = Policy(small_config(), rng).flatten_observation(obs)
-        assert flat["short"][6] == obs.short_window[1, 0]
+        assert flat["short"][0, 6] == obs.short_window[1, 0]
 
 
 class TestForward:
@@ -78,7 +78,7 @@ class TestForward:
         state, _ = policy.assemble_state(flat)
         chunks = [nn.forward(policy.branches[b], flat[b])[0]
                   for b in policy.config.branches]
-        assert np.allclose(state, np.concatenate(chunks), atol=1e-14)
+        assert np.allclose(state, np.concatenate(chunks, axis=1), atol=1e-14)
 
     def test_zero_weight_annihilates_branch(self):
         rng = np.random.default_rng(4)
@@ -87,8 +87,8 @@ class TestForward:
         flat = policy.flatten_observation(random_observation(rng))
         state, _ = policy.assemble_state(flat)
         k = policy.config.branch_out
-        assert np.all(state[k:2 * k] == 0.0)
-        assert np.any(state[:k] != 0.0)
+        assert np.all(state[0, k:2 * k] == 0.0)
+        assert np.any(state[0, :k] != 0.0)
 
     def test_compositional_oracle(self):
         # forward() must equal manual branch -> scale -> concat -> trunk chaining
@@ -100,11 +100,11 @@ class TestForward:
         state = np.concatenate([
             nn.forward(policy.branches[b], flat[b])[0] * policy.branch_weights[b]
             for b in policy.config.branches
-        ])
+        ], axis=1)
         mean = nn.forward(policy.policy_trunk, state)[0]
         value = nn.forward(policy.value_trunk, state)[0]
-        assert out.action_mean == pytest.approx(mean[0], abs=1e-14)
-        assert out.value == pytest.approx(value[0], abs=1e-14)
+        assert out.action_mean[0] == pytest.approx(mean[0, 0], abs=1e-14)
+        assert out.value[0] == pytest.approx(value[0, 0], abs=1e-14)
 
     def test_action_std_clamped(self):
         rng = np.random.default_rng(6)
@@ -120,19 +120,19 @@ class TestForward:
         flat = policy.flatten_observation(random_observation(rng))
         a, _ = policy.forward(flat)
         b, _ = policy.forward(flat)
-        assert a.action_mean == b.action_mean and a.value == b.value
+        assert a.action_mean[0] == b.action_mean[0] and a.value[0] == b.value[0]
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(8)
         policy = Policy(small_config(), rng)
         obs = [random_observation(rng) for _ in range(5)]
         flats = [policy.flatten_observation(o) for o in obs]
-        batch = {b: np.stack([f[b] for f in flats]) for b in policy.config.branches}
+        batch = {b: np.concatenate([f[b] for f in flats]) for b in policy.config.branches}
         out, _ = policy.forward(batch)
         for i, f in enumerate(flats):
             single, _ = policy.forward(f)
-            assert out.action_mean[i] == pytest.approx(single.action_mean, abs=1e-14)
-            assert out.value[i] == pytest.approx(single.value, abs=1e-14)
+            assert out.action_mean[i] == pytest.approx(single.action_mean[0], abs=1e-14)
+            assert out.value[i] == pytest.approx(single.value[0], abs=1e-14)
 
 
 class TestParameters:
@@ -153,7 +153,7 @@ class TestParameters:
         flat = src.flatten_observation(random_observation(rng))
         a, _ = src.forward(flat)
         b, _ = dst.forward(flat)
-        assert a.action_mean == b.action_mean and a.value == b.value
+        assert a.action_mean[0] == b.action_mean[0] and a.value[0] == b.value[0]
 
     def test_set_parameters_rejects_bad_shapes(self):
         rng = np.random.default_rng(12)
@@ -188,7 +188,7 @@ class TestBackward:
 
     def scalar_loss(self, policy, flat, cm, cv, cs):
         out, _ = policy.forward(flat)
-        return cm * float(out.action_mean) + cv * float(out.value) \
+        return cm * out.action_mean[0] + cv * out.value[0] \
             + cs * float(np.clip(policy.log_std, policy.config.log_std_min,
                                  policy.config.log_std_max))
 
@@ -203,7 +203,7 @@ class TestBackward:
         flat = policy.flatten_observation(random_observation(rng))
         cm, cv, cs = 0.7, -1.3, 0.4
         _, cache = policy.forward(flat)
-        analytic = policy.backward(cache, cm, cv, d_log_std=cs)
+        analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         fd = self.finite_difference(policy, flat,
                                     lambda: self.scalar_loss(policy, flat, cm, cv, cs))
         for name, a, b in zip(policy.parameter_names(), analytic, fd):
@@ -217,7 +217,7 @@ class TestBackward:
         policy.log_std[...] = 5.0  # beyond log_std_max
         flat = policy.flatten_observation(random_observation(rng))
         _, cache = policy.forward(flat)
-        grads = policy.backward(cache, 0.0, 0.0, d_log_std=2.0)
+        grads = policy.backward(cache, np.zeros(1), np.zeros(1), d_log_std=2.0)
         assert grads[-1] == 0.0
 
     def test_branch_weight_gradient_closed_form(self):
@@ -231,7 +231,7 @@ class TestBackward:
         # route d_state = 1 through a fake identity trunk gradient by using
         # backward on a forward pass whose trunks we bypass analytically:
         out, full_cache = policy.forward(flat)
-        grads = policy.backward(full_cache, 1.0, 0.0)
+        grads = policy.backward(full_cache, np.ones(1), np.zeros(1))
         names = policy.parameter_names()
         gw = grads[names.index("branch_weight.mid")]
         # chain rule: d mean / d W_k = (d mean / d state_k) * branch_out_k
@@ -276,8 +276,8 @@ class TestGaussianHead:
 
     def test_log_prob_and_entropy_consistency(self):
         from mctg.policy import PolicyOutput
-        out = PolicyOutput(action_mean=np.array(0.3), action_std=0.8,
-                           value=np.array(0.0))
-        lp, ent = log_prob_and_entropy(out, 0.5)
-        assert lp == pytest.approx(gaussian_log_prob(0.5, 0.3, 0.8))
+        out = PolicyOutput(action_mean=np.array([0.3]), action_std=0.8,
+                           value=np.zeros(1))
+        lp, ent = log_prob_and_entropy(out, np.array([0.5]))
+        assert lp[0] == pytest.approx(gaussian_log_prob(0.5, 0.3, 0.8))
         assert ent == pytest.approx(gaussian_entropy(0.8))

@@ -7,7 +7,7 @@ from mctg import ppo
 from mctg.env import EnvConfig, TradingEnv
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig, gaussian_log_prob
-from mctg.ppo import (PpoConfig, PpoError, TrajectoryBuffer, clip_grad_norm,
+from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
                       collect_rollout, compute_gae, normalize_advantages,
                       ppo_loss_and_grads, ppo_surrogate, prob_ratio, train,
                       update)
@@ -43,6 +43,8 @@ class TestConfig:
             PpoConfig(minibatches=0)
         with pytest.raises(PpoError, match="epochs_per_update"):
             PpoConfig(epochs_per_update=0)
+        with pytest.raises(PpoError, match="checkpoint_every"):
+            PpoConfig(checkpoint_every=-1)
 
 
 class TestGae:
@@ -154,30 +156,6 @@ class TestSurrogate:
 
 
 class TestBuffer:
-    def make_buffer(self, n=4):
-        return TrajectoryBuffer(n, {"mid": 3})
-
-    def test_capacity_enforced(self):
-        buf = self.make_buffer(2)
-        flat = {"mid": np.zeros(3)}
-        buf.add(flat, 0.0, 0.0, -1.0, 0.1, 0.0, False)
-        buf.add(flat, 0.0, 0.0, -1.0, 0.1, 0.0, False)
-        assert buf.full
-        with pytest.raises(PpoError):
-            buf.add(flat, 0.0, 0.0, -1.0, 0.1, 0.0, False)
-
-    def test_finalize_requires_full_and_runs_once(self):
-        buf = self.make_buffer(2)
-        with pytest.raises(PpoError):
-            buf.finalize(0.99, 0.95)
-        flat = {"mid": np.zeros(3)}
-        buf.add(flat, 0.0, 0.0, -1.0, 1.0, 0.0, False)
-        buf.add(flat, 0.0, 0.0, -1.0, 1.0, 0.0, True)
-        buf.finalize(0.99, 0.95)
-        assert buf.finalized
-        with pytest.raises(PpoError):
-            buf.finalize(0.99, 0.95)
-
     def test_stored_log_probs_recomputable(self, small_dataset):
         # old_log_prob must equal the density of the stored pre-clip draw
         rng = np.random.default_rng(5)
@@ -185,10 +163,9 @@ class TestBuffer:
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         buf, _ = collect_rollout(env, policy, 32, rng)
         for i in range(32):
-            out, _ = policy.forward({"mid": buf.obs["mid"][i]})
+            out, _ = policy.forward({"mid": buf.obs["mid"][i:i + 1]})
             lp = gaussian_log_prob(buf.u[i], out.action_mean, out.action_std)
-            assert buf.old_log_prob[i] == pytest.approx(float(lp), abs=1e-12)
-            assert buf.action[i] == pytest.approx(np.clip(buf.u[i], -1, 1))
+            assert buf.old_log_prob[i] == pytest.approx(lp[0], abs=1e-12)
 
     def test_done_bookkeeping(self, small_dataset):
         rng = np.random.default_rng(7)
@@ -211,7 +188,7 @@ class TestBuffer:
             buf, row = (first, i) if i < 7 else (second, i - 7)
             expected = policy.flatten_observation(env.observation(i % 5))
             for name in cfg.branches:
-                assert np.array_equal(buf.obs[name][row], expected[name])
+                assert np.array_equal(buf.obs[name][row], expected[name][0])
 
 
 class TestLossAndGrads:
@@ -336,22 +313,32 @@ class TestTrainLoop:
                     for a, b in zip(policy.parameters(), fresh.parameters()))
         assert moved
 
-    def test_checkpoint_hook_fires_on_final_update(self, small_dataset):
-        policy = tiny_policy(np.random.default_rng(15))
-        env = TradingEnv(small_dataset, EnvConfig(random_start=True))
-        config = PpoConfig(rollout=64, minibatches=2, epochs_per_update=1,
-                           total_steps=192, checkpoint_every=0)
-        calls = []
-        train(policy, env, config, np.random.default_rng(15),
-              checkpoint_fn=lambda k, p, a: calls.append(k))
-        assert calls == [3]
-
-    def test_update_requires_finalized_buffer(self, small_dataset):
+    def test_update_scores_values_against_gae_returns_from_config(self, small_dataset):
+        # one epoch of one dropout-free minibatch evaluates the rollout's own
+        # value estimates against GAE returns built from config.gamma/gae_lambda
         rng = np.random.default_rng(16)
         policy = tiny_policy(rng)
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         buf, _ = collect_rollout(env, policy, 16, rng)
-        config = PpoConfig(rollout=16, minibatches=2, total_steps=16)
+        config = PpoConfig(rollout=16, minibatches=1, epochs_per_update=1,
+                           total_steps=16, gamma=0.5, gae_lambda=0.8)
+        _, returns = compute_gae(buf.reward, buf.value, buf.done, buf.bootstrap_value,
+                                 0.5, 0.8)
         adam = AdamState(policy.parameters(), config.learning_rate)
-        with pytest.raises(PpoError):
-            update(policy, buf, config, adam, rng)
+        stats = update(policy, buf, config, adam, rng)
+        assert stats.value_loss == pytest.approx(np.mean((buf.value - returns) ** 2),
+                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("every, want", [(0, []), (2, [2])])
+    def test_checkpoint_hook_fires_every_checkpoint_every_updates(
+            self, small_dataset, every, want):
+        # the final update gets no call of its own: the caller saves the
+        # final state once, after train returns
+        policy = tiny_policy(np.random.default_rng(15))
+        env = TradingEnv(small_dataset, EnvConfig(random_start=True))
+        config = PpoConfig(rollout=64, minibatches=2, epochs_per_update=1,
+                           total_steps=192, checkpoint_every=every)
+        calls = []
+        train(policy, env, config, np.random.default_rng(15),
+              checkpoint_fn=lambda k, p, a: calls.append(k))
+        assert calls == want
