@@ -13,7 +13,7 @@ from .garch import (FitReport, GarchParams, GarchState, filter_variances, fit,
 from .marketdata import (AlignedDataset, BarSeries, Frequency, MarketGenParams,
                          Observation, ObservationNormalizer, align, load_bars,
                          resample, simulate_market, split, window_at)
-from .policy import Policy, PolicyConfig, PolicyOutput, log_prob_and_entropy, sample_action
+from .policy import Policy, PolicyConfig, PolicyOutput, sample_action
 from .ppo import PpoConfig, TrajectoryBuffer, compute_gae, ppo_surrogate, prob_ratio, train
 
 __version__ = "0.1.0"

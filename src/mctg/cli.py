@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evalcli, ppo
 from .env import EnvError, TradingEnv
-from .garch import REFIT_EVERY, WARMUP_FLOOR, WINDOW, GarchError, rolling_forecast
+from .garch import WARMUP_FLOOR, GarchError, rolling_forecast
 from .marketdata import (Frequency, MarketDataError, ObservationNormalizer,
                          load_bars, resample, save_bars, simulate_market, split)
 from .nn import AdamState, NetworkError
@@ -56,10 +56,11 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_fit_garch(args) -> int:
+    garch = evalcli.section_from_config(_load_config(args.config), "garch")
     five_min = load_bars(args.data, Frequency.FIVE_MIN)
     daily, _ = resample(five_min)
     returns = np.diff(np.log(daily.values[:, 3]))
-    sigma = rolling_forecast(returns, window=args.window, refit_every=args.refit_every)
+    sigma = rolling_forecast(returns, window=garch.window, refit_every=garch.refit_every)
     daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -72,30 +73,33 @@ def cmd_fit_garch(args) -> int:
     return 0
 
 
-def _checkpoint_value(cfg: dict, keys, resolved, pinned, name: str):
-    """``pinned``, the value the checkpoint was trained with, when there is one;
-    else ``resolved``, the config's. A config key that resolves to a different
-    value than the checkpoint's is an error, since it would do nothing."""
+# Training metadata field -> the config keys that set it. When several are
+# present the first is named: data.split_boundary wins over data.train_fraction.
+_PINNED_KEYS = {
+    "garch_window": ("garch.window",),
+    "garch_refit_every": ("garch.refit_every",),
+    "split_boundary": ("data.split_boundary", "data.train_fraction"),
+}
+
+
+def _pinned(cfg: dict, metadata: dict, field: str, resolved):
+    """The checkpoint's ``metadata[field]``, the value it was trained with, when
+    there is one; else ``resolved``, the config's. A config key that resolves to
+    a different value than the checkpoint's is an error, since it would do
+    nothing."""
+    pinned = metadata.get(field)
     if pinned is None:
         return resolved
-    key = next((k for k in keys if k in cfg), None)
+    key = next((k for k in _PINNED_KEYS[field] if k in cfg), None)
     if key is not None and resolved != pinned:
         raise evalcli.EvalError(f"config key {key} resolves to {resolved}, but the "
-                                f"checkpoint was trained with {name} = {pinned}")
+                                f"checkpoint was trained with {field} = {pinned}")
     return pinned
 
 
-def _load_split_dataset(data_path: str, cfg: dict, garch_window: int,
-                        garch_refit: int, boundary=None):
-    split_settings = evalcli.split_settings_from_config(cfg)
+def _load_dataset(data_path: str, garch_window: int, garch_refit_every: int):
     five_min = load_bars(data_path, Frequency.FIVE_MIN)
-    dataset = evalcli.build_dataset(five_min, garch_window, garch_refit)
-    # data.split_boundary wins over data.train_fraction when both are set.
-    boundary = _checkpoint_value(cfg, ("data.split_boundary", "data.train_fraction"),
-                                 evalcli.split_boundary(dataset, *split_settings),
-                                 boundary, "split_boundary")
-    train_ds, test_ds = split(dataset, boundary)
-    return train_ds, test_ds, boundary
+    return evalcli.build_dataset(five_min, garch_window, garch_refit_every)
 
 
 def cmd_train(args) -> int:
@@ -104,8 +108,11 @@ def cmd_train(args) -> int:
     overrides = {} if args.total_steps is None else {"total_steps": args.total_steps}
     ppo_config = evalcli.section_from_config(cfg, "ppo", **overrides)
     env_config = evalcli.section_from_config(cfg, "env")
-    garch_window, garch_refit = evalcli.garch_settings_from_config(cfg)
-    train_ds, _, boundary = _load_split_dataset(args.data, cfg, garch_window, garch_refit)
+    garch = evalcli.section_from_config(cfg, "garch")
+    split_config = evalcli.section_from_config(cfg, "data")
+    dataset = _load_dataset(args.data, garch.window, garch.refit_every)
+    boundary = evalcli.split_boundary(dataset, split_config)
+    train_ds, _ = split(dataset, boundary)
 
     normalizer = ObservationNormalizer().fit(train_ds, range(train_ds.n_days))
     env = TradingEnv(train_ds, env_config, normalizer)
@@ -116,8 +123,8 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     metadata = {
-        "garch_window": garch_window,
-        "garch_refit_every": garch_refit,
+        "garch_window": garch.window,
+        "garch_refit_every": garch.refit_every,
         "split_boundary": boundary.isoformat(),
         "seed": args.seed,
     }
@@ -151,17 +158,15 @@ def cmd_backtest(args) -> int:
     policy = checkpoint.build_policy()
     normalizer = checkpoint.build_normalizer()
     env_config = evalcli.section_from_config(cfg, "env", random_start=False)
+    garch = evalcli.section_from_config(cfg, "garch")
+    split_config = evalcli.section_from_config(cfg, "data")
     meta = checkpoint.metadata
-    boundary = dt.date.fromisoformat(meta["split_boundary"]) \
-        if "split_boundary" in meta else None
-    garch_window, garch_refit = evalcli.garch_settings_from_config(cfg)
-    train_ds, test_ds, _ = _load_split_dataset(
-        args.data, cfg,
-        _checkpoint_value(cfg, ("garch.window",), garch_window,
-                          meta.get("garch_window"), "garch_window"),
-        _checkpoint_value(cfg, ("garch.refit_every",), garch_refit,
-                          meta.get("garch_refit_every"), "garch_refit_every"),
-        boundary=boundary)
+    dataset = _load_dataset(
+        args.data, _pinned(cfg, meta, "garch_window", garch.window),
+        _pinned(cfg, meta, "garch_refit_every", garch.refit_every))
+    boundary = _pinned(cfg, meta, "split_boundary",
+                       evalcli.split_boundary(dataset, split_config).isoformat())
+    train_ds, test_ds = split(dataset, dt.date.fromisoformat(boundary))
     dataset = train_ds if args.segment == "train" else test_ds
     metrics, equity_rows, trajectory_rows = evalcli.backtest(
         policy, dataset, env_config, normalizer)
@@ -179,14 +184,9 @@ def cmd_backtest(args) -> int:
     }
     with open(args.out_metrics, "w") as fh:
         json.dump(doc, fh, indent=2)
-    _write_csv(args.out_equity,
-               ("date", "value", "bh_value", "action", "shares", "cash", "tax_paid"),
-               equity_rows)
+    _write_csv(args.out_equity, tuple(equity_rows[0]), equity_rows)
     if args.out_trajectory:
-        _write_csv(args.out_trajectory,
-                   ("date", "open", "action", "order_shares", "tax_paid",
-                    "cash", "shares", "value", "reward"),
-                   trajectory_rows)
+        _write_csv(args.out_trajectory, tuple(trajectory_rows[0]), trajectory_rows)
     print(f"{checkpoint.variant} {args.segment}: "
           f"PR={metrics.profit_rate_annualized:.4f} "
           f"TR={metrics.tax_rate_annualized:.4f} "
@@ -221,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-garch", help="emit daily bars with a sigma column")
     p.add_argument("--data", required=True, help="5-minute bar CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=WINDOW)
-    p.add_argument("--refit-every", type=int, default=REFIT_EVERY)
+    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_fit_garch)
 
     p = sub.add_parser("train", help="train a variant with PPO")

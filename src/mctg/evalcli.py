@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import ppo as ppo_mod
-from .env import EnvConfig, TradingEnv, buy_and_hold
-from .garch import REFIT_EVERY, WARMUP_FLOOR, WINDOW, rolling_forecast
-from .marketdata import (AlignedDataset, BarSeries, MarketGenParams,
+from .env import EnvConfig, EnvError, TradingEnv, buy_and_hold
+from .garch import WARMUP_FLOOR, GarchConfig, GarchError, rolling_forecast
+from .marketdata import (AlignedDataset, BarSeries, MarketDataError, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import AdamState
 from .policy import Policy, PolicyConfig
@@ -68,8 +68,7 @@ class Metrics:
         return asdict(self)
 
 
-def profit_rate(curve, trading_days_per_year: int = TRADING_DAYS_PER_YEAR
-                ) -> tuple[float, float]:
+def profit_rate(curve) -> tuple[float, float]:
     """(annualized, cumulative) return of an equity curve marked once per day."""
     curve = np.asarray(curve, dtype=np.float64)
     if len(curve) < 2:
@@ -78,17 +77,16 @@ def profit_rate(curve, trading_days_per_year: int = TRADING_DAYS_PER_YEAR
         raise EvalError("equity curve must be strictly positive")
     growth = float(curve[-1] / curve[0])
     cumulative = growth - 1.0
-    annualized = growth ** (trading_days_per_year / len(curve)) - 1.0
+    annualized = growth ** (TRADING_DAYS_PER_YEAR / len(curve)) - 1.0
     return annualized, cumulative
 
 
-def tax_rate(taxes_paid, initial_capital: float, n_days: int,
-             trading_days_per_year: int = TRADING_DAYS_PER_YEAR) -> float:
+def tax_rate(taxes_paid, initial_capital: float, n_days: int) -> float:
     """Annualized tax paid as a fraction of initial capital."""
     if n_days < 1:
         raise EvalError("n_days must be >= 1")
     total = float(np.sum(np.asarray(taxes_paid, dtype=np.float64)))
-    return total / initial_capital * (trading_days_per_year / n_days)
+    return total / initial_capital * (TRADING_DAYS_PER_YEAR / n_days)
 
 
 # -- backtest ----------------------------------------------------------------
@@ -277,9 +275,7 @@ def load_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def config_get(cfg: dict, key: str, cast, default):
-    if key not in cfg:
-        return default
+def config_get(cfg: dict, key: str, cast):
     raw = cfg[key]
     try:
         if cast is bool:
@@ -300,7 +296,22 @@ def _positive_or_none(raw: str) -> int | None:
 
 # Field type -> cast of its raw string, where the type itself is not the cast.
 # An ``int | None`` field reads a non-positive value as None.
-_CASTS = {int | None: _positive_or_none, dt.date: dt.date.fromisoformat}
+_CASTS = {int | None: _positive_or_none, dt.date: dt.date.fromisoformat,
+          dt.date | None: dt.date.fromisoformat}
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """Train/test split: ``split_boundary``, the first test day, when set; else
+    the trading day ``train_fraction`` of the way in."""
+
+    split_boundary: dt.date | None = None
+    train_fraction: float = 0.8
+
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise EvalError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+
 
 # Dotted config section -> (dataclass it fills, fields a config file cannot
 # set). Defaults live only on the dataclasses. The episode range is chosen by
@@ -309,13 +320,15 @@ _SECTIONS = {
     "market": (MarketGenParams, ()),
     "ppo": (ppo_mod.PpoConfig, ()),
     "env": (EnvConfig, ("start", "end", "min_episode_steps")),
+    "garch": (GarchConfig, ()),
+    "data": (SplitConfig, ()),
 }
 
 CONFIG_KEYS = tuple(
     f"{section}.{f.name}"
     for section, (cls, fixed) in _SECTIONS.items()
     for f in fields(cls) if f.name not in fixed
-) + ("garch.window", "garch.refit_every", "data.split_boundary", "data.train_fraction")
+)
 
 
 def check_config_keys(cfg: dict) -> None:
@@ -334,15 +347,13 @@ def section_from_config(cfg: dict, section: str, **overrides):
     for f in fields(cls):
         key = f"{section}.{f.name}"
         if f.name not in fixed and key in cfg:
-            kwargs[f.name] = config_get(cfg, key, _CASTS.get(hints[f.name], hints[f.name]),
-                                        None)
-    return cls(**{**kwargs, **overrides})
-
-
-def garch_settings_from_config(cfg: dict) -> tuple[int, int]:
-    """(window, refit_every) for the rolling volatility forecasts."""
-    return (config_get(cfg, "garch.window", int, WINDOW),
-            config_get(cfg, "garch.refit_every", int, REFIT_EVERY))
+            kwargs[f.name] = config_get(cfg, key, _CASTS.get(hints[f.name], hints[f.name]))
+    try:
+        return cls(**{**kwargs, **overrides})
+    except (MarketDataError, ppo_mod.PpoError, EnvError, GarchError, EvalError) as e:
+        # Each section's checks start their message with the field's name, so
+        # the section prefix turns it into the config key.
+        raise EvalError(f"config {section}.{e}") from None
 
 
 # -- dataset pipeline ------------------------------------------------------------
@@ -364,20 +375,9 @@ def build_dataset(five_min: BarSeries, garch_window: int,
     return align(five_min, daily, weekly, daily_vol)
 
 
-def split_settings_from_config(cfg: dict) -> tuple[dt.date | None, float]:
-    """(data.split_boundary or None, data.train_fraction), read and checked
-    before any data is built."""
-    boundary = config_get(cfg, "data.split_boundary", dt.date.fromisoformat, None)
-    fraction = config_get(cfg, "data.train_fraction", float, 0.8)
-    if not 0.0 < fraction < 1.0:
-        raise EvalError("data.train_fraction must be in (0, 1)")
-    return boundary, fraction
-
-
-def split_boundary(dataset: AlignedDataset, boundary: dt.date | None,
-                   fraction: float) -> dt.date:
-    """``boundary`` when set, else the trading day ``fraction`` of the way in."""
-    if boundary is not None:
-        return boundary
-    idx = min(max(int(dataset.n_days * fraction), 1), dataset.n_days - 1)
+def split_boundary(dataset: AlignedDataset, settings: SplitConfig) -> dt.date:
+    """The first test day of ``dataset`` under ``settings``."""
+    if settings.split_boundary is not None:
+        return settings.split_boundary
+    idx = min(max(int(dataset.n_days * settings.train_fraction), 1), dataset.n_days - 1)
     return dataset.trading_days[idx]

@@ -20,13 +20,26 @@ from scipy import optimize
 
 ALPHA0_FLOOR = 1e-12
 LOG2PI = math.log(2.0 * math.pi)
-WINDOW = 250        # days of returns behind each rolling fit
-REFIT_EVERY = 20    # days between rolling refits
 WARMUP_FLOOR = 1e-8  # lowest volatility emitted before the first fit, so it stays > 0
 
 
 class GarchError(Exception):
     """Invalid parameters or series too short to estimate."""
+
+
+@dataclass(frozen=True)
+class GarchConfig:
+    """Rolling-forecast settings: days of returns behind each fit, and days
+    between refits."""
+
+    window: int = 250
+    refit_every: int = 20
+
+    def __post_init__(self):
+        if self.window < 50:
+            raise GarchError(f"window must be >= 50, got {self.window}")
+        if self.refit_every < 1:
+            raise GarchError(f"refit_every must be >= 1, got {self.refit_every}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,7 @@ def _x_from_params(p: GarchParams) -> np.ndarray:
     ])
 
 
-def fit(returns, init: GarchParams | None = None, tol: float = 1e-9,
-        max_iter: int = 2000) -> FitReport:
+def fit(returns) -> FitReport:
     """Maximum-likelihood fit of GARCH(1,1) on a return series.
 
     Refuses series shorter than 50 points. Never raises on hard data
@@ -134,10 +146,8 @@ def fit(returns, init: GarchParams | None = None, tol: float = 1e-9,
     if returns.ndim != 1 or len(returns) < 50:
         raise GarchError(f"need at least 50 returns to fit, got {returns.shape}")
 
-    if init is None:
-        var = float(np.var(returns))
-        init = GarchParams(float(np.mean(returns)),
-                           max(0.1 * var, ALPHA0_FLOOR), 0.1, 0.8)
+    var = float(np.var(returns))
+    init = GarchParams(float(np.mean(returns)), max(0.1 * var, ALPHA0_FLOOR), 0.1, 0.8)
     x0 = _x_from_params(init)
 
     def objective(x):
@@ -153,14 +163,14 @@ def fit(returns, init: GarchParams | None = None, tol: float = 1e-9,
     # Nelder-Mead finds the basin robustly; BFGS (numeric gradient) polishes.
     coarse = optimize.minimize(
         objective, x0, method="Nelder-Mead",
-        options={"maxiter": max_iter, "xatol": tol, "fatol": tol, "maxfev": 4 * max_iter})
+        options={"maxiter": 2000, "xatol": 1e-9, "fatol": 1e-9, "maxfev": 8000})
     iterations = int(coarse.nit)
     converged = bool(coarse.success)
     best_x = coarse.x if objective(coarse.x) <= objective(x0) else x0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         polish = optimize.minimize(objective, best_x, method="BFGS",
-                                   options={"maxiter": max_iter, "gtol": 1e-7})
+                                   options={"maxiter": 2000, "gtol": 1e-7})
     if objective(polish.x) <= objective(best_x):
         best_x = polish.x
         iterations += int(polish.nit)
@@ -197,7 +207,7 @@ def forecast_one_step(params: GarchParams, state: GarchState) -> float:
                      + params.beta1 * state.last_variance)
 
 
-def rolling_forecast(daily_returns, window: int = WINDOW, refit_every: int = REFIT_EVERY,
+def rolling_forecast(daily_returns, window: int, refit_every: int,
                      on_fit=None) -> np.ndarray:
     """Causal rolling one-step-ahead volatility forecasts.
 
@@ -208,11 +218,8 @@ def rolling_forecast(daily_returns, window: int = WINDOW, refit_every: int = REF
     and falls back to the previous parameters. ``on_fit``, when given, receives
     each FitReport.
     """
+    GarchConfig(window, refit_every)  # raises GarchError on an invalid setting
     returns = np.asarray(daily_returns, dtype=np.float64)
-    if window < 50:
-        raise GarchError("window must be >= 50")
-    if refit_every < 1:
-        raise GarchError("refit_every must be >= 1")
 
     n = len(returns)
     out = np.empty(n, dtype=np.float64)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 
 class NetworkError(Exception):
@@ -21,20 +21,17 @@ class NetworkError(Exception):
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
     if name == "identity":
         return z
     raise NetworkError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation, written in terms of its output ``a``."""
     if name == "tanh":
         return 1.0 - a * a
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
     if name == "identity":
-        return np.ones_like(z)
+        return np.ones_like(a)
     raise NetworkError(f"unknown activation {name!r}")
 
 
@@ -117,7 +114,6 @@ def mlp(sizes, hidden_activation: str = "tanh", out_activation: str = "identity"
 class ForwardCache:
     mode: str
     inputs: list        # per-layer input (dense) or pre-dropout activation
-    pre_acts: list      # per-layer pre-activation (dense) or None
     acts: list          # per-layer output
     masks: list         # dropout keep-masks (already scaled) or None
 
@@ -136,12 +132,11 @@ def forward(net: Network, x, mode: str = "eval",
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise NetworkError(f"input shape {x.shape} does not match (rows, {net.in_dim})")
 
-    inputs, pre_acts, acts, masks = [], [], [], []
+    inputs, acts, masks = [], [], []
     h = x
     for layer in net.layers:
         if isinstance(layer, DropoutLayer):
             inputs.append(h)
-            pre_acts.append(None)
             if mode == "train":
                 if rng is None:
                     raise NetworkError("train-mode dropout requires an rng")
@@ -154,12 +149,10 @@ def forward(net: Network, x, mode: str = "eval",
             acts.append(h)
         else:
             inputs.append(h)
-            z = h @ layer.weights.T + layer.bias
-            pre_acts.append(z)
-            h = _activate(layer.activation, z)
+            h = _activate(layer.activation, h @ layer.weights.T + layer.bias)
             masks.append(None)
             acts.append(h)
-    return h, ForwardCache(mode, inputs, pre_acts, acts, masks)
+    return h, ForwardCache(mode, inputs, acts, masks)
 
 
 def backward(net: Network, cache: ForwardCache,
@@ -184,7 +177,7 @@ def backward(net: Network, cache: ForwardCache,
             if cache.masks[idx] is not None:
                 g = g * cache.masks[idx]
         else:
-            dz = g * _activate_grad(layer.activation, cache.pre_acts[idx], cache.acts[idx])
+            dz = g * _activate_grad(layer.activation, cache.acts[idx])
             grads.append(dz.sum(axis=0))                 # bias
             grads.append(dz.T @ cache.inputs[idx])       # weights
             g = dz @ layer.weights

@@ -233,9 +233,3 @@ def sample_action(out: PolicyOutput, rng: np.random.Generator):
     u = out.action_mean + out.action_std * rng.standard_normal(np.shape(out.action_mean))
     action = np.clip(u, -1.0, 1.0)
     return action, u, gaussian_log_prob(u, out.action_mean, out.action_std)
-
-
-def log_prob_and_entropy(out: PolicyOutput, u):
-    """Log-density of the stored pre-clip draw plus the closed-form entropy."""
-    return gaussian_log_prob(u, out.action_mean, out.action_std), \
-        gaussian_entropy(out.action_std)

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 
 from mctg import cli, evalcli
 from mctg.env import EnvConfig, buy_and_hold
-from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, backtest,
+from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
-from mctg.marketdata import MarketGenParams, ObservationNormalizer, save_bars
+from mctg.garch import GarchConfig
+from mctg.marketdata import (Frequency, MarketGenParams, ObservationNormalizer,
+                             load_bars, save_bars)
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig
 from mctg.ppo import PpoConfig
@@ -277,11 +280,10 @@ class TestConfigFile:
 
     def test_config_get_casts(self):
         cfg = {"k.int": "7", "k.bool": "true", "k.bad": "x"}
-        assert evalcli.config_get(cfg, "k.int", int, 0) == 7
-        assert evalcli.config_get(cfg, "k.bool", bool, False) is True
-        assert evalcli.config_get(cfg, "k.absent", float, 1.5) == 1.5
+        assert evalcli.config_get(cfg, "k.int", int) == 7
+        assert evalcli.config_get(cfg, "k.bool", bool) is True
         with pytest.raises(EvalError, match="k.bad"):
-            evalcli.config_get(cfg, "k.bad", int, 0)
+            evalcli.config_get(cfg, "k.bad", int)
 
 
 # (key, raw value, value its setting must hold): every accepted key at least
@@ -326,17 +328,8 @@ CONFIG_CASES = [
 ]
 
 
-def config_setting(cfg, key, dataset):
+def config_setting(cfg, key):
     section, name = key.split(".")
-    if section == "garch":
-        window, refit = evalcli.garch_settings_from_config(cfg)
-        return {"window": window, "refit_every": refit}[name]
-    if section == "data":
-        boundary = evalcli.split_boundary(dataset, *evalcli.split_settings_from_config(cfg))
-        if name == "train_fraction":
-            # the fraction picks the boundary day by index
-            return dataset.trading_days.index(boundary) / dataset.n_days
-        return boundary
     return getattr(evalcli.section_from_config(cfg, section), name)
 
 
@@ -346,14 +339,24 @@ class TestConfigMapping:
         assert {key for key, _, _ in CONFIG_CASES} == set(evalcli.CONFIG_KEYS)
 
     @pytest.mark.parametrize("key,raw,want", CONFIG_CASES)
-    def test_key_lands_in_its_setting(self, key, raw, want, small_dataset):
-        got = config_setting({key: raw}, key, small_dataset)
+    def test_key_lands_in_its_setting(self, key, raw, want):
+        got = config_setting({key: raw}, key)
         assert got == want and type(got) is type(want)
 
     def test_empty_config_gives_dataclass_defaults(self):
         assert evalcli.section_from_config({}, "market") == MarketGenParams()
         assert evalcli.section_from_config({}, "ppo") == PpoConfig()
         assert evalcli.section_from_config({}, "env") == EnvConfig()
+        assert evalcli.section_from_config({}, "garch") == GarchConfig()
+        assert evalcli.section_from_config({}, "data") == SplitConfig()
+
+    def test_split_boundary_wins_over_train_fraction(self, small_dataset):
+        days = small_dataset.trading_days
+        # the fraction picks the boundary day by index
+        assert evalcli.split_boundary(small_dataset, SplitConfig(train_fraction=0.4)) == \
+            days[int(small_dataset.n_days * 0.4)]
+        settings = SplitConfig(split_boundary=dt.date(2015, 6, 1), train_fraction=0.4)
+        assert evalcli.split_boundary(small_dataset, settings) == dt.date(2015, 6, 1)
 
     def test_overrides_win(self):
         cfg = {"ppo.total_steps": "4096", "env.random_start": "true"}
@@ -381,6 +384,17 @@ class TestConfigMapping:
         listed = re.findall(r"`([a-z]+\.[a-z0-9_]+)`", section)
         assert sorted(listed) == sorted(evalcli.CONFIG_KEYS)
 
+    def test_readme_walkthrough_commands_parse(self):
+        block = README.read_text().split("## CLI walkthrough", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("mctg ")]
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+        assert {argv[0] for argv in commands} == \
+            {"generate-data", "fit-garch", "train", "backtest", "report"}
+
 
 class TestCli:
     def test_generate_data_writes_expected_rows(self, tmp_path):
@@ -394,13 +408,17 @@ class TestCli:
     def test_fit_garch_emits_sigma_column(self, tmp_path, cli_workspace):
         out = tmp_path / "daily.csv"
         rc = cli.main(["fit-garch", "--data", str(cli_workspace["data"]),
-                       "--out", str(out), "--window", "120",
-                       "--refit-every", "50"])
+                       "--out", str(out), "--config", str(cli_workspace["config"])])
         assert rc == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 220
         assert all(float(r["sigma"]) > 0 for r in rows)
+        # The config's garch.window = 120 and garch.refit_every = 30 give the
+        # volatility that train and backtest build.
+        five_min = load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN)
+        dataset = evalcli.build_dataset(five_min, 120, 30)
+        assert np.array_equal([float(r["sigma"]) for r in rows], dataset.daily_volatility)
 
     def test_train_outputs(self, cli_workspace):
         out_dir = cli_workspace["out_dir"]
@@ -534,6 +552,25 @@ class TestCli:
         assert [r["variant"] for r in rows] == ["DNN", "MCTG"]
         assert float(rows[1]["PR"]) == pytest.approx(0.2)
 
+    @staticmethod
+    def run_without_reading_data(cli_workspace, tmp_path, monkeypatch, command, line):
+        """Exit code of ``command`` with ``line`` added to the config, where
+        reading the bar CSV fails the test."""
+        def load_bars(*args, **kwargs):
+            raise AssertionError("load_bars called")
+        monkeypatch.setattr(cli, "load_bars", load_bars)
+        config = tmp_path / "bad.cfg"
+        config.write_text(CONFIG_TEXT + line + "\n")
+        argv = {
+            "train": ["train", "--out-dir", str(tmp_path / "run")],
+            "backtest": ["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
+                         "--out-metrics", str(tmp_path / "m.json"),
+                         "--out-equity", str(tmp_path / "e.csv")],
+            "fit-garch": ["fit-garch", "--out", str(tmp_path / "daily.csv")],
+        }[command]
+        return cli.main(argv + ["--data", str(cli_workspace["data"]),
+                                "--config", str(config)])
+
     @pytest.mark.parametrize("command", ["train", "backtest"])
     @pytest.mark.parametrize("line,key", [
         ("data.split_boundary = 2015-13-01", "data.split_boundary"),
@@ -544,20 +581,20 @@ class TestCli:
     ])
     def test_bad_split_setting_fails_before_the_dataset_is_built(
             self, cli_workspace, tmp_path, capsys, monkeypatch, command, line, key):
-        def build_dataset(*args, **kwargs):
-            raise AssertionError("build_dataset called")
-        monkeypatch.setattr(evalcli, "build_dataset", build_dataset)
-        config = tmp_path / "bad.cfg"
-        config.write_text(CONFIG_TEXT + line + "\n")
-        argv = {
-            "train": ["train", "--out-dir", str(tmp_path / "run")],
-            "backtest": ["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
-                         "--out-metrics", str(tmp_path / "m.json"),
-                         "--out-equity", str(tmp_path / "e.csv")],
-        }[command]
-        rc = cli.main(argv + ["--data", str(cli_workspace["data"]),
-                              "--config", str(config)])
-        assert rc == 1
+        assert self.run_without_reading_data(
+            cli_workspace, tmp_path, monkeypatch, command, line) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "backtest", "fit-garch"])
+    @pytest.mark.parametrize("line,key", [
+        ("garch.window = 10", "garch.window"),
+        ("garch.window = x", "garch.window"),
+        ("garch.refit_every = 0", "garch.refit_every"),
+    ])
+    def test_bad_garch_setting_fails_before_any_data_is_read(
+            self, cli_workspace, tmp_path, capsys, monkeypatch, command, line, key):
+        assert self.run_without_reading_data(
+            cli_workspace, tmp_path, monkeypatch, command, line) == 1
         assert key in capsys.readouterr().err
 
     def test_checkpoint_missing_field_fails_backtest_cleanly(self, cli_workspace,

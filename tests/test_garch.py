@@ -194,7 +194,7 @@ class TestRollingForecast:
 
     def test_bad_arguments(self):
         with pytest.raises(GarchError):
-            rolling_forecast(np.zeros(100), window=10)
+            rolling_forecast(np.zeros(100), window=10, refit_every=20)
         with pytest.raises(GarchError):
             rolling_forecast(np.zeros(100), window=60, refit_every=0)
 

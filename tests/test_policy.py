@@ -6,8 +6,7 @@ import pytest
 from mctg import nn
 from mctg.marketdata import LONG_SHAPE, MID_SHAPE, SHORT_SHAPE, Observation
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
-                         gaussian_entropy, gaussian_log_prob,
-                         log_prob_and_entropy, sample_action)
+                         gaussian_entropy, gaussian_log_prob, sample_action)
 
 
 def small_config(**overrides):
@@ -273,11 +272,3 @@ class TestGaussianHead:
         # log-prob is of the pre-clip draw
         assert np.allclose(logp, gaussian_log_prob(u, out.action_mean, 1.5))
         assert np.any(np.abs(u) > 1.0)
-
-    def test_log_prob_and_entropy_consistency(self):
-        from mctg.policy import PolicyOutput
-        out = PolicyOutput(action_mean=np.array([0.3]), action_std=0.8,
-                           value=np.zeros(1))
-        lp, ent = log_prob_and_entropy(out, np.array([0.5]))
-        assert lp[0] == pytest.approx(gaussian_log_prob(0.5, 0.3, 0.8))
-        assert ent == pytest.approx(gaussian_entropy(0.8))
