@@ -19,6 +19,7 @@ import numpy as np
 from scipy import optimize
 
 ALPHA0_FLOOR = 1e-12
+BOUNDARY_TOL = 1e-6  # relative distance from a constraint that counts as on it
 LOG2PI = math.log(2.0 * math.pi)
 WARMUP_FLOOR = 1e-8  # lowest volatility emitted before the first fit, so it stays > 0
 
@@ -83,26 +84,36 @@ class GarchState:
 
 @dataclass(frozen=True)
 class FitReport:
+    """A fit's parameters and optimizer outcome. ``at_boundary`` flags a fit
+    pressed against a constraint: persistence ``alpha1 + beta1`` within
+    ``BOUNDARY_TOL`` of 1 (integrated GARCH), or ``alpha0`` at its floor. The
+    optimizer can report such a fit as converged."""
+
     params: GarchParams
     log_likelihood: float
     iterations: int
     converged: bool
+    at_boundary: bool
 
 
 def filter_variances(params: GarchParams, returns) -> np.ndarray:
     """Run the variance recursion over a return series.
 
-    Output has the same length as the input and is strictly positive.
+    Output has the same length as the input and is strictly positive. The
+    loop runs on Python floats; ``r ** 2`` squares through libm ``pow`` as
+    numpy's scalar power does, where ``r * r`` or an array square would
+    round differently in the last bit now and then.
     """
     returns = np.asarray(returns, dtype=np.float64)
     if returns.ndim != 1 or len(returns) < 1:
         raise GarchError("returns must be a non-empty 1-d series")
-    resid = returns - params.mu
-    var = np.empty(len(returns), dtype=np.float64)
-    var[0] = params.unconditional_variance
-    for t in range(1, len(returns)):
-        var[t] = params.alpha0 + params.alpha1 * resid[t - 1] ** 2 + params.beta1 * var[t - 1]
-    return var
+    alpha0, alpha1, beta1 = params.alpha0, params.alpha1, params.beta1
+    v = params.unconditional_variance
+    var = [v]
+    for r in (returns[:-1] - params.mu).tolist():
+        v = alpha0 + alpha1 * r ** 2 + beta1 * v
+        var.append(v)
+    return np.array(var)
 
 
 def log_likelihood(params: GarchParams, returns) -> float:
@@ -181,6 +192,8 @@ def fit(returns) -> FitReport:
         log_likelihood=log_likelihood(params, returns),
         iterations=iterations,
         converged=converged,
+        at_boundary=(params.alpha1 + params.beta1 > 1.0 - BOUNDARY_TOL
+                     or params.alpha0 <= ALPHA0_FLOOR * (1.0 + BOUNDARY_TOL)),
     )
 
 

@@ -274,11 +274,25 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     fm_rows = np.array([fm_starts[d] for d in trading_days])[:, None] + np.arange(BARS_PER_DAY)
     mid_rows = rows[:, None] + np.arange(1 - MID_DAYS, 1)
     week_rows = weeks_before[rows, None] + np.arange(1 - LONG_WEEKS, 0)
-    partial_weeks = [_aggregate(daily.values[week_start[i]:i + 1]) for i in rows]
+    # Each row's in-progress week is its daily rows week_start..row. Gather
+    # them into (rows, width) blocks, repeating the row itself past its end,
+    # which leaves max/min alone; a running sum read at the row itself adds
+    # left to right, as _aggregate's sum does.
+    starts = week_start[rows]
+    offsets = rows - starts
+    block = daily.values[np.minimum(starts[:, None] + np.arange(offsets.max() + 1),
+                                    rows[:, None])]
+    partial_weeks = np.column_stack([
+        daily.values[starts, 0],
+        block[:, :, 1].max(axis=1),
+        block[:, :, 2].min(axis=1),
+        daily.values[rows, 3],
+        np.take_along_axis(block[:, :, 4:].cumsum(axis=1), offsets[:, None, None], axis=1)[:, 0],
+    ])
     windows = (
         five_min.values[fm_rows],
         np.concatenate([daily.values[mid_rows], daily_vol[mid_rows, None]], axis=2),
-        np.concatenate([weekly.values[week_rows], np.array(partial_weeks)[:, None]], axis=1),
+        np.concatenate([weekly.values[week_rows], partial_weeks[:, None]], axis=1),
         daily.values[rows, 0],
     )
     for array in windows:

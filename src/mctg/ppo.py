@@ -7,6 +7,7 @@ collecting; dropout is active only during the update passes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -185,7 +186,8 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
            adam: AdamState, rng: np.random.Generator) -> UpdateStats:
     """Several shuffled minibatch epochs over one rollout, against its
     normalized GAE advantages and value targets (``config.gamma``,
-    ``config.gae_lambda``)."""
+    ``config.gae_lambda``). A non-finite gradient norm raises ``PpoError``
+    before that minibatch's Adam step, so no parameter takes it."""
     adv, returns = compute_gae(buffer.reward, buffer.value, buffer.done,
                                buffer.bootstrap_value, config.gamma, config.gae_lambda)
     advantages = normalize_advantages(adv)
@@ -209,7 +211,9 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
             }
             _, stats, grads = ppo_loss_and_grads(policy, batch, config,
                                                  mode="train", rng=rng)
-            clip_grad_norm(grads, config.max_grad_norm)
+            grad_norm = clip_grad_norm(grads, config.max_grad_norm)
+            if not math.isfinite(grad_norm):
+                raise PpoError(f"non-finite gradient norm {grad_norm} before clipping")
             adam_step(params, grads, adam)
             for key in agg:
                 agg[key] += getattr(stats, key)

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mctg import garch
-from mctg.garch import (FitReport, GarchError, GarchParams, GarchState,
-                        filter_variances, fit, forecast_one_step, log_likelihood,
-                        rolling_forecast, simulate_returns)
+from mctg import marketdata as md
+from mctg.garch import (ALPHA0_FLOOR, LOG2PI, FitReport, GarchError, GarchParams,
+                        GarchState, filter_variances, fit, forecast_one_step,
+                        log_likelihood, rolling_forecast, simulate_returns)
 from conftest import TRUE_GARCH
 
 
@@ -20,6 +25,41 @@ def loop_filter_oracle(params, returns):
         var = params.alpha0 + params.alpha1 * a * a + params.beta1 * var
         out.append(var)
     return np.array(out)
+
+
+def indexed_loop_filter(params: GarchParams, returns) -> np.ndarray:
+    """The variance recursion as a loop that indexes numpy arrays: the
+    reference ``filter_variances`` must match bit for bit."""
+    returns = np.asarray(returns, dtype=np.float64)
+    if returns.ndim != 1 or len(returns) < 1:
+        raise GarchError("returns must be a non-empty 1-d series")
+    resid = returns - params.mu
+    var = np.empty(len(returns), dtype=np.float64)
+    var[0] = params.unconditional_variance
+    for t in range(1, len(returns)):
+        var[t] = params.alpha0 + params.alpha1 * resid[t - 1] ** 2 + params.beta1 * var[t - 1]
+    return var
+
+
+def edge_params(rng, case):
+    """Random parameters; every third case has beta1 within 1e-12..1e-3 of
+    1 - alpha1, and every other case has alpha0 at its floor."""
+    a1 = rng.uniform(0.0, 0.5)
+    if case % 3 == 0:
+        b1 = 1.0 - a1 - 10 ** rng.uniform(-12, -3)
+    else:
+        b1 = rng.uniform(0.0, 1.0 - a1) * 0.999
+    a0 = ALPHA0_FLOOR if case % 2 == 0 else 10 ** rng.uniform(-11, -2)
+    return GarchParams(rng.uniform(-0.01, 0.01), a0, a1, b1)
+
+
+def frozen_market_returns(seed):
+    """Daily close-to-close log-returns of the acceptance suite's frozen
+    market (770 days, regimes of 50) under ``seed``."""
+    gen = md.MarketGenParams(drift=0.004, alpha0=2.5e-6, alpha1=0.05,
+                             beta1=0.90, regime_length=50)
+    daily, _ = md.resample(md.simulate_market(gen, 770, seed=seed))
+    return np.diff(np.log(daily.values[:, 3]))
 
 
 def random_params(rng):
@@ -75,6 +115,23 @@ class TestFilterVariances:
         with pytest.raises(GarchError):
             filter_variances(GarchParams(0, 0.1, 0, 0), [])
 
+    def test_bit_equal_to_indexed_loop(self):
+        rng = np.random.default_rng(12)
+        for case in range(2400):
+            p = edge_params(rng, case)
+            returns = rng.normal(0, 10 ** rng.uniform(-4, -1), size=int(rng.integers(1, 301)))
+            var = filter_variances(p, returns)
+            assert np.array_equal(var, indexed_loop_filter(p, returns)), (case, p)
+            assert var.dtype == np.float64
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # scipy.signal alone adds ~27 MB of resident memory to every command.
+        code = "import sys, mctg.cli; print('scipy.signal' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(garch.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
 
 class TestLogLikelihood:
     def test_constant_variance_zeros(self):
@@ -97,6 +154,16 @@ class TestLogLikelihood:
             direct = sum(-0.5 * math.log(2 * math.pi) - 0.5 * math.log(v)
                          - r * r / (2 * v) for r, v in zip(resid, var))
             assert log_likelihood(p, returns) == pytest.approx(direct, abs=1e-12)
+
+    def test_bit_equal_on_indexed_loop_variances(self):
+        rng = np.random.default_rng(13)
+        for case in range(2000):
+            p = edge_params(rng, case)
+            returns = rng.normal(0, 10 ** rng.uniform(-4, -1), size=int(rng.integers(1, 301)))
+            var = indexed_loop_filter(p, returns)
+            resid = returns - p.mu
+            expected = float(np.sum(-0.5 * LOG2PI - 0.5 * np.log(var) - resid ** 2 / (2.0 * var)))
+            assert log_likelihood(p, returns) == expected, (case, p)
 
     def test_pure_function(self):
         p = GarchParams(0.001, 0.05, 0.1, 0.8)
@@ -123,6 +190,19 @@ class TestFit:
     def test_mle_dominates_truth(self, garch_sample_10k, garch_fit_10k):
         assert garch_fit_10k.log_likelihood >= \
             log_likelihood(TRUE_GARCH, garch_sample_10k) - 1e-6
+
+    def test_interior_fit_not_at_boundary(self, garch_fit_10k):
+        assert not garch_fit_10k.at_boundary
+
+    def test_integrated_fit_flagged_at_boundary(self):
+        # The 14th refit of the frozen market's rolling forecast (seed 2024):
+        # alpha0 lands on its floor and alpha1 + beta1 within 1e-7 of 1, yet
+        # the optimizer reports success.
+        report = fit(frozen_market_returns(2024)[260:510])
+        p = report.params
+        assert report.converged
+        assert p.alpha1 + p.beta1 > 1.0 - 1e-6
+        assert report.at_boundary
 
     def test_mle_dominates_coarse_grid(self, garch_sample_10k, garch_fit_10k):
         # independent coarse grid over (alpha1, beta1), alpha0 targeting the
@@ -191,6 +271,17 @@ class TestRollingForecast:
         sigma = rolling_forecast(returns, window=100, refit_every=5)
         assert sigma.shape == returns.shape
         assert np.all(sigma > 0)
+
+    @pytest.mark.parametrize("seed", [2024, 5])
+    def test_frozen_market_equal_under_indexed_loop(self, seed, monkeypatch):
+        returns = frozen_market_returns(seed)
+        reports, oracle_reports = [], []
+        sigma = rolling_forecast(returns, 250, 20, on_fit=reports.append)
+        monkeypatch.setattr(garch, "filter_variances", indexed_loop_filter)
+        oracle = rolling_forecast(returns, 250, 20, on_fit=oracle_reports.append)
+        assert np.array_equal(sigma, oracle)
+        assert len(reports) == 26
+        assert reports == oracle_reports
 
     def test_bad_arguments(self):
         with pytest.raises(GarchError):

@@ -329,6 +329,26 @@ class TestTrainLoop:
         assert stats.value_loss == pytest.approx(np.mean((buf.value - returns) ** 2),
                                                  rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_raises_before_any_step(self, small_dataset, bad):
+        # NaN reaches the loss. +inf in the branch's tanh output layer only
+        # saturates it, so the loss stays finite, but backward multiplies
+        # that weight by a zero derivative and the gradient norm is NaN.
+        rng = np.random.default_rng(17)
+        policy = tiny_policy(rng)
+        env = TradingEnv(small_dataset, EnvConfig(random_start=True))
+        buf, _ = collect_rollout(env, policy, 16, rng)
+        config = PpoConfig(rollout=16, minibatches=2, epochs_per_update=2, total_steps=16)
+        adam = AdamState(policy.parameters(), config.learning_rate)
+        dict(policy.named_parameters())["branch.mid.dense1.weights"][0, 0] = bad
+        before = [p.copy() for p in policy.parameters()]
+        with pytest.raises(PpoError, match="non-finite"):
+            update(policy, buf, config, adam, rng)
+        for p, q in zip(policy.parameters(), before):
+            assert np.array_equal(p, q, equal_nan=True)
+        assert adam.step_count == 0
+
     @pytest.mark.parametrize("every, want", [(0, []), (2, [2])])
     def test_checkpoint_hook_fires_every_checkpoint_every_updates(
             self, small_dataset, every, want):
