@@ -8,8 +8,8 @@ tax rates against a Buy&Hold baseline.
 from .env import EnvConfig, Order, PortfolioState, TradingEnv, buy_and_hold, map_action
 from .evalcli import (Metrics, VariantConfig, VARIANTS, backtest, load_checkpoint,
                       profit_rate, report, save_checkpoint, tax_rate)
-from .garch import (FitReport, GarchParams, GarchState, filter_variances, fit,
-                    forecast_one_step, log_likelihood, rolling_forecast)
+from .garch import (FitReport, GarchParams, filter_variances, fit, log_likelihood,
+                    rolling_forecast)
 from .marketdata import (AlignedDataset, BarSeries, Frequency, MarketGenParams,
                          Observation, ObservationNormalizer, align, load_bars,
                          resample, simulate_market, split, window_at)

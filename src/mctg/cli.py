@@ -60,7 +60,9 @@ def cmd_fit_garch(args) -> int:
     five_min = load_bars(args.data, Frequency.FIVE_MIN)
     daily, _ = resample(five_min)
     returns = np.diff(np.log(daily.values[:, 3]))
-    sigma = rolling_forecast(returns, window=garch.window, refit_every=garch.refit_every)
+    reports = []
+    sigma = rolling_forecast(returns, window=garch.window, refit_every=garch.refit_every,
+                             on_fit=reports.append)
     daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -70,6 +72,8 @@ def cmd_fit_garch(args) -> int:
             writer.writerow([ts.date().isoformat()]
                             + [repr(float(x)) for x in row] + [repr(float(s))])
     print(f"wrote {len(daily)} daily bars with sigma to {args.out}")
+    print(f"{sum(r.at_boundary for r in reports)} of {len(reports)} "
+          "GARCH refits at a constraint boundary")
     return 0
 
 

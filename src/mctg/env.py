@@ -87,8 +87,9 @@ def map_action(a: float, p: PortfolioState, opening: float, config: EnvConfig) -
 class TradingEnv:
     """Single-owner mutable environment over an aligned dataset.
 
-    Observations are normalized when a fitted normalizer is supplied and are
-    cached per day, as they do not depend on the agent's actions.
+    Observations are read from the dataset, normalized once here when a fitted
+    normalizer is supplied, and cached per day, as they do not depend on the
+    agent's actions.
     """
 
     def __init__(self, dataset: AlignedDataset, config: EnvConfig, normalizer=None):
@@ -96,10 +97,9 @@ class TradingEnv:
         if not 0 <= config.start < end < dataset.n_days:
             raise EnvError(
                 f"episode range [{config.start}, {end}] invalid for {dataset.n_days} days")
-        self.dataset = dataset
+        self.dataset = dataset if normalizer is None else normalizer.transform(dataset)
         self.config = config
         self.end = end
-        self.normalizer = normalizer
         self.opens = dataset.opens
         self._obs_cache: dict[int, Observation] = {}
         self.state: PortfolioState | None = None
@@ -109,10 +109,7 @@ class TradingEnv:
     def observation(self, day_index: int) -> Observation:
         obs = self._obs_cache.get(day_index)
         if obs is None:
-            obs = window_at(self.dataset, day_index)
-            if self.normalizer is not None:
-                obs = self.normalizer.transform(obs)
-            self._obs_cache[day_index] = obs
+            obs = self._obs_cache[day_index] = window_at(self.dataset, day_index)
         return obs
 
     def reset(self, rng: np.random.Generator | None = None

@@ -105,29 +105,22 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     env = TradingEnv(dataset, env_config, normalizer)
     bh = buy_and_hold(dataset, env_config.start, env.end, env_config)
 
-    state, obs = env.reset()
-    flat = policy.flatten_observation(obs)
+    _, obs = env.reset()
     equity_rows = [{
         "date": dataset.date(env_config.start), "value": env_config.initial_cash,
         "bh_value": float(bh[0]), "action": 0.0, "shares": 0,
         "cash": env_config.initial_cash, "tax_paid": 0.0,
     }]
     trajectory_rows: list[dict] = []
-    taxes: list[float] = []
-    values = [env_config.initial_cash]
-    n_trades = 0
-    k = 1
     while not env.done:
-        out, _ = policy.forward(flat, mode="eval")
+        out, _ = policy.forward(policy.flatten_observation(obs), mode="eval")
         action = float(np.clip(out.action_mean[0], -1.0, 1.0))
         result = env.step(action)
+        obs = result.observation
         info = result.info
-        if info["order"].signed_shares != 0:
-            n_trades += 1
-        taxes.append(info["tax_paid"])
-        values.append(info["value"])
         equity_rows.append({
-            "date": info["date"], "value": info["value"], "bh_value": float(bh[k]),
+            "date": info["date"], "value": info["value"],
+            "bh_value": float(bh[len(equity_rows)]),
             "action": action, "shares": info["shares"], "cash": info["cash"],
             "tax_paid": info["tax_paid"],
         })
@@ -137,16 +130,15 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
             "cash": info["cash"], "shares": info["shares"], "value": info["value"],
             "reward": result.reward,
         })
-        if not result.done:
-            flat = policy.flatten_observation(result.observation)
-        k += 1
 
+    values = [row["value"] for row in equity_rows]
     annualized, cumulative = profit_rate(values)
     metrics = Metrics(
         profit_rate_annualized=annualized,
         profit_rate_cumulative=cumulative,
-        tax_rate_annualized=tax_rate(taxes, env_config.initial_cash, len(values)),
-        n_trades=n_trades,
+        tax_rate_annualized=tax_rate([row["tax_paid"] for row in trajectory_rows],
+                                     env_config.initial_cash, len(values)),
+        n_trades=sum(row["order_shares"] != 0 for row in trajectory_rows),
         final_value=values[-1],
     )
     return metrics, equity_rows, trajectory_rows

@@ -69,20 +69,6 @@ class GarchParams:
 
 
 @dataclass(frozen=True)
-class GarchState:
-    """Last squared innovation and conditional variance of a filtered series."""
-
-    last_residual_sq: float
-    last_variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.last_residual_sq) and math.isfinite(self.last_variance)):
-            raise GarchError("non-finite GARCH state")
-        if self.last_residual_sq < 0 or self.last_variance < 0:
-            raise GarchError("GARCH state entries must be >= 0")
-
-
-@dataclass(frozen=True)
 class FitReport:
     """A fit's parameters and optimizer outcome. ``at_boundary`` flags a fit
     pressed against a constraint: persistence ``alpha1 + beta1`` within
@@ -213,13 +199,6 @@ def simulate_returns(params: GarchParams, n: int, rng: np.random.Generator) -> n
     return out
 
 
-def forecast_one_step(params: GarchParams, state: GarchState) -> float:
-    """One-step-ahead volatility (standard deviation) from the current state."""
-    return math.sqrt(params.alpha0
-                     + params.alpha1 * state.last_residual_sq
-                     + params.beta1 * state.last_variance)
-
-
 def rolling_forecast(daily_returns, window: int, refit_every: int,
                      on_fit=None) -> np.ndarray:
     """Causal rolling one-step-ahead volatility forecasts.
@@ -252,8 +231,6 @@ def rolling_forecast(daily_returns, window: int, refit_every: int,
                 if params is None:
                     raise
                 warnings.warn(f"rolling GARCH refit failed at day {t}: {e}")
-        segment = returns[t - window:t]
-        var = filter_variances(params, segment)
-        state = GarchState((segment[-1] - params.mu) ** 2, var[-1])
-        out[t] = forecast_one_step(params, state)
+        # The filter never reads its last return, so this uses returns[:t] only.
+        out[t] = math.sqrt(filter_variances(params, returns[t - window:t + 1])[-1])
     return out

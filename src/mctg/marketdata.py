@@ -340,14 +340,18 @@ class ObservationNormalizer:
         self.fitted_ = True
         return self
 
-    def transform(self, obs: Observation) -> Observation:
+    def transform(self, dataset: AlignedDataset) -> AlignedDataset:
+        """The dataset with every window array z-scored, as new read-only
+        arrays; the input dataset is left as it is."""
         if not self.fitted_:
             raise MarketDataError("normalizer is not fitted")
-        return Observation(
-            (obs.short_window - self.short_mean_) / self.short_std_,
-            (obs.mid_window - self.mid_mean_) / self.mid_std_,
-            (obs.long_window - self.long_mean_) / self.long_std_,
-        )
+        normalized = {}
+        for kind in self._KINDS:
+            windows = (getattr(dataset, f"{kind}_windows") - getattr(self, f"{kind}_mean_")) \
+                / getattr(self, f"{kind}_std_")
+            windows.flags.writeable = False
+            normalized[f"{kind}_windows"] = windows
+        return replace(dataset, **normalized)
 
     def to_dict(self) -> dict:
         if not self.fitted_:

@@ -112,7 +112,6 @@ def mlp(sizes, hidden_activation: str = "tanh", out_activation: str = "identity"
 
 @dataclass
 class ForwardCache:
-    mode: str
     inputs: list        # per-layer input (dense) or pre-dropout activation
     acts: list          # per-layer output
     masks: list         # dropout keep-masks (already scaled) or None
@@ -152,7 +151,7 @@ def forward(net: Network, x, mode: str = "eval",
             h = _activate(layer.activation, h @ layer.weights.T + layer.bias)
             masks.append(None)
             acts.append(h)
-    return h, ForwardCache(mode, inputs, acts, masks)
+    return h, ForwardCache(inputs, acts, masks)
 
 
 def backward(net: Network, cache: ForwardCache,

@@ -206,9 +206,8 @@ class TestEpisode:
     def test_observation_cached_and_normalized(self, small_dataset, small_normalizer):
         env = TradingEnv(small_dataset, EnvConfig(), normalizer=small_normalizer)
         _, obs = env.reset()
-        direct = small_normalizer.transform(
-            __import__("mctg.marketdata", fromlist=["window_at"]).window_at(
-                small_dataset, env.config.start))
+        direct = __import__("mctg.marketdata", fromlist=["window_at"]).window_at(
+            small_normalizer.transform(small_dataset), env.config.start)
         assert np.array_equal(obs.mid_window, direct.mid_window)
         assert env.observation(env.config.start) is obs
 

@@ -13,9 +13,9 @@ from mctg.env import EnvConfig, buy_and_hold
 from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
-from mctg.garch import GarchConfig
+from mctg.garch import GarchConfig, rolling_forecast
 from mctg.marketdata import (Frequency, MarketGenParams, ObservationNormalizer,
-                             load_bars, save_bars)
+                             load_bars, resample, save_bars)
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig
 from mctg.ppo import PpoConfig
@@ -419,6 +419,19 @@ class TestCli:
         five_min = load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN)
         dataset = evalcli.build_dataset(five_min, 120, 30)
         assert np.array_equal([float(r["sigma"]) for r in rows], dataset.daily_volatility)
+
+    def test_fit_garch_reports_boundary_fits(self, tmp_path, cli_workspace, capsys):
+        rc = cli.main(["fit-garch", "--data", str(cli_workspace["data"]),
+                       "--out", str(tmp_path / "daily.csv"),
+                       "--config", str(cli_workspace["config"])])
+        assert rc == 0
+        daily, _ = resample(load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN))
+        reports = []
+        rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
+                         on_fit=reports.append)
+        k = sum(r.at_boundary for r in reports)
+        assert f"{k} of {len(reports)} GARCH refits at a constraint boundary\n" \
+            in capsys.readouterr().out
 
     def test_train_outputs(self, cli_workspace):
         out_dir = cli_workspace["out_dir"]

@@ -9,9 +9,9 @@ import pytest
 
 from mctg import garch
 from mctg import marketdata as md
-from mctg.garch import (ALPHA0_FLOOR, LOG2PI, FitReport, GarchError, GarchParams,
-                        GarchState, filter_variances, fit, forecast_one_step,
-                        log_likelihood, rolling_forecast, simulate_returns)
+from mctg.garch import (ALPHA0_FLOOR, LOG2PI, WARMUP_FLOOR, FitReport, GarchError,
+                        GarchParams, filter_variances, fit, log_likelihood,
+                        rolling_forecast, simulate_returns)
 from conftest import TRUE_GARCH
 
 
@@ -62,6 +62,24 @@ def frozen_market_returns(seed):
     return np.diff(np.log(daily.values[:, 3]))
 
 
+def state_forecast_oracle(returns, window, refit_every, reports):
+    """Rolling forecasts recomputed from each refit's parameters with the
+    state-based step: the squared last residual and the last filtered variance
+    of ``returns[t-window:t]`` advanced by one recursion step."""
+    out = np.empty(len(returns))
+    for t in range(window):
+        std = float(np.std(returns[:t], ddof=1)) if t >= 2 else 0.0
+        out[t] = max(std, WARMUP_FLOOR)
+    for t in range(window, len(returns)):
+        params = reports[(t - window) // refit_every].params
+        segment = returns[t - window:t]
+        last_residual_sq = (segment[-1] - params.mu) ** 2
+        last_variance = indexed_loop_filter(params, segment)[-1]
+        out[t] = math.sqrt(params.alpha0 + params.alpha1 * last_residual_sq
+                           + params.beta1 * last_variance)
+    return out
+
+
 def random_params(rng):
     a1 = rng.uniform(0.0, 0.4)
     b1 = rng.uniform(0.0, 0.95 - a1)
@@ -76,8 +94,6 @@ class TestParams:
             GarchParams(0.0, 0.1, -0.1, 0.8)
         with pytest.raises(GarchError):
             GarchParams(0.0, 0.1, 0.5, 0.5)
-        with pytest.raises(GarchError):
-            GarchState(-1.0, 0.5)
 
     def test_unconditional_variance(self):
         p = GarchParams(0.0, 0.05, 0.10, 0.85)
@@ -220,22 +236,6 @@ class TestFit:
         assert garch_fit_10k.log_likelihood >= best - 1e-6
 
 
-class TestForecastOneStep:
-    def test_zero_state(self):
-        p = GarchParams(0.0, 0.04, 0.2, 0.7)
-        assert forecast_one_step(p, GarchState(0.0, 0.0)) == pytest.approx(0.2)
-
-    def test_hand_arithmetic(self):
-        p = GarchParams(0.0, 0.1, 0.2, 0.7)
-        sigma = forecast_one_step(p, GarchState(0.25, 1.0))
-        assert sigma == pytest.approx(math.sqrt(0.85))
-
-    def test_state_decoupled_when_coeffs_zero(self):
-        p = GarchParams(0.0, 0.09, 0.0, 0.0)
-        for state in (GarchState(0.0, 0.0), GarchState(5.0, 3.0)):
-            assert forecast_one_step(p, state) == pytest.approx(0.3)
-
-
 class TestRollingForecast:
     def test_iid_forecasts_near_true_std(self):
         rng = np.random.default_rng(6)
@@ -282,6 +282,14 @@ class TestRollingForecast:
         assert np.array_equal(sigma, oracle)
         assert len(reports) == 26
         assert reports == oracle_reports
+
+    @pytest.mark.parametrize("seed", [2024, 5])
+    def test_frozen_market_equal_to_state_step(self, seed):
+        returns = frozen_market_returns(seed)
+        reports = []
+        sigma = rolling_forecast(returns, 250, 20, on_fit=reports.append)
+        assert len(reports) == 26
+        assert np.array_equal(sigma, state_forecast_oracle(returns, 250, 20, reports))
 
     def test_bad_arguments(self):
         with pytest.raises(GarchError):

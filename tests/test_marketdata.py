@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,11 +353,26 @@ def per_day_fit_statistics(dataset, days):
 
 
 @pytest.fixture(scope="module")
-def frozen_train_dataset():
-    """The acceptance suite's training range: rolling GARCH 250/20, and the
-    last 220 aligned days held out."""
+def frozen_split():
+    """The acceptance suite's train and test segments: rolling GARCH 250/20,
+    and the last 220 aligned days held out."""
     dataset = evalcli.build_dataset(frozen_market_bars()[0], 250, 20)
-    return split(dataset, dataset.trading_days[dataset.n_days - 220])[0]
+    return split(dataset, dataset.trading_days[dataset.n_days - 220])
+
+
+@pytest.fixture(scope="module")
+def frozen_train_dataset(frozen_split):
+    return frozen_split[0]
+
+
+def per_observation_transform(norm, obs):
+    """Each window of one observation z-scored by itself: the reference the
+    whole-dataset transform must match bit for bit."""
+    return md.Observation(
+        (obs.short_window - norm.short_mean_) / norm.short_std_,
+        (obs.mid_window - norm.mid_mean_) / norm.mid_std_,
+        (obs.long_window - norm.long_mean_) / norm.long_std_,
+    )
 
 
 class TestNormalizer:
@@ -390,7 +406,7 @@ class TestNormalizer:
     def test_zscore_arithmetic(self, small_dataset):
         norm = ObservationNormalizer().fit(small_dataset, range(small_dataset.n_days))
         obs = window_at(small_dataset, 3)
-        out = norm.transform(obs)
+        out = window_at(norm.transform(small_dataset), 3)
         expected = (obs.mid_window - norm.mid_mean_) / norm.mid_std_
         assert np.array_equal(out.mid_window, expected)
 
@@ -403,8 +419,10 @@ class TestNormalizer:
         norm.long_mean_ = np.zeros(6)
         norm.long_std_ = np.ones(6)
         norm.fitted_ = True
-        obs = md.Observation(np.full((48, 6), 9.0), np.zeros((30, 7)), np.zeros((30, 6)))
-        assert np.all(norm.transform(obs).short_window == 2.0)
+        n = small_dataset.n_days
+        ds = replace(small_dataset, short_windows=np.full((n, 48, 6), 9.0),
+                     mid_windows=np.zeros((n, 30, 7)), long_windows=np.zeros((n, 30, 6)))
+        assert np.all(norm.transform(ds).short_windows == 2.0)
 
     def test_constant_columns_normalize_to_zero(self):
         five_min = make_series(160, drift=0.0, alpha0=0.0, alpha1=0.0, beta1=0.0,
@@ -412,15 +430,15 @@ class TestNormalizer:
         daily, weekly = resample(five_min)
         ds = align(five_min, daily, weekly, np.full(len(daily), 0.01))
         norm = ObservationNormalizer().fit(ds, range(ds.n_days))
-        out = norm.transform(window_at(ds, 0))
+        out = window_at(norm.transform(ds), 0)
         # price columns are constant; they must map to exactly 0
         assert np.all(out.short_window[:, :4] == 0.0)
 
     def test_train_columns_standardized(self, small_dataset):
         ds = small_dataset
         norm = ObservationNormalizer().fit(ds, range(ds.n_days))
-        stacked = np.vstack([norm.transform(window_at(ds, k)).mid_window
-                             for k in range(ds.n_days)])
+        normalized = norm.transform(ds)
+        stacked = np.vstack([window_at(normalized, k).mid_window for k in range(ds.n_days)])
         assert np.all(np.abs(stacked.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(stacked.std(axis=0) - 1.0) < 1e-9)
 
@@ -441,7 +459,33 @@ class TestNormalizer:
 
     def test_unfitted_raises(self, small_dataset):
         with pytest.raises(MarketDataError, match="not fitted"):
-            ObservationNormalizer().transform(window_at(small_dataset, 0))
+            ObservationNormalizer().transform(small_dataset)
+
+    def test_transform_equals_per_observation_oracle(self, frozen_split):
+        train, test = frozen_split
+        norm = ObservationNormalizer().fit(train, range(train.n_days))
+        for ds in (train, test):
+            normalized = norm.transform(ds)
+            for k in range(ds.n_days):
+                expected = per_observation_transform(norm, window_at(ds, k))
+                got = window_at(normalized, k)
+                for kind in ("short", "mid", "long"):
+                    assert np.array_equal(getattr(got, f"{kind}_window"),
+                                          getattr(expected, f"{kind}_window")), (k, kind)
+
+    def test_transform_returns_read_only_arrays_and_keeps_input(self, small_dataset,
+                                                                small_normalizer):
+        ds = small_dataset
+        before = {name: getattr(ds, name).copy()
+                  for name in ("short_windows", "mid_windows", "long_windows", "opens")}
+        normalized = small_normalizer.transform(ds)
+        for name in ("short_windows", "mid_windows", "long_windows"):
+            assert getattr(normalized, name) is not getattr(ds, name)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(normalized, name)[0, 0, 0] = 1.0
+        assert normalized.opens is ds.opens
+        assert normalized.trading_days == ds.trading_days
+        assert all(np.array_equal(getattr(ds, name), value) for name, value in before.items())
 
 
 class TestSimulateMarket:
