@@ -71,8 +71,9 @@ def cmd_fit_garch(args) -> int:
         for ts, row, s in zip(daily.timestamps, daily.values, daily_vol):
             writer.writerow([ts.date().isoformat()]
                             + [repr(float(x)) for x in row] + [repr(float(s))])
+    health = evalcli.garch_fit_health(reports)
     print(f"wrote {len(daily)} daily bars with sigma to {args.out}")
-    print(f"{sum(r.at_boundary for r in reports)} of {len(reports)} "
+    print(f"{health['garch_boundary_fits']} of {health['garch_fits']} "
           "GARCH refits at a constraint boundary")
     return 0
 
@@ -101,9 +102,10 @@ def _pinned(cfg: dict, metadata: dict, field: str, resolved):
     return pinned
 
 
-def _load_dataset(data_path: str, garch_window: int, garch_refit_every: int):
+def _load_dataset(data_path: str, garch_window: int, garch_refit_every: int,
+                  on_fit=None):
     five_min = load_bars(data_path, Frequency.FIVE_MIN)
-    return evalcli.build_dataset(five_min, garch_window, garch_refit_every)
+    return evalcli.build_dataset(five_min, garch_window, garch_refit_every, on_fit)
 
 
 def cmd_train(args) -> int:
@@ -114,7 +116,9 @@ def cmd_train(args) -> int:
     env_config = evalcli.section_from_config(cfg, "env")
     garch = evalcli.section_from_config(cfg, "garch")
     split_config = evalcli.section_from_config(cfg, "data")
-    dataset = _load_dataset(args.data, garch.window, garch.refit_every)
+    fit_reports = []
+    dataset = _load_dataset(args.data, garch.window, garch.refit_every,
+                            fit_reports.append)
     boundary = evalcli.split_boundary(dataset, split_config)
     train_ds, _ = split(dataset, boundary)
 
@@ -131,6 +135,7 @@ def cmd_train(args) -> int:
         "garch_refit_every": garch.refit_every,
         "split_boundary": boundary.isoformat(),
         "seed": args.seed,
+        **evalcli.garch_fit_health(fit_reports),
     }
 
     def checkpoint_fn(update_index, pol, adam_state):

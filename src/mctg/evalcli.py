@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ppo as ppo_mod
 from .env import EnvConfig, EnvError, TradingEnv, buy_and_hold
-from .garch import WARMUP_FLOOR, GarchConfig, GarchError, rolling_forecast
+from .garch import WARMUP_FLOOR, FitReport, GarchConfig, GarchError, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketDataError, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import AdamState
@@ -114,7 +114,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     trajectory_rows: list[dict] = []
     while not env.done:
         out, _ = policy.forward(policy.flatten_observation(obs), mode="eval")
-        action = float(np.clip(out.action_mean[0], -1.0, 1.0))
+        action = min(max(float(out.action_mean[0]), -1.0), 1.0)
         result = env.step(action)
         obs = result.observation
         info = result.info
@@ -350,21 +350,29 @@ def section_from_config(cfg: dict, section: str, **overrides):
 
 # -- dataset pipeline ------------------------------------------------------------
 
-def build_dataset(five_min: BarSeries, garch_window: int,
-                  garch_refit_every: int) -> AlignedDataset:
+def build_dataset(five_min: BarSeries, garch_window: int, garch_refit_every: int,
+                  on_fit=None) -> AlignedDataset:
     """Resample a 5-minute feed, attach rolling volatility forecasts, align.
 
     Day i's volatility forecast is causal: it only sees close-to-close
-    log-returns realized before day i.
+    log-returns realized before day i. ``on_fit`` goes to ``rolling_forecast``.
     """
     daily, weekly = resample(five_min)
     closes = daily.values[:, 3]
     returns = np.diff(np.log(closes))
-    sigma = rolling_forecast(returns, window=garch_window, refit_every=garch_refit_every)
+    sigma = rolling_forecast(returns, window=garch_window, refit_every=garch_refit_every,
+                             on_fit=on_fit)
     # returns[t] ends on day t+1, so its forecast belongs to day t+1; day 0
     # gets the positive warm-up floor.
     daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
     return align(five_min, daily, weekly, daily_vol)
+
+
+def garch_fit_health(reports: list[FitReport]) -> dict[str, int]:
+    """``garch_fits``: the rolling refits that returned a fit;
+    ``garch_boundary_fits``: how many of them sit at a constraint boundary."""
+    return {"garch_fits": len(reports),
+            "garch_boundary_fits": sum(r.at_boundary for r in reports)}
 
 
 def split_boundary(dataset: AlignedDataset, settings: SplitConfig) -> dt.date:

@@ -75,16 +75,19 @@ def compute_gae(rewards, values, dones, bootstrap_value: float,
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     dones = np.asarray(dones, dtype=bool)
-    n = len(rewards)
-    adv = np.empty(n)
+    # The recursion runs on Python floats: the same IEEE arithmetic as numpy
+    # scalars, without their per-element indexing cost.
+    r, v, d = rewards.tolist(), values.tolist(), dones.tolist()
+    adv = [0.0] * len(r)
     next_adv = 0.0
-    next_value = bootstrap_value
-    for t in range(n - 1, -1, -1):
-        live = 0.0 if dones[t] else 1.0
-        delta = rewards[t] + gamma * next_value * live - values[t]
+    next_value = float(bootstrap_value)
+    for t in range(len(r) - 1, -1, -1):
+        live = 0.0 if d[t] else 1.0
+        delta = r[t] + gamma * next_value * live - v[t]
         next_adv = delta + gamma * lam * live * next_adv
         adv[t] = next_adv
-        next_value = values[t]
+        next_value = v[t]
+    adv = np.array(adv)
     return adv, adv + values
 
 

@@ -210,6 +210,7 @@ def test_advantage_estimation_exhaustive():
     _line("advantage-estimation", worst < 1e-12, f"max_err={worst:.2e}")
 
 
+@pytest.mark.slow
 def test_learning_signal(frozen_market):
     train_ds, test_ds, normalizer = frozen_market
     improved = 0

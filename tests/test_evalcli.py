@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mctg import cli, evalcli
-from mctg.env import EnvConfig, buy_and_hold
+from mctg.env import EnvConfig, EnvError, TradingEnv, buy_and_hold
 from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
@@ -119,6 +119,33 @@ class TestBacktest:
                                 small_normalizer)
         curve = buy_and_hold(small_dataset, 0, small_dataset.n_days - 1, EnvConfig())
         assert np.allclose([row["bh_value"] for row in equity], curve)
+
+    def test_deterministic_action_clip_matches_np_clip(self, small_dataset,
+                                                       small_normalizer, monkeypatch):
+        means = [-1.5, -1.0, -0.0, 0.3, 1.0, 1.5, np.nextafter(1.0, 2.0), -np.inf]
+        policy = inert_policy()
+        forward = policy.forward
+        calls = iter(range(len(means) + 1))
+
+        def scripted_forward(flat, mode="eval", rng=None):
+            out, cache = forward(flat, mode, rng)
+            k = next(calls)
+            out.action_mean = np.array([means[k] if k < len(means) else np.nan])
+            return out, cache
+
+        monkeypatch.setattr(policy, "forward", scripted_forward)
+        stepped = []
+        step = TradingEnv.step
+        monkeypatch.setattr(TradingEnv, "step",
+                            lambda env, a: stepped.append(a) or step(env, a))
+        # the NaN mean after the scripted ones still reaches env.step, which rejects it
+        with pytest.raises(EnvError, match="outside"):
+            backtest(policy, small_dataset, EnvConfig(), small_normalizer)
+        want = [float(np.clip(m, -1.0, 1.0)) for m in means]
+        assert [np.float64(a).tobytes() for a in stepped[:-1]] \
+            == [np.float64(a).tobytes() for a in want]
+        assert all(type(a) is float for a in stepped)
+        assert len(stepped) == len(means) + 1 and np.isnan(stepped[-1])
 
     def test_requires_fitted_normalizer(self, small_dataset):
         with pytest.raises(EvalError, match="fitted"):
@@ -432,6 +459,18 @@ class TestCli:
         k = sum(r.at_boundary for r in reports)
         assert f"{k} of {len(reports)} GARCH refits at a constraint boundary\n" \
             in capsys.readouterr().out
+
+    def test_train_records_garch_fit_health(self, cli_workspace):
+        daily, _ = resample(load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN))
+        reports = []
+        rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
+                         on_fit=reports.append)
+        meta = load_checkpoint(str(cli_workspace["checkpoint"])).metadata
+        assert meta["garch_fits"] == len(reports) > 0
+        assert meta["garch_boundary_fits"] == sum(r.at_boundary for r in reports)
+        assert evalcli.garch_fit_health(reports) == {
+            "garch_fits": meta["garch_fits"],
+            "garch_boundary_fits": meta["garch_boundary_fits"]}
 
     def test_train_outputs(self, cli_workspace):
         out_dir = cli_workspace["out_dir"]

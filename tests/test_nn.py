@@ -2,12 +2,133 @@ import numpy as np
 import pytest
 
 from mctg import nn
+from mctg.evalcli import VARIANTS
+from mctg.marketdata import window_at
 from mctg.nn import (AdamState, DenseLayer, DropoutLayer, Network, NetworkError,
                      adam_step, backward, forward, grad_check, mlp)
+from mctg.policy import Policy
 
 
 def identity_layer(n):
     return DenseLayer(np.eye(n), np.zeros(n), "identity")
+
+
+# -- oracle: the per-layer expression forward, kept to pin the in-place form ---
+
+def _activate(name, z):
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "identity":
+        return z
+    raise AssertionError(name)
+
+
+def oracle_forward(net, x, mode="eval", rng=None):
+    """``_activate(act, h @ W.T + b)`` per dense layer, dropout as in ``forward``;
+    returns the output and the (inputs, acts, masks) a ForwardCache holds."""
+    inputs, acts, masks = [], [], []
+    h = np.asarray(x, dtype=np.float64)
+    for layer in net.layers:
+        inputs.append(h)
+        if isinstance(layer, DropoutLayer):
+            mask = None
+            if mode == "train":
+                keep = 1.0 - layer.rate
+                mask = (rng.random(h.shape) < keep) / keep
+                h = h * mask
+            masks.append(mask)
+        else:
+            h = _activate(layer.activation, h @ layer.weights.T + layer.bias)
+            masks.append(None)
+        acts.append(h)
+    return h, inputs, acts, masks
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def oracle_policy_forward(policy, flat, mode="eval", rng=None):
+    chunks = [oracle_forward(policy.branches[b], flat[b], mode, rng)[0]
+              * policy.branch_weights[b] for b in policy.config.branches]
+    state = np.concatenate(chunks, axis=1)
+    mean = oracle_forward(policy.policy_trunk, state, mode, rng)[0]
+    value = oracle_forward(policy.value_trunk, state, mode, rng)[0]
+    return mean[:, 0], value[:, 0]
+
+
+def frozen(arrays):
+    """Mark ``arrays`` read-only so any write into them raises."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
+# The layer shapes of the MCTG policy: three branches and the two trunks.
+POLICY_NETS = {
+    "short": ([288, 32, 16, 16], "tanh", 0.25),
+    "mid": ([210, 32, 16, 16], "tanh", 0.25),
+    "long": ([180, 32, 16, 16], "tanh", 0.25),
+    "trunk": ([48, 32, 1], "identity", 0.0),
+}
+
+
+class TestForwardOracle:
+    @pytest.mark.parametrize("rows", [1, 256, 1024])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("name", sorted(POLICY_NETS))
+    def test_bit_for_bit_with_per_layer_expression(self, name, mode, rows):
+        sizes, out_act, dropout = POLICY_NETS[name]
+        net = mlp(sizes, out_activation=out_act, dropout=dropout,
+                  rng=np.random.default_rng(11))
+        x = np.random.default_rng(12).normal(size=(rows, sizes[0]))
+        want, inputs, acts, masks = oracle_forward(net, x, mode, np.random.default_rng(13))
+        # forward may write only into arrays it created: input and parameters are frozen
+        frozen([x, *net.parameters()])
+        y, cache = forward(net, x, mode, np.random.default_rng(13))
+        assert np.array_equal(y, want)
+        assert y is cache.acts[-1]
+        assert_same_entries(cache.inputs, inputs)
+        assert_same_entries(cache.acts, acts)
+        assert_same_entries(cache.masks, masks)
+
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_policy_forward_bit_for_bit(self, variant, rows, mode):
+        rng = np.random.default_rng(16)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        flat = {b: rng.normal(size=(rows, d))
+                for b, d in policy.config.input_dims().items()}
+        want_mean, want_value = oracle_policy_forward(policy, flat, mode,
+                                                      np.random.default_rng(17))
+        frozen([*flat.values(), *policy.parameters()])
+        out, _ = policy.forward(flat, mode, np.random.default_rng(17))
+        assert np.array_equal(out.action_mean, want_mean)
+        assert np.array_equal(out.value, want_value)
+
+    # DNN's mid input drops the GARCH column, a copy; DNN-GARCH's is a view.
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN-GARCH"])
+    def test_read_only_dataset_row_view_stays_untouched(self, variant, small_dataset,
+                                                        small_normalizer):
+        dataset = small_normalizer.transform(small_dataset)
+        policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(18))
+        flat = policy.flatten_observation(window_at(dataset, 40))
+        views = [a for a in flat.values() if np.shares_memory(a, dataset.short_windows)
+                 or np.shares_memory(a, dataset.mid_windows)
+                 or np.shares_memory(a, dataset.long_windows)]
+        assert views and not any(a.flags.writeable for a in views)
+        before = {b: a.copy() for b, a in flat.items()}
+        want_mean, want_value = oracle_policy_forward(policy, flat)
+        out, _ = policy.forward(flat)
+        assert np.array_equal(out.action_mean, want_mean)
+        assert np.array_equal(out.value, want_value)
+        for b, a in flat.items():
+            assert np.array_equal(a, before[b])
 
 
 class TestForward:

@@ -105,6 +105,17 @@ class TestForward:
         assert out.action_mean[0] == pytest.approx(mean[0, 0], abs=1e-14)
         assert out.value[0] == pytest.approx(value[0, 0], abs=1e-14)
 
+    @pytest.mark.parametrize("log_std", [-20.0, -5.0, np.nextafter(-5.0, 0.0), -0.5,
+                                         0.0, np.nextafter(1.0, 0.0), 1.0, 10.0,
+                                         -np.inf, np.inf, np.nan])
+    def test_action_std_clamp_matches_np_clip(self, log_std):
+        # below, at and inside both bounds, above them, and non-finite
+        policy = Policy(small_config(), np.random.default_rng(6))
+        policy.log_std[...] = log_std
+        cfg = policy.config
+        want = float(np.exp(np.clip(policy.log_std, cfg.log_std_min, cfg.log_std_max)))
+        assert np.float64(policy.action_std).tobytes() == np.float64(want).tobytes()
+
     def test_action_std_clamped(self):
         rng = np.random.default_rng(6)
         policy = Policy(small_config(), rng)
@@ -261,6 +272,28 @@ class TestGaussianHead:
         stds = [0.1, 0.5, 1.0, 3.0]
         ents = [gaussian_entropy(s) for s in stds]
         assert ents == sorted(ents)
+
+    def test_sample_action_clip_matches_np_clip(self):
+        # means chosen so the same-seed draws land exactly on each target
+        targets = [-1.5, -1.0, 0.3, 1.0, 1.5]
+        std = 0.7
+        noise = std * np.random.default_rng(17).standard_normal(len(targets))
+        mean = []
+        for t, e in zip(targets, noise):
+            m = t - e
+            while m + e != t:
+                m = np.nextafter(m, np.inf if m + e < t else -np.inf)
+            mean.append(m)
+        mean.append(np.nan)
+        from mctg.policy import PolicyOutput
+        out = PolicyOutput(action_mean=np.array(mean), action_std=std,
+                           value=np.zeros(len(mean)))
+        action, u, logp = sample_action(out, np.random.default_rng(17))
+        assert np.array_equal(u[:-1], targets)
+        want = np.clip(u, -1.0, 1.0)
+        assert action.tobytes() == want.tobytes()
+        assert np.array_equal(logp, gaussian_log_prob(u, out.action_mean, std),
+                              equal_nan=True)
 
     def test_sampled_actions_always_in_range(self):
         rng = np.random.default_rng(16)

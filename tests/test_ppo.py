@@ -112,6 +112,40 @@ class TestGae:
                 want = self.suffix_oracle(r, v, dones, 0.7, 0.99, 0.95)
                 assert np.allclose(adv, want, atol=1e-12)
 
+    @staticmethod
+    def indexed_loop(rewards, values, dones, bootstrap_value, gamma, lam):
+        """The recursion indexing numpy arrays element by element: the oracle
+        the Python-float loop must match bit for bit."""
+        rewards = np.asarray(rewards, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        dones = np.asarray(dones, dtype=bool)
+        n = len(rewards)
+        adv = np.empty(n)
+        next_adv = 0.0
+        next_value = bootstrap_value
+        for t in range(n - 1, -1, -1):
+            live = 0.0 if dones[t] else 1.0
+            delta = rewards[t] + gamma * next_value * live - values[t]
+            next_adv = delta + gamma * lam * live * next_adv
+            adv[t] = next_adv
+            next_value = values[t]
+        return adv, adv + values
+
+    def test_bit_for_bit_with_indexed_loop(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 64, 1024):
+            for done_rate in (0.0, 0.05, 0.5):
+                r = rng.normal(0.0, 0.02, size=n)
+                v = rng.normal(size=n)
+                dones = rng.random(n) < done_rate
+                # the bootstrap comes from a forward as a numpy scalar
+                boot = np.float64(rng.normal())
+                gamma, lam = float(rng.uniform(0.5, 1)), float(rng.uniform(0, 1))
+                adv, ret = compute_gae(r, v, dones, boot, gamma, lam)
+                want_adv, want_ret = self.indexed_loop(r, v, dones, boot, gamma, lam)
+                assert adv.dtype == np.float64 and adv.shape == (n,)
+                assert np.array_equal(adv, want_adv) and np.array_equal(ret, want_ret)
+
     def test_normalization(self):
         rng = np.random.default_rng(3)
         adv = normalize_advantages(rng.normal(2.0, 3.0, size=500))
