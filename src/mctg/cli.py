@@ -18,8 +18,8 @@ import numpy as np
 from . import evalcli, ppo
 from .env import EnvError, TradingEnv
 from .garch import WARMUP_FLOOR, GarchError, rolling_forecast
-from .marketdata import (Frequency, MarketDataError, ObservationNormalizer,
-                         load_bars, resample, save_bars, simulate_market, split)
+from .marketdata import (MarketDataError, ObservationNormalizer, load_bars, resample,
+                         save_bars, simulate_market, split)
 from .nn import AdamState, NetworkError
 from .policy import Policy, PolicyError
 from .ppo import PpoError
@@ -57,7 +57,7 @@ def cmd_generate_data(args) -> int:
 
 def cmd_fit_garch(args) -> int:
     garch = evalcli.section_from_config(_load_config(args.config), "garch")
-    five_min = load_bars(args.data, Frequency.FIVE_MIN)
+    five_min = load_bars(args.data)
     daily, _ = resample(five_min)
     returns = np.diff(np.log(daily.values[:, 3]))
     reports = []
@@ -104,7 +104,7 @@ def _pinned(cfg: dict, metadata: dict, field: str, resolved):
 
 def _load_dataset(data_path: str, garch_window: int, garch_refit_every: int,
                   on_fit=None):
-    five_min = load_bars(data_path, Frequency.FIVE_MIN)
+    five_min = load_bars(data_path)
     return evalcli.build_dataset(five_min, garch_window, garch_refit_every, on_fit)
 
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .marketdata import AlignedDataset, Observation, window_at
 
+MIN_EPISODE_STEPS = 2   # shortest episode a random start may leave
+
 
 class EnvError(Exception):
     pass
@@ -26,10 +28,7 @@ class EnvConfig:
     initial_cash: float = 1_000_000.0
     tax_rate: float = 0.001
     lot_size: int = 100
-    start: int = 0
-    end: int | None = None          # inclusive day index; None = last day
     random_start: bool = False
-    min_episode_steps: int = 2      # shortest episode a random start may leave
 
     def __post_init__(self):
         if self.initial_cash <= 0:
@@ -87,19 +86,19 @@ def map_action(a: float, p: PortfolioState, opening: float, config: EnvConfig) -
 class TradingEnv:
     """Single-owner mutable environment over an aligned dataset.
 
-    Observations are read from the dataset, normalized once here when a fitted
-    normalizer is supplied, and cached per day, as they do not depend on the
-    agent's actions.
+    An episode runs to the dataset's last day, from its first day or, with
+    ``random_start``, from a random day at least ``MIN_EPISODE_STEPS`` before
+    the last; ``split`` cuts a dataset to a sub-range. Observations are read
+    from the dataset, normalized once here when a fitted normalizer is
+    supplied, and cached per day, as they do not depend on the agent's actions.
     """
 
     def __init__(self, dataset: AlignedDataset, config: EnvConfig, normalizer=None):
-        end = config.end if config.end is not None else dataset.n_days - 1
-        if not 0 <= config.start < end < dataset.n_days:
-            raise EnvError(
-                f"episode range [{config.start}, {end}] invalid for {dataset.n_days} days")
+        if dataset.n_days < 2:
+            raise EnvError(f"an episode needs at least 2 days, got {dataset.n_days}")
         self.dataset = dataset if normalizer is None else normalizer.transform(dataset)
         self.config = config
-        self.end = end
+        self.end = dataset.n_days - 1
         self.opens = dataset.opens
         self._obs_cache: dict[int, Observation] = {}
         self.state: PortfolioState | None = None
@@ -114,14 +113,14 @@ class TradingEnv:
 
     def reset(self, rng: np.random.Generator | None = None
               ) -> tuple[PortfolioState, Observation]:
-        start = self.config.start
+        start = 0
         if self.config.random_start:
             if rng is None:
                 raise EnvError("random_start requires an rng")
-            latest = self.end - self.config.min_episode_steps
-            if latest < start:
+            latest = self.end - MIN_EPISODE_STEPS
+            if latest < 0:
                 raise EnvError("episode range too short for random starts")
-            start = int(rng.integers(start, latest + 1))
+            start = int(rng.integers(0, latest + 1))
         self.state = PortfolioState(self.config.initial_cash, 0, start)
         self._prev_value = self.config.initial_cash
         self._prev_open = float(self.opens[start])
@@ -172,19 +171,16 @@ class TradingEnv:
         return StepResult(obs, reward, done, info)
 
 
-def buy_and_hold(dataset: AlignedDataset, start: int, end: int,
-                 config: EnvConfig) -> np.ndarray:
-    """Equity curve of the all-in buy (``map_action`` at a = 1) at the first
-    open, then holding.
+def buy_and_hold(dataset: AlignedDataset, config: EnvConfig) -> np.ndarray:
+    """Equity curve of the all-in buy (``map_action`` at a = 1) at the
+    dataset's first open, then holding.
 
-    The curve is marked at daily opens over [start, end]; entry tax is paid at
-    index ``start``.
+    The curve is marked at every daily open of the dataset; entry tax is paid
+    at index 0.
     """
-    if not 0 <= start <= end < dataset.n_days:
-        raise EnvError(f"range [{start}, {end}] invalid for {dataset.n_days} days")
-    opens = dataset.opens[start:end + 1]
+    opens = dataset.opens
     entry = opens[0]
-    shares = map_action(1.0, PortfolioState(config.initial_cash, 0, start), entry,
+    shares = map_action(1.0, PortfolioState(config.initial_cash, 0, 0), entry,
                         config).signed_shares
     cash = config.initial_cash - shares * entry * (1.0 + config.tax_rate)
     return cash + shares * opens

@@ -103,11 +103,11 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     if not normalizer.fitted_:
         raise EvalError("backtest requires fitted normalization statistics")
     env = TradingEnv(dataset, env_config, normalizer)
-    bh = buy_and_hold(dataset, env_config.start, env.end, env_config)
+    bh = buy_and_hold(dataset, env_config)
 
     _, obs = env.reset()
     equity_rows = [{
-        "date": dataset.date(env_config.start), "value": env_config.initial_cash,
+        "date": dataset.date(0), "value": env_config.initial_cash,
         "bh_value": float(bh[0]), "action": 0.0, "shares": 0,
         "cash": env_config.initial_cash, "tax_paid": 0.0,
     }]
@@ -203,11 +203,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise EvalError(f"{path}: corrupt checkpoint: {e}") from None
+    _check_object(doc, f"{path}: checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise EvalError(f"{path}: checkpoint format version {version}, "
                         f"this build reads version {CHECKPOINT_VERSION}")
     try:
+        doc.setdefault("metadata", {})
+        # norm_stats is checked by ObservationNormalizer.from_dict.
+        for name in ("policy_config", "params", "metadata"):
+            _check_object(doc[name], f"{path}: checkpoint field {name!r}")
         stored = {f.name: doc["policy_config"][f.name] for f in fields(PolicyConfig)}
         # JSON stores the config's tuples as lists.
         config = PolicyConfig(**{name: tuple(v) if isinstance(v, list) else v
@@ -217,10 +222,16 @@ def load_checkpoint(path: str) -> Checkpoint:
             variant=doc["variant"], policy_config=config, param_values=params,
             adam=doc["adam"], training_step=int(doc["training_step"]),
             rng_state=doc["rng_state"], norm_stats=doc["norm_stats"],
-            metadata=doc.get("metadata", {}),
+            metadata=doc["metadata"],
         )
     except KeyError as e:
         raise EvalError(f"{path}: checkpoint lacks field {e.args[0]!r}") from None
+
+
+def _check_object(value, what: str) -> None:
+    """JSON read from a file can be valid yet of the wrong shape."""
+    if not isinstance(value, dict):
+        raise EvalError(f"{what} is not a JSON object")
 
 
 # -- report --------------------------------------------------------------------
@@ -235,7 +246,9 @@ def report(metrics_docs: list[dict]) -> list[dict]:
     groups: dict[str, list[tuple[float, float]]] = {}
     for n, doc in enumerate(metrics_docs, start=1):
         try:
+            _check_object(doc, f"metrics document {n}")
             metrics = doc["metrics"]
+            _check_object(metrics, f"metrics document {n} field 'metrics'")
             rates = (metrics["profit_rate_annualized"], metrics["tax_rate_annualized"])
             groups.setdefault(doc["variant"], []).append(rates)
         except KeyError as e:
@@ -305,22 +318,18 @@ class SplitConfig:
             raise EvalError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
-# Dotted config section -> (dataclass it fills, fields a config file cannot
-# set). Defaults live only on the dataclasses. The episode range is chosen by
-# each command, never read from a file.
+# Dotted config section -> the dataclass it fills; every field is a key.
+# Defaults live only on the dataclasses.
 _SECTIONS = {
-    "market": (MarketGenParams, ()),
-    "ppo": (ppo_mod.PpoConfig, ()),
-    "env": (EnvConfig, ("start", "end", "min_episode_steps")),
-    "garch": (GarchConfig, ()),
-    "data": (SplitConfig, ()),
+    "market": MarketGenParams,
+    "ppo": ppo_mod.PpoConfig,
+    "env": EnvConfig,
+    "garch": GarchConfig,
+    "data": SplitConfig,
 }
 
-CONFIG_KEYS = tuple(
-    f"{section}.{f.name}"
-    for section, (cls, fixed) in _SECTIONS.items()
-    for f in fields(cls) if f.name not in fixed
-)
+CONFIG_KEYS = tuple(f"{section}.{f.name}"
+                    for section, cls in _SECTIONS.items() for f in fields(cls))
 
 
 def check_config_keys(cfg: dict) -> None:
@@ -333,12 +342,12 @@ def check_config_keys(cfg: dict) -> None:
 def section_from_config(cfg: dict, section: str, **overrides):
     """Build a section's dataclass from the keys present in ``cfg``; absent
     keys keep the dataclass defaults and ``overrides`` win over both."""
-    cls, fixed = _SECTIONS[section]
+    cls = _SECTIONS[section]
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         key = f"{section}.{f.name}"
-        if f.name not in fixed and key in cfg:
+        if key in cfg:
             kwargs[f.name] = config_get(cfg, key, _CASTS.get(hints[f.name], hints[f.name]))
     try:
         return cls(**{**kwargs, **overrides})

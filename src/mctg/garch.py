@@ -163,19 +163,23 @@ def fit(returns) -> FitReport:
         options={"maxiter": 2000, "xatol": 1e-9, "fatol": 1e-9, "maxfev": 8000})
     iterations = int(coarse.nit)
     converged = bool(coarse.success)
-    best_x = coarse.x if objective(coarse.x) <= objective(x0) else x0
+    # An optimizer's ``fun`` is the objective at its ``x``: no point is evaluated twice.
+    best_x, best_fun = coarse.x, coarse.fun
+    start_fun = objective(x0)
+    if best_fun > start_fun:
+        best_x, best_fun = x0, start_fun
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         polish = optimize.minimize(objective, best_x, method="BFGS",
                                    options={"maxiter": 2000, "gtol": 1e-7})
-    if objective(polish.x) <= objective(best_x):
-        best_x = polish.x
+    if polish.fun <= best_fun:
+        best_x, best_fun = polish.x, polish.fun
         iterations += int(polish.nit)
         converged = converged or bool(polish.success)
     params = _params_from_x(best_x)
     return FitReport(
         params=params,
-        log_likelihood=log_likelihood(params, returns),
+        log_likelihood=float(-best_fun),
         iterations=iterations,
         converged=converged,
         at_boundary=(params.alpha1 + params.beta1 > 1.0 - BOUNDARY_TOL

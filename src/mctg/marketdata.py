@@ -15,7 +15,6 @@ import datetime as dt
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -34,12 +33,6 @@ class MarketDataError(Exception):
     """Bad bar data: malformed files, invariant violations, alignment gaps."""
 
 
-class Frequency(Enum):
-    FIVE_MIN = "5min"
-    DAILY = "daily"
-    WEEKLY = "weekly"
-
-
 def _iso_week(date: dt.date) -> int:
     """ISO week key ``iso_year * 100 + iso_week``; it grows with the date."""
     iso = date.isocalendar()
@@ -55,15 +48,14 @@ class BarError(MarketDataError):
 
 
 class BarSeries:
-    """Time-ordered bars of one frequency, stored column-wise for slicing.
+    """Time-ordered bars, stored column-wise for slicing.
 
     Construction raises BarError for the first bar that is non-finite, has
     low <= 0, a high below or a low above its open/close, negative
     volume/amount, or a timestamp not after the previous one.
     """
 
-    def __init__(self, frequency: Frequency, timestamps: list[dt.datetime],
-                 values: np.ndarray):
+    def __init__(self, timestamps: list[dt.datetime], values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != 6:
             raise MarketDataError(f"bar values must be (n, 6), got {values.shape}")
@@ -85,7 +77,6 @@ class BarSeries:
             i = int(np.argmax(bad))
             reason = next(why for mask, why in checks if mask[i])
             raise BarError(i, f"{reason} at {timestamps[i]}")
-        self.frequency = frequency
         self.timestamps = list(timestamps)
         self.values = values
 
@@ -96,7 +87,7 @@ class BarSeries:
         return [t.date() for t in self.timestamps]
 
 
-def load_bars(path: str, frequency: Frequency) -> BarSeries:
+def load_bars(path: str) -> BarSeries:
     """Load a bar CSV (header ``timestamp,open,high,low,close,volume,amount``).
 
     Rows violating bar invariants or timestamp monotonicity are rejected with
@@ -124,20 +115,19 @@ def load_bars(path: str, frequency: Frequency) -> BarSeries:
     if not rows:
         raise MarketDataError(f"{path}: no bars")
     try:
-        return BarSeries(frequency, timestamps, np.array(rows, dtype=np.float64))
+        return BarSeries(timestamps, np.array(rows, dtype=np.float64))
     except BarError as e:
         raise MarketDataError(f"{path}: row {linenos[e.index]}: {e}") from None
 
 
 def save_bars(series: BarSeries, path: str) -> None:
-    """Write a BarSeries back to the CSV format accepted by load_bars."""
-    date_only = series.frequency is not Frequency.FIVE_MIN
+    """Write a BarSeries back to the CSV format accepted by load_bars, with
+    timestamps to the minute."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for ts, row in zip(series.timestamps, series.values):
-            stamp = ts.date().isoformat() if date_only else ts.strftime("%Y-%m-%dT%H:%M")
-            writer.writerow([stamp] + [repr(float(x)) for x in row])
+            writer.writerow([ts.strftime("%Y-%m-%dT%H:%M")] + [repr(float(x)) for x in row])
 
 
 def _aggregate(rows: np.ndarray) -> np.ndarray:
@@ -169,8 +159,6 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
     Every trading day must have exactly 48 bars. Daily bars are stamped at
     midnight of their date; weekly bars at the week's last trading day.
     """
-    if five_min.frequency is not Frequency.FIVE_MIN:
-        raise MarketDataError("resample expects a 5-minute series")
     day_ts: list[dt.datetime] = []
     day_rows: list[np.ndarray] = []
     for date, sl in _group_by_date(five_min).items():
@@ -179,7 +167,7 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
             raise MarketDataError(f"day {date} has {n} bars, expected {BARS_PER_DAY}")
         day_ts.append(dt.datetime.combine(date, dt.time()))
         day_rows.append(_aggregate(five_min.values[sl]))
-    daily = BarSeries(Frequency.DAILY, day_ts, np.array(day_rows))
+    daily = BarSeries(day_ts, np.array(day_rows))
 
     week_ts: list[dt.datetime] = []
     week_rows: list[np.ndarray] = []
@@ -190,7 +178,7 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
             week_ts.append(dt.datetime.combine(dates[i - 1], dt.time()))
             week_rows.append(_aggregate(daily.values[start:i]))
             start = i
-    weekly = BarSeries(Frequency.WEEKLY, week_ts, np.array(week_rows))
+    weekly = BarSeries(week_ts, np.array(week_rows))
     return daily, weekly
 
 
@@ -243,11 +231,9 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     bars ending at it, and at least 29 completed weekly bars before its week.
     The weekly window never looks past the decision day: its last row is the
     in-progress week aggregated from daily bars up to and including the day.
+    Series carry no frequency tag: misordered series fail the ``daily_vol``
+    length check or leave no trading day.
     """
-    if five_min.frequency is not Frequency.FIVE_MIN or \
-            daily.frequency is not Frequency.DAILY or \
-            weekly.frequency is not Frequency.WEEKLY:
-        raise MarketDataError("align expects (five_min, daily, weekly) series")
     daily_vol = np.asarray(daily_vol, dtype=np.float64)
     if daily_vol.shape != (len(daily),):
         raise MarketDataError(
@@ -369,12 +355,17 @@ class ObservationNormalizer:
         """Rebuild from ``to_dict`` output. Each statistic must have its
         window's column shape and be finite, and each std must be > 0, as
         ``fit`` writes them; anything else would broadcast or divide silently."""
+        if not isinstance(data, dict):
+            raise MarketDataError("normalizer statistics are not a JSON object")
         norm = cls()
         for kind, shape in cls._KINDS.items():
+            stats = data.get(kind, {})
+            if not isinstance(stats, dict):
+                raise MarketDataError(f"normalizer {kind} is not a JSON object")
             for stat in ("mean", "std"):
-                if stat not in data.get(kind, {}):
+                if stat not in stats:
                     raise MarketDataError(f"normalizer lacks {kind}.{stat}")
-                value = np.asarray(data[kind][stat], dtype=np.float64)
+                value = np.asarray(stats[stat], dtype=np.float64)
                 if value.shape != shape:
                     raise MarketDataError(
                         f"normalizer {kind}.{stat} has shape {value.shape}, expected {shape}")
@@ -496,4 +487,4 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
         rows[sl, 4] = volume
         rows[sl, 5] = amount
         log_p += r
-    return BarSeries(Frequency.FIVE_MIN, timestamps, rows)
+    return BarSeries(timestamps, rows)

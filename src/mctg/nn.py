@@ -84,17 +84,16 @@ class Network:
         return out
 
 
-def mlp(sizes, hidden_activation: str = "tanh", out_activation: str = "identity",
-        dropout: float = 0.0, rng: np.random.Generator | None = None) -> Network:
-    """Build a dense stack; a dropout layer (if any) sits after the first hidden
-    layer. Weights are scaled-normal initialized."""
+def mlp(sizes, rng: np.random.Generator, out_activation: str = "identity",
+        dropout: float = 0.0) -> Network:
+    """Build a dense stack of tanh hidden layers; a dropout layer (if any) sits
+    after the first hidden layer. Weights are scaled-normal initialized from
+    ``rng``."""
     if len(sizes) < 2:
         raise NetworkError("mlp needs at least input and output sizes")
-    if rng is None:
-        rng = np.random.default_rng()
     layers: list = []
     for i in range(len(sizes) - 1):
-        act = out_activation if i == len(sizes) - 2 else hidden_activation
+        act = out_activation if i == len(sizes) - 2 else "tanh"
         w = rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(sizes[i + 1], sizes[i]))
         layers.append(DenseLayer(w, np.zeros(sizes[i + 1]), act))
         if i == 0 and dropout > 0.0 and len(sizes) > 2:

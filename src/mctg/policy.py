@@ -83,22 +83,17 @@ class PolicyCache:
 class Policy:
     """Parameter container plus forward/backward for the full actor-critic."""
 
-    def __init__(self, config: PolicyConfig, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
         dims = config.input_dims()
         sizes = lambda d: [d, *config.branch_hidden, config.branch_out]
         self.branches = {
-            name: nn.mlp(sizes(dim), hidden_activation="tanh", out_activation="tanh",
-                         dropout=config.dropout, rng=rng)
+            name: nn.mlp(sizes(dim), rng, out_activation="tanh", dropout=config.dropout)
             for name, dim in dims.items()
         }
         self.branch_weights = {name: np.ones(config.branch_out) for name in config.branches}
-        self.policy_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1],
-                                   hidden_activation="tanh", rng=rng)
-        self.value_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1],
-                                  hidden_activation="tanh", rng=rng)
+        self.policy_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1], rng)
+        self.value_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1], rng)
         self.log_std = np.array(config.init_log_std, dtype=np.float64)
 
     # -- parameter plumbing -------------------------------------------------

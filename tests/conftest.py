@@ -7,6 +7,12 @@ from mctg import marketdata as md
 TRUE_GARCH = garch.GarchParams(mu=0.0, alpha0=0.05, alpha1=0.10, beta1=0.85)
 
 
+def first_days(dataset, n_days):
+    """The dataset's first ``n_days`` trading days, cut by ``split``: an
+    episode spans them."""
+    return md.split(dataset, dataset.trading_days[n_days])[0]
+
+
 @pytest.fixture(scope="session")
 def garch_sample_10k():
     return garch.simulate_returns(TRUE_GARCH, 10_000, np.random.default_rng(20240817))

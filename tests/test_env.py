@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mctg.env import (EnvConfig, EnvError, Order, PortfolioState, TradingEnv,
-                      buy_and_hold, map_action)
+from mctg.env import (MIN_EPISODE_STEPS, EnvConfig, EnvError, Order, PortfolioState,
+                      TradingEnv, buy_and_hold, map_action)
+from mctg.marketdata import split
+from conftest import first_days
 
 
 def make_env(dataset, **overrides):
@@ -162,7 +164,7 @@ class TestEpisode:
             res = env.step(0.0)
             steps += 1
         assert res.done
-        assert steps == env.end - env.config.start
+        assert steps == env.end == small_dataset.n_days - 1
         with pytest.raises(EnvError):
             env.step(0.0)
 
@@ -185,37 +187,52 @@ class TestEpisode:
         assert run() == run()
 
     def test_random_start_within_range(self, small_dataset):
-        env = TradingEnv(small_dataset, EnvConfig(random_start=True,
-                                                  min_episode_steps=2))
+        env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         rng = np.random.default_rng(3)
         starts = set()
         for _ in range(50):
             state, _ = env.reset(rng)
             starts.add(state.day_index)
-            assert env.config.start <= state.day_index <= env.end - 2
+            assert 0 <= state.day_index <= env.end - MIN_EPISODE_STEPS
         assert len(starts) > 1
         with pytest.raises(EnvError):
             env.reset()  # rng required
 
-    def test_invalid_episode_range(self, small_dataset):
-        with pytest.raises(EnvError):
-            TradingEnv(small_dataset, EnvConfig(start=0, end=small_dataset.n_days))
-        with pytest.raises(EnvError):
-            TradingEnv(small_dataset, EnvConfig(start=5, end=5))
+    def test_random_start_is_one_integers_draw_per_reset(self, small_dataset):
+        # start ~ integers(0, n_days - 1 - MIN_EPISODE_STEPS + 1), one draw per reset
+        env = TradingEnv(small_dataset, EnvConfig(random_start=True))
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(20):
+            state, _ = env.reset(rng)
+            assert state.day_index == int(twin.integers(0, small_dataset.n_days - 2))
+
+    def test_dataset_shorter_than_two_days_rejected(self, small_dataset):
+        with pytest.raises(EnvError, match="at least 2 days"):
+            TradingEnv(first_days(small_dataset, 1), EnvConfig())
+        env = TradingEnv(first_days(small_dataset, 2), EnvConfig())
+        env.reset()
+        assert env.step(0.0).done
+
+    def test_random_start_needs_room_for_a_full_episode(self, small_dataset):
+        env = TradingEnv(first_days(small_dataset, 2), EnvConfig(random_start=True))
+        with pytest.raises(EnvError, match="too short for random starts"):
+            env.reset(np.random.default_rng(0))
+        env = TradingEnv(first_days(small_dataset, 3), EnvConfig(random_start=True))
+        assert env.reset(np.random.default_rng(0))[0].day_index == 0
 
     def test_observation_cached_and_normalized(self, small_dataset, small_normalizer):
         env = TradingEnv(small_dataset, EnvConfig(), normalizer=small_normalizer)
         _, obs = env.reset()
         direct = __import__("mctg.marketdata", fromlist=["window_at"]).window_at(
-            small_normalizer.transform(small_dataset), env.config.start)
+            small_normalizer.transform(small_dataset), 0)
         assert np.array_equal(obs.mid_window, direct.mid_window)
-        assert env.observation(env.config.start) is obs
+        assert env.observation(0) is obs
 
 
 class TestBuyAndHold:
     def test_three_day_hand_accounting(self, small_dataset):
         cfg = EnvConfig(initial_cash=100_000.0)
-        curve = buy_and_hold(small_dataset, 0, 2, cfg)
+        curve = buy_and_hold(first_days(small_dataset, 3), cfg)
         o = small_dataset.opens[:3]
         raw = math.floor(100_000.0 / (o[0] * 1.001))
         shares = (raw // 100) * 100
@@ -232,10 +249,8 @@ class TestBuyAndHold:
         values = [res.info["value"]]
         while not env.done:
             values.append(env.step(0.0).info["value"])
-        curve = buy_and_hold(small_dataset, 1, small_dataset.n_days - 1, cfg)
+        after_first = split(small_dataset, small_dataset.trading_days[1])[1]
+        curve = buy_and_hold(after_first, cfg)
         # same shares and entry price, so identical curves
         assert np.allclose(values, curve, atol=1e-9)
 
-    def test_invalid_range(self, small_dataset):
-        with pytest.raises(EnvError):
-            buy_and_hold(small_dataset, 0, small_dataset.n_days, EnvConfig())

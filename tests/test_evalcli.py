@@ -3,6 +3,7 @@ import datetime as dt
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
 from mctg.garch import GarchConfig, rolling_forecast
-from mctg.marketdata import (Frequency, MarketGenParams, ObservationNormalizer,
-                             load_bars, resample, save_bars)
+from mctg.marketdata import (MarketGenParams, ObservationNormalizer, load_bars,
+                             resample, save_bars)
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig
 from mctg.ppo import PpoConfig
@@ -117,7 +118,7 @@ class TestBacktest:
     def test_buy_and_hold_column(self, small_dataset, small_normalizer):
         _, equity, _ = backtest(inert_policy(), small_dataset, EnvConfig(),
                                 small_normalizer)
-        curve = buy_and_hold(small_dataset, 0, small_dataset.n_days - 1, EnvConfig())
+        curve = buy_and_hold(small_dataset, EnvConfig())
         assert np.allclose([row["bh_value"] for row in equity], curve)
 
     def test_deterministic_action_clip_matches_np_clip(self, small_dataset,
@@ -365,6 +366,13 @@ class TestConfigMapping:
         assert len(evalcli.CONFIG_KEYS) == len(set(evalcli.CONFIG_KEYS)) == 29
         assert {key for key, _, _ in CONFIG_CASES} == set(evalcli.CONFIG_KEYS)
 
+    def test_keys_are_every_field_of_every_section(self):
+        sections = {"market": MarketGenParams, "ppo": PpoConfig, "env": EnvConfig,
+                    "garch": GarchConfig, "data": SplitConfig}
+        assert set(evalcli.CONFIG_KEYS) == {f"{section}.{f.name}"
+                                            for section, cls in sections.items()
+                                            for f in fields(cls)}
+
     @pytest.mark.parametrize("key,raw,want", CONFIG_CASES)
     def test_key_lands_in_its_setting(self, key, raw, want):
         got = config_setting({key: raw}, key)
@@ -443,7 +451,7 @@ class TestCli:
         assert all(float(r["sigma"]) > 0 for r in rows)
         # The config's garch.window = 120 and garch.refit_every = 30 give the
         # volatility that train and backtest build.
-        five_min = load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN)
+        five_min = load_bars(str(cli_workspace["data"]))
         dataset = evalcli.build_dataset(five_min, 120, 30)
         assert np.array_equal([float(r["sigma"]) for r in rows], dataset.daily_volatility)
 
@@ -452,7 +460,7 @@ class TestCli:
                        "--out", str(tmp_path / "daily.csv"),
                        "--config", str(cli_workspace["config"])])
         assert rc == 0
-        daily, _ = resample(load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN))
+        daily, _ = resample(load_bars(str(cli_workspace["data"])))
         reports = []
         rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
                          on_fit=reports.append)
@@ -461,7 +469,7 @@ class TestCli:
             in capsys.readouterr().out
 
     def test_train_records_garch_fit_health(self, cli_workspace):
-        daily, _ = resample(load_bars(str(cli_workspace["data"]), Frequency.FIVE_MIN))
+        daily, _ = resample(load_bars(str(cli_workspace["data"])))
         reports = []
         rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
                          on_fit=reports.append)
@@ -661,6 +669,41 @@ class TestCli:
                        "--out-equity", str(tmp_path / "e.csv")])
         assert rc == 1
         assert "lacks field 'norm_stats'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda doc: [], "checkpoint"),
+        (lambda doc: {**doc, "policy_config": list(doc["policy_config"].values())},
+         "'policy_config'"),
+        (lambda doc: {**doc, "params": list(doc["params"].values())}, "'params'"),
+        (lambda doc: {**doc, "metadata": []}, "'metadata'"),
+        (lambda doc: {**doc, "norm_stats": []}, "normalizer statistics"),
+        (lambda doc: {**doc, "norm_stats": {**doc["norm_stats"], "mid": ["mean", "std"]}},
+         "normalizer mid"),
+    ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
+            "norm_stats.mid"])
+    def test_checkpoint_of_the_wrong_shape_fails_backtest_cleanly(
+            self, cli_workspace, tmp_path, capsys, edit, what):
+        doc = edit(json.loads(cli_workspace["checkpoint"].read_text()))
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        rc = cli.main(["backtest", "--checkpoint", str(checkpoint),
+                       "--data", str(cli_workspace["data"]),
+                       "--out-metrics", str(tmp_path / "m.json"),
+                       "--out-equity", str(tmp_path / "e.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert what in err and "not a JSON object" in err
+
+    @pytest.mark.parametrize("doc,what", [
+        ([1, 2], "metrics document 1"),
+        ({"variant": "DNN", "metrics": [1, 2]}, "metrics document 1 field 'metrics'"),
+    ], ids=["document", "metrics"])
+    def test_report_of_the_wrong_shape_fails_cleanly(self, tmp_path, capsys, doc, what):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["report", "--out", str(tmp_path / "table.csv"), str(path)])
+        assert rc == 1
+        assert f"error: {what} is not a JSON object" in capsys.readouterr().err
 
     def test_report_missing_variant_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -207,6 +207,21 @@ class TestFit:
         assert garch_fit_10k.log_likelihood >= \
             log_likelihood(TRUE_GARCH, garch_sample_10k) - 1e-6
 
+    def test_reported_likelihood_is_that_of_the_params(self, garch_sample_10k,
+                                                       garch_fit_10k):
+        assert garch_fit_10k.log_likelihood == \
+            log_likelihood(garch_fit_10k.params, garch_sample_10k)
+
+    @pytest.mark.parametrize("seed", [2024, 41])
+    def test_frozen_market_refits_report_the_likelihood_of_their_params(self, seed):
+        # fit reports the optimizers' own objective values; seed 41 has most
+        # of its 26 refits at the IGARCH boundary
+        returns = frozen_market_returns(seed)
+        for start in range(0, len(returns) - 250, 20):
+            window = returns[start:start + 250]
+            report = fit(window)
+            assert report.log_likelihood == log_likelihood(report.params, window)
+
     def test_interior_fit_not_at_boundary(self, garch_fit_10k):
         assert not garch_fit_10k.at_boundary
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from mctg import evalcli
 from mctg import marketdata as md
-from mctg.marketdata import (Frequency, MarketDataError, MarketGenParams,
+from mctg.marketdata import (MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
                              simulate_market, split, window_at)
 
@@ -39,8 +40,7 @@ INVALID_BARS = [
 
 
 def bar_series(rows):
-    return md.BarSeries(Frequency.FIVE_MIN,
-                        [dt.datetime.fromisoformat(row[0]) for row in rows],
+    return md.BarSeries([dt.datetime.fromisoformat(row[0]) for row in rows],
                         np.array([row[1:] for row in rows], dtype=np.float64))
 
 
@@ -65,7 +65,7 @@ class TestBarSeries:
         assert err.value.index == 1
 
     def test_empty_series_allowed(self):
-        assert len(md.BarSeries(Frequency.DAILY, [], np.empty((0, 6)))) == 0
+        assert len(md.BarSeries([], np.empty((0, 6)))) == 0
 
 
 class TestLoadBars:
@@ -75,7 +75,7 @@ class TestLoadBars:
             ("2020-01-06T09:35", 10.2, 10.4, 10.0, 10.1, 50, 505),
             ("2020-01-06T09:40", 10.1, 10.1, 10.0, 10.0, 80, 805),
         ])
-        series = load_bars(path, Frequency.FIVE_MIN)
+        series = load_bars(path)
         assert len(series) == 3
         assert series.values[0, 0] == 10.0   # open
         assert series.values[2, 3] == 10.0   # close
@@ -86,7 +86,7 @@ class TestLoadBars:
             ("2020-01-06T09:35", 10.2, 9.0, 10.0, 10.1, 50, 505),
         ])
         with pytest.raises(MarketDataError, match="row 3"):
-            load_bars(path, Frequency.FIVE_MIN)
+            load_bars(path)
 
     def test_duplicate_timestamp(self, tmp_path):
         path = write_csv(tmp_path, [
@@ -94,25 +94,25 @@ class TestLoadBars:
             ("2020-01-06T09:30", 10.2, 10.4, 10.0, 10.1, 50, 505),
         ])
         with pytest.raises(MarketDataError, match="not after previous"):
-            load_bars(path, Frequency.FIVE_MIN)
+            load_bars(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,open\n")
         with pytest.raises(MarketDataError, match="expected header"):
-            load_bars(str(path), Frequency.FIVE_MIN)
+            load_bars(str(path))
 
     @pytest.mark.parametrize("column,value,match", INVALID_BARS)
     def test_invalid_bar_names_row(self, tmp_path, column, value, match):
         rows = [list(row) for row in VALID_ROWS]
         rows[1][column] = value
         with pytest.raises(MarketDataError, match=f"row 3: {match}"):
-            load_bars(write_csv(tmp_path, rows), Frequency.FIVE_MIN)
+            load_bars(write_csv(tmp_path, rows))
 
     def test_roundtrip_save_load(self, small_five_min, tmp_path):
         path = str(tmp_path / "rt.csv")
         md.save_bars(small_five_min, path)
-        back = load_bars(path, Frequency.FIVE_MIN)
+        back = load_bars(path)
         assert np.array_equal(back.values, small_five_min.values)
         assert back.timestamps == small_five_min.timestamps
 
@@ -127,7 +127,7 @@ def constant_day(date, price=10.0, volume=1.0):
 
 def five_min_series(*days):
     """One five-minute BarSeries of consecutive (timestamps, values) days."""
-    return md.BarSeries(Frequency.FIVE_MIN, [t for ts, _ in days for t in ts],
+    return md.BarSeries([t for ts, _ in days for t in ts],
                         np.vstack([values for _, values in days]))
 
 
@@ -161,7 +161,13 @@ class TestResample:
     def test_incomplete_day_rejected(self):
         timestamps, values = constant_day(dt.date(2020, 1, 6))
         with pytest.raises(MarketDataError, match="47 bars"):
-            resample(md.BarSeries(Frequency.FIVE_MIN, timestamps[:47], values[:47]))
+            resample(md.BarSeries(timestamps[:47], values[:47]))
+
+    def test_coarser_series_rejected(self, small_five_min):
+        # Series carry no frequency tag: the 48-bar check rejects daily and weekly bars.
+        for series in resample(small_five_min):
+            with pytest.raises(MarketDataError, match="has 1 bars, expected 48"):
+                resample(series)
 
 
 def make_series(n_days, seed=0, **kwargs):
@@ -174,12 +180,10 @@ def minimum_history_bars():
     5-minute days: exactly one day admits a full window."""
     five_min = make_series(150)   # exactly 30 weeks
     daily, weekly = resample(five_min)
-    daily30 = md.BarSeries(Frequency.DAILY, daily.timestamps[-30:],
-                           daily.values[-30:])
+    daily30 = md.BarSeries(daily.timestamps[-30:], daily.values[-30:])
     cutoff = dt.datetime.combine(daily30.timestamps[0].date(), dt.time())
     keep = [i for i, t in enumerate(five_min.timestamps) if t >= cutoff]
-    fm = md.BarSeries(Frequency.FIVE_MIN,
-                      [five_min.timestamps[i] for i in keep],
+    fm = md.BarSeries([five_min.timestamps[i] for i in keep],
                       five_min.values[keep])
     return fm, daily30, weekly
 
@@ -262,6 +266,14 @@ class TestAlign:
         daily, weekly = resample(b)
         with pytest.raises(MarketDataError, match="no trading day"):
             align(a, daily, weekly, np.full(len(daily), 0.01))
+
+    @pytest.mark.parametrize("order", [p for p in itertools.permutations(range(3))
+                                       if p != (0, 1, 2)])
+    def test_misordered_series_rejected(self, small_five_min, order):
+        series = (small_five_min, *resample(small_five_min))
+        daily_vol = np.full(len(series[1]), 0.01)
+        with pytest.raises(MarketDataError, match="daily_vol length|no trading day"):
+            align(*(series[k] for k in order), daily_vol)
 
     def test_bad_volatility_rejected(self):
         five_min = make_series(150)
@@ -402,6 +414,13 @@ class TestNormalizer:
         del data["mid"]["std"]
         with pytest.raises(MarketDataError, match="lacks mid.std"):
             ObservationNormalizer.from_dict(data)
+
+    @pytest.mark.parametrize("edit", [lambda data: [],
+                                      lambda data: {**data, "mid": ["mean", "std"]}],
+                             ids=["document", "section"])
+    def test_from_dict_rejects_non_objects(self, small_normalizer, edit):
+        with pytest.raises(MarketDataError, match="not a JSON object"):
+            ObservationNormalizer.from_dict(edit(small_normalizer.to_dict()))
 
     def test_zscore_arithmetic(self, small_dataset):
         norm = ObservationNormalizer().fit(small_dataset, range(small_dataset.n_days))

@@ -11,6 +11,7 @@ from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
                       collect_rollout, compute_gae, normalize_advantages,
                       ppo_loss_and_grads, ppo_surrogate, prob_ratio, train,
                       update)
+from conftest import first_days
 
 
 def tiny_policy(rng, dropout=0.0):
@@ -204,7 +205,7 @@ class TestBuffer:
     def test_done_bookkeeping(self, small_dataset):
         rng = np.random.default_rng(7)
         policy = tiny_policy(np.random.default_rng(8))
-        env = TradingEnv(small_dataset, EnvConfig(start=0, end=5))
+        env = TradingEnv(first_days(small_dataset, 6), EnvConfig())
         buf, _ = collect_rollout(env, policy, 16, rng)
         # 5-step episodes: dones at indices 4, 9, 14
         assert list(np.nonzero(buf.done)[0]) == [4, 9, 14]
@@ -215,7 +216,7 @@ class TestBuffer:
         cfg = PolicyConfig(branch_hidden=(4,), branch_out=3, dropout=0.0,
                            trunk_hidden=4)
         policy = Policy(cfg, np.random.default_rng(10))
-        env = TradingEnv(small_dataset, EnvConfig(start=0, end=5), small_normalizer)
+        env = TradingEnv(first_days(small_dataset, 6), EnvConfig(), small_normalizer)
         first, carry = collect_rollout(env, policy, 7, rng)
         second, _ = collect_rollout(env, policy, 6, rng, carry=carry)
         for i in range(13):
