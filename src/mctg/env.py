@@ -10,7 +10,7 @@ a fully invested, never-trading agent accrues ~zero reward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,17 +51,10 @@ class PortfolioState:
 
 @dataclass(frozen=True)
 class Order:
+    """An order filled at the execution day's open (``TradingEnv.opens``)."""
+
     signed_shares: int       # positive buy, negative sell
-    execution_price: float
     tax_paid: float
-
-
-@dataclass
-class StepResult:
-    observation: Observation | None
-    reward: float
-    done: bool
-    info: dict = field(default_factory=dict)
 
 
 def map_action(a: float, p: PortfolioState, opening: float, config: EnvConfig) -> Order:
@@ -77,20 +70,23 @@ def map_action(a: float, p: PortfolioState, opening: float, config: EnvConfig) -
     if a >= 0:
         raw = math.floor(p.cash * a / (opening * (1.0 + config.tax_rate)))
         shares = (raw // lot) * lot
-        return Order(shares, opening, shares * opening * config.tax_rate)
+        return Order(shares, shares * opening * config.tax_rate)
     raw = math.floor(abs(p.shares * a))
     shares = min((raw // lot) * lot, p.shares)
-    return Order(-shares, opening, 0.0)
+    return Order(-shares, 0.0)
 
 
 class TradingEnv:
-    """Single-owner mutable environment over an aligned dataset.
+    """Single-owner mutable environment over an aligned dataset. Its state is
+    the portfolio alone: ``reset`` returns it, ``step`` trades it and returns
+    the reward and the order, and ``done`` says when the episode has ended.
 
     An episode runs to the dataset's last day, from its first day or, with
     ``random_start``, from a random day at least ``MIN_EPISODE_STEPS`` before
     the last; ``split`` cuts a dataset to a sub-range. Observations are read
     from the dataset, normalized once here when a fitted normalizer is
-    supplied, and cached per day, as they do not depend on the agent's actions.
+    supplied, and cached per day, as they do not depend on the agent's actions;
+    the caller asks ``observation(state.day_index)`` for the day it acts on.
     """
 
     def __init__(self, dataset: AlignedDataset, config: EnvConfig, normalizer=None):
@@ -102,8 +98,6 @@ class TradingEnv:
         self.opens = dataset.opens
         self._obs_cache: dict[int, Observation] = {}
         self.state: PortfolioState | None = None
-        self._prev_value = 0.0
-        self._prev_open = 0.0
 
     def observation(self, day_index: int) -> Observation:
         obs = self._obs_cache.get(day_index)
@@ -111,8 +105,7 @@ class TradingEnv:
             obs = self._obs_cache[day_index] = window_at(self.dataset, day_index)
         return obs
 
-    def reset(self, rng: np.random.Generator | None = None
-              ) -> tuple[PortfolioState, Observation]:
+    def reset(self, rng: np.random.Generator | None = None) -> PortfolioState:
         start = 0
         if self.config.random_start:
             if rng is None:
@@ -122,15 +115,15 @@ class TradingEnv:
                 raise EnvError("episode range too short for random starts")
             start = int(rng.integers(0, latest + 1))
         self.state = PortfolioState(self.config.initial_cash, 0, start)
-        self._prev_value = self.config.initial_cash
-        self._prev_open = float(self.opens[start])
-        return self.state, self.observation(start)
+        return self.state
 
     @property
     def done(self) -> bool:
         return self.state is None or self.state.day_index >= self.end
 
-    def step(self, action: float) -> StepResult:
+    def step(self, action: float) -> tuple[float, Order]:
+        """Trade at the next day's open and mark the portfolio there; returns
+        the reward and the order."""
         if self.state is None:
             raise EnvError("step before reset")
         if self.done:
@@ -139,6 +132,8 @@ class TradingEnv:
             raise EnvError(f"action {action} outside [-1, 1]")
 
         p = self.state
+        prev_open = float(self.opens[p.day_index])
+        prev_value = p.value(prev_open)
         exec_day = p.day_index + 1
         opening = float(self.opens[exec_day])
         order = map_action(action, p, opening, self.config)
@@ -150,25 +145,9 @@ class TradingEnv:
             p.shares += order.signed_shares
         p.day_index = exec_day
 
-        value = p.value(opening)
-        reward = (value - self._prev_value) / self._prev_value \
-            - (opening - self._prev_open) / self._prev_open
-        self._prev_value = value
-        self._prev_open = opening
-
-        done = exec_day >= self.end
-        obs = None if done else self.observation(exec_day)
-        info = {
-            "date": self.dataset.date(exec_day),
-            "day_index": exec_day,
-            "open": opening,
-            "order": order,
-            "cash": p.cash,
-            "shares": p.shares,
-            "value": value,
-            "tax_paid": order.tax_paid,
-        }
-        return StepResult(obs, reward, done, info)
+        reward = (p.value(opening) - prev_value) / prev_value \
+            - (opening - prev_open) / prev_open
+        return reward, order
 
 
 def buy_and_hold(dataset: AlignedDataset, config: EnvConfig) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import math
 import os
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -104,31 +103,28 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
         raise EvalError("backtest requires fitted normalization statistics")
     env = TradingEnv(dataset, env_config, normalizer)
     bh = buy_and_hold(dataset, env_config)
+    p = env.reset()
 
-    _, obs = env.reset()
-    equity_rows = [{
-        "date": dataset.date(0), "value": env_config.initial_cash,
-        "bh_value": float(bh[0]), "action": 0.0, "shares": 0,
-        "cash": env_config.initial_cash, "tax_paid": 0.0,
-    }]
+    def equity_row(action: float, tax_paid: float) -> dict:
+        day = p.day_index
+        return {"date": dataset.date(day), "value": p.value(float(env.opens[day])),
+                "bh_value": float(bh[day]), "action": action, "shares": p.shares,
+                "cash": p.cash, "tax_paid": tax_paid}
+
+    equity_rows = [equity_row(0.0, 0.0)]
     trajectory_rows: list[dict] = []
     while not env.done:
+        obs = env.observation(p.day_index)
         out, _ = policy.forward(policy.flatten_observation(obs), mode="eval")
         action = min(max(float(out.action_mean[0]), -1.0), 1.0)
-        result = env.step(action)
-        obs = result.observation
-        info = result.info
-        equity_rows.append({
-            "date": info["date"], "value": info["value"],
-            "bh_value": float(bh[len(equity_rows)]),
-            "action": action, "shares": info["shares"], "cash": info["cash"],
-            "tax_paid": info["tax_paid"],
-        })
+        reward, order = env.step(action)
+        row = equity_row(action, order.tax_paid)
+        equity_rows.append(row)
         trajectory_rows.append({
-            "date": info["date"], "open": info["open"], "action": action,
-            "order_shares": info["order"].signed_shares, "tax_paid": info["tax_paid"],
-            "cash": info["cash"], "shares": info["shares"], "value": info["value"],
-            "reward": result.reward,
+            "date": row["date"], "open": float(env.opens[p.day_index]), "action": action,
+            "order_shares": order.signed_shares, "tax_paid": order.tax_paid,
+            "cash": row["cash"], "shares": row["shares"], "value": row["value"],
+            "reward": reward,
         })
 
     values = [row["value"] for row in equity_rows]
@@ -151,9 +147,7 @@ class Checkpoint:
     variant: str
     policy_config: PolicyConfig
     param_values: dict[str, np.ndarray]
-    adam: dict | None
     training_step: int
-    rng_state: dict | None
     norm_stats: dict
     metadata: dict
 
@@ -165,11 +159,6 @@ class Checkpoint:
             raise EvalError(f"checkpoint missing parameters: {missing[:3]}")
         policy.set_parameters([self.param_values[n] for n in names])
         return policy
-
-    def build_adam(self, policy: Policy, learning_rate: float) -> AdamState:
-        if self.adam is None:
-            return AdamState(policy.parameters(), learning_rate)
-        return AdamState.from_dict(self.adam, policy.parameters())
 
     def build_normalizer(self) -> ObservationNormalizer:
         return ObservationNormalizer.from_dict(self.norm_stats)
@@ -203,35 +192,64 @@ def load_checkpoint(path: str) -> Checkpoint:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise EvalError(f"{path}: corrupt checkpoint: {e}") from None
-    _check_object(doc, f"{path}: checkpoint")
+    _check_json(doc, "object", f"{path}: checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise EvalError(f"{path}: checkpoint format version {version}, "
                         f"this build reads version {CHECKPOINT_VERSION}")
     try:
         doc.setdefault("metadata", {})
-        # norm_stats is checked by ObservationNormalizer.from_dict.
-        for name in ("policy_config", "params", "metadata"):
-            _check_object(doc[name], f"{path}: checkpoint field {name!r}")
-        stored = {f.name: doc["policy_config"][f.name] for f in fields(PolicyConfig)}
-        # JSON stores the config's tuples as lists.
-        config = PolicyConfig(**{name: tuple(v) if isinstance(v, list) else v
-                                 for name, v in stored.items()})
-        params = {name: np.asarray(v, dtype=np.float64) for name, v in doc["params"].items()}
+        # norm_stats is checked by ObservationNormalizer.from_dict; the Adam
+        # and RNG state are written for the record, and nothing reads them.
+        for name, kind in (("variant", "string"), ("policy_config", "object"),
+                           ("params", "object"), ("training_step", "integer"),
+                           ("metadata", "object")):
+            _check_json(doc[name], kind, f"{path}: checkpoint field {name!r}")
+        stored = {}
+        for f in fields(PolicyConfig):
+            value = doc["policy_config"][f.name]
+            what = f"{path}: checkpoint policy_config {f.name!r}"
+            if isinstance(f.default, tuple):
+                # JSON stores the config's tuples as lists.
+                _check_json(value, "array", what)
+                for item in value:
+                    _check_json(item, _JSON_KINDS[type(f.default[0])], f"{what} entry")
+                value = tuple(value)
+            else:
+                _check_json(value, _JSON_KINDS[type(f.default)], what)
+            stored[f.name] = value
+        params = {}
+        for name, value in doc["params"].items():
+            try:
+                # JSON null converts to NaN, so the finiteness check rejects it.
+                array = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                array = None
+            if array is None or not np.isfinite(array).all():
+                raise EvalError(f"{path}: checkpoint parameter {name!r} is not "
+                                "an array of finite numbers")
+            params[name] = array
         return Checkpoint(
-            variant=doc["variant"], policy_config=config, param_values=params,
-            adam=doc["adam"], training_step=int(doc["training_step"]),
-            rng_state=doc["rng_state"], norm_stats=doc["norm_stats"],
-            metadata=doc["metadata"],
+            variant=doc["variant"], policy_config=PolicyConfig(**stored),
+            param_values=params, training_step=doc["training_step"],
+            norm_stats=doc["norm_stats"], metadata=doc["metadata"],
         )
     except KeyError as e:
         raise EvalError(f"{path}: checkpoint lacks field {e.args[0]!r}") from None
 
 
-def _check_object(value, what: str) -> None:
-    """JSON read from a file can be valid yet of the wrong shape."""
-    if not isinstance(value, dict):
-        raise EvalError(f"{what} is not a JSON object")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+               "number": (int, float), "boolean": bool}
+# Python type of a default value -> the JSON kind that stores it.
+_JSON_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
+
+
+def _check_json(value, kind: str, what: str) -> None:
+    """JSON read from a file can be valid yet of the wrong type; ``kind`` is a
+    key of ``_JSON_TYPES``. Only a ``boolean`` may be a JSON boolean."""
+    if isinstance(value, bool) != (kind == "boolean") \
+            or not isinstance(value, _JSON_TYPES[kind]):
+        raise EvalError(f"{what} is not a JSON {kind}")
 
 
 # -- report --------------------------------------------------------------------
@@ -246,10 +264,13 @@ def report(metrics_docs: list[dict]) -> list[dict]:
     groups: dict[str, list[tuple[float, float]]] = {}
     for n, doc in enumerate(metrics_docs, start=1):
         try:
-            _check_object(doc, f"metrics document {n}")
+            _check_json(doc, "object", f"metrics document {n}")
+            _check_json(doc["variant"], "string", f"metrics document {n} field 'variant'")
             metrics = doc["metrics"]
-            _check_object(metrics, f"metrics document {n} field 'metrics'")
+            _check_json(metrics, "object", f"metrics document {n} field 'metrics'")
             rates = (metrics["profit_rate_annualized"], metrics["tax_rate_annualized"])
+            for name in ("profit_rate_annualized", "tax_rate_annualized"):
+                _check_json(metrics[name], "number", f"metrics document {n} field {name!r}")
             groups.setdefault(doc["variant"], []).append(rates)
         except KeyError as e:
             raise EvalError(f"metrics document {n} lacks field {e.args[0]!r}") from None

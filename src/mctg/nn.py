@@ -200,16 +200,6 @@ class AdamState:
             "m": [a.tolist() for a in self.m], "v": [a.tolist() for a in self.v],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict, params: list) -> "AdamState":
-        state = cls(params, data["learning_rate"], data["beta1"], data["beta2"], data["eps"])
-        state.step_count = int(data["step_count"])
-        state.m = [np.asarray(a, dtype=np.float64).reshape(p.shape)
-                   for a, p in zip(data["m"], params)]
-        state.v = [np.asarray(a, dtype=np.float64).reshape(p.shape)
-                   for a, p in zip(data["v"], params)]
-        return state
-
 
 def adam_step(params: list, grads: list, state: AdamState) -> None:
     """Standard Adam update, applied in place."""

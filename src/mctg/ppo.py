@@ -227,13 +227,14 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
 def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
                     rng: np.random.Generator, carry=None, episode_returns=None):
     """Step the environment ``n_steps`` times under a frozen policy snapshot,
-    resetting on episode end. Returns the filled buffer and the carry state for
-    the next rollout."""
+    resetting on episode end; each step acts on
+    ``env.observation(env.state.day_index)``. Returns the filled buffer and the
+    carry state for the next rollout."""
     buffer = TrajectoryBuffer(n_steps, policy.config.input_dims())
 
     if carry is None:
-        _, obs = env.reset(rng)
-        flat = policy.flatten_observation(obs)
+        state = env.reset(rng)
+        flat = policy.flatten_observation(env.observation(state.day_index))
         ep_return = 0.0
     else:
         flat, ep_return = carry
@@ -241,22 +242,22 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
     for t in range(n_steps):
         out, _ = policy.forward(flat, mode="eval")
         action, u, log_prob = policy_mod.sample_action(out, rng)
-        result = env.step(float(action[0]))
+        reward, _ = env.step(float(action[0]))
+        done = env.done
         for name, rows in buffer.obs.items():
             rows[t] = flat[name][0]
         buffer.u[t] = u[0]
         buffer.old_log_prob[t] = log_prob[0]
-        buffer.reward[t] = result.reward
+        buffer.reward[t] = reward
         buffer.value[t] = out.value[0]
-        buffer.done[t] = result.done
-        ep_return += result.reward
-        obs = result.observation
-        if result.done:
+        buffer.done[t] = done
+        ep_return += reward
+        if done:
             if episode_returns is not None:
                 episode_returns.append(ep_return)
             ep_return = 0.0
-            _, obs = env.reset(rng)
-        flat = policy.flatten_observation(obs)
+            env.reset(rng)
+        flat = policy.flatten_observation(env.observation(env.state.day_index))
 
     out, _ = policy.forward(flat, mode="eval")
     buffer.bootstrap_value = out.value[0]

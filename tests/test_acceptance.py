@@ -44,15 +44,13 @@ def frozen_market():
 
 def deterministic_episode_return(policy, dataset, normalizer) -> float:
     env = TradingEnv(dataset, EnvConfig(), normalizer)
-    _, obs = env.reset()
-    flat = policy.flatten_observation(obs)
+    p = env.reset()
     total = 0.0
     while not env.done:
-        out, _ = policy.forward(flat, mode="eval")
-        result = env.step(float(np.clip(out.action_mean[0], -1.0, 1.0)))
-        total += result.reward
-        if not result.done:
-            flat = policy.flatten_observation(result.observation)
+        out, _ = policy.forward(policy.flatten_observation(env.observation(p.day_index)),
+                                mode="eval")
+        reward, _ = env.step(float(np.clip(out.action_mean[0], -1.0, 1.0)))
+        total += reward
     return total
 
 
@@ -169,16 +167,17 @@ def test_portfolio_accounting(small_dataset):
         env.reset()
         cash = cfg.initial_cash
         while not env.done and steps < 100_000:
-            res = env.step(float(rng.uniform(-1, 1)))
-            order = res.info["order"]
+            _, order = env.step(float(rng.uniform(-1, 1)))
+            p = env.state
+            price = float(env.opens[p.day_index])
             if order.signed_shares > 0:
-                cash -= order.signed_shares * order.execution_price + order.tax_paid
+                cash -= order.signed_shares * price + order.tax_paid
             else:
-                cash += -order.signed_shares * order.execution_price
-            ok_random &= (res.info["cash"] >= 0.0
-                          and res.info["shares"] >= 0
-                          and res.info["shares"] % cfg.lot_size == 0
-                          and abs(res.info["cash"] - cash) <= 1e-9 * max(cash, 1.0))
+                cash += -order.signed_shares * price
+            ok_random &= (p.cash >= 0.0
+                          and p.shares >= 0
+                          and p.shares % cfg.lot_size == 0
+                          and abs(p.cash - cash) <= 1e-9 * max(cash, 1.0))
             steps += 1
 
     ok = hand and ok_random

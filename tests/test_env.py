@@ -90,8 +90,8 @@ class TestRewards:
         env.reset()
         i = env.state.day_index
         o0, o1 = env.opens[i], env.opens[i + 1]
-        result = env.step(0.0)
-        assert result.reward == pytest.approx(-(o1 - o0) / o0, abs=1e-12)
+        reward, _ = env.step(0.0)
+        assert reward == pytest.approx(-(o1 - o0) / o0, abs=1e-12)
 
     def test_fully_invested_near_zero(self, small_dataset):
         env = make_env(small_dataset)
@@ -100,36 +100,37 @@ class TestRewards:
         # after the buy, holding tracks the price; residual cash plus the
         # one-off tax keep the reward only approximately zero
         while not env.done:
-            r = env.step(0.0).reward
+            r, _ = env.step(0.0)
             assert abs(r) < 2e-3
 
     def test_hand_computed_two_step(self, small_dataset):
         env = make_env(small_dataset)
-        state, _ = env.reset()
+        state = env.reset()
         i = state.day_index
         o1 = env.opens[i + 1]
-        res = env.step(1.0)
+        reward, _ = env.step(1.0)
         # exact replay of the step's accounting
         raw = math.floor(1_000_000.0 / (o1 * 1.001))
         shares = (raw // 100) * 100
         cash = 1_000_000.0 - shares * o1 * 1.001
         value = cash + shares * o1
         expected = (value - 1_000_000.0) / 1_000_000.0 - (o1 - env.opens[i]) / env.opens[i]
-        assert res.reward == pytest.approx(expected, abs=1e-12)
-        assert res.info["shares"] == shares
-        assert res.info["cash"] == pytest.approx(cash)
+        assert reward == pytest.approx(expected, abs=1e-12)
+        assert env.state.shares == shares
+        assert env.state.cash == pytest.approx(cash)
 
     def test_zero_sum_without_tax_at_exact_lots(self, small_dataset):
         # with no tax, trading at opens only redistributes between cash and
         # stock: value tracks price exactly while fully invested
         env = TradingEnv(small_dataset, EnvConfig(tax_rate=0.0))
         env.reset()
-        res = env.step(1.0)
-        shares, cash = res.info["shares"], res.info["cash"]
+        env.step(1.0)
+        p = env.state
+        shares, cash = p.shares, p.cash
         while not env.done:
-            res = env.step(0.0)
-            assert res.info["value"] == pytest.approx(
-                cash + shares * res.info["open"], abs=1e-9)
+            env.step(0.0)
+            opening = env.opens[p.day_index]
+            assert p.value(opening) == pytest.approx(cash + shares * opening, abs=1e-9)
 
 
 class TestEpisode:
@@ -141,17 +142,18 @@ class TestEpisode:
         cash = env.state.cash
         total_tax = 0.0
         while not env.done:
-            res = env.step(float(rng.uniform(-1, 1)))
-            order = res.info["order"]
+            _, order = env.step(float(rng.uniform(-1, 1)))
+            p = env.state
+            price = env.opens[p.day_index]
             if order.signed_shares > 0:
-                cash -= order.signed_shares * order.execution_price + order.tax_paid
+                cash -= order.signed_shares * price + order.tax_paid
             else:
-                cash += -order.signed_shares * order.execution_price
+                cash += -order.signed_shares * price
             total_tax += order.tax_paid
-            assert res.info["cash"] == pytest.approx(cash, rel=1e-11)
-            assert res.info["cash"] >= 0.0
-            assert res.info["shares"] >= 0
-            assert res.info["shares"] % 100 == 0
+            assert p.cash == pytest.approx(cash, rel=1e-11)
+            assert p.cash >= 0.0
+            assert p.shares >= 0
+            assert p.shares % 100 == 0
         assert total_tax > 0.0
 
     def test_done_and_bounds(self, small_dataset):
@@ -161,9 +163,9 @@ class TestEpisode:
         env.reset()
         steps = 0
         while not env.done:
-            res = env.step(0.0)
+            env.step(0.0)
             steps += 1
-        assert res.done
+        assert env.done and env.state.day_index == env.end
         assert steps == env.end == small_dataset.n_days - 1
         with pytest.raises(EnvError):
             env.step(0.0)
@@ -181,17 +183,37 @@ class TestEpisode:
             env.reset()
             rewards = []
             while not env.done:
-                rewards.append(env.step(float(rng.uniform(-1, 1))).reward)
+                rewards.append(env.step(float(rng.uniform(-1, 1)))[0])
             return rewards
 
         assert run() == run()
+
+    @pytest.mark.parametrize("random_start", [False, True])
+    def test_reward_is_the_excess_return_between_portfolio_marks(self, small_dataset,
+                                                                 random_start):
+        # v and o are the portfolio's mark and the open on the day before and
+        # the day after each step, read from the state alone
+        env = TradingEnv(small_dataset, EnvConfig(random_start=random_start))
+        rng = np.random.default_rng(6)
+        steps = 0
+        for _ in range(4):
+            p = env.reset(rng)
+            while not env.done:
+                o0 = float(env.opens[p.day_index])
+                v0 = p.value(o0)
+                reward, _ = env.step(float(rng.uniform(-1, 1)))
+                o1 = float(env.opens[p.day_index])
+                v1 = p.value(o1)
+                assert reward == (v1 - v0) / v0 - (o1 - o0) / o0
+                steps += 1
+        assert steps > 4
 
     def test_random_start_within_range(self, small_dataset):
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         rng = np.random.default_rng(3)
         starts = set()
         for _ in range(50):
-            state, _ = env.reset(rng)
+            state = env.reset(rng)
             starts.add(state.day_index)
             assert 0 <= state.day_index <= env.end - MIN_EPISODE_STEPS
         assert len(starts) > 1
@@ -203,7 +225,7 @@ class TestEpisode:
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         rng, twin = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(20):
-            state, _ = env.reset(rng)
+            state = env.reset(rng)
             assert state.day_index == int(twin.integers(0, small_dataset.n_days - 2))
 
     def test_dataset_shorter_than_two_days_rejected(self, small_dataset):
@@ -211,18 +233,19 @@ class TestEpisode:
             TradingEnv(first_days(small_dataset, 1), EnvConfig())
         env = TradingEnv(first_days(small_dataset, 2), EnvConfig())
         env.reset()
-        assert env.step(0.0).done
+        env.step(0.0)
+        assert env.done
 
     def test_random_start_needs_room_for_a_full_episode(self, small_dataset):
         env = TradingEnv(first_days(small_dataset, 2), EnvConfig(random_start=True))
         with pytest.raises(EnvError, match="too short for random starts"):
             env.reset(np.random.default_rng(0))
         env = TradingEnv(first_days(small_dataset, 3), EnvConfig(random_start=True))
-        assert env.reset(np.random.default_rng(0))[0].day_index == 0
+        assert env.reset(np.random.default_rng(0)).day_index == 0
 
     def test_observation_cached_and_normalized(self, small_dataset, small_normalizer):
         env = TradingEnv(small_dataset, EnvConfig(), normalizer=small_normalizer)
-        _, obs = env.reset()
+        obs = env.observation(env.reset().day_index)
         direct = __import__("mctg.marketdata", fromlist=["window_at"]).window_at(
             small_normalizer.transform(small_dataset), 0)
         assert np.array_equal(obs.mid_window, direct.mid_window)
@@ -244,11 +267,12 @@ class TestBuyAndHold:
     def test_matches_all_in_never_trade_agent(self, small_dataset):
         cfg = EnvConfig()
         env = TradingEnv(small_dataset, cfg)
-        env.reset()
-        res = env.step(1.0)
-        values = [res.info["value"]]
+        p = env.reset()
+        env.step(1.0)
+        values = [p.value(env.opens[p.day_index])]
         while not env.done:
-            values.append(env.step(0.0).info["value"])
+            env.step(0.0)
+            values.append(p.value(env.opens[p.day_index]))
         after_first = split(small_dataset, small_dataset.trading_days[1])[1]
         curve = buy_and_hold(after_first, cfg)
         # same shares and entry price, so identical curves
