@@ -31,8 +31,8 @@ class EnvConfig:
     random_start: bool = False
 
     def __post_init__(self):
-        if self.initial_cash <= 0:
-            raise EnvError("initial_cash must be > 0")
+        if not 0.0 < self.initial_cash < math.inf:
+            raise EnvError("initial_cash must be finite and > 0")
         if not 0.0 <= self.tax_rate < 1.0:
             raise EnvError("tax_rate must be in [0, 1)")
         if self.lot_size < 1:

@@ -115,7 +115,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     trajectory_rows: list[dict] = []
     while not env.done:
         obs = env.observation(p.day_index)
-        out, _ = policy.forward(policy.flatten_observation(obs), mode="eval")
+        out, _ = policy.forward(policy.flatten_observation(obs))
         action = min(max(float(out.action_mean[0]), -1.0), 1.0)
         reward, order = env.step(action)
         row = equity_row(action, order.tax_paid)

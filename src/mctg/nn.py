@@ -11,110 +11,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "identity")
-
 
 class NetworkError(Exception):
-    """Shape mismatches and invalid layer configuration."""
-
-
-def _activate_grad(name: str, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation, written in terms of its output ``a``."""
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "identity":
-        return np.ones_like(a)
-    raise NetworkError(f"unknown activation {name!r}")
-
-
-@dataclass
-class DenseLayer:
-    weights: np.ndarray   # (out, in)
-    bias: np.ndarray      # (out,)
-    activation: str = "tanh"
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise NetworkError(
-                f"inconsistent layer shapes {self.weights.shape} / {self.bias.shape}")
-        if self.activation not in ACTIVATIONS:
-            raise NetworkError(f"unknown activation {self.activation!r}")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise NetworkError("non-finite layer parameters")
-
-
-@dataclass
-class DropoutLayer:
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate < 1.0:
-            raise NetworkError(f"dropout rate must be in [0, 1), got {self.rate}")
+    """Shape mismatches and invalid network configuration."""
 
 
 class Network:
-    """An ordered stack of dense layers and dropout markers."""
+    """A dense stack: ``weights[i]`` is (out, in) and ``biases[i]`` is (out,).
 
-    def __init__(self, layers: list):
-        dim = None
-        for layer in layers:
-            if isinstance(layer, DropoutLayer):
-                continue
-            if not isinstance(layer, DenseLayer):
-                raise NetworkError(f"unsupported layer {type(layer).__name__}")
-            if dim is not None and layer.weights.shape[1] != dim:
-                raise NetworkError(
-                    f"layer expects {layer.weights.shape[1]} inputs, previous emits {dim}")
-            dim = layer.weights.shape[0]
-        dense = [l for l in layers if isinstance(l, DenseLayer)]
-        if not dense:
-            raise NetworkError("network needs at least one dense layer")
-        self.layers = list(layers)
-        self.in_dim = dense[0].weights.shape[1]
-        self.out_dim = dense[-1].weights.shape[0]
+    Hidden layers are tanh, and so is the output layer when ``tanh_out`` is
+    set; otherwise it is linear. When the stack has more than one layer,
+    inverted dropout at ``dropout`` follows the first hidden layer.
+    """
+
+    def __init__(self, weights: list, biases: list, tanh_out: bool = False,
+                 dropout: float = 0.0):
+        if not 0.0 <= dropout < 1.0:
+            raise NetworkError(f"dropout rate must be in [0, 1), got {dropout}")
+        self.weights = list(weights)
+        self.biases = list(biases)
+        self.tanh_out = tanh_out
+        self.dropout = dropout
+        self.in_dim = self.weights[0].shape[1]
+        self.out_dim = self.weights[-1].shape[0]
 
     def parameters(self) -> list[np.ndarray]:
         out = []
-        for layer in self.layers:
-            if isinstance(layer, DenseLayer):
-                out.append(layer.weights)
-                out.append(layer.bias)
+        for w, b in zip(self.weights, self.biases):
+            out.append(w)
+            out.append(b)
         return out
 
 
-def mlp(sizes, rng: np.random.Generator, out_activation: str = "identity",
+def mlp(sizes, rng: np.random.Generator, tanh_out: bool = False,
         dropout: float = 0.0) -> Network:
-    """Build a dense stack of tanh hidden layers; a dropout layer (if any) sits
-    after the first hidden layer. Weights are scaled-normal initialized from
-    ``rng``."""
-    if len(sizes) < 2:
-        raise NetworkError("mlp needs at least input and output sizes")
-    layers: list = []
-    for i in range(len(sizes) - 1):
-        act = out_activation if i == len(sizes) - 2 else "tanh"
-        w = rng.normal(0.0, 1.0 / np.sqrt(sizes[i]), size=(sizes[i + 1], sizes[i]))
-        layers.append(DenseLayer(w, np.zeros(sizes[i + 1]), act))
-        if i == 0 and dropout > 0.0 and len(sizes) > 2:
-            layers.append(DropoutLayer(dropout))
-    return Network(layers)
+    """Build a ``Network`` with layer sizes ``sizes``; weights are
+    scaled-normal initialized from ``rng``, biases are zero."""
+    weights = [rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
+               for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+    return Network(weights, [np.zeros(n) for n in sizes[1:]], tanh_out, dropout)
 
 
 @dataclass
 class ForwardCache:
-    inputs: list        # per-layer input (dense) or pre-dropout activation
+    inputs: list        # per-layer input, the dropout mask already applied
     acts: list          # per-layer output
-    masks: list         # dropout keep-masks (already scaled) or None
+    mask: np.ndarray | None   # the dropout keep-mask (already scaled), if drawn
 
 
-def forward(net: Network, x, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> tuple[np.ndarray, ForwardCache]:
+def forward(net: Network, x, rng: np.random.Generator | None = None
+            ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on ``x`` of shape (rows, in_dim); returns the
     (rows, out_dim) output and a cache for backward.
 
-    Dropout is inverted: train mode masks and divides by the keep probability,
-    eval mode is the identity, so no rescaling is ever needed at eval.
+    Dropout runs if and only if ``rng`` is given. It is inverted: the mask
+    divides by the keep probability, so without an rng nothing is rescaled.
 
     A dense layer is ``np.dot(h, W.T)``, then the bias and the activation in
     place on that fresh array; ``x`` is never written. ``np.dot`` gives the bits
@@ -122,32 +73,26 @@ def forward(net: Network, x, mode: str = "eval",
     would change the last bits. The bias is added as a (1, out) row: on one
     row that skips numpy's broadcast set-up, and the sums are the same.
     """
-    if mode not in ("train", "eval"):
-        raise NetworkError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise NetworkError(f"input shape {x.shape} does not match (rows, {net.in_dim})")
 
-    inputs, acts, masks = [], [], []
+    inputs, acts = [], []
+    mask = None
+    last = len(net.weights) - 1
     h = x
-    for layer in net.layers:
+    for i, w in enumerate(net.weights):
+        if i == 1 and rng is not None and net.dropout > 0.0:
+            keep = 1.0 - net.dropout
+            mask = (rng.random(h.shape) < keep) / keep
+            h = h * mask
         inputs.append(h)
-        mask = None
-        if isinstance(layer, DropoutLayer):
-            if mode == "train":
-                if rng is None:
-                    raise NetworkError("train-mode dropout requires an rng")
-                keep = 1.0 - layer.rate
-                mask = (rng.random(h.shape) < keep) / keep
-                h = h * mask
-        else:
-            h = np.dot(h, layer.weights.T)
-            h += layer.bias[None]
-            if layer.activation == "tanh":
-                np.tanh(h, out=h)
-        masks.append(mask)
+        h = np.dot(h, w.T)
+        h += net.biases[i][None]
+        if i < last or net.tanh_out:
+            np.tanh(h, out=h)
         acts.append(h)
-    return h, ForwardCache(inputs, acts, masks)
+    return h, ForwardCache(inputs, acts, mask)
 
 
 def backward(net: Network, cache: ForwardCache,
@@ -156,26 +101,23 @@ def backward(net: Network, cache: ForwardCache,
 
     ``grad_output`` has the (rows, out_dim) shape of the output. Returns
     gradients aligned with ``net.parameters()`` plus the (rows, in_dim) gradient
-    with respect to the input. Dropout masks are replayed, never re-sampled.
+    with respect to the input. The dropout mask is replayed, never re-sampled.
     """
-    if len(cache.acts) != len(net.layers):
-        raise NetworkError("cache does not match network")
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.acts[-1].shape:
         raise NetworkError(
             f"gradient shape {g.shape} does not match output {cache.acts[-1].shape}")
 
     grads: list[np.ndarray] = []
-    for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        if isinstance(layer, DropoutLayer):
-            if cache.masks[idx] is not None:
-                g = g * cache.masks[idx]
-        else:
-            dz = g * _activate_grad(layer.activation, cache.acts[idx])
-            grads.append(dz.sum(axis=0))                 # bias
-            grads.append(dz.T @ cache.inputs[idx])       # weights
-            g = dz @ layer.weights
+    last = len(net.weights) - 1
+    for i in range(last, -1, -1):
+        a = cache.acts[i]
+        dz = g * (1.0 - a * a) if i < last or net.tanh_out else g
+        grads.append(dz.sum(axis=0))                 # bias
+        grads.append(dz.T @ cache.inputs[i])         # weights
+        g = dz @ net.weights[i]
+        if i == 1 and cache.mask is not None:
+            g = g * cache.mask
     grads.reverse()
     return grads, g
 
@@ -228,18 +170,18 @@ def grad_check(net: Network, x, rng: np.random.Generator | None = None,
     """Max relative error between backward and central finite differences at
     the (rows, in_dim) input ``x``.
 
-    Uses a random linear functional of the output as the scalar loss and an
-    eval-mode forward, so dropout cannot perturb the comparison.
+    Uses a random linear functional of the output as the scalar loss and a
+    forward without an rng, so dropout cannot perturb the comparison.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     c = rng.normal(size=net.out_dim)
 
     def loss() -> float:
-        y, _ = forward(net, x, mode="eval")
+        y, _ = forward(net, x)
         return float(np.sum(y * c))
 
-    y, cache = forward(net, x, mode="eval")
+    y, cache = forward(net, x)
     grads, _ = backward(net, cache, np.broadcast_to(c, y.shape))
 
     worst = 0.0

@@ -88,7 +88,7 @@ class Policy:
         dims = config.input_dims()
         sizes = lambda d: [d, *config.branch_hidden, config.branch_out]
         self.branches = {
-            name: nn.mlp(sizes(dim), rng, out_activation="tanh", dropout=config.dropout)
+            name: nn.mlp(sizes(dim), rng, tanh_out=True, dropout=config.dropout)
             for name, dim in dims.items()
         }
         self.branch_weights = {name: np.ones(config.branch_out) for name in config.branches}
@@ -104,10 +104,9 @@ class Policy:
         named: list[tuple[str, np.ndarray]] = []
 
         def add_dense(prefix: str, net: nn.Network) -> None:
-            dense = [l for l in net.layers if isinstance(l, nn.DenseLayer)]
-            for i, layer in enumerate(dense):
-                named.append((f"{prefix}.dense{i}.weights", layer.weights))
-                named.append((f"{prefix}.dense{i}.bias", layer.bias))
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                named.append((f"{prefix}.dense{i}.weights", w))
+                named.append((f"{prefix}.dense{i}.bias", b))
 
         for name in self.config.branches:
             add_dense(f"branch.{name}", self.branches[name])
@@ -156,25 +155,25 @@ class Policy:
                       self.config.log_std_max)
         return float(np.exp(clamped))
 
-    def assemble_state(self, flat_obs: dict[str, np.ndarray], mode: str = "eval",
+    def assemble_state(self, flat_obs: dict[str, np.ndarray],
                        rng: np.random.Generator | None = None) -> tuple[np.ndarray, PolicyCache]:
         """The (rows, state_dim) concatenation of the weighted branch outputs
-        for (rows, dim) branch inputs."""
+        for (rows, dim) branch inputs; the branches' dropout runs if and only
+        if ``rng`` is given."""
         cache = PolicyCache()
         chunks = []
         for name in self.config.branches:
-            out, cache.branch_caches[name] = nn.forward(self.branches[name], flat_obs[name],
-                                                        mode=mode, rng=rng)
+            out, cache.branch_caches[name] = nn.forward(self.branches[name], flat_obs[name], rng)
             cache.branch_outputs[name] = out
             # a (1, out) row, like the bias in nn.forward: same products, less set-up
             chunks.append(out * self.branch_weights[name][None])
         return np.concatenate(chunks, axis=1), cache
 
-    def forward(self, flat_obs: dict[str, np.ndarray], mode: str = "eval",
+    def forward(self, flat_obs: dict[str, np.ndarray],
                 rng: np.random.Generator | None = None) -> tuple[PolicyOutput, PolicyCache]:
-        state, cache = self.assemble_state(flat_obs, mode=mode, rng=rng)
-        mean, cache.policy_cache = nn.forward(self.policy_trunk, state, mode=mode, rng=rng)
-        value, cache.value_cache = nn.forward(self.value_trunk, state, mode=mode, rng=rng)
+        state, cache = self.assemble_state(flat_obs, rng)
+        mean, cache.policy_cache = nn.forward(self.policy_trunk, state, rng)
+        value, cache.value_cache = nn.forward(self.value_trunk, state, rng)
         return PolicyOutput(mean[:, 0], self.action_std, value[:, 0]), cache
 
     def backward(self, cache: PolicyCache, d_mean, d_value,

@@ -1,8 +1,8 @@
 """PPO training loop: rollout collection, GAE advantages, the clipped
 probability-ratio surrogate, and minibatched Adam updates.
 
-The behavior policy is evaluated with deterministic (eval-mode) features while
-collecting; dropout is active only during the update passes.
+The behavior policy runs without dropout while collecting; dropout is active
+only during the update passes, which give the policy an rng.
 """
 
 from __future__ import annotations
@@ -39,6 +39,15 @@ class PpoConfig:
     checkpoint_every: int = 0      # updates between checkpoint_fn calls; 0 = none
 
     def __post_init__(self):
+        for name in ("learning_rate", "max_grad_norm"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise PpoError(f"{name} must be finite and > 0")
+        for name in ("value_coef", "entropy_coef"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise PpoError(f"{name} must be finite and >= 0")
+        for name in ("gamma", "gae_lambda"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise PpoError(f"{name} must be in [0, 1]")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise PpoError("clip_epsilon must be in (0, 1)")
         if self.minibatches < 1 or self.epochs_per_update < 1:
@@ -122,14 +131,15 @@ class UpdateStats:
 
 
 def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig,
-                       mode: str = "train", rng: np.random.Generator | None = None
+                       rng: np.random.Generator | None = None
                        ) -> tuple[float, UpdateStats, list[np.ndarray]]:
-    """Total PPO loss on one minibatch plus its analytic parameter gradients.
+    """Total PPO loss on one minibatch plus its analytic parameter gradients;
+    the policy's dropout runs if and only if ``rng`` is given.
 
     loss = -mean(surrogate) + value_coef * mean((returns - V)^2)
            - entropy_coef * entropy
     """
-    out, cache = policy.forward(batch["obs"], mode=mode, rng=rng)
+    out, cache = policy.forward(batch["obs"], rng)
     mean = out.action_mean
     value = out.value
     std = out.action_std
@@ -178,7 +188,7 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
     total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
-    if total > max_norm > 0:
+    if total > max_norm:
         scale = max_norm / total
         for g in grads:
             g *= scale
@@ -212,8 +222,7 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
                 "advantages": advantages[idx],
                 "returns": returns[idx],
             }
-            _, stats, grads = ppo_loss_and_grads(policy, batch, config,
-                                                 mode="train", rng=rng)
+            _, stats, grads = ppo_loss_and_grads(policy, batch, config, rng)
             grad_norm = clip_grad_norm(grads, config.max_grad_norm)
             if not math.isfinite(grad_norm):
                 raise PpoError(f"non-finite gradient norm {grad_norm} before clipping")
@@ -240,7 +249,7 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
         flat, ep_return = carry
 
     for t in range(n_steps):
-        out, _ = policy.forward(flat, mode="eval")
+        out, _ = policy.forward(flat)
         action, u, log_prob = policy_mod.sample_action(out, rng)
         reward, _ = env.step(float(action[0]))
         done = env.done
@@ -259,7 +268,7 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
             env.reset(rng)
         flat = policy.flatten_observation(env.observation(env.state.day_index))
 
-    out, _ = policy.forward(flat, mode="eval")
+    out, _ = policy.forward(flat)
     buffer.bootstrap_value = out.value[0]
     return buffer, (flat, ep_return)
 

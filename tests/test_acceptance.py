@@ -47,8 +47,7 @@ def deterministic_episode_return(policy, dataset, normalizer) -> float:
     p = env.reset()
     total = 0.0
     while not env.done:
-        out, _ = policy.forward(policy.flatten_observation(env.observation(p.day_index)),
-                                mode="eval")
+        out, _ = policy.forward(policy.flatten_observation(env.observation(p.day_index)))
         reward, _ = env.step(float(np.clip(out.action_mean[0], -1.0, 1.0)))
         total += reward
     return total

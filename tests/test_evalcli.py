@@ -43,9 +43,8 @@ def small_variant_policy(variant, seed):
 def inert_policy(variant="DNN", seed=0):
     """A policy whose action mean is identically zero (never trades)."""
     policy = small_variant_policy(variant, seed)
-    last = [l for l in policy.policy_trunk.layers if hasattr(l, "weights")][-1]
-    last.weights[...] = 0.0
-    last.bias[...] = 0.0
+    policy.policy_trunk.weights[-1][...] = 0.0
+    policy.policy_trunk.biases[-1][...] = 0.0
     return policy
 
 
@@ -128,8 +127,8 @@ class TestBacktest:
         forward = policy.forward
         calls = iter(range(len(means) + 1))
 
-        def scripted_forward(flat, mode="eval", rng=None):
-            out, cache = forward(flat, mode, rng)
+        def scripted_forward(flat, rng=None):
+            out, cache = forward(flat, rng)
             k = next(calls)
             out.action_mean = np.array([means[k] if k < len(means) else np.nan])
             return out, cache
@@ -350,6 +349,21 @@ CONFIG_CASES = [
 ]
 
 
+# (key, raw value, the check's message): a value each section rejects.
+OUT_OF_RANGE_CASES = [
+    ("env.initial_cash", "inf", "must be finite and > 0"),
+    ("env.initial_cash", "nan", "must be finite and > 0"),
+    ("ppo.learning_rate", "nan", "must be finite and > 0"),
+    ("ppo.learning_rate", "-1", "must be finite and > 0"),
+    ("ppo.gamma", "7", "must be in [0, 1]"),
+    ("ppo.gae_lambda", "nan", "must be in [0, 1]"),
+    ("ppo.value_coef", "-1", "must be finite and >= 0"),
+    ("ppo.entropy_coef", "inf", "must be finite and >= 0"),
+    ("ppo.max_grad_norm", "-1", "must be finite and > 0"),
+    ("ppo.max_grad_norm", "0", "must be finite and > 0"),
+]
+
+
 def config_setting(cfg, key):
     section, name = key.split(".")
     return getattr(evalcli.section_from_config(cfg, section), name)
@@ -397,6 +411,21 @@ class TestConfigMapping:
     def test_unknown_key_rejected(self, key):
         with pytest.raises(EvalError, match=re.escape(key)):
             evalcli.check_config_keys({key: "1"})
+
+    @pytest.mark.parametrize("key,raw,what", OUT_OF_RANGE_CASES,
+                             ids=[f"{key}={raw}" for key, raw, _ in OUT_OF_RANGE_CASES])
+    def test_out_of_range_value_is_reported_with_its_key(self, key, raw, what):
+        with pytest.raises(EvalError, match=re.escape(f"config {key} {what}")):
+            config_setting({key: raw}, key)
+
+    def test_out_of_range_value_fails_train_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "inf.cfg"
+        config.write_text("env.initial_cash = inf\n")
+        rc = cli.main(["train", "--variant", "DNN", "--data", str(tmp_path / "bars.csv"),
+                       "--config", str(config), "--out-dir", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: config env.initial_cash must be finite and > 0")
 
     def test_unknown_key_fails_the_command(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
@@ -689,9 +718,14 @@ class TestCli:
         (lambda doc: {**doc, "params": {**doc["params"], "log_std": None}},
          "parameter 'log_std' is not an array of finite numbers"),
         (lambda doc: {**doc, "variant": ["MCTG"]}, "field 'variant' is not a JSON string"),
+        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": 1.5}},
+         "dropout rate must be in [0, 1)"),
+        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": -0.5}},
+         "dropout rate must be in [0, 1)"),
     ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
             "norm_stats.mid", "training_step", "branch_hidden", "branch_hidden_entry",
-            "garch_feature", "params_entry", "params_null", "variant"])
+            "garch_feature", "params_entry", "params_null", "variant", "dropout",
+            "dropout_negative"])
     def test_checkpoint_of_the_wrong_shape_fails_backtest_cleanly(
             self, cli_workspace, tmp_path, capsys, edit, what):
         doc = edit(json.loads(cli_workspace["checkpoint"].read_text()))

@@ -4,62 +4,50 @@ import pytest
 from mctg import nn
 from mctg.evalcli import VARIANTS
 from mctg.marketdata import window_at
-from mctg.nn import (AdamState, DenseLayer, DropoutLayer, Network, NetworkError,
-                     adam_step, backward, forward, grad_check, mlp)
+from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, forward,
+                     grad_check, mlp, relative_error)
 from mctg.policy import Policy
-
-
-def identity_layer(n):
-    return DenseLayer(np.eye(n), np.zeros(n), "identity")
 
 
 # -- oracle: the per-layer expression forward, kept to pin the in-place form ---
 
-def _activate(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise AssertionError(name)
-
-
-def oracle_forward(net, x, mode="eval", rng=None):
-    """``_activate(act, h @ W.T + b)`` per dense layer, dropout as in ``forward``;
-    returns the output and the (inputs, acts, masks) a ForwardCache holds."""
-    inputs, acts, masks = [], [], []
+def oracle_forward(net, x, rng=None):
+    """``tanh(h @ W.T + b)`` per layer, the output layer linear unless
+    ``net.tanh_out``, dropout as in ``forward``; returns the output and the
+    (inputs, acts, mask) a ForwardCache holds."""
+    inputs, acts, mask = [], [], None
     h = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if i == 1 and rng is not None and net.dropout > 0.0:
+            keep = 1.0 - net.dropout
+            mask = (rng.random(h.shape) < keep) / keep
+            h = h * mask
         inputs.append(h)
-        if isinstance(layer, DropoutLayer):
-            mask = None
-            if mode == "train":
-                keep = 1.0 - layer.rate
-                mask = (rng.random(h.shape) < keep) / keep
-                h = h * mask
-            masks.append(mask)
-        else:
-            h = _activate(layer.activation, h @ layer.weights.T + layer.bias)
-            masks.append(None)
+        z = h @ w.T + b
+        h = np.tanh(z) if i < last or net.tanh_out else z
         acts.append(h)
-    return h, inputs, acts, masks
+    return h, inputs, acts, mask
 
 
 def assert_same_entries(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        if w is None:
-            assert g is None
-        else:
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
-def oracle_policy_forward(policy, flat, mode="eval", rng=None):
-    chunks = [oracle_forward(policy.branches[b], flat[b], mode, rng)[0]
+def oracle_policy_forward(policy, flat, rng=None):
+    chunks = [oracle_forward(policy.branches[b], flat[b], rng)[0]
               * policy.branch_weights[b] for b in policy.config.branches]
     state = np.concatenate(chunks, axis=1)
-    mean = oracle_forward(policy.policy_trunk, state, mode, rng)[0]
-    value = oracle_forward(policy.value_trunk, state, mode, rng)[0]
+    mean = oracle_forward(policy.policy_trunk, state, rng)[0]
+    value = oracle_forward(policy.value_trunk, state, rng)[0]
     return mean[:, 0], value[:, 0]
+
+
+def dropout_rng(mode, seed):
+    """An rng turns dropout on: one for "train", none for "eval"."""
+    return np.random.default_rng(seed) if mode == "train" else None
 
 
 def frozen(arrays):
@@ -70,10 +58,10 @@ def frozen(arrays):
 
 # The layer shapes of the MCTG policy: three branches and the two trunks.
 POLICY_NETS = {
-    "short": ([288, 32, 16, 16], "tanh", 0.25),
-    "mid": ([210, 32, 16, 16], "tanh", 0.25),
-    "long": ([180, 32, 16, 16], "tanh", 0.25),
-    "trunk": ([48, 32, 1], "identity", 0.0),
+    "short": ([288, 32, 16, 16], True, 0.25),
+    "mid": ([210, 32, 16, 16], True, 0.25),
+    "long": ([180, 32, 16, 16], True, 0.25),
+    "trunk": ([48, 32, 1], False, 0.0),
 }
 
 
@@ -82,19 +70,22 @@ class TestForwardOracle:
     @pytest.mark.parametrize("mode", ["eval", "train"])
     @pytest.mark.parametrize("name", sorted(POLICY_NETS))
     def test_bit_for_bit_with_per_layer_expression(self, name, mode, rows):
-        sizes, out_act, dropout = POLICY_NETS[name]
-        net = mlp(sizes, out_activation=out_act, dropout=dropout,
+        sizes, tanh_out, dropout = POLICY_NETS[name]
+        net = mlp(sizes, tanh_out=tanh_out, dropout=dropout,
                   rng=np.random.default_rng(11))
         x = np.random.default_rng(12).normal(size=(rows, sizes[0]))
-        want, inputs, acts, masks = oracle_forward(net, x, mode, np.random.default_rng(13))
+        want, inputs, acts, mask = oracle_forward(net, x, dropout_rng(mode, 13))
         # forward may write only into arrays it created: input and parameters are frozen
         frozen([x, *net.parameters()])
-        y, cache = forward(net, x, mode, np.random.default_rng(13))
+        y, cache = forward(net, x, dropout_rng(mode, 13))
         assert np.array_equal(y, want)
         assert y is cache.acts[-1]
         assert_same_entries(cache.inputs, inputs)
         assert_same_entries(cache.acts, acts)
-        assert_same_entries(cache.masks, masks)
+        if mode == "train" and dropout > 0.0:
+            assert_same_entries([cache.mask], [mask])
+        else:
+            assert cache.mask is None and mask is None
 
     @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
     @pytest.mark.parametrize("rows", [1, 256])
@@ -104,10 +95,9 @@ class TestForwardOracle:
         policy = Policy(VARIANTS[variant].policy_config(), rng)
         flat = {b: rng.normal(size=(rows, d))
                 for b, d in policy.config.input_dims().items()}
-        want_mean, want_value = oracle_policy_forward(policy, flat, mode,
-                                                      np.random.default_rng(17))
+        want_mean, want_value = oracle_policy_forward(policy, flat, dropout_rng(mode, 17))
         frozen([*flat.values(), *policy.parameters()])
-        out, _ = policy.forward(flat, mode, np.random.default_rng(17))
+        out, _ = policy.forward(flat, dropout_rng(mode, 17))
         assert np.array_equal(out.action_mean, want_mean)
         assert np.array_equal(out.value, want_value)
 
@@ -133,7 +123,7 @@ class TestForwardOracle:
 
 class TestForward:
     def test_identity_network(self):
-        net = Network([identity_layer(4)])
+        net = Network([np.eye(4)], [np.zeros(4)])
         x = np.array([[1.0, -2.0, 3.0, 0.5]])
         y, _ = forward(net, x)
         assert np.array_equal(y, x)
@@ -141,18 +131,13 @@ class TestForward:
     def test_eval_deterministic(self):
         net = mlp([6, 4, 2], dropout=0.5, rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(1, 6))
-        y1, _ = forward(net, x, mode="eval")
-        y2, _ = forward(net, x, mode="eval")
+        y1, _ = forward(net, x)
+        y2, _ = forward(net, x)
         assert np.array_equal(y1, y2)
 
     def test_dropout_rate_one_rejected(self):
         with pytest.raises(NetworkError, match="rate"):
-            DropoutLayer(1.0)
-
-    def test_train_dropout_needs_rng(self):
-        net = mlp([4, 3, 2], dropout=0.25, rng=np.random.default_rng(0))
-        with pytest.raises(NetworkError, match="rng"):
-            forward(net, np.zeros((1, 4)), mode="train")
+            Network([np.eye(2)], [np.zeros(2)], dropout=1.0)
 
     def test_shape_mismatch(self):
         net = mlp([4, 2], rng=np.random.default_rng(0))
@@ -176,11 +161,11 @@ class TestForward:
         rng = np.random.default_rng(3)
         net = mlp([6, 8, 4], dropout=0.25, rng=rng)
         x = rng.normal(size=(1, 6))
-        y_eval, _ = forward(net, x, mode="eval")
+        y_eval, _ = forward(net, x)
         total = np.zeros((1, 4))
         n = 10_000
         for _ in range(n):
-            y, _ = forward(net, x, mode="train", rng=rng)
+            y, _ = forward(net, x, rng)
             total += y
         # expectation holds at the masked layer; nonlinearity downstream is
         # checked loosely per unit
@@ -190,9 +175,9 @@ class TestForward:
 class TestBackward:
     def test_linear_closed_form(self):
         w = np.array([[2.0]])
-        net = Network([DenseLayer(w, np.array([0.5]), "identity")])
+        net = Network([w], [np.array([0.5])])
         x = np.array([[3.0]])
-        y, cache = forward(net, x, mode="train", rng=np.random.default_rng(0))
+        y, cache = forward(net, x, np.random.default_rng(0))
         assert y[0, 0] == pytest.approx(6.5)
         grads, dx = backward(net, cache, np.array([[1.0]]))
         assert grads[0][0, 0] == pytest.approx(3.0)   # dw = x
@@ -200,7 +185,7 @@ class TestBackward:
         assert dx[0, 0] == pytest.approx(2.0)         # dx = w
 
     def test_tanh_derivative_at_zero(self):
-        net = Network([DenseLayer(np.eye(1), np.zeros(1), "tanh")])
+        net = Network([np.eye(1)], [np.zeros(1)], tanh_out=True)
         _, cache = forward(net, np.zeros((1, 1)))
         _, dx = backward(net, cache, np.ones((1, 1)))
         assert dx[0, 0] == pytest.approx(1.0)   # sech^2(0)
@@ -211,6 +196,38 @@ class TestBackward:
         for bad in (np.ones(2), np.ones((1, 2)), np.ones((4, 3))):
             with pytest.raises(NetworkError, match="gradient shape"):
                 backward(net, cache, bad)
+
+    def test_gradients_through_a_dropout_mask(self):
+        rng = np.random.default_rng(21)
+        net = mlp([5, 6, 4, 3], rng, tanh_out=True, dropout=0.5)
+        x = rng.normal(size=(3, 5))
+        c = rng.normal(size=(3, 3))
+
+        def run():
+            # A fresh rng of one seed draws the same mask: it depends only on
+            # the rng and the shape, so every loss below holds the mask fixed.
+            return forward(net, x, np.random.default_rng(22))
+
+        def loss() -> float:
+            return float(np.sum(run()[0] * c))
+
+        _, cache = run()
+        assert cache.mask is not None and 0 < np.count_nonzero(cache.mask) < cache.mask.size
+        grads, dx = backward(net, cache, c)
+        step = 1e-6
+        worst = 0.0
+        for p, g in zip([*net.parameters(), x], [*grads, dx]):
+            flat = p.ravel()
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                up = loss()
+                flat[i] = orig - step
+                down = loss()
+                flat[i] = orig
+                worst = max(worst, relative_error(float(g.ravel()[i]),
+                                                  (up - down) / (2.0 * step)))
+        assert worst < 1e-6
 
     def test_three_layer_finite_difference(self):
         rng = np.random.default_rng(4)

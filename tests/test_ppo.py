@@ -235,10 +235,10 @@ class TestLossAndGrads:
         batch = random_batch(policy, rng)
 
         def loss():
-            l, _, _ = ppo_loss_and_grads(policy, batch, config, mode="eval")
+            l, _, _ = ppo_loss_and_grads(policy, batch, config)
             return l
 
-        _, _, analytic = ppo_loss_and_grads(policy, batch, config, mode="eval")
+        _, _, analytic = ppo_loss_and_grads(policy, batch, config)
         eps = 1e-6
         for p, g in zip(policy.parameters(), analytic):
             fd = np.zeros_like(p)
@@ -262,7 +262,7 @@ class TestLossAndGrads:
         policy = tiny_policy(rng)
         config = PpoConfig(rollout=64, minibatches=1, total_steps=64)
         batch = random_batch(policy, rng, n=64)
-        out, _ = policy.forward(batch["obs"], mode="eval")
+        out, _ = policy.forward(batch["obs"])
         new = gaussian_log_prob(batch["u"], out.action_mean, out.action_std)
         # rows 0-7 clamp the ratio's exponent (both signs); the rest spread
         # the ratio over about [0.6, 1.65], across both clip edges
@@ -271,7 +271,7 @@ class TestLossAndGrads:
         rho = prob_ratio(new, batch["old_log_prob"])
         assert np.sum(np.abs(rho - 1.0) > config.clip_epsilon) > 8
 
-        _, stats, _ = ppo_loss_and_grads(policy, batch, config, mode="eval")
+        _, stats, _ = ppo_loss_and_grads(policy, batch, config)
         want = -ppo_surrogate(rho, batch["advantages"], config.clip_epsilon).mean()
         assert stats.policy_loss == want
 
@@ -279,8 +279,7 @@ class TestLossAndGrads:
         rng = np.random.default_rng(10)
         policy = tiny_policy(rng)
         config = PpoConfig(rollout=8, minibatches=1, total_steps=8)
-        _, stats, _ = ppo_loss_and_grads(policy, random_batch(policy, rng),
-                                         config, mode="eval")
+        _, stats, _ = ppo_loss_and_grads(policy, random_batch(policy, rng), config)
         assert 0.0 <= stats.clip_fraction <= 1.0
         assert np.isfinite(stats.approx_kl)
         assert stats.value_loss >= 0.0
@@ -301,7 +300,7 @@ class TestLossAndGrads:
                  "advantages": np.zeros(n), "returns": out.value.copy()}
         config = PpoConfig(rollout=8, minibatches=1, total_steps=8,
                            entropy_coef=0.0)
-        _, _, grads = ppo_loss_and_grads(policy, batch, config, mode="eval")
+        _, _, grads = ppo_loss_and_grads(policy, batch, config)
         for g in grads:
             assert np.allclose(g, 0.0, atol=1e-12)
 
