@@ -75,6 +75,8 @@ def cmd_fit_garch(args) -> int:
     print(f"wrote {len(daily)} daily bars with sigma to {args.out}")
     print(f"{health['garch_boundary_fits']} of {health['garch_fits']} "
           "GARCH refits at a constraint boundary")
+    print(f"{health['garch_unconverged_fits']} of {health['garch_fits']} "
+          "GARCH refits did not converge")
     return 0
 
 

@@ -400,9 +400,12 @@ def build_dataset(five_min: BarSeries, garch_window: int, garch_refit_every: int
 
 def garch_fit_health(reports: list[FitReport]) -> dict[str, int]:
     """``garch_fits``: the rolling refits that returned a fit;
-    ``garch_boundary_fits``: how many of them sit at a constraint boundary."""
+    ``garch_boundary_fits``: how many of them sit at a constraint boundary;
+    ``garch_unconverged_fits``: how many stopped before the optimizer
+    converged (their parameters are still used)."""
     return {"garch_fits": len(reports),
-            "garch_boundary_fits": sum(r.at_boundary for r in reports)}
+            "garch_boundary_fits": sum(r.at_boundary for r in reports),
+            "garch_unconverged_fits": sum(not r.converged for r in reports)}
 
 
 def split_boundary(dataset: AlignedDataset, settings: SplitConfig) -> dt.date:

@@ -6,7 +6,8 @@ The conditional variance follows the standard recursion
 
 initialized at the unconditional variance alpha0 / (1 - alpha1 - beta1).
 Estimation maximizes the Gaussian quasi-likelihood over an unconstrained
-reparameterization that keeps alpha1 + beta1 < 1 at every iterate.
+reparameterization that keeps alpha1 + beta1 < 1 at every iterate, by BFGS
+with the exact gradient from the adjoint of the variance recursion.
 """
 
 from __future__ import annotations
@@ -16,12 +17,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 ALPHA0_FLOOR = 1e-12
 BOUNDARY_TOL = 1e-6  # relative distance from a constraint that counts as on it
 LOG2PI = math.log(2.0 * math.pi)
 WARMUP_FLOOR = 1e-8  # lowest volatility emitted before the first fit, so it stays > 0
+X_CLAMP = 50.0  # largest exponent _params_from_x takes; beyond it a coordinate is inert
+
+# BFGS stopping rules: the largest gradient component, the relative change of
+# the objective over one iteration, and an iteration cap.
+GRADIENT_TOL = 1e-7
+OBJECTIVE_TOL = 1e-14
+MAX_ITERATIONS = 400
+ARMIJO = 1e-4  # sufficient decrease a line-search step must reach
+MAX_HALVINGS = 60
 
 
 class GarchError(Exception):
@@ -82,43 +91,52 @@ class FitReport:
     at_boundary: bool
 
 
+def _recursion(c: list, b: float, y0: float) -> list:
+    """``y[0] = y0, y[t] = c[t-1] + b * y[t-1]`` over Python floats: the
+    variance filter forwards and its adjoint backwards."""
+    y = y0
+    out = [y]
+    for ct in c:
+        y = ct + b * y
+        out.append(y)
+    return out
+
+
 def filter_variances(params: GarchParams, returns) -> np.ndarray:
     """Run the variance recursion over a return series.
 
     Output has the same length as the input and is strictly positive. The
-    loop runs on Python floats; ``r ** 2`` squares through libm ``pow`` as
-    numpy's scalar power does, where ``r * r`` or an array square would
-    round differently in the last bit now and then.
+    loop runs on Python floats. ``np.float_power`` squares the residuals
+    through libm ``pow``, as numpy's scalar power does, where ``r * r`` or
+    ``np.square`` would round differently in the last bit now and then.
     """
     returns = np.asarray(returns, dtype=np.float64)
     if returns.ndim != 1 or len(returns) < 1:
         raise GarchError("returns must be a non-empty 1-d series")
-    alpha0, alpha1, beta1 = params.alpha0, params.alpha1, params.beta1
-    v = params.unconditional_variance
-    var = [v]
-    for r in (returns[:-1] - params.mu).tolist():
-        v = alpha0 + alpha1 * r ** 2 + beta1 * v
-        var.append(v)
-    return np.array(var)
+    shocks = params.alpha0 + params.alpha1 * np.float_power(returns[:-1] - params.mu, 2.0)
+    return np.array(_recursion(shocks.tolist(), params.beta1, params.unconditional_variance))
+
+
+def _sum_log_density(var: np.ndarray, resid: np.ndarray) -> float:
+    return float(np.sum(-0.5 * LOG2PI - 0.5 * np.log(var) - resid ** 2 / (2.0 * var)))
 
 
 def log_likelihood(params: GarchParams, returns) -> float:
     """Gaussian log-likelihood of a return series under the filtered variances."""
     returns = np.asarray(returns, dtype=np.float64)
-    var = filter_variances(params, returns)
-    resid = returns - params.mu
-    return float(np.sum(-0.5 * LOG2PI - 0.5 * np.log(var) - resid ** 2 / (2.0 * var)))
+    return _sum_log_density(filter_variances(params, returns), returns - params.mu)
 
 
 def _params_from_x(x: np.ndarray) -> GarchParams:
-    # alpha1, beta1 share a softmax-style map so their sum stays below 1.
+    """The parameters at the optimizer's unconstrained ``x = (mu, log alpha0,
+    xa, xb)``. alpha1, beta1 share a softmax-style map so their sum stays
+    below 1; where it rounds to 1, ``GarchParams`` raises ``GarchError``."""
     mu, log_a0, xa, xb = x
-    ea, eb = math.exp(min(xa, 50.0)), math.exp(min(xb, 50.0))
+    ea, eb = math.exp(min(xa, X_CLAMP)), math.exp(min(xb, X_CLAMP))
     denom = 1.0 + ea + eb
     alpha1 = ea / denom
     beta1 = eb / denom
-    alpha0 = max(math.exp(min(log_a0, 50.0)), ALPHA0_FLOOR)
-    assert alpha1 + beta1 < 1.0
+    alpha0 = max(math.exp(min(log_a0, X_CLAMP)), ALPHA0_FLOOR)
     return GarchParams(mu, alpha0, alpha1, beta1)
 
 
@@ -130,6 +148,87 @@ def _x_from_params(p: GarchParams) -> np.ndarray:
         math.log(max(p.alpha1, 1e-10) / rest),
         math.log(max(p.beta1, 1e-10) / rest),
     ])
+
+
+def _gradient(x: np.ndarray, params: GarchParams, var: np.ndarray,
+              resid: np.ndarray) -> np.ndarray:
+    """Gradient of ``-log_likelihood`` with respect to ``x``, exact.
+
+    ``var`` and ``resid`` are the filtered variances and residuals at
+    ``params = _params_from_x(x)``. The adjoint ``lam_t = dLL/dv_t`` obeys
+    ``lam_t = g_t + beta1 * lam_{t+1}``, with ``g_t`` the derivative of the
+    t-th log-density in ``v_t``: the variance recursion run backwards. The
+    partials in the parameters are then dot products, chained through
+    ``_params_from_x``; a coordinate that a clamp holds fixed gets zero.
+    """
+    alpha0, alpha1, beta1 = params.alpha0, params.alpha1, params.beta1
+    sq = resid * resid
+    g = 0.5 * (sq / var - 1.0) / var
+    lam = np.array(_recursion(g[-2::-1].tolist(), beta1, float(g[-1]))[::-1])
+    lam0, lam = lam[0], lam[1:]
+    rest = 1.0 - alpha1 - beta1
+    # v_0 = alpha0 / rest; v_t for t >= 1 is the recursion.
+    d_persistence = lam0 * alpha0 / (rest * rest)
+    d_alpha0 = float(np.sum(lam)) + lam0 / rest
+    d_alpha1 = float(np.dot(lam, sq[:-1])) + d_persistence
+    d_beta1 = float(np.dot(lam, var[:-1])) + d_persistence
+    d_mu = float(np.sum(resid / var)) - 2.0 * alpha1 * float(np.dot(lam, resid[:-1]))
+    _, log_a0, xa, xb = x
+    free_a0 = log_a0 < X_CLAMP and alpha0 > ALPHA0_FLOOR
+    return -np.array([
+        d_mu,
+        d_alpha0 * alpha0 if free_a0 else 0.0,
+        alpha1 * (d_alpha1 * (1.0 - alpha1) - d_beta1 * beta1) if xa < X_CLAMP else 0.0,
+        beta1 * (d_beta1 * (1.0 - beta1) - d_alpha1 * alpha1) if xb < X_CLAMP else 0.0,
+    ])
+
+
+def _bfgs(evaluate, x: np.ndarray):
+    """Minimize by BFGS with a backtracking line search.
+
+    ``evaluate(x)`` returns the objective and a function of no arguments that
+    gives its gradient, or ``(inf, None)`` off the domain, so the line search
+    backs off. The gradient is taken only at the points the search accepts.
+    Returns ``(x, iterations, converged)``; convergence is a gradient
+    below ``GRADIENT_TOL`` or an iteration that changed the objective by less
+    than ``OBJECTIVE_TOL`` relative.
+    """
+    f, gradient = evaluate(x)
+    g = gradient()
+    h = None  # inverse Hessian estimate; None is the identity before any update
+    for iteration in range(MAX_ITERATIONS):
+        if float(np.max(np.abs(g))) < GRADIENT_TOL:
+            return x, iteration, True
+        d = -g if h is None else -(h @ g)
+        slope = float(g @ d)
+        if not slope < 0.0:  # lost descent: restart from steepest descent
+            h, d, slope = None, -g, -float(g @ g)
+        step = 1.0 if h is not None else min(1.0, 1.0 / float(np.max(np.abs(g))))
+        for _ in range(MAX_HALVINGS):
+            x_new = x + step * d
+            f_new, gradient = evaluate(x_new)
+            if f_new <= f + ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            if h is None:
+                return x, iteration, False
+            h = None
+            continue
+        g_new = gradient()
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = np.eye(len(x))
+            hy = h @ y
+            h = (h + np.outer(s, s) * ((sy + float(y @ hy)) / (sy * sy))
+                 - (np.outer(hy, s) + np.outer(s, hy)) / sy)
+        change = f - f_new
+        x, f, g = x_new, f_new, g_new
+        if change <= OBJECTIVE_TOL * max(abs(f), 1.0):
+            return x, iteration + 1, True
+    return x, MAX_ITERATIONS, False
 
 
 def fit(returns) -> FitReport:
@@ -145,41 +244,27 @@ def fit(returns) -> FitReport:
 
     var = float(np.var(returns))
     init = GarchParams(float(np.mean(returns)), max(0.1 * var, ALPHA0_FLOOR), 0.1, 0.8)
-    x0 = _x_from_params(init)
-
-    def objective(x):
-        try:
-            ll = log_likelihood(_params_from_x(x), returns)
-        except (OverflowError, FloatingPointError):
-            return 1e300
-        return -ll if math.isfinite(ll) else 1e300
-
     if not math.isfinite(log_likelihood(init, returns)):
         raise GarchError("non-finite likelihood at initial parameters")
 
-    # Nelder-Mead finds the basin robustly; BFGS (numeric gradient) polishes.
-    coarse = optimize.minimize(
-        objective, x0, method="Nelder-Mead",
-        options={"maxiter": 2000, "xatol": 1e-9, "fatol": 1e-9, "maxfev": 8000})
-    iterations = int(coarse.nit)
-    converged = bool(coarse.success)
-    # An optimizer's ``fun`` is the objective at its ``x``: no point is evaluated twice.
-    best_x, best_fun = coarse.x, coarse.fun
-    start_fun = objective(x0)
-    if best_fun > start_fun:
-        best_x, best_fun = x0, start_fun
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        polish = optimize.minimize(objective, best_x, method="BFGS",
-                                   options={"maxiter": 2000, "gtol": 1e-7})
-    if polish.fun <= best_fun:
-        best_x, best_fun = polish.x, polish.fun
-        iterations += int(polish.nit)
-        converged = converged or bool(polish.success)
-    params = _params_from_x(best_x)
+    def evaluate(x):
+        try:
+            params = _params_from_x(x)
+        except GarchError:
+            return math.inf, None
+        variances = filter_variances(params, returns)
+        resid = returns - params.mu
+        value = -_sum_log_density(variances, resid)
+        if not math.isfinite(value):
+            return math.inf, None
+        return value, lambda: _gradient(x, params, variances, resid)
+
+    with np.errstate(all="ignore"):
+        x, iterations, converged = _bfgs(evaluate, _x_from_params(init))
+    params = _params_from_x(x)
     return FitReport(
         params=params,
-        log_likelihood=float(-best_fun),
+        log_likelihood=log_likelihood(params, returns),
         iterations=iterations,
         converged=converged,
         at_boundary=(params.alpha1 + params.beta1 > 1.0 - BOUNDARY_TOL

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mctg import cli, evalcli
+from mctg import cli, evalcli, garch
 from mctg.env import EnvConfig, EnvError, TradingEnv, buy_and_hold
 from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
@@ -491,6 +491,23 @@ class TestCli:
         assert f"{k} of {len(reports)} GARCH refits at a constraint boundary\n" \
             in capsys.readouterr().out
 
+    def test_fit_garch_reports_unconverged_fits(self, tmp_path, cli_workspace, capsys,
+                                                monkeypatch):
+        # Two BFGS iterations are too few for any of the refits to converge.
+        monkeypatch.setattr(garch, "MAX_ITERATIONS", 2)
+        rc = cli.main(["fit-garch", "--data", str(cli_workspace["data"]),
+                       "--out", str(tmp_path / "daily.csv"),
+                       "--config", str(cli_workspace["config"])])
+        assert rc == 0
+        daily, _ = resample(load_bars(str(cli_workspace["data"])))
+        reports = []
+        rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
+                         on_fit=reports.append)
+        assert reports and not any(r.converged for r in reports)
+        n = len(reports)
+        assert f"{n} of {n} GARCH refits did not converge\n" in capsys.readouterr().out
+        assert evalcli.garch_fit_health(reports)["garch_unconverged_fits"] == n
+
     def test_train_records_garch_fit_health(self, cli_workspace):
         daily, _ = resample(load_bars(str(cli_workspace["data"])))
         reports = []
@@ -499,9 +516,11 @@ class TestCli:
         meta = load_checkpoint(str(cli_workspace["checkpoint"])).metadata
         assert meta["garch_fits"] == len(reports) > 0
         assert meta["garch_boundary_fits"] == sum(r.at_boundary for r in reports)
+        assert meta["garch_unconverged_fits"] == sum(not r.converged for r in reports)
         assert evalcli.garch_fit_health(reports) == {
             "garch_fits": meta["garch_fits"],
-            "garch_boundary_fits": meta["garch_boundary_fits"]}
+            "garch_boundary_fits": meta["garch_boundary_fits"],
+            "garch_unconverged_fits": meta["garch_unconverged_fits"]}
 
     def test_train_outputs(self, cli_workspace):
         out_dir = cli_workspace["out_dir"]
