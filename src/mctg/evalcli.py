@@ -205,6 +205,17 @@ def load_checkpoint(path: str) -> Checkpoint:
                            ("params", "object"), ("training_step", "integer"),
                            ("metadata", "object")):
             _check_json(doc[name], kind, f"{path}: checkpoint field {name!r}")
+        # The training settings that backtest reuses, when recorded.
+        metadata = doc["metadata"]
+        for name, kind in (("garch_window", "integer"), ("garch_refit_every", "integer"),
+                           ("split_boundary", "string")):
+            if name in metadata:
+                _check_json(metadata[name], kind, f"{path}: checkpoint metadata {name!r}")
+        if "split_boundary" in metadata:
+            try:
+                dt.date.fromisoformat(metadata["split_boundary"])
+            except ValueError as e:
+                raise EvalError(f"{path}: checkpoint metadata 'split_boundary': {e}") from None
         stored = {}
         for f in fields(PolicyConfig):
             value = doc["policy_config"][f.name]

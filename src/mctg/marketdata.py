@@ -33,10 +33,9 @@ class MarketDataError(Exception):
     """Bad bar data: malformed files, invariant violations, alignment gaps."""
 
 
-def _iso_week(date: dt.date) -> int:
-    """ISO week key ``iso_year * 100 + iso_week``; it grows with the date."""
-    iso = date.isocalendar()
-    return iso[0] * 100 + iso[1]
+def _iso_weeks(dates) -> np.ndarray:
+    """ISO week keys ``iso_year * 100 + iso_week``; they grow with the date."""
+    return np.array([y * 100 + w for y, w, _ in map(dt.date.isocalendar, dates)])
 
 
 class BarError(MarketDataError):
@@ -130,18 +129,6 @@ def save_bars(series: BarSeries, path: str) -> None:
             writer.writerow([ts.strftime("%Y-%m-%dT%H:%M")] + [repr(float(x)) for x in row])
 
 
-def _aggregate(rows: np.ndarray) -> np.ndarray:
-    """OHLCVA aggregate of consecutive finer bars."""
-    return np.array([
-        rows[0, 0],            # open of first
-        rows[:, 1].max(),      # max high
-        rows[:, 2].min(),      # min low
-        rows[-1, 3],           # close of last
-        rows[:, 4].sum(),      # summed volume
-        rows[:, 5].sum(),      # summed amount
-    ], dtype=np.float64)
-
-
 def _group_by_date(series: BarSeries) -> dict[dt.date, slice]:
     groups: dict[dt.date, slice] = {}
     dates = series.dates()
@@ -153,50 +140,66 @@ def _group_by_date(series: BarSeries) -> dict[dt.date, slice]:
     return groups
 
 
+def _aggregate_blocks(block: np.ndarray, volume_amount: np.ndarray) -> np.ndarray:
+    """OHLCVA of each (width, 6) block of consecutive bars, given its summed
+    (volume, amount); padding past a block's end repeats its last bar."""
+    return np.column_stack([block[:, 0, 0], block[:, :, 1].max(axis=1),
+                            block[:, :, 2].min(axis=1), block[:, -1, 3], volume_amount])
+
+
+def _week_to_date(daily: np.ndarray, week_keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """OHLCVA of each row's ISO week up to and including the row, from daily
+    bars and their ascending ISO week keys. A running sum read at the row adds
+    volume and amount left to right."""
+    starts = np.searchsorted(week_keys, week_keys[rows])
+    offsets = rows - starts
+    block = daily[np.minimum(starts[:, None] + np.arange(offsets.max() + 1), rows[:, None])]
+    return _aggregate_blocks(block, np.take_along_axis(
+        block[:, :, 4:].cumsum(axis=1), offsets[:, None, None], axis=1)[:, 0])
+
+
 def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
     """Aggregate a 5-minute series into daily and calendar-week bars.
 
     Every trading day must have exactly 48 bars. Daily bars are stamped at
     midnight of their date; weekly bars at the week's last trading day.
     """
-    day_ts: list[dt.datetime] = []
-    day_rows: list[np.ndarray] = []
-    for date, sl in _group_by_date(five_min).items():
+    groups = _group_by_date(five_min)
+    if not groups:
+        raise MarketDataError("no bars to resample")
+    for date, sl in groups.items():
         n = sl.stop - sl.start
         if n != BARS_PER_DAY:
             raise MarketDataError(f"day {date} has {n} bars, expected {BARS_PER_DAY}")
-        day_ts.append(dt.datetime.combine(date, dt.time()))
-        day_rows.append(_aggregate(five_min.values[sl]))
-    daily = BarSeries(day_ts, np.array(day_rows))
+    bars = five_min.values.reshape(-1, BARS_PER_DAY, 6)
+    # One column at a time: a (days, 48) sum adds in the order of a sum over
+    # one day's column, which a (days, 48, 2) sum does not.
+    sums = np.column_stack([bars[:, :, 4].sum(axis=1), bars[:, :, 5].sum(axis=1)])
+    daily = BarSeries([dt.datetime.combine(date, dt.time()) for date in groups],
+                      _aggregate_blocks(bars, sums))
 
-    week_ts: list[dt.datetime] = []
-    week_rows: list[np.ndarray] = []
-    start = 0
-    dates = daily.dates()
-    for i in range(1, len(dates) + 1):
-        if i == len(dates) or _iso_week(dates[i]) != _iso_week(dates[start]):
-            week_ts.append(dt.datetime.combine(dates[i - 1], dt.time()))
-            week_rows.append(_aggregate(daily.values[start:i]))
-            start = i
-    weekly = BarSeries(week_ts, np.array(week_rows))
+    keys = _iso_weeks(groups)
+    ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+    weekly = BarSeries([daily.timestamps[i] for i in ends],
+                       _week_to_date(daily.values, keys, ends))
     return daily, weekly
 
 
 @dataclass(frozen=True)
 class Observation:
-    """The three raw feature windows consumed by the policy."""
+    """The three raw feature windows consumed by the policy, for one day or,
+    with a leading day axis that all three share, for many."""
 
-    short_window: np.ndarray   # (48, 6) five-minute OHLCVA of the decision day
-    mid_window: np.ndarray     # (30, 7) daily OHLCVA + volatility forecast
-    long_window: np.ndarray    # (30, 6) weekly OHLCVA ending at/containing the day
+    short_window: np.ndarray   # (..., 48, 6) five-minute OHLCVA of the decision day
+    mid_window: np.ndarray     # (..., 30, 7) daily OHLCVA + volatility forecast
+    long_window: np.ndarray    # (..., 30, 6) weekly OHLCVA ending at/containing the day
 
     def __post_init__(self):
-        if self.short_window.shape != SHORT_SHAPE:
-            raise MarketDataError(f"short window shape {self.short_window.shape}")
-        if self.mid_window.shape != MID_SHAPE:
-            raise MarketDataError(f"mid window shape {self.mid_window.shape}")
-        if self.long_window.shape != LONG_SHAPE:
-            raise MarketDataError(f"long window shape {self.long_window.shape}")
+        days = self.short_window.shape[:-2]
+        shapes = (self.short_window.shape, self.mid_window.shape, self.long_window.shape)
+        expected = (days + SHORT_SHAPE, days + MID_SHAPE, days + LONG_SHAPE)
+        if shapes != expected:
+            raise MarketDataError(f"window shapes {shapes}, expected {expected}")
 
 
 @dataclass(frozen=True)
@@ -244,12 +247,9 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     fm_starts = {d: sl.start for d, sl in _group_by_date(five_min).items()
                  if sl.stop - sl.start == BARS_PER_DAY}
     dates = daily.dates()
-    week_keys = np.array([_iso_week(t.date()) for t in weekly.timestamps], dtype=np.int64)
-    day_keys = np.array([_iso_week(d) for d in dates], dtype=np.int64)
-    # Per daily row: completed weekly bars before its ISO week, and the first
-    # daily row of that week.
-    weeks_before = np.searchsorted(week_keys, day_keys)
-    week_start = np.searchsorted(day_keys, day_keys)
+    day_keys = _iso_weeks(dates)
+    # Per daily row: completed weekly bars before its ISO week.
+    weeks_before = np.searchsorted(_iso_weeks(weekly.dates()), day_keys)
 
     rows = np.array([i for i, d in enumerate(dates) if i >= MID_DAYS - 1
                      and d in fm_starts and weeks_before[i] >= LONG_WEEKS - 1],
@@ -260,25 +260,11 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     fm_rows = np.array([fm_starts[d] for d in trading_days])[:, None] + np.arange(BARS_PER_DAY)
     mid_rows = rows[:, None] + np.arange(1 - MID_DAYS, 1)
     week_rows = weeks_before[rows, None] + np.arange(1 - LONG_WEEKS, 0)
-    # Each row's in-progress week is its daily rows week_start..row. Gather
-    # them into (rows, width) blocks, repeating the row itself past its end,
-    # which leaves max/min alone; a running sum read at the row itself adds
-    # left to right, as _aggregate's sum does.
-    starts = week_start[rows]
-    offsets = rows - starts
-    block = daily.values[np.minimum(starts[:, None] + np.arange(offsets.max() + 1),
-                                    rows[:, None])]
-    partial_weeks = np.column_stack([
-        daily.values[starts, 0],
-        block[:, :, 1].max(axis=1),
-        block[:, :, 2].min(axis=1),
-        daily.values[rows, 3],
-        np.take_along_axis(block[:, :, 4:].cumsum(axis=1), offsets[:, None, None], axis=1)[:, 0],
-    ])
     windows = (
         five_min.values[fm_rows],
         np.concatenate([daily.values[mid_rows], daily_vol[mid_rows, None]], axis=2),
-        np.concatenate([weekly.values[week_rows], partial_weeks[:, None]], axis=1),
+        np.concatenate([weekly.values[week_rows],
+                        _week_to_date(daily.values, day_keys, rows)[:, None]], axis=1),
         daily.values[rows, 0],
     )
     for array in windows:

@@ -21,6 +21,7 @@ from .marketdata import LONG_SHAPE, MID_SHAPE, SHORT_SHAPE, Observation
 
 LOG2PI = math.log(2.0 * math.pi)
 BRANCH_NAMES = ("short", "mid", "long")
+VOL_COLUMN = MID_SHAPE[1] - 1   # the mid window's last column: the GARCH forecast
 
 
 class PolicyError(Exception):
@@ -49,7 +50,7 @@ class PolicyConfig:
             raise PolicyError("duplicate branch names")
 
     def input_dims(self) -> dict[str, int]:
-        mid_cols = MID_SHAPE[1] if self.garch_feature else MID_SHAPE[1] - 1
+        mid_cols = MID_SHAPE[1] if self.garch_feature else VOL_COLUMN
         dims = {
             "short": SHORT_SHAPE[0] * SHORT_SHAPE[1],
             "mid": MID_SHAPE[0] * mid_cols,
@@ -85,11 +86,11 @@ class Policy:
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
-        dims = config.input_dims()
+        self.input_dims = config.input_dims()   # branch -> width of its input rows
         sizes = lambda d: [d, *config.branch_hidden, config.branch_out]
         self.branches = {
             name: nn.mlp(sizes(dim), rng, tanh_out=True, dropout=config.dropout)
-            for name, dim in dims.items()
+            for name, dim in self.input_dims.items()
         }
         self.branch_weights = {name: np.ones(config.branch_out) for name in config.branches}
         self.policy_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1], rng)
@@ -135,15 +136,15 @@ class Policy:
     # -- observation handling ----------------------------------------------
 
     def flatten_observation(self, obs: Observation) -> dict[str, np.ndarray]:
-        """Flatten the windows of the enabled branches, row-major, each into a
-        one-row (1, dim) batch. The GARCH column is dropped from the mid window
-        when the variant disables it."""
+        """Flatten the windows of the enabled branches, row-major, into
+        (days, dim) inputs, so one day is a one-row batch. The GARCH column is
+        dropped from the mid window when the variant disables it."""
         flat = {}
-        for name in self.config.branches:
+        for name, dim in self.input_dims.items():
             window = getattr(obs, f"{name}_window")
             if name == "mid" and not self.config.garch_feature:
-                window = window[:, :6]
-            flat[name] = window.reshape(1, -1)
+                window = window[..., :VOL_COLUMN]
+            flat[name] = window.reshape(-1, dim)
         return flat
 
     # -- forward / backward --------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy as policy_mod
+from .marketdata import Observation
 from .nn import AdamState, adam_step
 
 RATIO_EXP_CLAMP = 50.0
@@ -61,12 +62,13 @@ class PpoConfig:
 
 
 class TrajectoryBuffer:
-    """One rollout of ``n_steps``: row t holds step t's flattened observation,
-    pre-clip draw, its log-density, reward, value estimate and episode end;
-    ``bootstrap_value`` is the value estimate after the last step."""
+    """One rollout of ``n_steps``: row t holds the day step t acted on, its pre-clip draw,
+    log-density, reward, value estimate and episode end; ``inputs[branch][day]`` is a day's
+    policy input row, and ``bootstrap_value`` the value estimate after the last step."""
 
-    def __init__(self, n_steps: int, obs_dims: dict[str, int]):
-        self.obs = {name: np.empty((n_steps, dim)) for name, dim in obs_dims.items()}
+    def __init__(self, n_steps: int, inputs: dict[str, np.ndarray]):
+        self.inputs = inputs
+        self.day = np.empty(n_steps, dtype=np.intp)
         self.u = np.empty(n_steps)
         self.old_log_prob = np.empty(n_steps)
         self.reward = np.empty(n_steps)
@@ -216,7 +218,7 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
         for k in range(config.minibatches):
             idx = perm[k * mb_size:(k + 1) * mb_size]
             batch = {
-                "obs": {name: arr[idx] for name, arr in buffer.obs.items()},
+                "obs": {name: table[buffer.day[idx]] for name, table in buffer.inputs.items()},
                 "u": buffer.u[idx],
                 "old_log_prob": buffer.old_log_prob[idx],
                 "advantages": advantages[idx],
@@ -234,27 +236,27 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
 
 
 def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
-                    rng: np.random.Generator, carry=None, episode_returns=None):
+                    rng: np.random.Generator, ep_return=None, episode_returns=None):
     """Step the environment ``n_steps`` times under a frozen policy snapshot,
     resetting on episode end; each step acts on
     ``env.observation(env.state.day_index)``. Returns the filled buffer and the
-    carry state for the next rollout."""
-    buffer = TrajectoryBuffer(n_steps, policy.config.input_dims())
+    running return of the episode in progress, for the next call's
+    ``ep_return``; without one, the environment is reset first."""
+    ds = env.dataset
+    buffer = TrajectoryBuffer(n_steps, policy.flatten_observation(
+        Observation(ds.short_windows, ds.mid_windows, ds.long_windows)))
 
-    if carry is None:
-        state = env.reset(rng)
-        flat = policy.flatten_observation(env.observation(state.day_index))
+    if ep_return is None:
+        env.reset(rng)
         ep_return = 0.0
-    else:
-        flat, ep_return = carry
 
     for t in range(n_steps):
-        out, _ = policy.forward(flat)
+        day = env.state.day_index
+        out, _ = policy.forward(policy.flatten_observation(env.observation(day)))
         action, u, log_prob = policy_mod.sample_action(out, rng)
         reward, _ = env.step(float(action[0]))
         done = env.done
-        for name, rows in buffer.obs.items():
-            rows[t] = flat[name][0]
+        buffer.day[t] = day
         buffer.u[t] = u[0]
         buffer.old_log_prob[t] = log_prob[0]
         buffer.reward[t] = reward
@@ -266,11 +268,10 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
                 episode_returns.append(ep_return)
             ep_return = 0.0
             env.reset(rng)
-        flat = policy.flatten_observation(env.observation(env.state.day_index))
 
-    out, _ = policy.forward(flat)
+    out, _ = policy.forward(policy.flatten_observation(env.observation(env.state.day_index)))
     buffer.bootstrap_value = out.value[0]
-    return buffer, (flat, ep_return)
+    return buffer, ep_return
 
 
 def train(policy: policy_mod.Policy, env, config: PpoConfig,
@@ -285,12 +286,12 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
         adam = AdamState(policy.parameters(), config.learning_rate)
     recent = deque(maxlen=10)
     rows: list[dict] = []
-    carry = None
+    ep_return = None
     n_updates = config.total_steps // config.rollout
     for k in range(1, n_updates + 1):
         episode_returns: list[float] = []
-        buffer, carry = collect_rollout(env, policy, config.rollout, rng,
-                                        carry=carry, episode_returns=episode_returns)
+        buffer, ep_return = collect_rollout(env, policy, config.rollout, rng, ep_return,
+                                            episode_returns=episode_returns)
         stats = update(policy, buffer, config, adam, rng)
         recent.extend(episode_returns)
         rows.append({

@@ -158,6 +158,10 @@ class TestResample:
         assert weekly.values[0, 2] == 10.0
         assert weekly.values[0, 4] == 5 * 48.0
 
+    def test_empty_series_rejected(self):
+        with pytest.raises(MarketDataError):
+            resample(md.BarSeries([], np.empty((0, 6))))
+
     def test_incomplete_day_rejected(self):
         timestamps, values = constant_day(dt.date(2020, 1, 6))
         with pytest.raises(MarketDataError, match="47 bars"):
@@ -188,6 +192,37 @@ def minimum_history_bars():
     return fm, daily30, weekly
 
 
+def _aggregate(rows: np.ndarray) -> np.ndarray:
+    """OHLCVA aggregate of consecutive finer bars."""
+    return np.array([
+        rows[0, 0],            # open of first
+        rows[:, 1].max(),      # max high
+        rows[:, 2].min(),      # min low
+        rows[-1, 3],           # close of last
+        rows[:, 4].sum(),      # summed volume
+        rows[:, 5].sum(),      # summed amount
+    ], dtype=np.float64)
+
+
+def aggregate_loops(five_min):
+    """Daily and weekly bars, aggregating each day's and then each ISO week's
+    bars in turn: the reference for resample."""
+    day_ts, day_rows = [], []
+    for date, sl in md._group_by_date(five_min).items():
+        day_ts.append(dt.datetime.combine(date, dt.time()))
+        day_rows.append(_aggregate(five_min.values[sl]))
+    daily = md.BarSeries(day_ts, np.array(day_rows))
+    week_ts, week_rows = [], []
+    dates = daily.dates()
+    start = 0
+    for i in range(1, len(dates) + 1):
+        if i == len(dates) or dates[i].isocalendar()[:2] != dates[start].isocalendar()[:2]:
+            week_ts.append(dt.datetime.combine(dates[i - 1], dt.time()))
+            week_rows.append(_aggregate(daily.values[start:i]))
+            start = i
+    return daily, md.BarSeries(week_ts, np.array(week_rows))
+
+
 def scanning_windows(five_min, daily, weekly, vol):
     """Trading days and their (short, mid, long) windows, found by scanning:
     a day's completed weeks are every weekly bar of an earlier ISO
@@ -211,7 +246,7 @@ def scanning_windows(five_min, daily, weekly, vol):
             five_min.values[full[d]],
             np.hstack([daily.values[i - 29:i + 1], vol[i - 29:i + 1, None]]),
             np.vstack([weekly.values[completed[-29:]],
-                       md._aggregate(daily.values[j:i + 1])]),
+                       _aggregate(daily.values[j:i + 1])]),
         ))
     return days, windows
 
@@ -227,6 +262,31 @@ def span_2020_bars():
     """Across ISO week 2020-W53, which ends on 2021-01-03."""
     five_min = make_series(220, seed=3, start_date=dt.date(2020, 6, 1))
     return (five_min, *resample(five_min))
+
+
+def gappy_weeks_bars():
+    """From a Wednesday to a Tuesday with the Tuesday of the third week
+    missing: partial first and last weeks and a four-day week."""
+    five_min = make_series(40, seed=9, start_date=dt.date(2020, 1, 8))
+    dates = five_min.dates()
+    keep = [i for i, d in enumerate(dates) if d != dt.date(2020, 1, 21)]
+    five_min = md.BarSeries([five_min.timestamps[i] for i in keep], five_min.values[keep])
+    return (five_min, *resample(five_min))
+
+
+class TestResampleOracle:
+    @pytest.mark.parametrize("bars", [frozen_market_bars, span_2020_bars, gappy_weeks_bars])
+    def test_matches_aggregate_loops(self, bars):
+        five_min, daily, weekly = bars()
+        for got, want in zip((daily, weekly), aggregate_loops(five_min)):
+            assert got.timestamps == want.timestamps
+            assert np.array_equal(got.values, want.values)
+
+    def test_gappy_weeks(self):
+        _, daily, weekly = gappy_weeks_bars()
+        assert len(daily) == 39
+        lengths = np.diff([-1] + [daily.timestamps.index(t) for t in weekly.timestamps])
+        assert list(lengths) == [3, 5, 4, 5, 5, 5, 5, 5, 2]
 
 
 class TestAlign:
@@ -282,6 +342,27 @@ class TestAlign:
         vol[3] = 0.0
         with pytest.raises(MarketDataError, match="positive"):
             align(five_min, daily, weekly, vol)
+
+
+class TestObservation:
+    def test_leading_day_axis_accepted(self, small_dataset):
+        ds = small_dataset
+        obs = md.Observation(ds.short_windows, ds.mid_windows, ds.long_windows)
+        assert obs.mid_window.shape == (ds.n_days, 30, 7)
+
+    @pytest.mark.parametrize("cut", [
+        lambda ds: (ds.short_windows, ds.mid_windows[1:], ds.long_windows),
+        lambda ds: (ds.short_windows[0], ds.mid_windows, ds.long_windows[0]),
+        lambda ds: (ds.short_windows[None], ds.mid_windows, ds.long_windows),
+    ], ids=["fewer_days", "one_day_and_many", "extra_axis"])
+    def test_mismatched_leading_axes_rejected(self, small_dataset, cut):
+        with pytest.raises(MarketDataError, match=r"window shapes .*, expected \("):
+            md.Observation(*cut(small_dataset))
+
+    def test_trailing_shape_checked_under_a_day_axis(self):
+        shapes = r"\(\(4, 48, 6\), \(4, 30, 6\), \(4, 30, 6\)\), expected"
+        with pytest.raises(MarketDataError, match=shapes):
+            md.Observation(np.zeros((4, 48, 6)), np.zeros((4, 30, 6)), np.zeros((4, 30, 6)))
 
 
 class TestWindowAt:

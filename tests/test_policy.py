@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mctg import nn
-from mctg.marketdata import LONG_SHAPE, MID_SHAPE, SHORT_SHAPE, Observation
+from mctg.evalcli import VARIANTS
+from mctg.marketdata import LONG_SHAPE, MID_SHAPE, SHORT_SHAPE, Observation, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
@@ -67,6 +68,18 @@ class TestFlatten:
         obs = random_observation(rng)
         flat = Policy(small_config(), rng).flatten_observation(obs)
         assert flat["short"][0, 6] == obs.short_window[1, 0]
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_day_axis_gives_the_stacked_single_day_rows(self, variant, small_dataset):
+        ds = small_dataset
+        policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(4))
+        table = policy.flatten_observation(
+            Observation(ds.short_windows, ds.mid_windows, ds.long_windows))
+        assert set(table) == set(policy.config.branches)
+        for name, rows in table.items():
+            want = np.vstack([policy.flatten_observation(window_at(ds, d))[name]
+                              for d in range(ds.n_days)])
+            assert np.array_equal(rows, want)
 
 
 class TestForward:

@@ -198,7 +198,7 @@ class TestBuffer:
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         buf, _ = collect_rollout(env, policy, 32, rng)
         for i in range(32):
-            out, _ = policy.forward({"mid": buf.obs["mid"][i:i + 1]})
+            out, _ = policy.forward({"mid": buf.inputs["mid"][buf.day[i:i + 1]]})
             lp = gaussian_log_prob(buf.u[i], out.action_mean, out.action_std)
             assert buf.old_log_prob[i] == pytest.approx(lp[0], abs=1e-12)
 
@@ -217,13 +217,19 @@ class TestBuffer:
                            trunk_hidden=4)
         policy = Policy(cfg, np.random.default_rng(10))
         env = TradingEnv(first_days(small_dataset, 6), EnvConfig(), small_normalizer)
-        first, carry = collect_rollout(env, policy, 7, rng)
-        second, _ = collect_rollout(env, policy, 6, rng, carry=carry)
+        returns = []
+        first, ep_return = collect_rollout(env, policy, 7, rng, episode_returns=returns)
+        second, _ = collect_rollout(env, policy, 6, rng, ep_return, episode_returns=returns)
+        # 5-step episodes: the carried return is that of steps 5 and 6, and
+        # their episode ends at step 9, in the second rollout
+        rewards = np.concatenate([first.reward, second.reward])
+        assert returns == [sum(rewards[0:5].tolist()), sum(rewards[5:10].tolist())]
         for i in range(13):
             buf, row = (first, i) if i < 7 else (second, i - 7)
+            assert buf.day[row] == i % 5
             expected = policy.flatten_observation(env.observation(i % 5))
             for name in cfg.branches:
-                assert np.array_equal(buf.obs[name][row], expected[name][0])
+                assert np.array_equal(buf.inputs[name][buf.day[row]], expected[name][0])
 
 
 class TestLossAndGrads:
