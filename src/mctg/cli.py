@@ -80,12 +80,12 @@ def cmd_fit_garch(args) -> int:
     return 0
 
 
-# Training metadata field -> the config keys that set it. When several are
-# present the first is named: data.split_boundary wins over data.train_fraction.
-_PINNED_KEYS = {
-    "garch_window": ("garch.window",),
-    "garch_refit_every": ("garch.refit_every",),
-    "split_boundary": ("data.split_boundary", "data.train_fraction"),
+# Training metadata field -> its JSON kind and the config keys that set it. Of
+# several keys the first is named: data.split_boundary wins over data.train_fraction.
+_PINNED = {
+    "garch_window": ("integer", ("garch.window",)),
+    "garch_refit_every": ("integer", ("garch.refit_every",)),
+    "split_boundary": ("string", ("data.split_boundary", "data.train_fraction")),
 }
 
 
@@ -93,11 +93,17 @@ def _pinned(cfg: dict, metadata: dict, field: str, resolved):
     """The checkpoint's ``metadata[field]``, the value it was trained with, when
     there is one; else ``resolved``, the config's. A config key that resolves to
     a different value than the checkpoint's is an error, since it would do
-    nothing."""
-    pinned = metadata.get(field)
-    if pinned is None:
+    nothing. A date is recorded as its ISO string."""
+    if field not in metadata:
         return resolved
-    key = next((k for k in _PINNED_KEYS[field] if k in cfg), None)
+    kind, keys = _PINNED[field]
+    pinned, what = metadata[field], f"checkpoint metadata {field!r}"
+    evalcli.check_json(pinned, kind, what)
+    try:
+        pinned = dt.date.fromisoformat(pinned) if isinstance(resolved, dt.date) else pinned
+    except ValueError as e:
+        raise evalcli.EvalError(f"{what}: {e}") from None
+    key = next((k for k in keys if k in cfg), None)
     if key is not None and resolved != pinned:
         raise evalcli.EvalError(f"config key {key} resolves to {resolved}, but the "
                                 f"checkpoint was trained with {field} = {pinned}")
@@ -176,8 +182,8 @@ def cmd_backtest(args) -> int:
         args.data, _pinned(cfg, meta, "garch_window", garch.window),
         _pinned(cfg, meta, "garch_refit_every", garch.refit_every))
     boundary = _pinned(cfg, meta, "split_boundary",
-                       evalcli.split_boundary(dataset, split_config).isoformat())
-    train_ds, test_ds = split(dataset, dt.date.fromisoformat(boundary))
+                       evalcli.split_boundary(dataset, split_config))
+    train_ds, test_ds = split(dataset, boundary)
     dataset = train_ds if args.segment == "train" else test_ds
     metrics, equity_rows, trajectory_rows = evalcli.backtest(
         policy, dataset, env_config, normalizer)

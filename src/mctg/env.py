@@ -87,12 +87,14 @@ class TradingEnv:
     from the dataset, normalized once here when a fitted normalizer is
     supplied, and cached per day, as they do not depend on the agent's actions;
     the caller asks ``observation(state.day_index)`` for the day it acts on.
+    ``windows`` holds every day's observation at once, with a leading day axis.
     """
 
     def __init__(self, dataset: AlignedDataset, config: EnvConfig, normalizer=None):
         if dataset.n_days < 2:
             raise EnvError(f"an episode needs at least 2 days, got {dataset.n_days}")
-        self.dataset = dataset if normalizer is None else normalizer.transform(dataset)
+        self.dataset = ds = dataset if normalizer is None else normalizer.transform(dataset)
+        self.windows = Observation(ds.short_windows, ds.mid_windows, ds.long_windows)
         self.config = config
         self.end = dataset.n_days - 1
         self.opens = dataset.opens

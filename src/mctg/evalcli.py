@@ -192,7 +192,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise EvalError(f"{path}: corrupt checkpoint: {e}") from None
-    _check_json(doc, "object", f"{path}: checkpoint")
+    check_json(doc, "object", f"{path}: checkpoint")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise EvalError(f"{path}: checkpoint format version {version}, "
@@ -204,30 +204,19 @@ def load_checkpoint(path: str) -> Checkpoint:
         for name, kind in (("variant", "string"), ("policy_config", "object"),
                            ("params", "object"), ("training_step", "integer"),
                            ("metadata", "object")):
-            _check_json(doc[name], kind, f"{path}: checkpoint field {name!r}")
-        # The training settings that backtest reuses, when recorded.
-        metadata = doc["metadata"]
-        for name, kind in (("garch_window", "integer"), ("garch_refit_every", "integer"),
-                           ("split_boundary", "string")):
-            if name in metadata:
-                _check_json(metadata[name], kind, f"{path}: checkpoint metadata {name!r}")
-        if "split_boundary" in metadata:
-            try:
-                dt.date.fromisoformat(metadata["split_boundary"])
-            except ValueError as e:
-                raise EvalError(f"{path}: checkpoint metadata 'split_boundary': {e}") from None
+            check_json(doc[name], kind, f"{path}: checkpoint field {name!r}")
         stored = {}
         for f in fields(PolicyConfig):
             value = doc["policy_config"][f.name]
             what = f"{path}: checkpoint policy_config {f.name!r}"
             if isinstance(f.default, tuple):
                 # JSON stores the config's tuples as lists.
-                _check_json(value, "array", what)
+                check_json(value, "array", what)
                 for item in value:
-                    _check_json(item, _JSON_KINDS[type(f.default[0])], f"{what} entry")
+                    check_json(item, _JSON_KINDS[type(f.default[0])], f"{what} entry")
                 value = tuple(value)
             else:
-                _check_json(value, _JSON_KINDS[type(f.default)], what)
+                check_json(value, _JSON_KINDS[type(f.default)], what)
             stored[f.name] = value
         params = {}
         for name, value in doc["params"].items():
@@ -255,7 +244,7 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
 _JSON_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
 
 
-def _check_json(value, kind: str, what: str) -> None:
+def check_json(value, kind: str, what: str) -> None:
     """JSON read from a file can be valid yet of the wrong type; ``kind`` is a
     key of ``_JSON_TYPES``. Only a ``boolean`` may be a JSON boolean."""
     if isinstance(value, bool) != (kind == "boolean") \
@@ -275,13 +264,13 @@ def report(metrics_docs: list[dict]) -> list[dict]:
     groups: dict[str, list[tuple[float, float]]] = {}
     for n, doc in enumerate(metrics_docs, start=1):
         try:
-            _check_json(doc, "object", f"metrics document {n}")
-            _check_json(doc["variant"], "string", f"metrics document {n} field 'variant'")
+            check_json(doc, "object", f"metrics document {n}")
+            check_json(doc["variant"], "string", f"metrics document {n} field 'variant'")
             metrics = doc["metrics"]
-            _check_json(metrics, "object", f"metrics document {n} field 'metrics'")
+            check_json(metrics, "object", f"metrics document {n} field 'metrics'")
             rates = (metrics["profit_rate_annualized"], metrics["tax_rate_annualized"])
             for name in ("profit_rate_annualized", "tax_rate_annualized"):
-                _check_json(metrics[name], "number", f"metrics document {n} field {name!r}")
+                check_json(metrics[name], "number", f"metrics document {n} field {name!r}")
             groups.setdefault(doc["variant"], []).append(rates)
         except KeyError as e:
             raise EvalError(f"metrics document {n} lacks field {e.args[0]!r}") from None

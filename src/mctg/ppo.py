@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policy as policy_mod
-from .marketdata import Observation
 from .nn import AdamState, adam_step
 
 RATIO_EXP_CLAMP = 50.0
@@ -235,16 +234,15 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
     return UpdateStats(**{k: v / passes for k, v in agg.items()})
 
 
-def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
+def collect_rollout(env, policy: policy_mod.Policy, inputs: dict[str, np.ndarray], n_steps: int,
                     rng: np.random.Generator, ep_return=None, episode_returns=None):
     """Step the environment ``n_steps`` times under a frozen policy snapshot,
-    resetting on episode end; each step acts on
-    ``env.observation(env.state.day_index)``. Returns the filled buffer and the
-    running return of the episode in progress, for the next call's
+    resetting on episode end; the step on day d acts on row d of ``inputs``, the
+    tables of ``policy.flatten_observation(env.windows)``. Returns the filled buffer
+    and the running return of the episode in progress, for the next call's
     ``ep_return``; without one, the environment is reset first."""
-    ds = env.dataset
-    buffer = TrajectoryBuffer(n_steps, policy.flatten_observation(
-        Observation(ds.short_windows, ds.mid_windows, ds.long_windows)))
+    buffer = TrajectoryBuffer(n_steps, inputs)
+    day_inputs = lambda day: {name: table[day:day + 1] for name, table in inputs.items()}
 
     if ep_return is None:
         env.reset(rng)
@@ -252,7 +250,7 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
 
     for t in range(n_steps):
         day = env.state.day_index
-        out, _ = policy.forward(policy.flatten_observation(env.observation(day)))
+        out, _ = policy.forward(day_inputs(day))
         action, u, log_prob = policy_mod.sample_action(out, rng)
         reward, _ = env.step(float(action[0]))
         done = env.done
@@ -269,7 +267,7 @@ def collect_rollout(env, policy: policy_mod.Policy, n_steps: int,
             ep_return = 0.0
             env.reset(rng)
 
-    out, _ = policy.forward(policy.flatten_observation(env.observation(env.state.day_index)))
+    out, _ = policy.forward(day_inputs(env.state.day_index))
     buffer.bootstrap_value = out.value[0]
     return buffer, ep_return
 
@@ -286,12 +284,13 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
         adam = AdamState(policy.parameters(), config.learning_rate)
     recent = deque(maxlen=10)
     rows: list[dict] = []
+    inputs = policy.flatten_observation(env.windows)
     ep_return = None
     n_updates = config.total_steps // config.rollout
     for k in range(1, n_updates + 1):
         episode_returns: list[float] = []
-        buffer, ep_return = collect_rollout(env, policy, config.rollout, rng, ep_return,
-                                            episode_returns=episode_returns)
+        buffer, ep_return = collect_rollout(env, policy, inputs, config.rollout, rng,
+                                            ep_return, episode_returns=episode_returns)
         stats = update(policy, buffer, config, adam, rng)
         recent.extend(episode_returns)
         rows.append({

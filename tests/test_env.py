@@ -251,6 +251,14 @@ class TestEpisode:
         assert np.array_equal(obs.mid_window, direct.mid_window)
         assert env.observation(0) is obs
 
+    def test_windows_are_every_days_observation(self, small_dataset, small_normalizer):
+        env = TradingEnv(small_dataset, EnvConfig(), normalizer=small_normalizer)
+        for day in range(small_dataset.n_days):
+            obs = env.observation(day)
+            for name in ("short", "mid", "long"):
+                window = f"{name}_window"
+                assert np.array_equal(getattr(env.windows, window)[day], getattr(obs, window))
+
 
 class TestBuyAndHold:
     def test_three_day_hand_accounting(self, small_dataset):

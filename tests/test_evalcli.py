@@ -751,11 +751,14 @@ class TestCli:
          "metadata 'garch_window' is not a JSON integer"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "garch_refit_every": 2.5}},
          "metadata 'garch_refit_every' is not a JSON integer"),
+        (lambda doc: {**doc, "metadata": {**doc["metadata"], "garch_window": None}},
+         "metadata 'garch_window' is not a JSON integer"),
     ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
             "norm_stats.mid", "training_step", "branch_hidden", "branch_hidden_entry",
             "garch_feature", "params_entry", "params_null", "variant", "dropout",
             "dropout_negative", "split_boundary_number", "split_boundary_not_a_date",
-            "garch_window_string", "garch_window_boolean", "garch_refit_every_float"])
+            "garch_window_string", "garch_window_boolean", "garch_refit_every_float",
+            "garch_window_null"])
     def test_checkpoint_of_the_wrong_shape_fails_backtest_cleanly(
             self, cli_workspace, tmp_path, capsys, edit, what):
         doc = edit(json.loads(cli_workspace["checkpoint"].read_text()))

@@ -196,7 +196,8 @@ class TestBuffer:
         rng = np.random.default_rng(5)
         policy = tiny_policy(np.random.default_rng(6))
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
-        buf, _ = collect_rollout(env, policy, 32, rng)
+        inputs = policy.flatten_observation(env.windows)
+        buf, _ = collect_rollout(env, policy, inputs, 32, rng)
         for i in range(32):
             out, _ = policy.forward({"mid": buf.inputs["mid"][buf.day[i:i + 1]]})
             lp = gaussian_log_prob(buf.u[i], out.action_mean, out.action_std)
@@ -206,7 +207,8 @@ class TestBuffer:
         rng = np.random.default_rng(7)
         policy = tiny_policy(np.random.default_rng(8))
         env = TradingEnv(first_days(small_dataset, 6), EnvConfig())
-        buf, _ = collect_rollout(env, policy, 16, rng)
+        inputs = policy.flatten_observation(env.windows)
+        buf, _ = collect_rollout(env, policy, inputs, 16, rng)
         # 5-step episodes: dones at indices 4, 9, 14
         assert list(np.nonzero(buf.done)[0]) == [4, 9, 14]
 
@@ -218,8 +220,10 @@ class TestBuffer:
         policy = Policy(cfg, np.random.default_rng(10))
         env = TradingEnv(first_days(small_dataset, 6), EnvConfig(), small_normalizer)
         returns = []
-        first, ep_return = collect_rollout(env, policy, 7, rng, episode_returns=returns)
-        second, _ = collect_rollout(env, policy, 6, rng, ep_return, episode_returns=returns)
+        inputs = policy.flatten_observation(env.windows)
+        first, ep_return = collect_rollout(env, policy, inputs, 7, rng, episode_returns=returns)
+        second, _ = collect_rollout(env, policy, inputs, 6, rng, ep_return,
+                                    episode_returns=returns)
         # 5-step episodes: the carried return is that of steps 5 and 6, and
         # their episode ends at step 9, in the second rollout
         rewards = np.concatenate([first.reward, second.reward])
@@ -359,7 +363,8 @@ class TestTrainLoop:
         rng = np.random.default_rng(16)
         policy = tiny_policy(rng)
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
-        buf, _ = collect_rollout(env, policy, 16, rng)
+        inputs = policy.flatten_observation(env.windows)
+        buf, _ = collect_rollout(env, policy, inputs, 16, rng)
         config = PpoConfig(rollout=16, minibatches=1, epochs_per_update=1,
                            total_steps=16, gamma=0.5, gae_lambda=0.8)
         _, returns = compute_gae(buf.reward, buf.value, buf.done, buf.bootstrap_value,
@@ -378,7 +383,8 @@ class TestTrainLoop:
         rng = np.random.default_rng(17)
         policy = tiny_policy(rng)
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
-        buf, _ = collect_rollout(env, policy, 16, rng)
+        inputs = policy.flatten_observation(env.windows)
+        buf, _ = collect_rollout(env, policy, inputs, 16, rng)
         config = PpoConfig(rollout=16, minibatches=2, epochs_per_update=2, total_steps=16)
         adam = AdamState(policy.parameters(), config.learning_rate)
         dict(policy.named_parameters())["branch.mid.dense1.weights"][0, 0] = bad
