@@ -10,9 +10,8 @@ from .evalcli import (Metrics, VariantConfig, VARIANTS, backtest, load_checkpoin
                       profit_rate, report, save_checkpoint, tax_rate)
 from .garch import (FitReport, GarchParams, filter_variances, fit, log_likelihood,
                     rolling_forecast)
-from .marketdata import (AlignedDataset, BarSeries, MarketGenParams, Observation,
-                         ObservationNormalizer, align, load_bars, resample,
-                         simulate_market, split, window_at)
+from .marketdata import (AlignedDataset, BarSeries, MarketGenParams, ObservationNormalizer,
+                         align, load_bars, resample, simulate_market, split, window_at)
 from .policy import Policy, PolicyConfig, PolicyOutput, sample_action
 from .ppo import PpoConfig, TrajectoryBuffer, compute_gae, ppo_surrogate, prob_ratio, train
 

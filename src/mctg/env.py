@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marketdata import AlignedDataset, Observation, window_at
+from .marketdata import AlignedDataset, window_at
 
 MIN_EPISODE_STEPS = 2   # shortest episode a random start may leave
 
@@ -93,15 +93,15 @@ class TradingEnv:
     def __init__(self, dataset: AlignedDataset, config: EnvConfig, normalizer=None):
         if dataset.n_days < 2:
             raise EnvError(f"an episode needs at least 2 days, got {dataset.n_days}")
-        self.dataset = ds = dataset if normalizer is None else normalizer.transform(dataset)
-        self.windows = Observation(ds.short_windows, ds.mid_windows, ds.long_windows)
+        self.dataset = dataset if normalizer is None else normalizer.transform(dataset)
+        self.windows = self.dataset.windows
         self.config = config
         self.end = dataset.n_days - 1
         self.opens = dataset.opens
-        self._obs_cache: dict[int, Observation] = {}
+        self._obs_cache: dict[int, dict[str, np.ndarray]] = {}
         self.state: PortfolioState | None = None
 
-    def observation(self, day_index: int) -> Observation:
+    def observation(self, day_index: int) -> dict[str, np.ndarray]:
         obs = self._obs_cache.get(day_index)
         if obs is None:
             obs = self._obs_cache[day_index] = window_at(self.dataset, day_index)

@@ -272,22 +272,6 @@ def fit(returns) -> FitReport:
     )
 
 
-def simulate_returns(params: GarchParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a return series from the model with Gaussian innovations.
-
-    The variance starts at its unconditional level, mirroring the filter.
-    """
-    if n < 1:
-        raise GarchError("n must be >= 1")
-    out = np.empty(n)
-    var = params.unconditional_variance
-    for t in range(n):
-        a = rng.standard_normal() * math.sqrt(var)
-        out[t] = params.mu + a
-        var = params.alpha0 + params.alpha1 * a * a + params.beta1 * var
-    return out
-
-
 def rolling_forecast(daily_returns, window: int, refit_every: int,
                      on_fit=None) -> np.ndarray:
     """Causal rolling one-step-ahead volatility forecasts.

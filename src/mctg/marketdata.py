@@ -24,9 +24,10 @@ CSV_HEADER = ("timestamp",) + COLUMNS
 BARS_PER_DAY = 48
 MID_DAYS = 30
 LONG_WEEKS = 30
-SHORT_SHAPE = (BARS_PER_DAY, 6)
-MID_SHAPE = (MID_DAYS, 7)
-LONG_SHAPE = (LONG_WEEKS, 6)
+# Window kind -> (rows, columns) of one day's window: the decision day's
+# five-minute OHLCVA, daily OHLCVA plus the volatility forecast, and weekly
+# OHLCVA ending at the in-progress week.
+WINDOW_SHAPES = {"short": (BARS_PER_DAY, 6), "mid": (MID_DAYS, 7), "long": (LONG_WEEKS, 6)}
 
 
 class MarketDataError(Exception):
@@ -186,35 +187,18 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """The three raw feature windows consumed by the policy, for one day or,
-    with a leading day axis that all three share, for many."""
-
-    short_window: np.ndarray   # (..., 48, 6) five-minute OHLCVA of the decision day
-    mid_window: np.ndarray     # (..., 30, 7) daily OHLCVA + volatility forecast
-    long_window: np.ndarray    # (..., 30, 6) weekly OHLCVA ending at/containing the day
-
-    def __post_init__(self):
-        days = self.short_window.shape[:-2]
-        shapes = (self.short_window.shape, self.mid_window.shape, self.long_window.shape)
-        expected = (days + SHORT_SHAPE, days + MID_SHAPE, days + LONG_SHAPE)
-        if shapes != expected:
-            raise MarketDataError(f"window shapes {shapes}, expected {expected}")
-
-
-@dataclass(frozen=True)
 class AlignedDataset:
     """Three bar frequencies plus daily volatility, indexed by trading day:
-    row k of the read-only window and open arrays belongs to trading day k."""
+    row k of the read-only window and open arrays belongs to trading day k.
+    ``windows`` maps each ``WINDOW_SHAPES`` kind to its (n_days, rows, cols)
+    array; an observation is such a map, for one day or many."""
 
     five_min: BarSeries
     daily: BarSeries
     weekly: BarSeries
     daily_volatility: np.ndarray
     trading_days: list[dt.date]
-    short_windows: np.ndarray = field(repr=False)   # (n_days, 48, 6)
-    mid_windows: np.ndarray = field(repr=False)     # (n_days, 30, 7)
-    long_windows: np.ndarray = field(repr=False)    # (n_days, 30, 6)
+    windows: dict[str, np.ndarray] = field(repr=False)
     opens: np.ndarray = field(repr=False)           # (n_days,)
 
     @property
@@ -260,40 +244,38 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     fm_rows = np.array([fm_starts[d] for d in trading_days])[:, None] + np.arange(BARS_PER_DAY)
     mid_rows = rows[:, None] + np.arange(1 - MID_DAYS, 1)
     week_rows = weeks_before[rows, None] + np.arange(1 - LONG_WEEKS, 0)
-    windows = (
-        five_min.values[fm_rows],
-        np.concatenate([daily.values[mid_rows], daily_vol[mid_rows, None]], axis=2),
-        np.concatenate([weekly.values[week_rows],
-                        _week_to_date(daily.values, day_keys, rows)[:, None]], axis=1),
-        daily.values[rows, 0],
-    )
-    for array in windows:
+    windows = {
+        "short": five_min.values[fm_rows],
+        "mid": np.concatenate([daily.values[mid_rows], daily_vol[mid_rows, None]], axis=2),
+        "long": np.concatenate([weekly.values[week_rows],
+                                _week_to_date(daily.values, day_keys, rows)[:, None]], axis=1),
+    }
+    opens = daily.values[rows, 0]
+    for array in (*windows.values(), opens):
         array.flags.writeable = False
-    return AlignedDataset(five_min, daily, weekly, daily_vol, trading_days, *windows)
+    return AlignedDataset(five_min, daily, weekly, daily_vol, trading_days, windows, opens)
 
 
-def window_at(dataset: AlignedDataset, day_index: int) -> Observation:
+def window_at(dataset: AlignedDataset, day_index: int) -> dict[str, np.ndarray]:
     """The raw (un-normalized) observation for one trading day: read-only rows
     of the dataset's window arrays."""
     if not 0 <= day_index < dataset.n_days:
         raise MarketDataError(f"day index {day_index} out of range [0, {dataset.n_days})")
-    return Observation(dataset.short_windows[day_index], dataset.mid_windows[day_index],
-                       dataset.long_windows[day_index])
+    return {kind: w[day_index] for kind, w in dataset.windows.items()}
 
 
 class ObservationNormalizer:
     """Per-column z-score normalizer fit on training-day windows only.
 
     Columns with zero variance keep std 1 so constant features normalize to 0.
-    Follows the fit/transform convention; learned statistics live in the
-    ``*_mean_`` / ``*_std_`` attributes.
+    Follows the fit/transform convention; learned statistics live in
+    ``mean_[kind]`` / ``std_[kind]``, one value per column of the kind's window.
     """
-
-    # Window kind -> shape of its statistics: one value per window column.
-    _KINDS = {"short": SHORT_SHAPE[1:], "mid": MID_SHAPE[1:], "long": LONG_SHAPE[1:]}
 
     def __init__(self):
         self.fitted_ = False
+        self.mean_: dict[str, np.ndarray] = {}
+        self.std_: dict[str, np.ndarray] = {}
 
     def fit(self, dataset: AlignedDataset, day_indices) -> "ObservationNormalizer":
         days = np.asarray(list(day_indices), dtype=np.intp)
@@ -301,14 +283,12 @@ class ObservationNormalizer:
             raise MarketDataError("cannot fit normalizer on an empty day range")
         if days.min() < 0 or days.max() >= dataset.n_days:
             raise MarketDataError(f"day indices out of range [0, {dataset.n_days})")
-        for kind in self._KINDS:
-            windows = getattr(dataset, f"{kind}_windows")
+        for kind, windows in dataset.windows.items():
             data = windows[days].reshape(-1, windows.shape[2])
-            mean = data.mean(axis=0)
             std = data.std(axis=0)
             std[std == 0.0] = 1.0
-            setattr(self, f"{kind}_mean_", mean)
-            setattr(self, f"{kind}_std_", std)
+            self.mean_[kind] = data.mean(axis=0)
+            self.std_[kind] = std
         self.fitted_ = True
         return self
 
@@ -318,23 +298,16 @@ class ObservationNormalizer:
         if not self.fitted_:
             raise MarketDataError("normalizer is not fitted")
         normalized = {}
-        for kind in self._KINDS:
-            windows = (getattr(dataset, f"{kind}_windows") - getattr(self, f"{kind}_mean_")) \
-                / getattr(self, f"{kind}_std_")
-            windows.flags.writeable = False
-            normalized[f"{kind}_windows"] = windows
-        return replace(dataset, **normalized)
+        for kind, windows in dataset.windows.items():
+            normalized[kind] = (windows - self.mean_[kind]) / self.std_[kind]
+            normalized[kind].flags.writeable = False
+        return replace(dataset, windows=normalized)
 
     def to_dict(self) -> dict:
         if not self.fitted_:
             raise MarketDataError("normalizer is not fitted")
-        out = {}
-        for kind in self._KINDS:
-            out[kind] = {
-                "mean": getattr(self, f"{kind}_mean_").tolist(),
-                "std": getattr(self, f"{kind}_std_").tolist(),
-            }
-        return out
+        return {kind: {"mean": self.mean_[kind].tolist(), "std": self.std_[kind].tolist()}
+                for kind in WINDOW_SHAPES}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObservationNormalizer":
@@ -344,22 +317,22 @@ class ObservationNormalizer:
         if not isinstance(data, dict):
             raise MarketDataError("normalizer statistics are not a JSON object")
         norm = cls()
-        for kind, shape in cls._KINDS.items():
+        for kind, (_, cols) in WINDOW_SHAPES.items():
             stats = data.get(kind, {})
             if not isinstance(stats, dict):
                 raise MarketDataError(f"normalizer {kind} is not a JSON object")
-            for stat in ("mean", "std"):
+            for stat, learned in (("mean", norm.mean_), ("std", norm.std_)):
                 if stat not in stats:
                     raise MarketDataError(f"normalizer lacks {kind}.{stat}")
                 value = np.asarray(stats[stat], dtype=np.float64)
-                if value.shape != shape:
+                if value.shape != (cols,):
                     raise MarketDataError(
-                        f"normalizer {kind}.{stat} has shape {value.shape}, expected {shape}")
+                        f"normalizer {kind}.{stat} has shape {value.shape}, expected {(cols,)}")
                 if not np.all(np.isfinite(value)):
                     raise MarketDataError(f"normalizer {kind}.{stat} is not finite")
                 if stat == "std" and np.any(value <= 0):
                     raise MarketDataError(f"normalizer {kind}.std has an entry <= 0")
-                setattr(norm, f"{kind}_{stat}_", value)
+                learned[kind] = value
         norm.fitted_ = True
         return norm
 
@@ -375,8 +348,9 @@ def split(dataset: AlignedDataset, boundary: dt.date) -> tuple[AlignedDataset, A
         raise MarketDataError(f"boundary {boundary} leaves an empty training set")
     if k == dataset.n_days:
         raise MarketDataError(f"boundary {boundary} leaves an empty test set")
-    by_day = ("trading_days", "short_windows", "mid_windows", "long_windows", "opens")
-    return tuple(replace(dataset, **{name: getattr(dataset, name)[days] for name in by_day})
+    return tuple(replace(dataset, trading_days=dataset.trading_days[days],
+                         windows={kind: w[days] for kind, w in dataset.windows.items()},
+                         opens=dataset.opens[days])
                  for days in (slice(None, k), slice(k, None)))
 
 
@@ -402,6 +376,10 @@ class MarketGenParams:
     start_date: dt.date = dt.date(2015, 1, 5)
 
     def __post_init__(self):
+        for name in ("drift", "alpha0", "alpha1", "beta1", "intraday_noise", "start_price",
+                     "base_volume"):
+            if not math.isfinite(getattr(self, name)):
+                raise MarketDataError(f"{name} must be finite")
         if self.alpha0 < 0 or (self.alpha0 == 0 and (self.alpha1 or self.beta1)):
             raise MarketDataError("alpha0 must be > 0 (0 only with alpha1 = beta1 = 0)")
         if self.alpha1 < 0 or self.beta1 < 0:
@@ -412,6 +390,8 @@ class MarketGenParams:
             raise MarketDataError("intraday_noise must be >= 0")
         if self.start_price <= 0:
             raise MarketDataError("start_price must be > 0")
+        if self.base_volume < 0:
+            raise MarketDataError("base_volume must be >= 0")
         if self.regime_length is not None and self.regime_length < 1:
             raise MarketDataError("regime_length must be >= 1")
 

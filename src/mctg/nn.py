@@ -1,8 +1,8 @@
 """Minimal dense-network core in 64-bit numpy.
 
 Forward/backward passes over stacks of dense layers with optional inverted
-dropout, Adam updates, and a finite-difference gradient checker. Inputs are
-(rows, features) matrices; one observation is one row.
+dropout, and Adam updates. Inputs are (rows, features) matrices; one
+observation is one row.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ class Network:
         self.dropout = dropout
         self.in_dim = self.weights[0].shape[1]
         self.out_dim = self.weights[-1].shape[0]
-
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
 
 
 def mlp(sizes, rng: np.random.Generator, tanh_out: bool = False,
@@ -99,9 +92,10 @@ def backward(net: Network, cache: ForwardCache,
              grad_output) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact reverse-mode gradients of the forward map recorded in ``cache``.
 
-    ``grad_output`` has the (rows, out_dim) shape of the output. Returns
-    gradients aligned with ``net.parameters()`` plus the (rows, in_dim) gradient
-    with respect to the input. The dropout mask is replayed, never re-sampled.
+    ``grad_output`` has the (rows, out_dim) shape of the output. Returns the
+    gradients of ``weights[0], biases[0], weights[1], ...`` plus the (rows,
+    in_dim) gradient with respect to the input. The dropout mask is replayed,
+    never re-sampled.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.acts[-1].shape:
@@ -159,42 +153,3 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
         m_hat = m / (1.0 - state.beta1 ** t)
         v_hat = v / (1.0 - state.beta2 ** t)
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-8)
-
-
-def grad_check(net: Network, x, rng: np.random.Generator | None = None,
-               step: float = 1e-5) -> float:
-    """Max relative error between backward and central finite differences at
-    the (rows, in_dim) input ``x``.
-
-    Uses a random linear functional of the output as the scalar loss and a
-    forward without an rng, so dropout cannot perturb the comparison.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    c = rng.normal(size=net.out_dim)
-
-    def loss() -> float:
-        y, _ = forward(net, x)
-        return float(np.sum(y * c))
-
-    y, cache = forward(net, x)
-    grads, _ = backward(net, cache, np.broadcast_to(c, y.shape))
-
-    worst = 0.0
-    for p, g in zip(net.parameters(), grads):
-        flat = p.ravel()
-        gflat = np.asarray(g).ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss()
-            flat[i] = orig - step
-            down = loss()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            worst = max(worst, relative_error(float(gflat[i]), numeric))
-    return worst

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .marketdata import LONG_SHAPE, MID_SHAPE, SHORT_SHAPE, Observation
+from .marketdata import WINDOW_SHAPES
 
 LOG2PI = math.log(2.0 * math.pi)
-BRANCH_NAMES = ("short", "mid", "long")
-VOL_COLUMN = MID_SHAPE[1] - 1   # the mid window's last column: the GARCH forecast
+BRANCH_NAMES = tuple(WINDOW_SHAPES)
+VOL_COLUMN = WINDOW_SHAPES["mid"][1] - 1   # the mid window's last column: the GARCH forecast
 
 
 class PolicyError(Exception):
@@ -50,12 +50,9 @@ class PolicyConfig:
             raise PolicyError("duplicate branch names")
 
     def input_dims(self) -> dict[str, int]:
-        mid_cols = MID_SHAPE[1] if self.garch_feature else VOL_COLUMN
-        dims = {
-            "short": SHORT_SHAPE[0] * SHORT_SHAPE[1],
-            "mid": MID_SHAPE[0] * mid_cols,
-            "long": LONG_SHAPE[0] * LONG_SHAPE[1],
-        }
+        dims = {b: rows * cols for b, (rows, cols) in WINDOW_SHAPES.items()}
+        if not self.garch_feature:
+            dims["mid"] = WINDOW_SHAPES["mid"][0] * VOL_COLUMN
         return {b: dims[b] for b in self.branches}
 
     @property
@@ -76,7 +73,6 @@ class PolicyOutput:
 @dataclass
 class PolicyCache:
     branch_caches: dict = field(default_factory=dict)
-    branch_outputs: dict = field(default_factory=dict)
     policy_cache: object = None
     value_cache: object = None
 
@@ -135,13 +131,13 @@ class Policy:
 
     # -- observation handling ----------------------------------------------
 
-    def flatten_observation(self, obs: Observation) -> dict[str, np.ndarray]:
+    def flatten_observation(self, windows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Flatten the windows of the enabled branches, row-major, into
         (days, dim) inputs, so one day is a one-row batch. The GARCH column is
         dropped from the mid window when the variant disables it."""
         flat = {}
         for name, dim in self.input_dims.items():
-            window = getattr(obs, f"{name}_window")
+            window = windows[name]
             if name == "mid" and not self.config.garch_feature:
                 window = window[..., :VOL_COLUMN]
             flat[name] = window.reshape(-1, dim)
@@ -165,7 +161,6 @@ class Policy:
         chunks = []
         for name in self.config.branches:
             out, cache.branch_caches[name] = nn.forward(self.branches[name], flat_obs[name], rng)
-            cache.branch_outputs[name] = out
             # a (1, out) row, like the bias in nn.forward: same products, less set-up
             chunks.append(out * self.branch_weights[name][None])
         return np.concatenate(chunks, axis=1), cache
@@ -194,12 +189,11 @@ class Policy:
         for name in self.config.branches:
             d_chunk = d_state[:, offset:offset + width]
             offset += width
-            b_out = cache.branch_outputs[name]
-            d_branch_out = d_chunk * self.branch_weights[name]
-            b_grads, _ = nn.backward(self.branches[name], cache.branch_caches[name],
-                                     d_branch_out)
+            b_cache = cache.branch_caches[name]
+            b_grads, _ = nn.backward(self.branches[name], b_cache,
+                                     d_chunk * self.branch_weights[name])
             grads.extend(b_grads)
-            grads.append((d_chunk * b_out).sum(axis=0))
+            grads.append((d_chunk * b_cache.acts[-1]).sum(axis=0))
         grads.extend(p_grads)
         grads.extend(v_grads)
 

@@ -4,6 +4,8 @@ import pytest
 from mctg import evalcli, garch
 from mctg import marketdata as md
 
+from helpers import simulate_returns
+
 TRUE_GARCH = garch.GarchParams(mu=0.0, alpha0=0.05, alpha1=0.10, beta1=0.85)
 
 
@@ -15,7 +17,7 @@ def first_days(dataset, n_days):
 
 @pytest.fixture(scope="session")
 def garch_sample_10k():
-    return garch.simulate_returns(TRUE_GARCH, 10_000, np.random.default_rng(20240817))
+    return simulate_returns(TRUE_GARCH, 10_000, np.random.default_rng(20240817))
 
 
 @pytest.fixture(scope="session")

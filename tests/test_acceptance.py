@@ -19,6 +19,7 @@ from mctg.env import EnvConfig, PortfolioState, TradingEnv, map_action
 from mctg.policy import Policy, PolicyConfig
 
 from conftest import TRUE_GARCH
+from helpers import grad_check
 
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
@@ -102,7 +103,7 @@ def test_gradient_integrity():
     for _ in range(100):
         sizes = [int(rng.integers(2, 8)) for _ in range(int(rng.integers(2, 5)))]
         net = nn.mlp(sizes, rng=rng)
-        worst = max(worst, nn.grad_check(net, rng.normal(size=(1, sizes[0])), rng))
+        worst = max(worst, grad_check(net, rng.normal(size=(1, sizes[0])), rng))
 
     # full actor-critic gradients, every ablation variant
     worst_policy = 0.0
@@ -110,9 +111,7 @@ def test_gradient_integrity():
         policy = Policy(variant.policy_config(branch_hidden=(4,), branch_out=3,
                                               dropout=0.0, trunk_hidden=4),
                         np.random.default_rng(103))
-        obs = md.Observation(rng.normal(size=md.SHORT_SHAPE),
-                             rng.normal(size=md.MID_SHAPE),
-                             rng.normal(size=md.LONG_SHAPE))
+        obs = {kind: rng.normal(size=shape) for kind, shape in md.WINDOW_SHAPES.items()}
         flat = policy.flatten_observation(obs)
         cm, cv, cs = 0.6, -1.1, 0.3
 

@@ -248,7 +248,7 @@ class TestEpisode:
         obs = env.observation(env.reset().day_index)
         direct = __import__("mctg.marketdata", fromlist=["window_at"]).window_at(
             small_normalizer.transform(small_dataset), 0)
-        assert np.array_equal(obs.mid_window, direct.mid_window)
+        assert np.array_equal(obs["mid"], direct["mid"])
         assert env.observation(0) is obs
 
     def test_windows_are_every_days_observation(self, small_dataset, small_normalizer):
@@ -256,8 +256,7 @@ class TestEpisode:
         for day in range(small_dataset.n_days):
             obs = env.observation(day)
             for name in ("short", "mid", "long"):
-                window = f"{name}_window"
-                assert np.array_equal(getattr(env.windows, window)[day], getattr(obs, window))
+                assert np.array_equal(env.windows[name][day], obs[name])
 
 
 class TestBuyAndHold:

@@ -427,6 +427,24 @@ class TestConfigMapping:
         assert capsys.readouterr().err.startswith(
             "error: config env.initial_cash must be finite and > 0")
 
+    @pytest.mark.parametrize("line,what", [
+        ("market.drift = nan", "drift must be finite"),
+        ("market.start_price = inf", "start_price must be finite"),
+        ("market.alpha0 = nan", "alpha0 must be finite"),
+        ("market.intraday_noise = nan", "intraday_noise must be finite"),
+        ("market.beta1 = nan", "beta1 must be finite"),
+        ("market.base_volume = -5", "base_volume must be >= 0"),
+    ], ids=["drift", "start_price", "alpha0", "intraday_noise", "beta1", "base_volume"])
+    def test_bad_market_value_fails_generate_data_with_its_key(self, tmp_path, capsys,
+                                                               line, what):
+        config = tmp_path / "market.cfg"
+        config.write_text(line + "\n")
+        rc = cli.main(["generate-data", "--out", str(tmp_path / "bars.csv"),
+                       "--days", "6", "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: config market.{what}")
+        assert not (tmp_path / "bars.csv").exists()
+
     def test_unknown_key_fails_the_command(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text("ppo.learning_rat = 1\n")

@@ -12,9 +12,9 @@ from mctg import garch
 from mctg import marketdata as md
 from mctg.garch import (ALPHA0_FLOOR, LOG2PI, WARMUP_FLOOR, FitReport, GarchError,
                         GarchParams, filter_variances, fit, log_likelihood,
-                        rolling_forecast, simulate_returns)
-from mctg.nn import relative_error
+                        rolling_forecast)
 from conftest import TRUE_GARCH
+from helpers import relative_error, simulate_returns
 
 
 def loop_filter_oracle(params, returns):

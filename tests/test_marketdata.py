@@ -300,9 +300,9 @@ class TestAlign:
         assert ds.trading_days == days
         for k, (short, mid, long) in enumerate(windows):
             obs = window_at(ds, k)
-            assert np.array_equal(obs.short_window, short)
-            assert np.array_equal(obs.mid_window, mid)
-            assert np.array_equal(obs.long_window, long)
+            assert np.array_equal(obs["short"], short)
+            assert np.array_equal(obs["mid"], mid)
+            assert np.array_equal(obs["long"], long)
 
     def test_thirty_five_weeks(self):
         five_min = make_series(175)   # exactly 35 Mon-Fri weeks
@@ -344,47 +344,24 @@ class TestAlign:
             align(five_min, daily, weekly, vol)
 
 
-class TestObservation:
-    def test_leading_day_axis_accepted(self, small_dataset):
-        ds = small_dataset
-        obs = md.Observation(ds.short_windows, ds.mid_windows, ds.long_windows)
-        assert obs.mid_window.shape == (ds.n_days, 30, 7)
-
-    @pytest.mark.parametrize("cut", [
-        lambda ds: (ds.short_windows, ds.mid_windows[1:], ds.long_windows),
-        lambda ds: (ds.short_windows[0], ds.mid_windows, ds.long_windows[0]),
-        lambda ds: (ds.short_windows[None], ds.mid_windows, ds.long_windows),
-    ], ids=["fewer_days", "one_day_and_many", "extra_axis"])
-    def test_mismatched_leading_axes_rejected(self, small_dataset, cut):
-        with pytest.raises(MarketDataError, match=r"window shapes .*, expected \("):
-            md.Observation(*cut(small_dataset))
-
-    def test_trailing_shape_checked_under_a_day_axis(self):
-        shapes = r"\(\(4, 48, 6\), \(4, 30, 6\), \(4, 30, 6\)\), expected"
-        with pytest.raises(MarketDataError, match=shapes):
-            md.Observation(np.zeros((4, 48, 6)), np.zeros((4, 30, 6)), np.zeros((4, 30, 6)))
-
-
 class TestWindowAt:
-    def test_shapes(self, small_dataset):
-        obs = window_at(small_dataset, 0)
-        assert obs.short_window.shape == (48, 6)
-        assert obs.mid_window.shape == (30, 7)
-        assert obs.long_window.shape == (30, 6)
+    @pytest.mark.parametrize("kind,shape", md.WINDOW_SHAPES.items(), ids=list(md.WINDOW_SHAPES))
+    def test_shapes(self, small_dataset, kind, shape):
+        assert window_at(small_dataset, 0)[kind].shape == shape
 
     def test_mid_last_row_is_decision_day(self, small_dataset):
         ds = small_dataset
         obs = window_at(ds, 0)
         i = ds.daily.dates().index(ds.trading_days[0])
-        assert np.array_equal(obs.mid_window[-1, :6], ds.daily.values[i])
-        assert obs.mid_window[-1, 6] == ds.daily_volatility[i]
+        assert np.array_equal(obs["mid"][-1, :6], ds.daily.values[i])
+        assert obs["mid"][-1, 6] == ds.daily_volatility[i]
 
     def test_short_window_is_days_five_min_bars(self, small_dataset):
         ds = small_dataset
         k = ds.n_days // 2
         obs = window_at(ds, k)
         sl = [t.date() == ds.trading_days[k] for t in ds.five_min.timestamps]
-        assert np.array_equal(obs.short_window, ds.five_min.values[sl])
+        assert np.array_equal(obs["short"], ds.five_min.values[sl])
 
     def test_long_window_last_row_is_partial_week(self, small_dataset):
         ds = small_dataset
@@ -399,17 +376,17 @@ class TestWindowAt:
         rows = ds.daily.values[j:i + 1]
         expected = [rows[0, 0], rows[:, 1].max(), rows[:, 2].min(), rows[-1, 3],
                     rows[:, 4].sum(), rows[:, 5].sum()]
-        assert np.allclose(window_at(ds, k).long_window[-1], expected)
+        assert np.allclose(window_at(ds, k)["long"][-1], expected)
 
     def test_windows_are_read_only(self, small_dataset):
         ds = small_dataset
-        before = [ds.short_windows.copy(), ds.mid_windows.copy(),
-                  ds.long_windows.copy(), ds.opens.copy()]
+        before = [ds.windows["short"].copy(), ds.windows["mid"].copy(),
+                  ds.windows["long"].copy(), ds.opens.copy()]
         obs = window_at(ds, 2)
-        for window in (obs.short_window, obs.mid_window, obs.long_window, ds.opens):
+        for window in (obs["short"], obs["mid"], obs["long"], ds.opens):
             with pytest.raises(ValueError, match="read-only"):
                 window[0] = 1.0
-        after = [ds.short_windows, ds.mid_windows, ds.long_windows, ds.opens]
+        after = [ds.windows["short"], ds.windows["mid"], ds.windows["long"], ds.opens]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_opens_are_the_daily_opens(self, small_dataset):
@@ -438,7 +415,7 @@ def per_day_fit_statistics(dataset, days):
     reference for ObservationNormalizer.fit."""
     stats = {}
     for kind in ("short", "mid", "long"):
-        data = np.vstack([getattr(window_at(dataset, k), f"{kind}_window") for k in days])
+        data = np.vstack([window_at(dataset, k)[kind] for k in days])
         std = data.std(axis=0)
         std[std == 0.0] = 1.0
         stats[kind] = (data.mean(axis=0), std)
@@ -461,11 +438,11 @@ def frozen_train_dataset(frozen_split):
 def per_observation_transform(norm, obs):
     """Each window of one observation z-scored by itself: the reference the
     whole-dataset transform must match bit for bit."""
-    return md.Observation(
-        (obs.short_window - norm.short_mean_) / norm.short_std_,
-        (obs.mid_window - norm.mid_mean_) / norm.mid_std_,
-        (obs.long_window - norm.long_mean_) / norm.long_std_,
-    )
+    return {
+        "short": (obs["short"] - norm.mean_["short"]) / norm.std_["short"],
+        "mid": (obs["mid"] - norm.mean_["mid"]) / norm.std_["mid"],
+        "long": (obs["long"] - norm.mean_["long"]) / norm.std_["long"],
+    }
 
 
 class TestNormalizer:
@@ -473,15 +450,15 @@ class TestNormalizer:
         train = frozen_train_dataset
         norm = ObservationNormalizer().fit(train, range(train.n_days))
         for kind, (mean, std) in per_day_fit_statistics(train, range(train.n_days)).items():
-            assert np.array_equal(getattr(norm, f"{kind}_mean_"), mean)
-            assert np.array_equal(getattr(norm, f"{kind}_std_"), std)
+            assert np.array_equal(norm.mean_[kind], mean)
+            assert np.array_equal(norm.std_[kind], std)
 
     def test_fit_on_chosen_days(self, small_dataset):
         days = [7, 3, 3, 40]
         norm = ObservationNormalizer().fit(small_dataset, days)
         for kind, (mean, std) in per_day_fit_statistics(small_dataset, days).items():
-            assert np.array_equal(getattr(norm, f"{kind}_mean_"), mean)
-            assert np.array_equal(getattr(norm, f"{kind}_std_"), std)
+            assert np.array_equal(norm.mean_[kind], mean)
+            assert np.array_equal(norm.std_[kind], std)
 
     @pytest.mark.parametrize("days", [[-1], [0, -3], "past-end"])
     def test_fit_rejects_days_out_of_range(self, small_dataset, days):
@@ -507,22 +484,23 @@ class TestNormalizer:
         norm = ObservationNormalizer().fit(small_dataset, range(small_dataset.n_days))
         obs = window_at(small_dataset, 3)
         out = window_at(norm.transform(small_dataset), 3)
-        expected = (obs.mid_window - norm.mid_mean_) / norm.mid_std_
-        assert np.array_equal(out.mid_window, expected)
+        expected = (obs["mid"] - norm.mean_["mid"]) / norm.std_["mid"]
+        assert np.array_equal(out["mid"], expected)
 
     def test_known_stats(self, small_dataset):
         norm = ObservationNormalizer()
-        norm.short_mean_ = np.full(6, 5.0)
-        norm.short_std_ = np.full(6, 2.0)
-        norm.mid_mean_ = np.zeros(7)
-        norm.mid_std_ = np.ones(7)
-        norm.long_mean_ = np.zeros(6)
-        norm.long_std_ = np.ones(6)
+        norm.mean_["short"] = np.full(6, 5.0)
+        norm.std_["short"] = np.full(6, 2.0)
+        norm.mean_["mid"] = np.zeros(7)
+        norm.std_["mid"] = np.ones(7)
+        norm.mean_["long"] = np.zeros(6)
+        norm.std_["long"] = np.ones(6)
         norm.fitted_ = True
         n = small_dataset.n_days
-        ds = replace(small_dataset, short_windows=np.full((n, 48, 6), 9.0),
-                     mid_windows=np.zeros((n, 30, 7)), long_windows=np.zeros((n, 30, 6)))
-        assert np.all(norm.transform(ds).short_windows == 2.0)
+        ds = replace(small_dataset, windows={"short": np.full((n, 48, 6), 9.0),
+                                             "mid": np.zeros((n, 30, 7)),
+                                             "long": np.zeros((n, 30, 6))})
+        assert np.all(norm.transform(ds).windows["short"] == 2.0)
 
     def test_constant_columns_normalize_to_zero(self):
         five_min = make_series(160, drift=0.0, alpha0=0.0, alpha1=0.0, beta1=0.0,
@@ -532,13 +510,13 @@ class TestNormalizer:
         norm = ObservationNormalizer().fit(ds, range(ds.n_days))
         out = window_at(norm.transform(ds), 0)
         # price columns are constant; they must map to exactly 0
-        assert np.all(out.short_window[:, :4] == 0.0)
+        assert np.all(out["short"][:, :4] == 0.0)
 
     def test_train_columns_standardized(self, small_dataset):
         ds = small_dataset
         norm = ObservationNormalizer().fit(ds, range(ds.n_days))
         normalized = norm.transform(ds)
-        stacked = np.vstack([window_at(normalized, k).mid_window for k in range(ds.n_days)])
+        stacked = np.vstack([window_at(normalized, k)["mid"] for k in range(ds.n_days)])
         assert np.all(np.abs(stacked.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(stacked.std(axis=0) - 1.0) < 1e-9)
 
@@ -570,22 +548,22 @@ class TestNormalizer:
                 expected = per_observation_transform(norm, window_at(ds, k))
                 got = window_at(normalized, k)
                 for kind in ("short", "mid", "long"):
-                    assert np.array_equal(getattr(got, f"{kind}_window"),
-                                          getattr(expected, f"{kind}_window")), (k, kind)
+                    assert np.array_equal(got[kind], expected[kind]), (k, kind)
 
     def test_transform_returns_read_only_arrays_and_keeps_input(self, small_dataset,
                                                                 small_normalizer):
         ds = small_dataset
-        before = {name: getattr(ds, name).copy()
-                  for name in ("short_windows", "mid_windows", "long_windows", "opens")}
+        before = {kind: w.copy() for kind, w in ds.windows.items()}
+        opens = ds.opens.copy()
         normalized = small_normalizer.transform(ds)
-        for name in ("short_windows", "mid_windows", "long_windows"):
-            assert getattr(normalized, name) is not getattr(ds, name)
+        for kind in ("short", "mid", "long"):
+            assert normalized.windows[kind] is not ds.windows[kind]
             with pytest.raises(ValueError, match="read-only"):
-                getattr(normalized, name)[0, 0, 0] = 1.0
+                normalized.windows[kind][0, 0, 0] = 1.0
         assert normalized.opens is ds.opens
         assert normalized.trading_days == ds.trading_days
-        assert all(np.array_equal(getattr(ds, name), value) for name, value in before.items())
+        assert all(np.array_equal(ds.windows[kind], w) for kind, w in before.items())
+        assert np.array_equal(ds.opens, opens)
 
 
 class TestSimulateMarket:
@@ -664,21 +642,22 @@ class TestSplit:
         boundary = small_dataset.trading_days[small_dataset.n_days // 2]
         _, test = split(small_dataset, boundary)
         obs = window_at(test, 0)   # needs 30 daily bars before the boundary
-        assert obs.mid_window.shape == (30, 7)
+        assert obs["mid"].shape == (30, 7)
 
     def test_halves_are_rows_of_the_unsplit_dataset(self, small_dataset):
         ds = small_dataset
         k = ds.n_days // 3
         train, test = split(ds, ds.trading_days[k])
-        for name in ("short_windows", "mid_windows", "long_windows", "opens"):
-            whole = getattr(ds, name)
-            assert np.array_equal(getattr(train, name), whole[:k])
-            assert np.array_equal(getattr(test, name), whole[k:])
+        for kind, whole in ds.windows.items():
+            assert np.array_equal(train.windows[kind], whole[:k])
+            assert np.array_equal(test.windows[kind], whole[k:])
+        assert np.array_equal(train.opens, ds.opens[:k])
+        assert np.array_equal(test.opens, ds.opens[k:])
         for j in range(test.n_days):
             obs, ref = window_at(test, j), window_at(ds, k + j)
-            assert np.array_equal(obs.short_window, ref.short_window)
-            assert np.array_equal(obs.mid_window, ref.mid_window)
-            assert np.array_equal(obs.long_window, ref.long_window)
+            assert np.array_equal(obs["short"], ref["short"])
+            assert np.array_equal(obs["mid"], ref["mid"])
+            assert np.array_equal(obs["long"], ref["long"])
 
     def test_boundary_between_trading_days(self, small_dataset):
         ds = small_dataset

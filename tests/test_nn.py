@@ -4,9 +4,10 @@ import pytest
 from mctg import nn
 from mctg.evalcli import VARIANTS
 from mctg.marketdata import window_at
-from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, forward,
-                     grad_check, mlp, relative_error)
+from mctg.nn import AdamState, Network, NetworkError, adam_step, backward, forward, mlp
 from mctg.policy import Policy
+
+from helpers import grad_check, network_parameters, relative_error
 
 
 # -- oracle: the per-layer expression forward, kept to pin the in-place form ---
@@ -76,7 +77,7 @@ class TestForwardOracle:
         x = np.random.default_rng(12).normal(size=(rows, sizes[0]))
         want, inputs, acts, mask = oracle_forward(net, x, dropout_rng(mode, 13))
         # forward may write only into arrays it created: input and parameters are frozen
-        frozen([x, *net.parameters()])
+        frozen([x, *network_parameters(net)])
         y, cache = forward(net, x, dropout_rng(mode, 13))
         assert np.array_equal(y, want)
         assert y is cache.acts[-1]
@@ -108,9 +109,8 @@ class TestForwardOracle:
         dataset = small_normalizer.transform(small_dataset)
         policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(18))
         flat = policy.flatten_observation(window_at(dataset, 40))
-        views = [a for a in flat.values() if np.shares_memory(a, dataset.short_windows)
-                 or np.shares_memory(a, dataset.mid_windows)
-                 or np.shares_memory(a, dataset.long_windows)]
+        views = [a for a in flat.values()
+                 if any(np.shares_memory(a, w) for w in dataset.windows.values())]
         assert views and not any(a.flags.writeable for a in views)
         before = {b: a.copy() for b, a in flat.items()}
         want_mean, want_value = oracle_policy_forward(policy, flat)
@@ -216,7 +216,7 @@ class TestBackward:
         grads, dx = backward(net, cache, c)
         step = 1e-6
         worst = 0.0
-        for p, g in zip([*net.parameters(), x], [*grads, dx]):
+        for p, g in zip([*network_parameters(net), x], [*grads, dx]):
             flat = p.ravel()
             for i in range(flat.size):
                 orig = flat[i]

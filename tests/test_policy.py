@@ -5,7 +5,7 @@ import pytest
 
 from mctg import nn
 from mctg.evalcli import VARIANTS
-from mctg.marketdata import LONG_SHAPE, MID_SHAPE, SHORT_SHAPE, Observation, window_at
+from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
@@ -18,11 +18,7 @@ def small_config(**overrides):
 
 
 def random_observation(rng):
-    return Observation(
-        short_window=rng.normal(size=SHORT_SHAPE),
-        mid_window=rng.normal(size=MID_SHAPE),
-        long_window=rng.normal(size=LONG_SHAPE),
-    )
+    return {kind: rng.normal(size=shape) for kind, shape in WINDOW_SHAPES.items()}
 
 
 class TestConfig:
@@ -55,7 +51,7 @@ class TestFlatten:
         without = Policy(small_config(garch_feature=False), rng).flatten_observation(obs)
         assert with_vol["mid"].shape == (1, 210)
         assert without["mid"].shape == (1, 180)
-        assert np.array_equal(without["mid"].reshape(30, 6), obs.mid_window[:, :6])
+        assert np.array_equal(without["mid"].reshape(30, 6), obs["mid"][:, :6])
 
     def test_single_branch_variant(self):
         rng = np.random.default_rng(1)
@@ -67,14 +63,13 @@ class TestFlatten:
         rng = np.random.default_rng(2)
         obs = random_observation(rng)
         flat = Policy(small_config(), rng).flatten_observation(obs)
-        assert flat["short"][0, 6] == obs.short_window[1, 0]
+        assert flat["short"][0, 6] == obs["short"][1, 0]
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_day_axis_gives_the_stacked_single_day_rows(self, variant, small_dataset):
         ds = small_dataset
         policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(4))
-        table = policy.flatten_observation(
-            Observation(ds.short_windows, ds.mid_windows, ds.long_windows))
+        table = policy.flatten_observation(ds.windows)
         assert set(table) == set(policy.config.branches)
         for name, rows in table.items():
             want = np.vstack([policy.flatten_observation(window_at(ds, d))[name]
@@ -250,7 +245,7 @@ class TestBackward:
         policy = Policy(small_config(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
         state, cache = policy.assemble_state(flat)
-        b_out = cache.branch_outputs["mid"][0]
+        b_out = cache.branch_caches["mid"].acts[-1][0]
         # route d_state = 1 through a fake identity trunk gradient by using
         # backward on a forward pass whose trunks we bypass analytically:
         out, full_cache = policy.forward(flat)
