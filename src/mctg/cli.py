@@ -110,12 +110,6 @@ def _pinned(cfg: dict, metadata: dict, field: str, resolved):
     return pinned
 
 
-def _load_dataset(data_path: str, garch_window: int, garch_refit_every: int,
-                  on_fit=None):
-    five_min = load_bars(data_path)
-    return evalcli.build_dataset(five_min, garch_window, garch_refit_every, on_fit)
-
-
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     variant = evalcli.VARIANTS[args.variant]
@@ -125,8 +119,8 @@ def cmd_train(args) -> int:
     garch = evalcli.section_from_config(cfg, "garch")
     split_config = evalcli.section_from_config(cfg, "data")
     fit_reports = []
-    dataset = _load_dataset(args.data, garch.window, garch.refit_every,
-                            fit_reports.append)
+    dataset = evalcli.build_dataset(load_bars(args.data), garch.window, garch.refit_every,
+                                    fit_reports.append)
     boundary = evalcli.split_boundary(dataset, split_config)
     train_ds, _ = split(dataset, boundary)
 
@@ -178,8 +172,8 @@ def cmd_backtest(args) -> int:
     garch = evalcli.section_from_config(cfg, "garch")
     split_config = evalcli.section_from_config(cfg, "data")
     meta = checkpoint.metadata
-    dataset = _load_dataset(
-        args.data, _pinned(cfg, meta, "garch_window", garch.window),
+    dataset = evalcli.build_dataset(
+        load_bars(args.data), _pinned(cfg, meta, "garch_window", garch.window),
         _pinned(cfg, meta, "garch_refit_every", garch.refit_every))
     boundary = _pinned(cfg, meta, "split_boundary",
                        evalcli.split_boundary(dataset, split_config))

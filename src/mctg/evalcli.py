@@ -107,7 +107,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
 
     def equity_row(action: float, tax_paid: float) -> dict:
         day = p.day_index
-        return {"date": dataset.date(day), "value": p.value(float(env.opens[day])),
+        return {"date": dataset.trading_days[day], "value": p.value(float(env.opens[day])),
                 "bh_value": float(bh[day]), "action": action, "shares": p.shares,
                 "cash": p.cash, "tax_paid": tax_paid}
 

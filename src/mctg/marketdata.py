@@ -14,7 +14,7 @@ import csv
 import datetime as dt
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,15 +188,11 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
 
 @dataclass(frozen=True)
 class AlignedDataset:
-    """Three bar frequencies plus daily volatility, indexed by trading day:
-    row k of the read-only window and open arrays belongs to trading day k.
+    """Trading days with their observation windows and daily opens: row k of
+    the read-only window and open arrays belongs to ``trading_days[k]``.
     ``windows`` maps each ``WINDOW_SHAPES`` kind to its (n_days, rows, cols)
     array; an observation is such a map, for one day or many."""
 
-    five_min: BarSeries
-    daily: BarSeries
-    weekly: BarSeries
-    daily_volatility: np.ndarray
     trading_days: list[dt.date]
     windows: dict[str, np.ndarray] = field(repr=False)
     opens: np.ndarray = field(repr=False)           # (n_days,)
@@ -204,9 +200,6 @@ class AlignedDataset:
     @property
     def n_days(self) -> int:
         return len(self.trading_days)
-
-    def date(self, day_index: int) -> dt.date:
-        return self.trading_days[day_index]
 
 
 def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
@@ -253,7 +246,7 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     opens = daily.values[rows, 0]
     for array in (*windows.values(), opens):
         array.flags.writeable = False
-    return AlignedDataset(five_min, daily, weekly, daily_vol, trading_days, windows, opens)
+    return AlignedDataset(trading_days, windows, opens)
 
 
 def window_at(dataset: AlignedDataset, day_index: int) -> dict[str, np.ndarray]:
@@ -301,7 +294,7 @@ class ObservationNormalizer:
         for kind, windows in dataset.windows.items():
             normalized[kind] = (windows - self.mean_[kind]) / self.std_[kind]
             normalized[kind].flags.writeable = False
-        return replace(dataset, windows=normalized)
+        return AlignedDataset(dataset.trading_days, normalized, dataset.opens)
 
     def to_dict(self) -> dict:
         if not self.fitted_:
@@ -340,17 +333,16 @@ class ObservationNormalizer:
 def split(dataset: AlignedDataset, boundary: dt.date) -> tuple[AlignedDataset, AlignedDataset]:
     """Partition trading days at a boundary date (train < boundary <= test).
 
-    Test observations keep the shared bar history, so their 30-bar windows may
-    reach back into the training period.
+    Test windows may reach back into the training days.
     """
     k = bisect_left(dataset.trading_days, boundary)
     if k == 0:
         raise MarketDataError(f"boundary {boundary} leaves an empty training set")
     if k == dataset.n_days:
         raise MarketDataError(f"boundary {boundary} leaves an empty test set")
-    return tuple(replace(dataset, trading_days=dataset.trading_days[days],
-                         windows={kind: w[days] for kind, w in dataset.windows.items()},
-                         opens=dataset.opens[days])
+    return tuple(AlignedDataset(dataset.trading_days[days],
+                                {kind: w[days] for kind, w in dataset.windows.items()},
+                                dataset.opens[days])
                  for days in (slice(None, k), slice(k, None)))
 
 
@@ -406,8 +398,14 @@ def _trading_dates(start: dt.date, n: int) -> list[dt.date]:
     return dates
 
 
+# Extreme settings can push the path out of the float range; the check after
+# the loop names the first day that leaves it, so numpy need not warn.
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
-    """Generate a deterministic synthetic 5-minute series of ``n_days`` days."""
+    """Generate a deterministic synthetic 5-minute series of ``n_days`` days.
+
+    Raises MarketDataError naming the first day whose bars leave the float
+    range: a field that overflows, or a price that underflows to 0."""
     if n_days < 1:
         raise MarketDataError("n_days must be >= 1")
     rng = np.random.default_rng(seed)
@@ -453,4 +451,10 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
         rows[sl, 4] = volume
         rows[sl, 5] = amount
         log_p += r
+    bad = ~(np.isfinite(rows).all(axis=1) & (rows[:, :4] > 0).all(axis=1))
+    if bad.any():
+        raise MarketDataError(
+            f"generated bars leave the float range on "
+            f"{dates[int(np.argmax(bad)) // BARS_PER_DAY]}; the path is driven by "
+            f"drift={gen.drift}, alpha0={gen.alpha0}, start_price={gen.start_price}")
     return BarSeries(timestamps, rows)

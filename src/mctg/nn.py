@@ -116,23 +116,25 @@ def backward(net: Network, cache: ForwardCache,
     return grads, g
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Per-parameter Adam moment accumulators with bias correction."""
 
-    def __init__(self, params: list, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
 
     def to_dict(self) -> dict:
         return {
-            "learning_rate": self.learning_rate, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps, "step_count": self.step_count,
+            "learning_rate": self.learning_rate, "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2, "eps": ADAM_EPS, "step_count": self.step_count,
             "m": [a.tolist() for a in self.m], "v": [a.tolist() for a in self.v],
         }
 
@@ -146,10 +148,10 @@ def adam_step(params: list, grads: list, state: AdamState) -> None:
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise NetworkError(f"gradient shape {g.shape} does not match {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -3,6 +3,7 @@ import datetime as dt
 import json
 import re
 import shlex
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
 from mctg.garch import GarchConfig, rolling_forecast
-from mctg.marketdata import (MarketGenParams, ObservationNormalizer, load_bars,
-                             resample, save_bars)
+from mctg.marketdata import (MID_DAYS, BarSeries, MarketGenParams, ObservationNormalizer,
+                             load_bars, resample, save_bars, simulate_market)
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig
 from mctg.ppo import PpoConfig
@@ -164,6 +165,48 @@ class TestBacktest:
         taxes = [row["tax_paid"] for row in trajectory]
         assert metrics.tax_rate_annualized == tax_rate(taxes, 1e6, len(values))
         assert metrics.n_trades == sum(r["order_shares"] != 0 for r in trajectory)
+
+
+class TestNoLookAhead:
+    """Rewriting every 5-minute bar after trading day ``t`` leaves what the
+    pipeline makes of days up to ``t`` as it was, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def market(self):
+        gen = MarketGenParams(drift=0.004, alpha0=2.5e-6, alpha1=0.05, beta1=0.90,
+                              regime_length=50)
+        five_min = simulate_market(gen, 400, seed=2024)
+        return five_min, evalcli.build_dataset(five_min, 120, 30)
+
+    @staticmethod
+    def replay(dataset, t):
+        """Normalizer statistics fit on days ``0..t`` and the backtest's
+        actions, in decision-day order."""
+        normalizer = ObservationNormalizer().fit(dataset, range(t + 1))
+        _, _, trajectory = backtest(small_variant_policy("MCTG", 7), dataset, EnvConfig(),
+                                    normalizer)
+        return normalizer, [row["action"] for row in trajectory]
+
+    @pytest.mark.parametrize("t", [0, 85, 127, 253])
+    def test_days_up_to_cut_ignore_later_bars(self, market, t):
+        five_min, dataset = market
+        later = np.array([d > dataset.trading_days[t] for d in five_min.dates()])
+        values = five_min.values.copy()
+        values[later, :4] *= 1.37
+        values[later, 4:] *= 2.0
+        changed = evalcli.build_dataset(BarSeries(five_min.timestamps, values), 120, 30)
+
+        assert changed.trading_days == dataset.trading_days
+        for kind, windows in dataset.windows.items():
+            assert np.array_equal(changed.windows[kind][:t + 1], windows[:t + 1]), kind
+            assert not np.array_equal(changed.windows[kind], windows), kind
+        assert np.array_equal(changed.opens[:t + 1], dataset.opens[:t + 1])
+        norm, actions = self.replay(dataset, t)
+        changed_norm, changed_actions = self.replay(changed, t)
+        for kind in norm.mean_:
+            assert np.array_equal(changed_norm.mean_[kind], norm.mean_[kind]), kind
+            assert np.array_equal(changed_norm.std_[kind], norm.std_[kind]), kind
+        assert np.array_equal(changed_actions[:t + 1], actions[:t + 1])
 
 
 class TestCheckpoint:
@@ -445,6 +488,26 @@ class TestConfigMapping:
         assert capsys.readouterr().err.startswith(f"error: config market.{what}")
         assert not (tmp_path / "bars.csv").exists()
 
+    @pytest.mark.parametrize("lines,day,settings", [
+        (["market.drift = 200"], "2015-01-08", "drift=200.0, alpha0=2.5e-06"),
+        (["market.drift = -200"], "2015-01-08", "drift=-200.0, alpha0=2.5e-06"),
+        (["market.alpha0 = 1e300", "market.alpha1 = 0", "market.beta1 = 0"],
+         "2015-01-05", "drift=0.0005, alpha0=1e+300"),
+    ], ids=["drift_up", "drift_down", "alpha0"])
+    def test_extreme_market_fails_generate_data_naming_the_day(self, tmp_path, capsys,
+                                                               lines, day, settings):
+        config = tmp_path / "market.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["generate-data", "--out", str(tmp_path / "bars.csv"),
+                           "--days", "6", "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: generated bars leave the float range on {day}; "
+            f"the path is driven by {settings}, start_price=10.0\n")
+        assert not (tmp_path / "bars.csv").exists()
+
     def test_unknown_key_fails_the_command(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text("ppo.learning_rat = 1\n")
@@ -488,13 +551,19 @@ class TestCli:
         assert rc == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == 220
-        assert all(float(r["sigma"]) > 0 for r in rows)
-        # The config's garch.window = 120 and garch.refit_every = 30 give the
-        # volatility that train and backtest build.
         five_min = load_bars(str(cli_workspace["data"]))
+        daily, _ = resample(five_min)
+        assert [r["timestamp"] for r in rows] == [d.isoformat() for d in daily.dates()]
+        sigma = np.array([float(r["sigma"]) for r in rows])
+        assert np.all(sigma > 0)
+        # The config's garch.window = 120 and garch.refit_every = 30 give the
+        # volatility that train and backtest build: each mid window's last
+        # column is the sigma of the daily rows it holds.
         dataset = evalcli.build_dataset(five_min, 120, 30)
-        assert np.array_equal([float(r["sigma"]) for r in rows], dataset.daily_volatility)
+        dates = daily.dates()
+        for day, window in zip(dataset.trading_days, dataset.windows["mid"]):
+            i = dates.index(day)
+            assert np.array_equal(window[:, 6], sigma[i + 1 - MID_DAYS:i + 1])
 
     def test_fit_garch_reports_boundary_fits(self, tmp_path, cli_workspace, capsys):
         rc = cli.main(["fit-garch", "--data", str(cli_workspace["data"]),

@@ -7,6 +7,7 @@ import pytest
 
 from mctg import evalcli
 from mctg import marketdata as md
+from mctg.garch import WARMUP_FLOOR, rolling_forecast
 from mctg.marketdata import (MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
                              simulate_market, split, window_at)
@@ -349,31 +350,37 @@ class TestWindowAt:
     def test_shapes(self, small_dataset, kind, shape):
         assert window_at(small_dataset, 0)[kind].shape == shape
 
-    def test_mid_last_row_is_decision_day(self, small_dataset):
+    @pytest.fixture(scope="class")
+    def small_daily(self, small_five_min):
+        return resample(small_five_min)[0]
+
+    def test_mid_last_row_is_decision_day(self, small_dataset, small_daily):
         ds = small_dataset
         obs = window_at(ds, 0)
-        i = ds.daily.dates().index(ds.trading_days[0])
-        assert np.array_equal(obs["mid"][-1, :6], ds.daily.values[i])
-        assert obs["mid"][-1, 6] == ds.daily_volatility[i]
+        i = small_daily.dates().index(ds.trading_days[0])
+        returns = np.diff(np.log(small_daily.values[:, 3]))
+        daily_vol = np.concatenate([[WARMUP_FLOOR], rolling_forecast(returns, 120, 30)])
+        assert np.array_equal(obs["mid"][-1, :6], small_daily.values[i])
+        assert obs["mid"][-1, 6] == daily_vol[i]
 
-    def test_short_window_is_days_five_min_bars(self, small_dataset):
+    def test_short_window_is_days_five_min_bars(self, small_dataset, small_five_min):
         ds = small_dataset
         k = ds.n_days // 2
         obs = window_at(ds, k)
-        sl = [t.date() == ds.trading_days[k] for t in ds.five_min.timestamps]
-        assert np.array_equal(obs["short"], ds.five_min.values[sl])
+        sl = [t.date() == ds.trading_days[k] for t in small_five_min.timestamps]
+        assert np.array_equal(obs["short"], small_five_min.values[sl])
 
-    def test_long_window_last_row_is_partial_week(self, small_dataset):
+    def test_long_window_last_row_is_partial_week(self, small_dataset, small_daily):
         ds = small_dataset
         k = ds.n_days // 2
         d = ds.trading_days[k]
-        i = ds.daily.dates().index(d)
+        i = small_daily.dates().index(d)
         # hand-aggregate the in-progress week from daily bars
         week = d.isocalendar()[:2]
         j = i
-        while j > 0 and ds.daily.timestamps[j - 1].date().isocalendar()[:2] == week:
+        while j > 0 and small_daily.timestamps[j - 1].date().isocalendar()[:2] == week:
             j -= 1
-        rows = ds.daily.values[j:i + 1]
+        rows = small_daily.values[j:i + 1]
         expected = [rows[0, 0], rows[:, 1].max(), rows[:, 2].min(), rows[-1, 3],
                     rows[:, 4].sum(), rows[:, 5].sum()]
         assert np.allclose(window_at(ds, k)["long"][-1], expected)
@@ -389,10 +396,10 @@ class TestWindowAt:
         after = [ds.windows["short"], ds.windows["mid"], ds.windows["long"], ds.opens]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
-    def test_opens_are_the_daily_opens(self, small_dataset):
+    def test_opens_are_the_daily_opens(self, small_dataset, small_daily):
         ds = small_dataset
-        dates = ds.daily.dates()
-        expected = [ds.daily.values[dates.index(d), 0] for d in ds.trading_days]
+        dates = small_daily.dates()
+        expected = [small_daily.values[dates.index(d), 0] for d in ds.trading_days]
         assert np.array_equal(ds.opens, expected)
 
     def test_out_of_range(self, small_dataset):

@@ -263,6 +263,29 @@ class TestAdam:
         a, b = run(), run()
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    def test_two_steps_match_textbook_update(self):
+        rng = np.random.default_rng(11)
+        p = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+        grads = [[rng.normal(size=q.shape) for q in p] for _ in range(2)]
+        expected = [q.copy() for q in p]
+        m = [np.zeros_like(q) for q in p]
+        v = [np.zeros_like(q) for q in p]
+        state = AdamState(p, 0.01)
+        for t, g_t in enumerate(grads, start=1):
+            adam_step(p, g_t, state)
+            for q, g, m_q, v_q in zip(expected, g_t, m, v):
+                m_q[:] = 0.9 * m_q + (1.0 - 0.9) * g
+                v_q[:] = 0.999 * v_q + (1.0 - 0.999) * g * g
+                m_hat = m_q / (1.0 - 0.9 ** t)
+                v_hat = v_q / (1.0 - 0.999 ** t)
+                q -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert all(np.array_equal(a, b) for a, b in zip(p, expected))
+        assert all(np.array_equal(a, b) for a, b in zip(state.m, m))
+        assert all(np.array_equal(a, b) for a, b in zip(state.v, v))
+        doc = state.to_dict()
+        assert list(doc) == ["learning_rate", "beta1", "beta2", "eps", "step_count", "m", "v"]
+        assert (doc["beta1"], doc["beta2"], doc["eps"], doc["step_count"]) == (0.9, 0.999, 1e-8, 2)
+
     def test_shape_mismatch(self):
         p = [np.zeros(3)]
         state = AdamState(p, 0.1)
