@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evalcli, ppo
 from .env import EnvError, TradingEnv
-from .garch import WARMUP_FLOOR, GarchError, rolling_forecast
+from .garch import GarchError, rolling_forecast
 from .marketdata import (MarketDataError, ObservationNormalizer, load_bars, resample,
                          save_bars, simulate_market, split)
 from .nn import AdamState, NetworkError
@@ -57,18 +57,15 @@ def cmd_generate_data(args) -> int:
 
 def cmd_fit_garch(args) -> int:
     garch = evalcli.section_from_config(_load_config(args.config), "garch")
-    five_min = load_bars(args.data)
-    daily, _ = resample(five_min)
-    returns = np.diff(np.log(daily.values[:, 3]))
+    daily, _ = resample(load_bars(args.data))
     reports = []
-    sigma = rolling_forecast(returns, window=garch.window, refit_every=garch.refit_every,
-                             on_fit=reports.append)
-    daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
+    sigma = rolling_forecast(daily.values[:, 3], garch.window, garch.refit_every,
+                             reports.append)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "open", "high", "low", "close",
                          "volume", "amount", "sigma"])
-        for ts, row, s in zip(daily.timestamps, daily.values, daily_vol):
+        for ts, row, s in zip(daily.timestamps, daily.values, sigma):
             writer.writerow([ts.date().isoformat()]
                             + [repr(float(x)) for x in row] + [repr(float(s))])
     health = evalcli.garch_fit_health(reports)
@@ -110,19 +107,33 @@ def _pinned(cfg: dict, metadata: dict, field: str, resolved):
     return pinned
 
 
+def _split_dataset(cfg: dict, path: str, metadata: dict, on_fit):
+    """The train and test segments of the bar CSV at ``path``, and the
+    ``_PINNED`` fields they were cut with, as a checkpoint records them.
+
+    ``metadata`` is a checkpoint's, whose fields win over the config's;
+    training passes ``{}``. ``on_fit`` goes to ``rolling_forecast``. Config
+    errors come before any data is read."""
+    garch = evalcli.section_from_config(cfg, "garch")
+    split_config = evalcli.section_from_config(cfg, "data")
+    window = _pinned(cfg, metadata, "garch_window", garch.window)
+    refit_every = _pinned(cfg, metadata, "garch_refit_every", garch.refit_every)
+    dataset = evalcli.build_dataset(load_bars(path), window, refit_every, on_fit)
+    boundary = _pinned(cfg, metadata, "split_boundary",
+                       evalcli.split_boundary(dataset, split_config))
+    train_ds, test_ds = split(dataset, boundary)
+    return train_ds, test_ds, {"garch_window": window, "garch_refit_every": refit_every,
+                               "split_boundary": boundary.isoformat()}
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     variant = evalcli.VARIANTS[args.variant]
     overrides = {} if args.total_steps is None else {"total_steps": args.total_steps}
     ppo_config = evalcli.section_from_config(cfg, "ppo", **overrides)
     env_config = evalcli.section_from_config(cfg, "env")
-    garch = evalcli.section_from_config(cfg, "garch")
-    split_config = evalcli.section_from_config(cfg, "data")
     fit_reports = []
-    dataset = evalcli.build_dataset(load_bars(args.data), garch.window, garch.refit_every,
-                                    fit_reports.append)
-    boundary = evalcli.split_boundary(dataset, split_config)
-    train_ds, _ = split(dataset, boundary)
+    train_ds, _, pinned = _split_dataset(cfg, args.data, {}, fit_reports.append)
 
     normalizer = ObservationNormalizer().fit(train_ds, range(train_ds.n_days))
     env = TradingEnv(train_ds, env_config, normalizer)
@@ -132,13 +143,7 @@ def cmd_train(args) -> int:
     adam = AdamState(policy.parameters(), ppo_config.learning_rate)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    metadata = {
-        "garch_window": garch.window,
-        "garch_refit_every": garch.refit_every,
-        "split_boundary": boundary.isoformat(),
-        "seed": args.seed,
-        **evalcli.garch_fit_health(fit_reports),
-    }
+    metadata = {**pinned, "seed": args.seed, **evalcli.garch_fit_health(fit_reports)}
 
     def checkpoint_fn(update_index, pol, adam_state):
         path = os.path.join(args.out_dir, f"checkpoint_{update_index:05d}.json")
@@ -169,15 +174,7 @@ def cmd_backtest(args) -> int:
     policy = checkpoint.build_policy()
     normalizer = checkpoint.build_normalizer()
     env_config = evalcli.section_from_config(cfg, "env", random_start=False)
-    garch = evalcli.section_from_config(cfg, "garch")
-    split_config = evalcli.section_from_config(cfg, "data")
-    meta = checkpoint.metadata
-    dataset = evalcli.build_dataset(
-        load_bars(args.data), _pinned(cfg, meta, "garch_window", garch.window),
-        _pinned(cfg, meta, "garch_refit_every", garch.refit_every))
-    boundary = _pinned(cfg, meta, "split_boundary",
-                       evalcli.split_boundary(dataset, split_config))
-    train_ds, test_ds = split(dataset, boundary)
+    train_ds, test_ds, _ = _split_dataset(cfg, args.data, checkpoint.metadata, None)
     dataset = train_ds if args.segment == "train" else test_ds
     metrics, equity_rows, trajectory_rows = evalcli.backtest(
         policy, dataset, env_config, normalizer)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ppo as ppo_mod
 from .env import EnvConfig, EnvError, TradingEnv, buy_and_hold
-from .garch import WARMUP_FLOOR, FitReport, GarchConfig, GarchError, rolling_forecast
+from .garch import FitReport, GarchConfig, GarchError, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketDataError, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import AdamState
@@ -153,11 +153,14 @@ class Checkpoint:
 
     def build_policy(self) -> Policy:
         policy = Policy(self.policy_config, np.random.default_rng(0))
-        names = policy.parameter_names()
-        missing = [n for n in names if n not in self.param_values]
-        if missing:
-            raise EvalError(f"checkpoint missing parameters: {missing[:3]}")
-        policy.set_parameters([self.param_values[n] for n in names])
+        for name, param in policy.named_parameters():
+            if name not in self.param_values:
+                raise EvalError(f"checkpoint missing parameter {name!r}")
+            value = self.param_values[name]
+            if value.shape != param.shape:
+                raise EvalError(f"checkpoint parameter {name!r} has shape {value.shape}, "
+                                f"expected {param.shape}")
+            param[...] = value
         return policy
 
     def build_normalizer(self) -> ObservationNormalizer:
@@ -193,11 +196,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     except json.JSONDecodeError as e:
         raise EvalError(f"{path}: corrupt checkpoint: {e}") from None
     check_json(doc, "object", f"{path}: checkpoint")
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise EvalError(f"{path}: checkpoint format version {version}, "
-                        f"this build reads version {CHECKPOINT_VERSION}")
     try:
+        version = doc["format_version"]
+        check_json(version, "integer", f"{path}: checkpoint field 'format_version'")
+        if version != CHECKPOINT_VERSION:
+            raise EvalError(f"{path}: checkpoint format version {version}, "
+                            f"this build reads version {CHECKPOINT_VERSION}")
         doc.setdefault("metadata", {})
         # norm_stats is checked by ObservationNormalizer.from_dict; the Adam
         # and RNG state are written for the record, and nothing reads them.
@@ -382,20 +386,11 @@ def section_from_config(cfg: dict, section: str, **overrides):
 
 def build_dataset(five_min: BarSeries, garch_window: int, garch_refit_every: int,
                   on_fit=None) -> AlignedDataset:
-    """Resample a 5-minute feed, attach rolling volatility forecasts, align.
-
-    Day i's volatility forecast is causal: it only sees close-to-close
-    log-returns realized before day i. ``on_fit`` goes to ``rolling_forecast``.
-    """
+    """Resample a 5-minute feed, attach the causal rolling volatility forecast
+    of each day's close, align. ``on_fit`` goes to ``rolling_forecast``."""
     daily, weekly = resample(five_min)
-    closes = daily.values[:, 3]
-    returns = np.diff(np.log(closes))
-    sigma = rolling_forecast(returns, window=garch_window, refit_every=garch_refit_every,
-                             on_fit=on_fit)
-    # returns[t] ends on day t+1, so its forecast belongs to day t+1; day 0
-    # gets the positive warm-up floor.
-    daily_vol = np.concatenate([[WARMUP_FLOOR], sigma])
-    return align(five_min, daily, weekly, daily_vol)
+    return align(five_min, daily, weekly,
+                 rolling_forecast(daily.values[:, 3], garch_window, garch_refit_every, on_fit))
 
 
 def garch_fit_health(reports: list[FitReport]) -> dict[str, int]:

@@ -272,25 +272,29 @@ def fit(returns) -> FitReport:
     )
 
 
-def rolling_forecast(daily_returns, window: int, refit_every: int,
+def rolling_forecast(daily_closes, window: int, refit_every: int,
                      on_fit=None) -> np.ndarray:
-    """Causal rolling one-step-ahead volatility forecasts.
+    """Causal rolling one-step-ahead volatility forecasts, one per daily close.
 
-    Day ``t >= window`` gets a forecast from a fit on ``returns[t-window:t]``
-    (re-fit every ``refit_every`` days, parameters reused in between). Warm-up
-    days emit the sample std of the returns seen so far, floored at
-    ``WARMUP_FLOOR`` so the output is always positive. A failed re-fit warns
-    and falls back to the previous parameters. ``on_fit``, when given, receives
-    each FitReport.
+    ``returns`` are the close-to-close log-returns; ``returns[t]`` ends on day
+    ``t + 1`` and its forecast is day ``t + 1``'s, so day ``t`` sees only the
+    closes before it, and day 0 gets ``WARMUP_FLOOR``. From ``t = window`` on,
+    a fit on ``returns[t-window:t]`` (re-fit every ``refit_every`` returns,
+    parameters reused in between) gives the forecast; before, it is the sample
+    std of the returns seen so far, floored at ``WARMUP_FLOOR`` so the output
+    is always positive. A failed re-fit warns and falls back to the previous
+    parameters. ``on_fit``, when given, receives each FitReport.
     """
     GarchConfig(window, refit_every)  # raises GarchError on an invalid setting
-    returns = np.asarray(daily_returns, dtype=np.float64)
+    closes = np.asarray(daily_closes, dtype=np.float64)
+    returns = np.diff(np.log(closes))
 
     n = len(returns)
-    out = np.empty(n, dtype=np.float64)
+    out = np.full(len(closes), WARMUP_FLOOR)
+    sigma = out[1:]  # sigma[t] is the forecast for returns[t]
     for t in range(min(window, n)):
         std = float(np.std(returns[:t], ddof=1)) if t >= 2 else 0.0
-        out[t] = max(std, WARMUP_FLOOR)
+        sigma[t] = max(std, WARMUP_FLOOR)
 
     params: GarchParams | None = None
     for t in range(window, n):
@@ -303,7 +307,7 @@ def rolling_forecast(daily_returns, window: int, refit_every: int,
             except GarchError as e:
                 if params is None:
                     raise
-                warnings.warn(f"rolling GARCH refit failed at day {t}: {e}")
+                warnings.warn(f"rolling GARCH refit failed at day {t + 1}: {e}")
         # The filter never reads its last return, so this uses returns[:t] only.
-        out[t] = math.sqrt(filter_variances(params, returns[t - window:t + 1])[-1])
+        sigma[t] = math.sqrt(filter_variances(params, returns[t - window:t + 1])[-1])
     return out

@@ -162,8 +162,9 @@ def _week_to_date(daily: np.ndarray, week_keys: np.ndarray, rows: np.ndarray) ->
 def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
     """Aggregate a 5-minute series into daily and calendar-week bars.
 
-    Every trading day must have exactly 48 bars. Daily bars are stamped at
-    midnight of their date; weekly bars at the week's last trading day.
+    Every trading day must have exactly 48 bars, and its summed volume and
+    amount must stay in the float range. Daily bars are stamped at midnight
+    of their date; weekly bars at the week's last trading day.
     """
     groups = _group_by_date(five_min)
     if not groups:
@@ -173,17 +174,25 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
         if n != BARS_PER_DAY:
             raise MarketDataError(f"day {date} has {n} bars, expected {BARS_PER_DAY}")
     bars = five_min.values.reshape(-1, BARS_PER_DAY, 6)
-    # One column at a time: a (days, 48) sum adds in the order of a sum over
-    # one day's column, which a (days, 48, 2) sum does not.
-    sums = np.column_stack([bars[:, :, 4].sum(axis=1), bars[:, :, 5].sum(axis=1)])
-    daily = BarSeries([dt.datetime.combine(date, dt.time()) for date in groups],
-                      _aggregate_blocks(bars, sums))
-
-    keys = _iso_weeks(groups)
+    dates = list(groups)
+    keys = _iso_weeks(dates)
     ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
-    weekly = BarSeries([daily.timestamps[i] for i in ends],
-                       _week_to_date(daily.values, keys, ends))
-    return daily, weekly
+    # Volume and amount can sum past the float range where no bar does; the
+    # check below names the first day or week that does, so numpy need not warn.
+    with np.errstate(over="ignore"):
+        # One column at a time: a (days, 48) sum adds in the order of a sum over
+        # one day's column, which a (days, 48, 2) sum does not.
+        sums = np.column_stack([bars[:, :, 4].sum(axis=1), bars[:, :, 5].sum(axis=1)])
+        day_values = _aggregate_blocks(bars, sums)
+        week_values = _week_to_date(day_values, keys, ends)
+    for what, values, days in (("day", day_values, dates),
+                               ("week ending", week_values, [dates[i] for i in ends])):
+        bad = ~np.isfinite(values[:, 4:]).all(axis=1)
+        if bad.any():
+            raise MarketDataError(f"{what} {days[int(np.argmax(bad))]}: its summed "
+                                  "volume or amount leaves the float range")
+    daily = BarSeries([dt.datetime.combine(date, dt.time()) for date in dates], day_values)
+    return daily, BarSeries([daily.timestamps[i] for i in ends], week_values)
 
 
 @dataclass(frozen=True)
@@ -405,7 +414,8 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
     """Generate a deterministic synthetic 5-minute series of ``n_days`` days.
 
     Raises MarketDataError naming the first day whose bars leave the float
-    range: a field that overflows, or a price that underflows to 0."""
+    range (a field that overflows, or a price that underflows to 0) and the
+    settings behind it: ``base_volume`` when the day's prices stay in range."""
     if n_days < 1:
         raise MarketDataError("n_days must be >= 1")
     rng = np.random.default_rng(seed)
@@ -451,10 +461,13 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
         rows[sl, 4] = volume
         rows[sl, 5] = amount
         log_p += r
-    bad = ~(np.isfinite(rows).all(axis=1) & (rows[:, :4] > 0).all(axis=1))
+    prices_ok = (np.isfinite(rows[:, :4]) & (rows[:, :4] > 0)).all(axis=1)
+    bad = ~(prices_ok & np.isfinite(rows[:, 4:]).all(axis=1))
     if bad.any():
-        raise MarketDataError(
-            f"generated bars leave the float range on "
-            f"{dates[int(np.argmax(bad)) // BARS_PER_DAY]}; the path is driven by "
-            f"drift={gen.drift}, alpha0={gen.alpha0}, start_price={gen.start_price}")
+        d = int(np.argmax(bad)) // BARS_PER_DAY
+        cause = (f"the volume and amount scale with base_volume={gen.base_volume}"
+                 if prices_ok[d * BARS_PER_DAY:(d + 1) * BARS_PER_DAY].all() else
+                 f"the path is driven by drift={gen.drift}, alpha0={gen.alpha0}, "
+                 f"start_price={gen.start_price}")
+        raise MarketDataError(f"generated bars leave the float range on {dates[d]}; {cause}")
     return BarSeries(timestamps, rows)

@@ -97,7 +97,7 @@ class Policy:
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """(checkpoint name, array) for every parameter, in the one order that
-        ``parameters()``, ``parameter_names()`` and ``backward`` share."""
+        ``parameters()`` and ``backward`` share."""
         named: list[tuple[str, np.ndarray]] = []
 
         def add_dense(prefix: str, net: nn.Network) -> None:
@@ -115,19 +115,6 @@ class Policy:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for _, p in self.named_parameters()]
-
-    def parameter_names(self) -> list[str]:
-        return [name for name, _ in self.named_parameters()]
-
-    def set_parameters(self, values: list[np.ndarray]) -> None:
-        params = self.parameters()
-        if len(values) != len(params):
-            raise PolicyError(f"expected {len(params)} parameter arrays, got {len(values)}")
-        for p, v in zip(params, values):
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != p.shape:
-                raise PolicyError(f"parameter shape {v.shape} does not match {p.shape}")
-            p[...] = v
 
     # -- observation handling ----------------------------------------------
 

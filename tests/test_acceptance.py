@@ -14,7 +14,6 @@ import pytest
 
 from mctg import cli, evalcli, garch, nn, ppo
 from mctg import marketdata as md
-from mctg import policy as pol
 from mctg.env import EnvConfig, PortfolioState, TradingEnv, map_action
 from mctg.policy import Policy, PolicyConfig
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mctg.env import (MIN_EPISODE_STEPS, EnvConfig, EnvError, Order, PortfolioState,
-                      TradingEnv, buy_and_hold, map_action)
+from mctg.env import (MIN_EPISODE_STEPS, EnvConfig, EnvError, PortfolioState, TradingEnv,
+                      buy_and_hold, map_action)
 from mctg.marketdata import split
 from conftest import first_days
 

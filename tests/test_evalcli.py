@@ -12,7 +12,7 @@ import pytest
 
 from mctg import cli, evalcli, garch
 from mctg.env import EnvConfig, EnvError, TradingEnv, buy_and_hold
-from mctg.evalcli import (VARIANTS, Checkpoint, EvalError, SplitConfig, backtest,
+from mctg.evalcli import (VARIANTS, EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
 from mctg.garch import GarchConfig, rolling_forecast
@@ -295,8 +295,25 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         del doc["params"]["log_std"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match="missing"):
+        with pytest.raises(EvalError, match="missing parameter 'log_std'"):
             load_checkpoint(str(path)).build_policy()
+
+    def test_mis_shaped_parameter_named(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        doc["params"]["branch.mid.dense0.bias"].append(0.0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match=re.escape(
+                "parameter 'branch.mid.dense0.bias' has shape (5,), expected (4,)")):
+            load_checkpoint(str(path)).build_policy()
+
+    def test_boolean_format_version_rejected(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        doc["format_version"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match="'format_version' is not a JSON integer"):
+            load_checkpoint(str(path))
 
 
 class TestReport:
@@ -508,6 +525,35 @@ class TestConfigMapping:
             f"the path is driven by {settings}, start_price=10.0\n")
         assert not (tmp_path / "bars.csv").exists()
 
+    def test_huge_base_volume_fails_generate_data_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "market.cfg"
+        config.write_text("market.base_volume = 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["generate-data", "--out", str(tmp_path / "bars.csv"),
+                           "--days", "6", "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: generated bars leave the float range on 2015-01-05; "
+            "the volume and amount scale with base_volume=1e+308\n")
+        assert not (tmp_path / "bars.csv").exists()
+
+    def test_overflowing_daily_volume_fails_fit_garch_naming_the_day(self, tmp_path,
+                                                                     capsys):
+        config = tmp_path / "market.cfg"
+        config.write_text("market.base_volume = 1e306\n")
+        data = tmp_path / "bars.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["generate-data", "--out", str(data), "--days", "6",
+                             "--config", str(config)]) == 0
+            capsys.readouterr()
+            rc = cli.main(["fit-garch", "--data", str(data),
+                           "--out", str(tmp_path / "daily.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: day 2015-01-05: its summed volume or amount leaves the float range\n")
+
     def test_unknown_key_fails_the_command(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text("ppo.learning_rat = 1\n")
@@ -564,6 +610,7 @@ class TestCli:
         for day, window in zip(dataset.trading_days, dataset.windows["mid"]):
             i = dates.index(day)
             assert np.array_equal(window[:, 6], sigma[i + 1 - MID_DAYS:i + 1])
+        assert np.array_equal(sigma, rolling_forecast(daily.values[:, 3], 120, 30))
 
     def test_fit_garch_reports_boundary_fits(self, tmp_path, cli_workspace, capsys):
         rc = cli.main(["fit-garch", "--data", str(cli_workspace["data"]),
@@ -572,8 +619,7 @@ class TestCli:
         assert rc == 0
         daily, _ = resample(load_bars(str(cli_workspace["data"])))
         reports = []
-        rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
-                         on_fit=reports.append)
+        rolling_forecast(daily.values[:, 3], 120, 30, on_fit=reports.append)
         k = sum(r.at_boundary for r in reports)
         assert f"{k} of {len(reports)} GARCH refits at a constraint boundary\n" \
             in capsys.readouterr().out
@@ -588,8 +634,7 @@ class TestCli:
         assert rc == 0
         daily, _ = resample(load_bars(str(cli_workspace["data"])))
         reports = []
-        rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
-                         on_fit=reports.append)
+        rolling_forecast(daily.values[:, 3], 120, 30, on_fit=reports.append)
         assert reports and not any(r.converged for r in reports)
         n = len(reports)
         assert f"{n} of {n} GARCH refits did not converge\n" in capsys.readouterr().out
@@ -598,8 +643,7 @@ class TestCli:
     def test_train_records_garch_fit_health(self, cli_workspace):
         daily, _ = resample(load_bars(str(cli_workspace["data"])))
         reports = []
-        rolling_forecast(np.diff(np.log(daily.values[:, 3])), 120, 30,
-                         on_fit=reports.append)
+        rolling_forecast(daily.values[:, 3], 120, 30, on_fit=reports.append)
         meta = load_checkpoint(str(cli_workspace["checkpoint"])).metadata
         assert meta["garch_fits"] == len(reports) > 0
         assert meta["garch_boundary_fits"] == sum(r.at_boundary for r in reports)
@@ -823,6 +867,8 @@ class TestCli:
          "parameter 'log_std' is not an array of finite numbers"),
         (lambda doc: {**doc, "params": {**doc["params"], "log_std": None}},
          "parameter 'log_std' is not an array of finite numbers"),
+        (lambda doc: {**doc, "params": {**doc["params"], "log_std": [0.0, 0.0]}},
+         "parameter 'log_std' has shape (2,), expected ()"),
         (lambda doc: {**doc, "variant": ["MCTG"]}, "field 'variant' is not a JSON string"),
         (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": 1.5}},
          "dropout rate must be in [0, 1)"),
@@ -842,10 +888,10 @@ class TestCli:
          "metadata 'garch_window' is not a JSON integer"),
     ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
             "norm_stats.mid", "training_step", "branch_hidden", "branch_hidden_entry",
-            "garch_feature", "params_entry", "params_null", "variant", "dropout",
-            "dropout_negative", "split_boundary_number", "split_boundary_not_a_date",
-            "garch_window_string", "garch_window_boolean", "garch_refit_every_float",
-            "garch_window_null"])
+            "garch_feature", "params_entry", "params_null", "params_shape", "variant",
+            "dropout", "dropout_negative", "split_boundary_number",
+            "split_boundary_not_a_date", "garch_window_string", "garch_window_boolean",
+            "garch_refit_every_float", "garch_window_null"])
     def test_checkpoint_of_the_wrong_shape_fails_backtest_cleanly(
             self, cli_workspace, tmp_path, capsys, edit, what):
         doc = edit(json.loads(cli_workspace["checkpoint"].read_text()))

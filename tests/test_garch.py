@@ -55,13 +55,23 @@ def edge_params(rng, case):
     return GarchParams(rng.uniform(-0.01, 0.01), a0, a1, b1)
 
 
-def frozen_market_returns(seed):
-    """Daily close-to-close log-returns of the acceptance suite's frozen
-    market (770 days, regimes of 50) under ``seed``."""
+def frozen_market_closes(seed):
+    """Daily closes of the acceptance suite's frozen market (770 days, regimes
+    of 50) under ``seed``."""
     gen = md.MarketGenParams(drift=0.004, alpha0=2.5e-6, alpha1=0.05,
                              beta1=0.90, regime_length=50)
     daily, _ = md.resample(md.simulate_market(gen, 770, seed=seed))
-    return np.diff(np.log(daily.values[:, 3]))
+    return daily.values[:, 3]
+
+
+def frozen_market_returns(seed):
+    """The frozen market's daily close-to-close log-returns under ``seed``."""
+    return np.diff(np.log(frozen_market_closes(seed)))
+
+
+def closes_of(returns):
+    """Closes whose log-returns are ``returns[1:]``, up to rounding."""
+    return np.exp(np.cumsum(returns))
 
 
 def state_forecast_oracle(returns, window, refit_every, reports):
@@ -362,62 +372,69 @@ class TestRollingForecast:
     def test_iid_forecasts_near_true_std(self):
         rng = np.random.default_rng(6)
         true_std = 0.02
-        returns = rng.normal(0, true_std, size=500)
-        sigma = rolling_forecast(returns, window=250, refit_every=50)
-        post = sigma[250:]
+        closes = closes_of(rng.normal(0, true_std, size=500))
+        sigma = rolling_forecast(closes, window=250, refit_every=50)
+        post = sigma[251:]
         hit = np.mean(np.abs(post / true_std - 1.0) < 0.20)
         assert hit >= 0.90
 
     def test_refit_counter(self):
         rng = np.random.default_rng(7)
-        returns = rng.normal(0, 0.02, size=200)
+        closes = closes_of(rng.normal(0, 0.02, size=200))
         reports = []
-        rolling_forecast(returns, window=100, refit_every=len(returns),
+        rolling_forecast(closes, window=100, refit_every=len(closes),
                          on_fit=reports.append)
         assert len(reports) == 1
 
-    def test_causality(self):
+    def test_day_zero_gets_the_warm_up_floor(self):
+        closes = closes_of(np.random.default_rng(16).normal(0, 0.02, size=120))
+        assert rolling_forecast(closes, window=100, refit_every=5)[0] == WARMUP_FLOOR
+
+    @pytest.mark.parametrize("t", [50, 130], ids=["warm-up", "fitted"])
+    def test_causality(self, t):
+        # Day t's sigma sees the closes before day t: bumping close t leaves
+        # sigma[:t + 1] and changes day t + 1's.
         rng = np.random.default_rng(8)
-        returns = rng.normal(0, 0.02, size=160)
-        base = rolling_forecast(returns, window=100, refit_every=10)
-        t = 130
-        bumped = returns.copy()
-        bumped[t] += 0.05
+        closes = closes_of(rng.normal(0, 0.02, size=161))
+        base = rolling_forecast(closes, window=100, refit_every=10)
+        bumped = closes.copy()
+        bumped[t] *= math.exp(0.05)
         alt = rolling_forecast(bumped, window=100, refit_every=10)
-        assert alt[t] == base[t]
-        assert not np.array_equal(alt[t + 1:], base[t + 1:])
+        assert np.array_equal(alt[:t + 1], base[:t + 1])
+        assert alt[t + 1] != base[t + 1]
 
     def test_output_length_and_positive(self):
         rng = np.random.default_rng(9)
-        returns = rng.normal(0, 0.02, size=120)
-        sigma = rolling_forecast(returns, window=100, refit_every=5)
-        assert sigma.shape == returns.shape
+        closes = closes_of(rng.normal(0, 0.02, size=121))
+        sigma = rolling_forecast(closes, window=100, refit_every=5)
+        assert sigma.shape == closes.shape
         assert np.all(sigma > 0)
 
     @pytest.mark.parametrize("seed", [2024, 5])
     def test_frozen_market_equal_under_indexed_loop(self, seed, monkeypatch):
-        returns = frozen_market_returns(seed)
+        closes = frozen_market_closes(seed)
         reports, oracle_reports = [], []
-        sigma = rolling_forecast(returns, 250, 20, on_fit=reports.append)
+        sigma = rolling_forecast(closes, 250, 20, on_fit=reports.append)
         monkeypatch.setattr(garch, "filter_variances", indexed_loop_filter)
-        oracle = rolling_forecast(returns, 250, 20, on_fit=oracle_reports.append)
+        oracle = rolling_forecast(closes, 250, 20, on_fit=oracle_reports.append)
         assert np.array_equal(sigma, oracle)
         assert len(reports) == 26
         assert reports == oracle_reports
 
     @pytest.mark.parametrize("seed", [2024, 5])
     def test_frozen_market_equal_to_state_step(self, seed):
-        returns = frozen_market_returns(seed)
+        closes = frozen_market_closes(seed)
         reports = []
-        sigma = rolling_forecast(returns, 250, 20, on_fit=reports.append)
+        sigma = rolling_forecast(closes, 250, 20, on_fit=reports.append)
         assert len(reports) == 26
-        assert np.array_equal(sigma, state_forecast_oracle(returns, 250, 20, reports))
+        assert np.array_equal(sigma[1:], state_forecast_oracle(frozen_market_returns(seed),
+                                                               250, 20, reports))
 
     def test_bad_arguments(self):
         with pytest.raises(GarchError):
-            rolling_forecast(np.zeros(100), window=10, refit_every=20)
+            rolling_forecast(np.ones(100), window=10, refit_every=20)
         with pytest.raises(GarchError):
-            rolling_forecast(np.zeros(100), window=60, refit_every=0)
+            rolling_forecast(np.ones(100), window=60, refit_every=0)
 
 
 class TestSimulateReturns:

@@ -7,7 +7,7 @@ import pytest
 
 from mctg import evalcli
 from mctg import marketdata as md
-from mctg.garch import WARMUP_FLOOR, rolling_forecast
+from mctg.garch import rolling_forecast
 from mctg.marketdata import (MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
                              simulate_market, split, window_at)
@@ -358,8 +358,7 @@ class TestWindowAt:
         ds = small_dataset
         obs = window_at(ds, 0)
         i = small_daily.dates().index(ds.trading_days[0])
-        returns = np.diff(np.log(small_daily.values[:, 3]))
-        daily_vol = np.concatenate([[WARMUP_FLOOR], rolling_forecast(returns, 120, 30)])
+        daily_vol = rolling_forecast(small_daily.values[:, 3], 120, 30)
         assert np.array_equal(obs["mid"][-1, :6], small_daily.values[i])
         assert obs["mid"][-1, 6] == daily_vol[i]
 

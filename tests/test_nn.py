@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mctg import nn
 from mctg.evalcli import VARIANTS
 from mctg.marketdata import window_at
 from mctg.nn import AdamState, Network, NetworkError, adam_step, backward, forward, mlp

@@ -157,31 +157,14 @@ class TestParameters:
     def test_names_align_with_arrays(self):
         rng = np.random.default_rng(9)
         policy = Policy(small_config(), rng)
+        named = policy.named_parameters()
         params = policy.parameters()
-        names = policy.parameter_names()
-        assert len(params) == len(names)
+        assert len(named) == len(params)
+        assert all(a is b for (_, a), b in zip(named, params))
+        names = [name for name, _ in named]
+        assert len(set(names)) == len(names)
         assert names[-1] == "log_std"
         assert "branch_weight.short" in names
-
-    def test_set_parameters_roundtrip(self):
-        rng = np.random.default_rng(10)
-        src = Policy(small_config(), rng)
-        dst = Policy(small_config(), np.random.default_rng(11))
-        dst.set_parameters([p.copy() for p in src.parameters()])
-        flat = src.flatten_observation(random_observation(rng))
-        a, _ = src.forward(flat)
-        b, _ = dst.forward(flat)
-        assert a.action_mean[0] == b.action_mean[0] and a.value[0] == b.value[0]
-
-    def test_set_parameters_rejects_bad_shapes(self):
-        rng = np.random.default_rng(12)
-        policy = Policy(small_config(), rng)
-        values = [p.copy() for p in policy.parameters()]
-        with pytest.raises(PolicyError):
-            policy.set_parameters(values[:-1])
-        values[0] = np.zeros((1, 1))
-        with pytest.raises(PolicyError):
-            policy.set_parameters(values)
 
 
 class TestBackward:
@@ -224,7 +207,7 @@ class TestBackward:
         analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         fd = self.finite_difference(policy, flat,
                                     lambda: self.scalar_loss(policy, flat, cm, cv, cs))
-        for name, a, b in zip(policy.parameter_names(), analytic, fd):
+        for (name, _), a, b in zip(policy.named_parameters(), analytic, fd):
             denom = np.linalg.norm(a) + np.linalg.norm(b)
             rel = np.linalg.norm(a - b) / denom if denom > 0 else 0.0
             assert rel < 1e-5, f"{name}: relative error {rel}"
@@ -250,7 +233,7 @@ class TestBackward:
         # backward on a forward pass whose trunks we bypass analytically:
         out, full_cache = policy.forward(flat)
         grads = policy.backward(full_cache, np.ones(1), np.zeros(1))
-        names = policy.parameter_names()
+        names = [name for name, _ in policy.named_parameters()]
         gw = grads[names.index("branch_weight.mid")]
         # chain rule: d mean / d W_k = (d mean / d state_k) * branch_out_k
         _, d_state = nn.backward(policy.policy_trunk, full_cache.policy_cache,

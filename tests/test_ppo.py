@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from mctg import ppo
 from mctg.env import EnvConfig, TradingEnv
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig, gaussian_log_prob

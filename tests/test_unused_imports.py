@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module: the package's, the
+tests' and the repo-root ``conftest.py``.
 
 ``__init__.py`` is left out: the names it imports are the package's
 re-exports.
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).resolve().parents[1] / "src" / "mctg").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in (ROOT / "src" / "mctg").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(ROOT.glob("tests/*.py")) + [ROOT / "conftest.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,6 +32,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_the_check_sees_the_sources():
     assert len(SOURCES) >= 8
+    assert len(TESTS) >= 12
 
 
 def test_the_check_finds_an_unused_import():
@@ -37,6 +40,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 2: os", "line 3: d"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.name) for p in SOURCES]
+                         + [pytest.param(p, id=str(p.relative_to(ROOT))) for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
