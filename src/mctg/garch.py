@@ -91,9 +91,10 @@ class FitReport:
     at_boundary: bool
 
 
-def _recursion(c: list, b: float, y0: float) -> list:
-    """``y[0] = y0, y[t] = c[t-1] + b * y[t-1]`` over Python floats: the
-    variance filter forwards and its adjoint backwards."""
+def _recursion(c, b, y0) -> list:
+    """``y[0] = y0, y[t] = c[t-1] + b * y[t-1]``: the variance filter forwards
+    and its adjoint backwards. Over Python floats, or elementwise over equal-
+    length arrays, one series per element, which rounds the same."""
     y = y0
     out = [y]
     for ct in c:
@@ -102,18 +103,24 @@ def _recursion(c: list, b: float, y0: float) -> list:
     return out
 
 
+def _shocks(alpha0, alpha1, mu, returns: np.ndarray) -> np.ndarray:
+    """The recursion's inputs ``alpha0 + alpha1 * (R - mu)^2``. ``np.float_power``
+    squares through libm ``pow``, as numpy's scalar power does, where
+    ``r * r`` or ``np.square`` would round differently in the last bit now and
+    then. The coefficients are floats or arrays that broadcast with ``returns``."""
+    return alpha0 + alpha1 * np.float_power(returns - mu, 2.0)
+
+
 def filter_variances(params: GarchParams, returns) -> np.ndarray:
     """Run the variance recursion over a return series.
 
     Output has the same length as the input and is strictly positive. The
-    loop runs on Python floats. ``np.float_power`` squares the residuals
-    through libm ``pow``, as numpy's scalar power does, where ``r * r`` or
-    ``np.square`` would round differently in the last bit now and then.
+    loop runs on Python floats.
     """
     returns = np.asarray(returns, dtype=np.float64)
     if returns.ndim != 1 or len(returns) < 1:
         raise GarchError("returns must be a non-empty 1-d series")
-    shocks = params.alpha0 + params.alpha1 * np.float_power(returns[:-1] - params.mu, 2.0)
+    shocks = _shocks(params.alpha0, params.alpha1, params.mu, returns[:-1])
     return np.array(_recursion(shocks.tolist(), params.beta1, params.unconditional_variance))
 
 
@@ -189,16 +196,16 @@ def _bfgs(evaluate, x: np.ndarray):
     ``evaluate(x)`` returns the objective and a function of no arguments that
     gives its gradient, or ``(inf, None)`` off the domain, so the line search
     backs off. The gradient is taken only at the points the search accepts.
-    Returns ``(x, iterations, converged)``; convergence is a gradient
-    below ``GRADIENT_TOL`` or an iteration that changed the objective by less
-    than ``OBJECTIVE_TOL`` relative.
+    Returns ``(x, f, iterations, converged)``, ``f`` the objective at ``x``;
+    convergence is a gradient below ``GRADIENT_TOL`` or an iteration that
+    changed the objective by less than ``OBJECTIVE_TOL`` relative.
     """
     f, gradient = evaluate(x)
     g = gradient()
     h = None  # inverse Hessian estimate; None is the identity before any update
     for iteration in range(MAX_ITERATIONS):
         if float(np.max(np.abs(g))) < GRADIENT_TOL:
-            return x, iteration, True
+            return x, f, iteration, True
         d = -g if h is None else -(h @ g)
         slope = float(g @ d)
         if not slope < 0.0:  # lost descent: restart from steepest descent
@@ -212,7 +219,7 @@ def _bfgs(evaluate, x: np.ndarray):
             step *= 0.5
         else:
             if h is None:
-                return x, iteration, False
+                return x, f, iteration, False
             h = None
             continue
         g_new = gradient()
@@ -227,8 +234,8 @@ def _bfgs(evaluate, x: np.ndarray):
         change = f - f_new
         x, f, g = x_new, f_new, g_new
         if change <= OBJECTIVE_TOL * max(abs(f), 1.0):
-            return x, iteration + 1, True
-    return x, MAX_ITERATIONS, False
+            return x, f, iteration + 1, True
+    return x, f, MAX_ITERATIONS, False
 
 
 def fit(returns) -> FitReport:
@@ -260,11 +267,11 @@ def fit(returns) -> FitReport:
         return value, lambda: _gradient(x, params, variances, resid)
 
     with np.errstate(all="ignore"):
-        x, iterations, converged = _bfgs(evaluate, _x_from_params(init))
+        x, objective, iterations, converged = _bfgs(evaluate, _x_from_params(init))
     params = _params_from_x(x)
     return FitReport(
         params=params,
-        log_likelihood=log_likelihood(params, returns),
+        log_likelihood=-objective,
         iterations=iterations,
         converged=converged,
         at_boundary=(params.alpha1 + params.beta1 > 1.0 - BOUNDARY_TOL
@@ -296,18 +303,30 @@ def rolling_forecast(daily_closes, window: int, refit_every: int,
         std = float(np.std(returns[:t], ddof=1)) if t >= 2 else 0.0
         sigma[t] = max(std, WARMUP_FLOOR)
 
+    blocks = []  # the parameters of each run of refit_every forecast days
     params: GarchParams | None = None
-    for t in range(window, n):
-        if params is None or (t - window) % refit_every == 0:
-            try:
-                report = fit(returns[t - window:t])
-                params = report.params
-                if on_fit is not None:
-                    on_fit(report)
-            except GarchError as e:
-                if params is None:
-                    raise
-                warnings.warn(f"rolling GARCH refit failed at day {t + 1}: {e}")
-        # The filter never reads its last return, so this uses returns[:t] only.
-        sigma[t] = math.sqrt(filter_variances(params, returns[t - window:t + 1])[-1])
+    for start in range(window, n, refit_every):
+        try:
+            report = fit(returns[start - window:start])
+            params = report.params
+            if on_fit is not None:
+                on_fit(report)
+        except GarchError as e:
+            if params is None:
+                raise
+            warnings.warn(f"rolling GARCH refit failed at day {start + 1}: {e}")
+        blocks.append(params)
+    if blocks:
+        # Every forecast day at once, one element per day: day t filters
+        # returns[t-window:t] from its block's unconditional variance, so the
+        # k-th step reads returns[k:k + days] across the days. The shocks are
+        # made a step at a time, so only the recursion's output holds
+        # days x window floats.
+        days = n - window
+        coefficients = np.array([(p.mu, p.alpha0, p.alpha1, p.beta1, p.unconditional_variance)
+                                 for p in blocks])
+        mu, alpha0, alpha1, beta1, start_variance = np.repeat(
+            coefficients.T, refit_every, axis=1)[:, :days]
+        shocks = (_shocks(alpha0, alpha1, mu, returns[k:k + days]) for k in range(window))
+        sigma[window:] = np.sqrt(_recursion(shocks, beta1, start_variance)[-1])
     return out

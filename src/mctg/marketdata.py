@@ -407,9 +407,58 @@ def _trading_dates(start: dt.date, n: int) -> list[dt.date]:
     return dates
 
 
-# Extreme settings can push the path out of the float range; the check after
-# the loop names the first day that leaves it, so numpy need not warn.
+# Extreme settings can push the path out of the float range; simulate_market's
+# check names the first day that leaves it, so numpy need not warn.
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _simulate_rows(gen: MarketGenParams, n_days: int, seed: int) -> np.ndarray:
+    """The ``(n_days * 48, 6)`` OHLCVA rows of ``simulate_market``.
+
+    One standard-normal draw of ``(n_days, 1 + 3 * 48)`` feeds the days, each
+    row in the order a day uses it: the daily shock, 48 bridge steps, 48
+    high/low pads and 48 log-volumes. The daily variance and log-price are a
+    scalar recursion; the bars are whole-array arithmetic on it. The volume's
+    lognormal goes through ``math.exp``, the libm ``exp`` that
+    ``Generator.lognormal`` calls; ``np.exp`` rounds some of them differently.
+    """
+    draws = np.random.default_rng(seed).standard_normal((n_days, 1 + 3 * BARS_PER_DAY))
+    steps, pads, log_volumes = np.split(draws[:, 1:], 3, axis=1)
+
+    persistence = gen.alpha1 + gen.beta1
+    var = gen.alpha0 / (1.0 - persistence) if persistence > 0 else gen.alpha0
+    log_p = math.log(gen.start_price)
+    sigma, r, open_log_p = np.empty((3, n_days, 1))
+    for d, z in enumerate(draws[:, 0].tolist()):
+        drift = gen.drift
+        if gen.regime_length is not None and (d // gen.regime_length) % 2 == 1:
+            drift = -gen.drift
+        day_sigma = math.sqrt(var)
+        shock = z * day_sigma
+        day_r = drift + shock
+        var = gen.alpha0 + gen.alpha1 * shock * shock + gen.beta1 * var
+        sigma[d], r[d], open_log_p[d] = day_sigma, day_r, log_p
+        log_p += day_r
+
+    # Brownian bridge between each day's open and close log-prices.
+    frac = np.arange(BARS_PER_DAY + 1) / BARS_PER_DAY
+    walk = np.zeros((n_days, BARS_PER_DAY + 1))
+    np.cumsum(steps * (sigma / math.sqrt(BARS_PER_DAY)), axis=1, out=walk[:, 1:])
+    bounds = np.exp(open_log_p + frac * r + (walk - frac * walk[:, -1:]))
+
+    opens = bounds[:, :-1]
+    closes = bounds[:, 1:]
+    pad = 1.0 + np.abs(pads) * gen.intraday_noise * sigma
+    volume = gen.base_volume * np.fromiter(
+        map(math.exp, (0.5 * log_volumes).flat), float, log_volumes.size).reshape(n_days, -1)
+    rows = np.empty((n_days, BARS_PER_DAY, 6))
+    rows[..., 0] = opens
+    rows[..., 1] = np.maximum(opens, closes) * pad
+    rows[..., 2] = np.minimum(opens, closes) / pad
+    rows[..., 3] = closes
+    rows[..., 4] = volume
+    rows[..., 5] = volume * 0.5 * (opens + closes)
+    return rows.reshape(-1, 6)
+
+
 def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
     """Generate a deterministic synthetic 5-minute series of ``n_days`` days.
 
@@ -418,49 +467,8 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
     settings behind it: ``base_volume`` when the day's prices stay in range."""
     if n_days < 1:
         raise MarketDataError("n_days must be >= 1")
-    rng = np.random.default_rng(seed)
     dates = _trading_dates(gen.start_date, n_days)
-
-    persistence = gen.alpha1 + gen.beta1
-    var = gen.alpha0 / (1.0 - persistence) if persistence > 0 else gen.alpha0
-
-    timestamps: list[dt.datetime] = []
-    rows = np.empty((n_days * BARS_PER_DAY, 6), dtype=np.float64)
-    log_p = math.log(gen.start_price)
-    frac = np.arange(BARS_PER_DAY + 1) / BARS_PER_DAY
-    for d, date in enumerate(dates):
-        drift = gen.drift
-        if gen.regime_length is not None and (d // gen.regime_length) % 2 == 1:
-            drift = -gen.drift
-        sigma = math.sqrt(var)
-        shock = rng.standard_normal() * sigma
-        r = drift + shock
-        var = gen.alpha0 + gen.alpha1 * shock * shock + gen.beta1 * var
-
-        # Brownian bridge between the day's open and close log-prices.
-        steps = rng.standard_normal(BARS_PER_DAY) * (sigma / math.sqrt(BARS_PER_DAY))
-        walk = np.concatenate([[0.0], np.cumsum(steps)])
-        bridge = walk - frac * walk[-1]
-        bounds = np.exp(log_p + frac * r + bridge)
-
-        opens = bounds[:-1]
-        closes = bounds[1:]
-        pad = np.abs(rng.standard_normal(BARS_PER_DAY)) * gen.intraday_noise * sigma
-        highs = np.maximum(opens, closes) * (1.0 + pad)
-        lows = np.minimum(opens, closes) / (1.0 + pad)
-        volume = gen.base_volume * rng.lognormal(0.0, 0.5, BARS_PER_DAY)
-        amount = volume * 0.5 * (opens + closes)
-
-        base = dt.datetime.combine(date, dt.time(9, 30))
-        timestamps.extend(base + dt.timedelta(minutes=5 * k) for k in range(BARS_PER_DAY))
-        sl = slice(d * BARS_PER_DAY, (d + 1) * BARS_PER_DAY)
-        rows[sl, 0] = opens
-        rows[sl, 1] = highs
-        rows[sl, 2] = lows
-        rows[sl, 3] = closes
-        rows[sl, 4] = volume
-        rows[sl, 5] = amount
-        log_p += r
+    rows = _simulate_rows(gen, n_days, seed)  # its temporaries are freed by now
     prices_ok = (np.isfinite(rows[:, :4]) & (rows[:, :4] > 0)).all(axis=1)
     bad = ~(prices_ok & np.isfinite(rows[:, 4:]).all(axis=1))
     if bad.any():
@@ -470,4 +478,6 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
                  f"the path is driven by drift={gen.drift}, alpha0={gen.alpha0}, "
                  f"start_price={gen.start_price}")
         raise MarketDataError(f"generated bars leave the float range on {dates[d]}; {cause}")
+    minutes = np.arange(9 * 60 + 30, 9 * 60 + 30 + 5 * BARS_PER_DAY, 5).astype("timedelta64[m]")
+    timestamps = (np.array(dates, dtype="datetime64[D]")[:, None] + minutes).ravel().tolist()
     return BarSeries(timestamps, rows)

@@ -1,12 +1,15 @@
 """Code only the tests run: a finite-difference gradient checker for
-``mctg.nn`` networks and a GARCH(1,1) return simulator."""
+``mctg.nn`` networks, a GARCH(1,1) return simulator and the per-day market
+generator."""
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 
 import numpy as np
 
+from mctg import marketdata as md
 from mctg.garch import GarchError, GarchParams
 from mctg.nn import Network, backward, forward
 
@@ -74,3 +77,47 @@ def simulate_returns(params: GarchParams, n: int, rng: np.random.Generator) -> n
         out[t] = params.mu + a
         var = params.alpha0 + params.alpha1 * a * a + params.beta1 * var
     return out
+
+
+def simulate_market_per_day(gen, n_days: int, seed: int):
+    """``(timestamps, rows)`` of ``marketdata.simulate_market``, drawn and
+    built one day at a time with scalar draws from the generator: the
+    reference the whole-market draw must match bit for bit. No float-range
+    check."""
+    rng = np.random.default_rng(seed)
+    dates = md._trading_dates(gen.start_date, n_days)
+    persistence = gen.alpha1 + gen.beta1
+    var = gen.alpha0 / (1.0 - persistence) if persistence > 0 else gen.alpha0
+
+    timestamps: list[dt.datetime] = []
+    rows = np.empty((n_days * md.BARS_PER_DAY, 6), dtype=np.float64)
+    log_p = math.log(gen.start_price)
+    frac = np.arange(md.BARS_PER_DAY + 1) / md.BARS_PER_DAY
+    for d, date in enumerate(dates):
+        drift = gen.drift
+        if gen.regime_length is not None and (d // gen.regime_length) % 2 == 1:
+            drift = -gen.drift
+        sigma = math.sqrt(var)
+        shock = rng.standard_normal() * sigma
+        r = drift + shock
+        var = gen.alpha0 + gen.alpha1 * shock * shock + gen.beta1 * var
+
+        steps = rng.standard_normal(md.BARS_PER_DAY) * (sigma / math.sqrt(md.BARS_PER_DAY))
+        walk = np.concatenate([[0.0], np.cumsum(steps)])
+        bridge = walk - frac * walk[-1]
+        bounds = np.exp(log_p + frac * r + bridge)
+
+        opens = bounds[:-1]
+        closes = bounds[1:]
+        pad = np.abs(rng.standard_normal(md.BARS_PER_DAY)) * gen.intraday_noise * sigma
+        highs = np.maximum(opens, closes) * (1.0 + pad)
+        lows = np.minimum(opens, closes) / (1.0 + pad)
+        volume = gen.base_volume * rng.lognormal(0.0, 0.5, md.BARS_PER_DAY)
+        amount = volume * 0.5 * (opens + closes)
+
+        base = dt.datetime.combine(date, dt.time(9, 30))
+        timestamps.extend(base + dt.timedelta(minutes=5 * k) for k in range(md.BARS_PER_DAY))
+        rows[d * md.BARS_PER_DAY:(d + 1) * md.BARS_PER_DAY] = np.column_stack(
+            [opens, highs, lows, closes, volume, amount])
+        log_p += r
+    return timestamps, rows

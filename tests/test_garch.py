@@ -74,14 +74,32 @@ def closes_of(returns):
     return np.exp(np.cumsum(returns))
 
 
+def warm_up_oracle(returns, window):
+    """Forecasts of the first ``window`` returns, the rest left to fill: the
+    sample std of the returns before each, floored at ``WARMUP_FLOOR``."""
+    out = np.empty(len(returns))
+    for t in range(min(window, len(returns))):
+        std = float(np.std(returns[:t], ddof=1)) if t >= 2 else 0.0
+        out[t] = max(std, WARMUP_FLOOR)
+    return out
+
+
+def per_day_forecast_oracle(returns, window, refit_every, block_params):
+    """Rolling forecasts with one filter per day: day t runs
+    ``filter_variances`` over ``returns[t-window:t+1]`` with the parameters of
+    its refit block."""
+    out = warm_up_oracle(returns, window)
+    for t in range(window, len(returns)):
+        params = block_params[(t - window) // refit_every]
+        out[t] = math.sqrt(filter_variances(params, returns[t - window:t + 1])[-1])
+    return out
+
+
 def state_forecast_oracle(returns, window, refit_every, reports):
     """Rolling forecasts recomputed from each refit's parameters with the
     state-based step: the squared last residual and the last filtered variance
     of ``returns[t-window:t]`` advanced by one recursion step."""
-    out = np.empty(len(returns))
-    for t in range(window):
-        std = float(np.std(returns[:t], ddof=1)) if t >= 2 else 0.0
-        out[t] = max(std, WARMUP_FLOOR)
+    out = warm_up_oracle(returns, window)
     for t in range(window, len(returns)):
         params = reports[(t - window) // refit_every].params
         segment = returns[t - window:t]
@@ -429,6 +447,58 @@ class TestRollingForecast:
         assert len(reports) == 26
         assert np.array_equal(sigma[1:], state_forecast_oracle(frozen_market_returns(seed),
                                                                250, 20, reports))
+
+    @pytest.mark.parametrize("n_closes, window, refit_every", [
+        (131, 100, 1),   # a refit every day
+        (102, 100, 7),   # one forecast day
+        (101, 100, 7),   # window == returns: no fit
+        (60, 100, 7),    # window > returns: no fit
+    ], ids=["refit-every-day", "one-forecast-day", "window-equals-n", "window-exceeds-n"])
+    def test_equal_to_per_day_filter(self, n_closes, window, refit_every):
+        closes = closes_of(np.random.default_rng(17).normal(0, 0.02, size=n_closes))
+        returns = np.diff(np.log(closes))
+        reports = []
+        sigma = rolling_forecast(closes, window, refit_every, on_fit=reports.append)
+        assert len(reports) == len(range(window, len(returns), refit_every))
+        oracle = per_day_forecast_oracle(returns, window, refit_every,
+                                         [r.params for r in reports])
+        assert sigma[0] == WARMUP_FLOOR
+        assert np.array_equal(sigma[1:], oracle)
+
+    def test_failed_refit_keeps_previous_parameters(self, monkeypatch):
+        closes = closes_of(np.random.default_rng(18).normal(0, 0.02, size=136))
+        returns = np.diff(np.log(closes))
+        window, refit_every = 100, 10
+        reports = []
+
+        def fail_second_refit(segment):
+            if len(reports) == 1:
+                reports.append(None)
+                raise GarchError("no fit")
+            report = fit(segment)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(garch, "fit", fail_second_refit)
+        with pytest.warns(UserWarning) as caught:
+            sigma = rolling_forecast(closes, window, refit_every)
+        # The second refit is for returns[110], which ends on day 111.
+        assert [str(w.message) for w in caught] == [
+            "rolling GARCH refit failed at day 111: no fit"]
+        assert len(reports) == 4 and reports[1] is None
+        block_params = [reports[0].params, reports[0].params, reports[2].params,
+                        reports[3].params]
+        oracle = per_day_forecast_oracle(returns, window, refit_every, block_params)
+        assert np.array_equal(sigma[1:], oracle)
+
+    def test_failed_first_refit_raises(self, monkeypatch):
+        def fail(segment):
+            raise GarchError("no fit")
+
+        monkeypatch.setattr(garch, "fit", fail)
+        closes = closes_of(np.random.default_rng(18).normal(0, 0.02, size=136))
+        with pytest.raises(GarchError, match="no fit"):
+            rolling_forecast(closes, 100, 10)
 
     def test_bad_arguments(self):
         with pytest.raises(GarchError):

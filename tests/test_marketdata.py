@@ -11,6 +11,7 @@ from mctg.garch import rolling_forecast
 from mctg.marketdata import (MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
                              simulate_market, split, window_at)
+from helpers import simulate_market_per_day
 
 
 def write_csv(tmp_path, rows, name="bars.csv"):
@@ -572,7 +573,27 @@ class TestNormalizer:
         assert np.array_equal(ds.opens, opens)
 
 
+# Generator settings the whole-market draw must reproduce from the per-day one.
+GENERATOR_SETTINGS = {
+    "defaults": {},
+    "zero-garch": {"alpha0": 0.0, "alpha1": 0.0, "beta1": 0.0},
+    "regimes-of-3-from-saturday": {"regime_length": 3, "start_date": dt.date(2015, 1, 3)},
+    "falling-no-noise-no-volume": {"drift": -0.01, "intraday_noise": 0.0, "base_volume": 0.0},
+    "high-persistence": {"alpha1": 0.3, "beta1": 0.69},
+}
+
+
 class TestSimulateMarket:
+    @pytest.mark.parametrize("n_days", [1, 2, 13, 400])
+    @pytest.mark.parametrize("setting", GENERATOR_SETTINGS)
+    def test_equal_to_per_day_draws(self, setting, n_days):
+        gen = MarketGenParams(**GENERATOR_SETTINGS[setting])
+        for seed in (0, 7, 2024):
+            series = simulate_market(gen, n_days, seed)
+            timestamps, rows = simulate_market_per_day(gen, n_days, seed)
+            assert series.timestamps == timestamps
+            assert series.values.tobytes() == rows.tobytes()
+
     def test_zero_everything_constant_path(self):
         series = make_series(5, drift=0.0, alpha0=0.0, alpha1=0.0, beta1=0.0,
                              intraday_noise=0.0)
