@@ -131,13 +131,18 @@ def save_bars(series: BarSeries, path: str) -> None:
 
 
 def _group_by_date(series: BarSeries) -> dict[dt.date, slice]:
+    """Each date's slice of the bars. Timestamps increase, so a day ends at
+    the first bar at or after the next midnight, found by bisection."""
     groups: dict[dt.date, slice] = {}
-    dates = series.dates()
+    timestamps = series.timestamps
     start = 0
-    for i in range(1, len(dates) + 1):
-        if i == len(dates) or dates[i] != dates[start]:
-            groups[dates[start]] = slice(start, i)
-            start = i
+    one_day = dt.timedelta(days=1)
+    while start < len(timestamps):
+        date = timestamps[start].date()
+        next_midnight = dt.datetime.combine(date + one_day, dt.time(), timestamps[start].tzinfo)
+        end = bisect_left(timestamps, next_midnight, start + 1)
+        groups[date] = slice(start, end)
+        start = end
     return groups
 
 
@@ -464,7 +469,9 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
 
     Raises MarketDataError naming the first day whose bars leave the float
     range (a field that overflows, or a price that underflows to 0) and the
-    settings behind it: ``base_volume`` when the day's prices stay in range."""
+    settings behind it: ``base_volume`` when the day's volume leaves it, and
+    the price path's settings when a price does, or when the prices stay in
+    range but the amount, volume times price, does not."""
     if n_days < 1:
         raise MarketDataError("n_days must be >= 1")
     dates = _trading_dates(gen.start_date, n_days)
@@ -473,10 +480,15 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
     bad = ~(prices_ok & np.isfinite(rows[:, 4:]).all(axis=1))
     if bad.any():
         d = int(np.argmax(bad)) // BARS_PER_DAY
-        cause = (f"the volume and amount scale with base_volume={gen.base_volume}"
-                 if prices_ok[d * BARS_PER_DAY:(d + 1) * BARS_PER_DAY].all() else
-                 f"the path is driven by drift={gen.drift}, alpha0={gen.alpha0}, "
-                 f"start_price={gen.start_price}")
+        day = slice(d * BARS_PER_DAY, (d + 1) * BARS_PER_DAY)
+        if not prices_ok[day].all():
+            cause = (f"the path is driven by drift={gen.drift}, alpha0={gen.alpha0}, "
+                     f"start_price={gen.start_price}")
+        elif not np.isfinite(rows[day, 4]).all():
+            cause = f"the volume and amount scale with base_volume={gen.base_volume}"
+        else:
+            cause = (f"the amount is volume times a price driven by drift={gen.drift} "
+                     f"from start_price={gen.start_price}")
         raise MarketDataError(f"generated bars leave the float range on {dates[d]}; {cause}")
     minutes = np.arange(9 * 60 + 30, 9 * 60 + 30 + 5 * BARS_PER_DAY, 5).astype("timedelta64[m]")
     timestamps = (np.array(dates, dtype="datetime64[D]")[:, None] + minutes).ravel().tolist()

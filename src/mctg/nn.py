@@ -7,6 +7,7 @@ observation is one row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,14 +89,15 @@ def forward(net: Network, x, rng: np.random.Generator | None = None
     return h, ForwardCache(inputs, acts, mask)
 
 
-def backward(net: Network, cache: ForwardCache,
-             grad_output) -> tuple[list[np.ndarray], np.ndarray]:
+def backward(net: Network, cache: ForwardCache, grad_output,
+             input_grad: bool = True) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Exact reverse-mode gradients of the forward map recorded in ``cache``.
 
     ``grad_output`` has the (rows, out_dim) shape of the output. Returns the
     gradients of ``weights[0], biases[0], weights[1], ...`` plus the (rows,
-    in_dim) gradient with respect to the input. The dropout mask is replayed,
-    never re-sampled.
+    in_dim) gradient with respect to the input, or None when ``input_grad`` is
+    false, which skips its product. The dropout mask is replayed, never
+    re-sampled.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.acts[-1].shape:
@@ -109,11 +111,26 @@ def backward(net: Network, cache: ForwardCache,
         dz = g * (1.0 - a * a) if i < last or net.tanh_out else g
         grads.append(dz.sum(axis=0))                 # bias
         grads.append(dz.T @ cache.inputs[i])         # weights
+        if i == 0 and not input_grad:
+            g = None
+            break
         g = dz @ net.weights[i]
         if i == 1 and cache.mask is not None:
             g = g * cache.mask
     grads.reverse()
     return grads, g
+
+
+def unflatten(vector: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Views of consecutive runs of the 1-d ``vector``, one per shape, in order."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[offset:offset + size].reshape(shape))
+        offset += size
+    if offset != vector.size:
+        raise NetworkError(f"shapes hold {offset} values, the vector {vector.size}")
+    return views
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
@@ -123,13 +140,20 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Per-parameter Adam moment accumulators with bias correction."""
+    """Adam moment accumulators with bias correction for the parameters
+    ``params``, kept as one flat vector each in the order of ``params``;
+    ``m`` and ``v`` are their per-parameter views."""
 
     def __init__(self, params: list, learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        shapes = [np.shape(p) for p in params]
+        size = sum(math.prod(shape) for shape in shapes)
+        self.m_vector, self.v_vector = np.zeros(size), np.zeros(size)
+        self.m = unflatten(self.m_vector, shapes)
+        self.v = unflatten(self.v_vector, shapes)
+        # adam_step's two work vectors, so a step allocates nothing.
+        self._scratch = (np.empty(size), np.empty(size))
 
     def to_dict(self) -> dict:
         return {
@@ -139,19 +163,32 @@ class AdamState:
         }
 
 
-def adam_step(params: list, grads: list, state: AdamState) -> None:
-    """Standard Adam update, applied in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise NetworkError("params/grads/state length mismatch")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """Standard Adam update of the flat parameter vector ``params`` by the
+    flat gradient ``grads``, applied in place.
+
+    Every operation writes into ``state``'s vectors, in the order and with the
+    operands of the textbook per-array step
+    ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so the bits are the same.
+    """
+    if params.shape != grads.shape or params.shape != state.m_vector.shape:
+        raise NetworkError(f"params {params.shape}, gradient {grads.shape} and Adam state "
+                           f"{state.m_vector.shape} differ in shape")
     state.step_count += 1
     t = state.step_count
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise NetworkError(f"gradient shape {g.shape} does not match {p.shape}")
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m_vector, state.v_vector
+    a, b = state._scratch
+    m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+    a *= grads
+    v += a
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)         # m_hat
+    a *= state.learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)         # v_hat
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    params -= a

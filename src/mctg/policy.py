@@ -78,7 +78,10 @@ class PolicyCache:
 
 
 class Policy:
-    """Parameter container plus forward/backward for the full actor-critic."""
+    """Parameter container plus forward/backward for the full actor-critic.
+
+    Every parameter array is a view into the one float64 ``vector``, in
+    ``named_parameters`` order, so an optimizer can step them all at once."""
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
@@ -93,28 +96,43 @@ class Policy:
         self.value_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1], rng)
         self.log_std = np.array(config.init_log_std, dtype=np.float64)
 
+        slots = self._slots()
+        self.shapes = [owner[key].shape for _, owner, key in slots]
+        self.vector = np.concatenate([owner[key].ravel() for _, owner, key in slots])
+        for (_, owner, key), view in zip(slots, self.unflatten(self.vector)):
+            owner[key] = view
+
     # -- parameter plumbing -------------------------------------------------
 
-    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        """(checkpoint name, array) for every parameter, in the one order that
-        ``parameters()`` and ``backward`` share."""
-        named: list[tuple[str, np.ndarray]] = []
+    def _slots(self) -> list[tuple[str, object, object]]:
+        """(checkpoint name, container, key) of every parameter, in the one
+        order that ``named_parameters``, ``vector`` and ``backward`` share."""
+        slots: list[tuple[str, object, object]] = []
 
         def add_dense(prefix: str, net: nn.Network) -> None:
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                named.append((f"{prefix}.dense{i}.weights", w))
-                named.append((f"{prefix}.dense{i}.bias", b))
+            for i in range(len(net.weights)):
+                slots.append((f"{prefix}.dense{i}.weights", net.weights, i))
+                slots.append((f"{prefix}.dense{i}.bias", net.biases, i))
 
         for name in self.config.branches:
             add_dense(f"branch.{name}", self.branches[name])
-            named.append((f"branch_weight.{name}", self.branch_weights[name]))
+            slots.append((f"branch_weight.{name}", self.branch_weights, name))
         add_dense("policy_trunk", self.policy_trunk)
         add_dense("value_trunk", self.value_trunk)
-        named.append(("log_std", self.log_std))
-        return named
+        slots.append(("log_std", vars(self), "log_std"))
+        return slots
+
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        """(checkpoint name, array) for every parameter, in ``vector`` order."""
+        return [(name, owner[key]) for name, owner, key in self._slots()]
 
     def parameters(self) -> list[np.ndarray]:
         return [p for _, p in self.named_parameters()]
+
+    def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat vector laid out like ``vector`` (a gradient, say),
+        shaped like the parameters, in ``named_parameters`` order."""
+        return nn.unflatten(vector, self.shapes)
 
     # -- observation handling ----------------------------------------------
 
@@ -160,10 +178,12 @@ class Policy:
         return PolicyOutput(mean[:, 0], self.action_std, value[:, 0]), cache
 
     def backward(self, cache: PolicyCache, d_mean, d_value,
-                 d_log_std: float = 0.0) -> list[np.ndarray]:
-        """Gradients of a scalar loss given its (rows,) derivatives w.r.t. the
+                 d_log_std: float = 0.0) -> np.ndarray:
+        """Gradient of a scalar loss given its (rows,) derivatives w.r.t. the
         action means and the value estimates, and its derivative w.r.t. the
-        (raw) log-std. Output order matches ``parameters()``."""
+        (raw) log-std, as one flat vector laid out like ``vector``.
+
+        The branches' inputs are data, so their gradient is never formed."""
         d_mean = np.asarray(d_mean, dtype=np.float64)[:, None]
         d_value = np.asarray(d_value, dtype=np.float64)[:, None]
         p_grads, d_state_p = nn.backward(self.policy_trunk, cache.policy_cache, d_mean)
@@ -178,7 +198,7 @@ class Policy:
             offset += width
             b_cache = cache.branch_caches[name]
             b_grads, _ = nn.backward(self.branches[name], b_cache,
-                                     d_chunk * self.branch_weights[name])
+                                     d_chunk * self.branch_weights[name], input_grad=False)
             grads.extend(b_grads)
             grads.append((d_chunk * b_cache.acts[-1]).sum(axis=0))
         grads.extend(p_grads)
@@ -188,7 +208,7 @@ class Policy:
         raw = float(self.log_std)
         inside = self.config.log_std_min < raw < self.config.log_std_max
         grads.append(np.array(d_log_std if inside else 0.0, dtype=np.float64))
-        return grads
+        return np.concatenate([g.ravel() for g in grads])
 
 
 def gaussian_log_prob(u, mean, std: float):

@@ -60,20 +60,20 @@ class PpoConfig:
             raise PpoError("total_steps must cover at least one rollout")
 
 
+@dataclass
 class TrajectoryBuffer:
-    """One rollout of ``n_steps``: row t holds the day step t acted on, its pre-clip draw,
+    """One rollout: row t holds the day step t acted on, its pre-clip draw,
     log-density, reward, value estimate and episode end; ``inputs[branch][day]`` is a day's
     policy input row, and ``bootstrap_value`` the value estimate after the last step."""
 
-    def __init__(self, n_steps: int, inputs: dict[str, np.ndarray]):
-        self.inputs = inputs
-        self.day = np.empty(n_steps, dtype=np.intp)
-        self.u = np.empty(n_steps)
-        self.old_log_prob = np.empty(n_steps)
-        self.reward = np.empty(n_steps)
-        self.value = np.empty(n_steps)
-        self.done = np.zeros(n_steps, dtype=bool)
-        self.bootstrap_value = 0.0
+    inputs: dict[str, np.ndarray]
+    day: np.ndarray
+    u: np.ndarray
+    old_log_prob: np.ndarray
+    reward: np.ndarray
+    value: np.ndarray
+    done: np.ndarray
+    bootstrap_value: float
 
 
 def compute_gae(rewards, values, dones, bootstrap_value: float,
@@ -133,9 +133,9 @@ class UpdateStats:
 
 def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig,
                        rng: np.random.Generator | None = None
-                       ) -> tuple[float, UpdateStats, list[np.ndarray]]:
-    """Total PPO loss on one minibatch plus its analytic parameter gradients;
-    the policy's dropout runs if and only if ``rng`` is given.
+                       ) -> tuple[float, UpdateStats, np.ndarray]:
+    """Total PPO loss on one minibatch plus its analytic gradient, laid out like
+    ``policy.vector``; the policy's dropout runs if and only if ``rng`` is given.
 
     loss = -mean(surrogate) + value_coef * mean((returns - V)^2)
            - entropy_coef * entropy
@@ -156,11 +156,11 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     surrogate = ppo_surrogate(rho, adv, config.clip_epsilon)
 
     v_err = value - ret
-    loss = float(-surrogate.mean() + config.value_coef * np.mean(v_err ** 2)
-                 - config.entropy_coef * entropy)
+    policy_loss = -surrogate.mean()
+    value_loss = np.mean(v_err ** 2)
+    loss = float(policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy)
     if not np.isfinite(loss):
-        raise PpoError(
-            f"non-finite PPO loss (policy={-surrogate.mean()}, value={np.mean(v_err ** 2)})")
+        raise PpoError(f"non-finite PPO loss (policy={policy_loss}, value={value_loss})")
 
     # d loss / d new_log_prob: the min picks the unclipped term, or the clipped
     # one, which only moves with rho inside the clip band; where the ratio's
@@ -176,19 +176,21 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     d_log_std = float(np.sum(d_log_prob * (z * z - 1.0))) - config.entropy_coef
     d_value = 2.0 * config.value_coef * v_err / n
 
-    grads = policy.backward(cache, d_mean, d_value, d_log_std)
+    grad = policy.backward(cache, d_mean, d_value, d_log_std)
     stats = UpdateStats(
-        policy_loss=float(-surrogate.mean()),
-        value_loss=float(np.mean(v_err ** 2)),
+        policy_loss=float(policy_loss),
+        value_loss=float(value_loss),
         entropy=float(entropy),
         clip_fraction=float(np.mean(np.abs(rho - 1.0) > config.clip_epsilon)),
         approx_kl=float(np.mean(batch["old_log_prob"] - new_log_prob)),
     )
-    return loss, stats, grads
+    return loss, stats, grad
 
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    """Scale ``grads`` in place so their joint norm is at most ``max_norm``;
+    returns the norm before scaling."""
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if total > max_norm:
         scale = max_norm / total
         for g in grads:
@@ -201,13 +203,13 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
     """Several shuffled minibatch epochs over one rollout, against its
     normalized GAE advantages and value targets (``config.gamma``,
     ``config.gae_lambda``). A non-finite gradient norm raises ``PpoError``
-    before that minibatch's Adam step, so no parameter takes it."""
+    before that minibatch's Adam step, so no parameter takes it. Each step
+    moves the whole ``policy.vector`` by its flat gradient."""
     adv, returns = compute_gae(buffer.reward, buffer.value, buffer.done,
                                buffer.bootstrap_value, config.gamma, config.gae_lambda)
     advantages = normalize_advantages(adv)
     n = len(buffer.u)
     mb_size = n // config.minibatches
-    params = policy.parameters()
 
     agg = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
            "clip_fraction": 0.0, "approx_kl": 0.0}
@@ -216,18 +218,19 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
         perm = rng.permutation(n)
         for k in range(config.minibatches):
             idx = perm[k * mb_size:(k + 1) * mb_size]
+            days = buffer.day[idx]
             batch = {
-                "obs": {name: table[buffer.day[idx]] for name, table in buffer.inputs.items()},
+                "obs": {name: table[days] for name, table in buffer.inputs.items()},
                 "u": buffer.u[idx],
                 "old_log_prob": buffer.old_log_prob[idx],
                 "advantages": advantages[idx],
                 "returns": returns[idx],
             }
-            _, stats, grads = ppo_loss_and_grads(policy, batch, config, rng)
-            grad_norm = clip_grad_norm(grads, config.max_grad_norm)
+            _, stats, grad = ppo_loss_and_grads(policy, batch, config, rng)
+            grad_norm = clip_grad_norm(policy.unflatten(grad), config.max_grad_norm)
             if not math.isfinite(grad_norm):
                 raise PpoError(f"non-finite gradient norm {grad_norm} before clipping")
-            adam_step(params, grads, adam)
+            adam_step(policy.vector, grad, adam)
             for key in agg:
                 agg[key] += getattr(stats, key)
             passes += 1
@@ -240,35 +243,56 @@ def collect_rollout(env, policy: policy_mod.Policy, inputs: dict[str, np.ndarray
     resetting on episode end; the step on day d acts on row d of ``inputs``, the
     tables of ``policy.flatten_observation(env.windows)``. Returns the filled buffer
     and the running return of the episode in progress, for the next call's
-    ``ep_return``; without one, the environment is reset first."""
-    buffer = TrajectoryBuffer(n_steps, inputs)
-    day_inputs = lambda day: {name: table[day:day + 1] for name, table in inputs.items()}
+    ``ep_return``; without one, the environment is reset first.
+
+    Each step is ``sample_action`` on one row, on Python floats. The
+    standard normals of an episode segment, up to its end or the rollout's,
+    are one draw: the same stream as one draw per step, taken before the reset
+    that may follow draws a random start. The log-densities are taken once,
+    over the whole rollout."""
+    rows: dict[int, dict[str, np.ndarray]] = {}
+
+    def day_inputs(day: int) -> dict[str, np.ndarray]:
+        row = rows.get(day)
+        if row is None:
+            row = rows[day] = {name: table[day:day + 1] for name, table in inputs.items()}
+        return row
 
     if ep_return is None:
         env.reset(rng)
         ep_return = 0.0
 
-    for t in range(n_steps):
-        day = env.state.day_index
-        out, _ = policy.forward(day_inputs(day))
-        action, u, log_prob = policy_mod.sample_action(out, rng)
-        reward, _ = env.step(float(action[0]))
-        done = env.done
-        buffer.day[t] = day
-        buffer.u[t] = u[0]
-        buffer.old_log_prob[t] = log_prob[0]
-        buffer.reward[t] = reward
-        buffer.value[t] = out.value[0]
-        buffer.done[t] = done
-        ep_return += reward
-        if done:
+    std = policy.action_std
+    days, means, us, rewards, values = [], [], [], [], []
+    done = np.zeros(n_steps, dtype=bool)
+    t = 0
+    while t < n_steps:
+        start = env.state.day_index
+        segment = range(start, start + min(env.end - start, n_steps - t))
+        for day, z in zip(segment, rng.standard_normal(len(segment)).tolist()):
+            out, _ = policy.forward(day_inputs(day))
+            mean = out.action_mean.item()
+            u = mean + std * z
+            reward, _ = env.step(min(max(u, -1.0), 1.0))
+            means.append(mean)
+            us.append(u)
+            rewards.append(reward)
+            values.append(out.value)
+            ep_return += reward
+        days.extend(segment)
+        t += len(segment)
+        if env.done:
+            done[t - 1] = True
             if episode_returns is not None:
                 episode_returns.append(ep_return)
             ep_return = 0.0
             env.reset(rng)
 
     out, _ = policy.forward(day_inputs(env.state.day_index))
-    buffer.bootstrap_value = out.value[0]
+    u = np.array(us)
+    buffer = TrajectoryBuffer(inputs, np.array(days, dtype=np.intp), u,
+                              policy_mod.gaussian_log_prob(u, np.array(means), std),
+                              np.array(rewards), np.concatenate(values), done, out.value[0])
     return buffer, ep_return
 
 

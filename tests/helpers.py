@@ -1,6 +1,8 @@
 """Code only the tests run: a finite-difference gradient checker for
-``mctg.nn`` networks, a GARCH(1,1) return simulator and the per-day market
-generator."""
+``mctg.nn`` networks, a GARCH(1,1) return simulator, and the references that
+faster code must match bit for bit: the per-day market generator and day
+grouping, the per-array Adam step, the policy backward through every input
+gradient and the per-step rollout."""
 
 from __future__ import annotations
 
@@ -10,8 +12,10 @@ import math
 import numpy as np
 
 from mctg import marketdata as md
+from mctg import nn
 from mctg.garch import GarchError, GarchParams
 from mctg.nn import Network, backward, forward
+from mctg.policy import sample_action
 
 
 def network_parameters(net: Network) -> list[np.ndarray]:
@@ -121,3 +125,83 @@ def simulate_market_per_day(gen, n_days: int, seed: int):
             [opens, highs, lows, closes, volume, amount])
         log_p += r
     return timestamps, rows
+
+
+def group_by_date_per_bar(series) -> dict:
+    """``marketdata._group_by_date`` as one pass over every bar's date."""
+    groups = {}
+    dates = series.dates()
+    start = 0
+    for i in range(1, len(dates) + 1):
+        if i == len(dates) or dates[i] != dates[start]:
+            groups[dates[start]] = slice(start, i)
+            start = i
+    return groups
+
+
+def adam_step_per_array(params, grads, m, v, t: int, learning_rate: float) -> None:
+    """Step ``t`` (from 1) of Adam, one parameter array at a time, on the
+    per-parameter moments ``m`` and ``v``: the reference for ``nn.adam_step``."""
+    for p, g, m_p, v_p in zip(params, grads, m, v):
+        m_p *= nn.ADAM_BETA1
+        m_p += (1.0 - nn.ADAM_BETA1) * g
+        v_p *= nn.ADAM_BETA2
+        v_p += (1.0 - nn.ADAM_BETA2) * g * g
+        m_hat = m_p / (1.0 - nn.ADAM_BETA1 ** t)
+        v_hat = v_p / (1.0 - nn.ADAM_BETA2 ** t)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
+
+
+def policy_backward_per_array(policy, cache, d_mean, d_value, d_log_std: float = 0.0):
+    """``Policy.backward`` as a list of per-parameter gradients, each branch's
+    taken from the full ``nn.backward``, input gradient included."""
+    d_mean = np.asarray(d_mean, dtype=np.float64)[:, None]
+    d_value = np.asarray(d_value, dtype=np.float64)[:, None]
+    p_grads, d_state_p = backward(policy.policy_trunk, cache.policy_cache, d_mean)
+    v_grads, d_state_v = backward(policy.value_trunk, cache.value_cache, d_value)
+    d_state = d_state_p + d_state_v
+    grads, width = [], policy.config.branch_out
+    for k, name in enumerate(policy.config.branches):
+        d_chunk = d_state[:, k * width:(k + 1) * width]
+        b_cache = cache.branch_caches[name]
+        b_grads, _ = backward(policy.branches[name], b_cache,
+                              d_chunk * policy.branch_weights[name])
+        grads.extend(b_grads)
+        grads.append((d_chunk * b_cache.acts[-1]).sum(axis=0))
+    grads.extend(p_grads)
+    grads.extend(v_grads)
+    raw = float(policy.log_std)
+    inside = policy.config.log_std_min < raw < policy.config.log_std_max
+    grads.append(np.array(d_log_std if inside else 0.0, dtype=np.float64))
+    return grads
+
+
+def collect_rollout_per_step(env, policy, inputs, n_steps: int, rng,
+                             ep_return=None, episode_returns=None):
+    """``ppo.collect_rollout`` one numpy ``sample_action`` per step: returns
+    the buffer's columns by name (``bootstrap_value`` included) and the
+    carried episode return."""
+    cols = {"day": np.empty(n_steps, dtype=np.intp), "u": np.empty(n_steps),
+            "old_log_prob": np.empty(n_steps), "reward": np.empty(n_steps),
+            "value": np.empty(n_steps), "done": np.zeros(n_steps, dtype=bool)}
+    day_inputs = lambda day: {name: table[day:day + 1] for name, table in inputs.items()}
+    if ep_return is None:
+        env.reset(rng)
+        ep_return = 0.0
+    for t in range(n_steps):
+        day = env.state.day_index
+        out, _ = policy.forward(day_inputs(day))
+        action, u, log_prob = sample_action(out, rng)
+        reward, _ = env.step(float(action[0]))
+        for key, value in (("day", day), ("u", u[0]), ("old_log_prob", log_prob[0]),
+                           ("reward", reward), ("value", out.value[0]), ("done", env.done)):
+            cols[key][t] = value
+        ep_return += reward
+        if env.done:
+            if episode_returns is not None:
+                episode_returns.append(ep_return)
+            ep_return = 0.0
+            env.reset(rng)
+    out, _ = policy.forward(day_inputs(env.state.day_index))
+    cols["bootstrap_value"] = out.value[0]
+    return cols, ep_return

@@ -123,7 +123,7 @@ def test_gradient_integrity():
         _, cache = policy.forward(flat)
         analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         eps = 1e-6
-        for p, g in zip(policy.parameters(), analytic):
+        for p, g in zip(policy.parameters(), policy.unflatten(analytic)):
             fd = np.zeros_like(p)
             it = np.nditer(p, flags=["multi_index"])
             while not it.finished:

@@ -1,8 +1,12 @@
 import csv
 import datetime as dt
+import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +27,8 @@ from mctg.policy import Policy, PolicyConfig
 from mctg.ppo import PpoConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 CONFIG_TEXT = """\
 # test configuration
@@ -538,6 +544,21 @@ class TestConfigMapping:
             "the volume and amount scale with base_volume=1e+308\n")
         assert not (tmp_path / "bars.csv").exists()
 
+    def test_overflowing_amount_fails_generate_data_naming_the_price_path(
+            self, tmp_path, capsys):
+        # prices near 1e304 stay finite, the volume too; their product does not
+        config = tmp_path / "market.cfg"
+        config.write_text("market.start_price = 1e300\nmarket.drift = 5.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["generate-data", "--out", str(tmp_path / "bars.csv"),
+                           "--days", "6", "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: generated bars leave the float range on 2015-01-06; the amount is "
+            "volume times a price driven by drift=5.0 from start_price=1e+300\n")
+        assert not (tmp_path / "bars.csv").exists()
+
     def test_overflowing_daily_volume_fails_fit_garch_naming_the_day(self, tmp_path,
                                                                      capsys):
         config = tmp_path / "market.cfg"
@@ -690,6 +711,26 @@ class TestCli:
         assert rc == 0
         assert (out_dir / "log.csv").read_bytes() == \
             (cli_workspace["out_dir"] / "log.csv").read_bytes()
+
+    def test_train_bits_do_not_depend_on_blas_threads(self, cli_workspace, tmp_path):
+        # MCTG's mid-branch weight gradient on a 256-row minibatch is a
+        # (32, 256) x (256, 210) product, which OpenBLAS splits by thread count
+        config = tmp_path / "mctg.cfg"
+        config.write_text("garch.window = 120\ngarch.refit_every = 30\n")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        digests = {}
+        for threads in (None, "1", "2"):
+            out_dir = tmp_path / f"threads_{threads}"
+            run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "mctg.cli", "train",
+                            "--data", str(cli_workspace["data"]), "--variant", "MCTG",
+                            "--config", str(config), "--seed", "1",
+                            "--total-steps", "3072", "--out-dir", str(out_dir)],
+                           env=run_env, capture_output=True, check=True, timeout=300)
+            digests[threads] = [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                                for name in ("log.csv", "checkpoint.json")]
+        assert digests[None] == digests["1"] == digests["2"]
 
     def test_backtest_end_to_end_metrics_recompute(self, cli_workspace, tmp_path):
         metrics_path = tmp_path / "metrics.json"

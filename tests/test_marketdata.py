@@ -11,7 +11,7 @@ from mctg.garch import rolling_forecast
 from mctg.marketdata import (MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
                              simulate_market, split, window_at)
-from helpers import simulate_market_per_day
+from helpers import group_by_date_per_bar, simulate_market_per_day
 
 
 def write_csv(tmp_path, rows, name="bars.csv"):
@@ -289,6 +289,38 @@ class TestResampleOracle:
         assert len(daily) == 39
         lengths = np.diff([-1] + [daily.timestamps.index(t) for t in weekly.timestamps])
         assert list(lengths) == [3, 5, 4, 5, 5, 5, 5, 5, 2]
+
+
+def irregular_bars(seed: int, n: int) -> md.BarSeries:
+    """``n`` bars at random gaps of 1 minute to 3 days from 23:00, the first
+    at 23:59 and the second at midnight, so that days of one bar, a day that
+    starts at midnight and empty days occur."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.choice([1, 59, 60, 61, 24 * 60, 3 * 24 * 60], size=n)
+    gaps[:2] = (59, 1)[:n]
+    start = dt.datetime(2020, 1, 5, 23, 0)
+    stamps = [start + dt.timedelta(minutes=int(m)) for m in np.cumsum(gaps)]
+    return md.BarSeries(stamps, np.tile([10.0, 10.0, 10.0, 10.0, 1.0, 10.0], (n, 1)))
+
+
+class TestGroupByDate:
+    @pytest.mark.parametrize("bars", [
+        lambda: frozen_market_bars()[0], lambda: gappy_weeks_bars()[0],
+        lambda: irregular_bars(1, 500), lambda: irregular_bars(2, 1), lambda: irregular_bars(3, 0),
+        lambda: bar_series(VALID_ROWS),
+    ], ids=["frozen_market", "gappy_weeks", "irregular", "one_bar", "empty", "one_day"])
+    def test_equal_to_per_bar_pass(self, bars):
+        series = bars()
+        got = md._group_by_date(series)
+        want = group_by_date_per_bar(series)
+        assert list(got.items()) == list(want.items())
+
+    def test_irregular_bars_cover_the_edge_cases(self):
+        series = irregular_bars(1, 500)
+        lengths = [sl.stop - sl.start for sl in md._group_by_date(series).values()]
+        assert series.timestamps[:2] == [dt.datetime(2020, 1, 5, 23, 59),
+                                         dt.datetime(2020, 1, 6)]
+        assert lengths[0] == 1 and max(lengths) > 10
 
 
 class TestAlign:

@@ -3,10 +3,11 @@ import pytest
 
 from mctg.evalcli import VARIANTS
 from mctg.marketdata import window_at
-from mctg.nn import AdamState, Network, NetworkError, adam_step, backward, forward, mlp
+from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, forward, mlp,
+                     unflatten)
 from mctg.policy import Policy
 
-from helpers import grad_check, network_parameters, relative_error
+from helpers import adam_step_per_array, grad_check, network_parameters, relative_error
 
 
 # -- oracle: the per-layer expression forward, kept to pin the in-place form ---
@@ -172,6 +173,17 @@ class TestForward:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("dropout", [0.0, 0.25])
+    def test_without_input_gradient_same_parameter_gradients(self, dropout):
+        rng = np.random.default_rng(21)
+        net = mlp([30, 8, 5, 4], rng, tanh_out=True, dropout=dropout)
+        y, cache = forward(net, rng.normal(size=(64, 30)), rng)
+        g = rng.normal(size=y.shape)
+        full, d_input = backward(net, cache, g)
+        grads, none = backward(net, cache, g, input_grad=False)
+        assert d_input.shape == (64, 30) and none is None
+        assert_same_entries(grads, full)
+
     def test_linear_closed_form(self):
         w = np.array([[2.0]])
         net = Network([w], [np.array([0.5])])
@@ -237,42 +249,42 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        p = [np.array([1.0, -2.0])]
-        state = AdamState(p, 0.1)
-        adam_step(p, [np.zeros(2)], state)
-        assert np.array_equal(p[0], [1.0, -2.0])
+        p = np.array([1.0, -2.0])
+        state = AdamState([p], 0.1)
+        adam_step(p, np.zeros(2), state)
+        assert np.array_equal(p, [1.0, -2.0])
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
-        p = [np.array([0.0])]
-        state = AdamState(p, 0.1)
-        adam_step(p, [np.array([1.0])], state)
+        p = np.array([0.0])
+        state = AdamState([p], 0.1)
+        adam_step(p, np.array([1.0]), state)
         # bias-corrected first step is -lr * g / (|g| + eps) ~ -lr
-        assert p[0][0] == pytest.approx(-0.1, rel=1e-6)
+        assert p[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(5)
-            p = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-            state = AdamState(p, 0.01)
+            p = rng.normal(size=9)
+            state = AdamState(unflatten(p, [(3, 2), (3,)]), 0.01)
             for _ in range(20):
-                adam_step(p, [rng.normal(size=(3, 2)), rng.normal(size=3)], state)
+                adam_step(p, rng.normal(size=9), state)
             return p
 
-        a, b = run(), run()
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert np.array_equal(run(), run())
 
     def test_two_steps_match_textbook_update(self):
         rng = np.random.default_rng(11)
-        p = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-        grads = [[rng.normal(size=q.shape) for q in p] for _ in range(2)]
+        vector = rng.normal(size=9)
+        p = unflatten(vector, [(3, 2), (3,)])
+        grads = [rng.normal(size=9) for _ in range(2)]
         expected = [q.copy() for q in p]
         m = [np.zeros_like(q) for q in p]
         v = [np.zeros_like(q) for q in p]
         state = AdamState(p, 0.01)
-        for t, g_t in enumerate(grads, start=1):
-            adam_step(p, g_t, state)
-            for q, g, m_q, v_q in zip(expected, g_t, m, v):
+        for t, g_flat in enumerate(grads, start=1):
+            adam_step(vector, g_flat, state)
+            for q, g, m_q, v_q in zip(expected, unflatten(g_flat, [(3, 2), (3,)]), m, v):
                 m_q[:] = 0.9 * m_q + (1.0 - 0.9) * g
                 v_q[:] = 0.999 * v_q + (1.0 - 0.999) * g * g
                 m_hat = m_q / (1.0 - 0.9 ** t)
@@ -285,11 +297,33 @@ class TestAdam:
         assert list(doc) == ["learning_rate", "beta1", "beta2", "eps", "step_count", "m", "v"]
         assert (doc["beta1"], doc["beta2"], doc["eps"], doc["step_count"]) == (0.9, 0.999, 1e-8, 2)
 
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    def test_flat_step_equals_per_array_step(self, variant):
+        # five steps on a policy's vector against the per-array step, over
+        # gradients spanning twelve orders of magnitude
+        rng = np.random.default_rng(12)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        params = [q.copy() for q in policy.parameters()]
+        m = [np.zeros_like(q) for q in params]
+        v = [np.zeros_like(q) for q in params]
+        state = AdamState(policy.parameters(), 2.5e-4)
+        for t in range(1, 6):
+            size = policy.vector.size
+            g = rng.normal(size=size) * np.exp(rng.uniform(-25.0, 2.0, size=size))
+            adam_step(policy.vector, g, state)
+            adam_step_per_array(params, policy.unflatten(g), m, v, t, 2.5e-4)
+        assert all(np.array_equal(a, b) for a, b in zip(policy.parameters(), params))
+        assert state.to_dict() == {
+            "learning_rate": 2.5e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+            "step_count": 5, "m": [a.tolist() for a in m], "v": [a.tolist() for a in v]}
+
     def test_shape_mismatch(self):
-        p = [np.zeros(3)]
-        state = AdamState(p, 0.1)
+        p = np.zeros(3)
+        state = AdamState([p], 0.1)
         with pytest.raises(NetworkError):
-            adam_step(p, [np.zeros(4)], state)
+            adam_step(p, np.zeros(4), state)
+        with pytest.raises(NetworkError):
+            adam_step(np.zeros(4), np.zeros(4), state)
 
 
 class TestGradCheck:

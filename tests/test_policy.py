@@ -9,6 +9,8 @@ from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
+from helpers import policy_backward_per_array
+
 
 def small_config(**overrides):
     """Tiny dropout-free configuration for finite-difference work."""
@@ -207,10 +209,27 @@ class TestBackward:
         analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         fd = self.finite_difference(policy, flat,
                                     lambda: self.scalar_loss(policy, flat, cm, cv, cs))
-        for (name, _), a, b in zip(policy.named_parameters(), analytic, fd):
+        for (name, _), a, b in zip(policy.named_parameters(), policy.unflatten(analytic), fd):
             denom = np.linalg.norm(a) + np.linalg.norm(b)
             rel = np.linalg.norm(a - b) / denom if denom > 0 else 0.0
             assert rel < 1e-5, f"{name}: relative error {rel}"
+
+    @pytest.mark.parametrize("variant", ["MCTG", "MCT", "DNN", "DNN-GARCH"])
+    @pytest.mark.parametrize("rows", [1, 256])
+    def test_equal_to_full_nn_backward(self, variant, rows):
+        # the flat gradient holds, bit for bit, what the per-array backward
+        # through every branch input gradient gives, dropout on
+        rng = np.random.default_rng(16)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        flat = {name: rng.normal(size=(rows, dim)) for name, dim in policy.input_dims.items()}
+        _, cache = policy.forward(flat, rng)
+        d_mean, d_value = rng.normal(size=rows), rng.normal(size=rows)
+        grad = policy.backward(cache, d_mean, d_value, d_log_std=0.3)
+        want = policy_backward_per_array(policy, cache, d_mean, d_value, d_log_std=0.3)
+        assert grad.shape == policy.vector.shape
+        for (name, _), got, ref in zip(policy.named_parameters(), policy.unflatten(grad),
+                                       want, strict=True):
+            assert got.shape == ref.shape and np.array_equal(got, ref), name
 
     def test_log_std_gradient_zero_at_clamp(self):
         rng = np.random.default_rng(14)
@@ -234,7 +253,7 @@ class TestBackward:
         out, full_cache = policy.forward(flat)
         grads = policy.backward(full_cache, np.ones(1), np.zeros(1))
         names = [name for name, _ in policy.named_parameters()]
-        gw = grads[names.index("branch_weight.mid")]
+        gw = policy.unflatten(grads)[names.index("branch_weight.mid")]
         # chain rule: d mean / d W_k = (d mean / d state_k) * branch_out_k
         _, d_state = nn.backward(policy.policy_trunk, full_cache.policy_cache,
                                  np.array([[1.0]]))

@@ -11,6 +11,7 @@ from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
                       ppo_loss_and_grads, ppo_surrogate, prob_ratio, train,
                       update)
 from conftest import first_days
+from helpers import collect_rollout_per_step
 
 
 def tiny_policy(rng, dropout=0.0):
@@ -234,6 +235,36 @@ class TestBuffer:
             for name in cfg.branches:
                 assert np.array_equal(buf.inputs[name][buf.day[row]], expected[name][0])
 
+    @pytest.mark.parametrize("random_start, n_days, lengths", [
+        (False, 6, (7, 6, 2)),         # crosses episode ends, stops mid-episode
+        (False, None, (40, 150)),      # one episode over the whole dataset
+        (True, None, (300, 211, 1)),   # random starts: a reset draw between segments
+        (True, 4, (9, 10)),            # the shortest episodes a random start leaves
+    ])
+    @pytest.mark.parametrize("log_std", [-0.5, 1.0])
+    def test_equal_to_per_step_sampling(self, small_dataset, small_normalizer,
+                                        random_start, n_days, lengths, log_std):
+        dataset = small_dataset if n_days is None else first_days(small_dataset, n_days)
+        policy = Policy(PolicyConfig(init_log_std=log_std), np.random.default_rng(3))
+        runs = []
+        for collect in (collect_rollout, collect_rollout_per_step):
+            env = TradingEnv(dataset, EnvConfig(random_start=random_start), small_normalizer)
+            inputs = policy.flatten_observation(env.windows)
+            rng = np.random.default_rng(4)
+            returns, ep_return, out = [], None, []
+            for n in lengths:
+                buf, ep_return = collect(env, policy, inputs, n, rng, ep_return,
+                                         episode_returns=returns)
+                out.append(buf if isinstance(buf, dict) else vars(buf))
+            runs.append((out, ep_return, returns, rng.bit_generator.state))
+        (got, got_ep, got_returns, got_state), (want, want_ep, want_returns, want_state) = runs
+        for buf, ref in zip(got, want):
+            for key, column in ref.items():
+                assert np.array_equal(buf[key], column), key
+                assert np.asarray(buf[key]).dtype == np.asarray(column).dtype, key
+        assert (got_ep, got_returns, got_state) == (want_ep, want_returns, want_state)
+        assert sum(np.count_nonzero(np.abs(b["u"]) > 1.0) for b in got) > 0
+
 
 class TestLossAndGrads:
     def test_finite_difference_full_loss(self):
@@ -249,7 +280,7 @@ class TestLossAndGrads:
 
         _, _, analytic = ppo_loss_and_grads(policy, batch, config)
         eps = 1e-6
-        for p, g in zip(policy.parameters(), analytic):
+        for p, g in zip(policy.parameters(), policy.unflatten(analytic)):
             fd = np.zeros_like(p)
             it = np.nditer(p, flags=["multi_index"])
             while not it.finished:
@@ -309,9 +340,9 @@ class TestLossAndGrads:
                  "advantages": np.zeros(n), "returns": out.value.copy()}
         config = PpoConfig(rollout=8, minibatches=1, total_steps=8,
                            entropy_coef=0.0)
-        _, _, grads = ppo_loss_and_grads(policy, batch, config)
-        for g in grads:
-            assert np.allclose(g, 0.0, atol=1e-12)
+        _, _, grad = ppo_loss_and_grads(policy, batch, config)
+        assert grad.shape == policy.vector.shape
+        assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_grad_clipping(self):
         grads = [np.array([3.0, 4.0])]
