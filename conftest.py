@@ -2,16 +2,19 @@
 ``[ACCEPTANCE]`` summary.
 
 pytest loads this file before it collects ``perfbench/`` and ``tests/``, whose
-modules import numpy. BLAS and OpenMP get one thread, as in
-``perfbench/run.py``: the tests' matrices are small, and extra BLAS threads
-only add CPU time and make wall time depend on the machine's other load.
+modules import numpy. Importing ``mctg`` first gives BLAS and OpenMP one
+thread, as in ``perfbench/run.py``: the tests' matrices are small, and extra
+BLAS threads only add CPU time and make wall time depend on the machine's
+other load.
 """
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-    os.environ[_var] = "1"
+import mctg
+
+
+def pytest_report_header():
+    return f"mctg {mctg.__version__}, BLAS threads {os.environ['OPENBLAS_NUM_THREADS']}"
 
 
 def pytest_terminal_summary(terminalreporter):

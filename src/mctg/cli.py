@@ -18,8 +18,8 @@ import numpy as np
 from . import evalcli, ppo
 from .env import EnvError, TradingEnv
 from .garch import GarchError, rolling_forecast
-from .marketdata import (MarketDataError, ObservationNormalizer, load_bars, resample,
-                         save_bars, simulate_market, split)
+from .marketdata import (CSV_HEADER, MarketDataError, ObservationNormalizer, load_bars,
+                         resample, save_bars, simulate_market, split)
 from .nn import AdamState, NetworkError
 from .policy import Policy, PolicyError
 from .ppo import PpoError
@@ -61,13 +61,9 @@ def cmd_fit_garch(args) -> int:
     reports = []
     sigma = rolling_forecast(daily.values[:, 3], garch.window, garch.refit_every,
                              reports.append)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "open", "high", "low", "close",
-                         "volume", "amount", "sigma"])
-        for ts, row, s in zip(daily.timestamps, daily.values, sigma):
-            writer.writerow([ts.date().isoformat()]
-                            + [repr(float(x)) for x in row] + [repr(float(s))])
+    columns = (*CSV_HEADER, "sigma")
+    _write_csv(args.out, columns, [dict(zip(columns, [date, *row, s])) for date, row, s in zip(
+        np.datetime_as_string(daily.timestamps, unit="D"), daily.values.tolist(), sigma.tolist())])
     health = evalcli.garch_fit_health(reports)
     print(f"wrote {len(daily)} daily bars with sigma to {args.out}")
     print(f"{health['garch_boundary_fits']} of {health['garch_fits']} "

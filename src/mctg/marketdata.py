@@ -4,8 +4,8 @@ CSV loading, resampling a 5-minute feed into daily/weekly bars, aligning the
 three frequencies into per-day observation windows, z-score normalization,
 a train/test split, and a synthetic GARCH-driven bar generator.
 
-A trading day always carries exactly 48 five-minute bars (a 4-hour session);
-days that do not are rejected during alignment.
+Bar times are exchange-local ``datetime64[us]``. A trading day always carries
+exactly 48 five-minute bars (a 4-hour session); days that do not are rejected.
 """
 
 from __future__ import annotations
@@ -34,9 +34,17 @@ class MarketDataError(Exception):
     """Bad bar data: malformed files, invariant violations, alignment gaps."""
 
 
-def _iso_weeks(dates) -> np.ndarray:
-    """ISO week keys ``iso_year * 100 + iso_week``; they grow with the date."""
-    return np.array([y * 100 + w for y, w, _ in map(dt.date.isocalendar, dates)])
+def _week_keys(times: np.ndarray) -> np.ndarray:
+    """ISO week keys: the Monday of each time's week, in days since 1970-01-01 (a Thursday)."""
+    n = times.astype("datetime64[D]").astype(np.int64)
+    return n - (n + 3) % 7
+
+
+def _day_starts(timestamps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``datetime64[D]`` dates of ascending times, each one's first bar and bar count."""
+    days = timestamps.astype("datetime64[D]")
+    starts = np.flatnonzero(np.diff(days, prepend=days[:1] - 1))   # bar 0 starts a day
+    return days[starts], starts, np.diff(np.append(starts, len(days)))
 
 
 class BarError(MarketDataError):
@@ -50,21 +58,23 @@ class BarError(MarketDataError):
 class BarSeries:
     """Time-ordered bars, stored column-wise for slicing.
 
-    Construction raises BarError for the first bar that is non-finite, has
-    low <= 0, a high below or a low above its open/close, negative
-    volume/amount, or a timestamp not after the previous one.
+    Construction raises BarError for the first bar that has no time (NaT),
+    is non-finite, has low <= 0, a high below or a low above its open/close,
+    negative volume/amount, or a timestamp not after the previous one.
     """
 
-    def __init__(self, timestamps: list[dt.datetime], values: np.ndarray):
+    def __init__(self, timestamps, values: np.ndarray):
+        timestamps = np.asarray(timestamps, dtype="datetime64[us]")
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != 6:
             raise MarketDataError(f"bar values must be (n, 6), got {values.shape}")
-        if len(timestamps) != values.shape[0]:
+        if timestamps.shape != (values.shape[0],):
             raise MarketDataError("timestamp/value length mismatch")
         o, h, l, c, v, a = values.T
         out_of_order = np.zeros(len(values), dtype=bool)
-        out_of_order[1:] = [t <= s for s, t in zip(timestamps, timestamps[1:])]
+        out_of_order[1:] = timestamps[1:] <= timestamps[:-1]
         checks = (
+            (np.isnat(timestamps), "missing timestamp"),
             (~np.isfinite(values).all(axis=1), "non-finite field"),
             (l <= 0, "non-positive low"),
             (h < np.maximum(o, c), "high below open/close"),
@@ -76,26 +86,51 @@ class BarSeries:
         if bad.any():
             i = int(np.argmax(bad))
             reason = next(why for mask, why in checks if mask[i])
-            raise BarError(i, f"{reason} at {timestamps[i]}")
-        self.timestamps = list(timestamps)
+            raise BarError(i, f"{reason} at {timestamps[i].item() or 'NaT'}")
+        self.timestamps = timestamps
         self.values = values
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def dates(self) -> list[dt.date]:
-        return [t.date() for t in self.timestamps]
+
+# save_bars's time form: a text minus it, code by code, is 0 at separators, 0-9 at digits.
+_FORM = np.array(["0000-00-00T00:00"]).view(np.uint32)
+_SPAN = np.where(_FORM == ord("0"), 9, 0).astype(np.uint32)
+
+
+def _parse_times(path: str, texts: list[str], linenos: list[int]) -> np.ndarray:
+    """A CSV's timestamp column as ``datetime.fromisoformat`` reads it, with no
+    UTC offset. numpy parses the texts in save_bars's form at once; the others
+    are read alone, as numpy reads some that fromisoformat refuses ("2020")."""
+    column = np.array(texts, dtype=str)
+    column = np.asarray(column, f"U{max(16, column.itemsize // 4)}")   # the form fits
+    codes = column.view(np.uint32).reshape(len(texts), -1)
+    canonical = ((codes[:, :16] - _FORM) <= _SPAN).all(axis=1) & ~codes[:, 16:].any(axis=1)
+    stand_ins = texts if canonical.all() else [  # any text numpy reads stands in for the others
+        t if ok else "1970-01-01T00:00" for t, ok in zip(texts, canonical.tolist())]
+    try:
+        times = np.array(stand_ins, dtype="datetime64[us]")
+    except ValueError:   # a text in the form can still name month 13
+        times = np.full(len(texts), np.datetime64("NaT", "us"))
+    canonical &= times >= np.datetime64(dt.datetime.min)   # the form allows year 0
+    for i in np.flatnonzero(~canonical):
+        try:
+            time = dt.datetime.fromisoformat(texts[i])
+        except ValueError as e:
+            raise MarketDataError(f"{path}: row {linenos[i]}: {e}") from None
+        if time.tzinfo is not None:
+            raise MarketDataError(f"{path}: row {linenos[i]}: timestamp {texts[i]} has a "
+                                  "UTC offset; bar times are exchange-local")
+        times[i] = time
+    return times
 
 
 def load_bars(path: str) -> BarSeries:
     """Load a bar CSV (header ``timestamp,open,high,low,close,volume,amount``).
-
-    Rows violating bar invariants or timestamp monotonicity are rejected with
-    the offending line number.
-    """
-    timestamps: list[dt.datetime] = []
-    rows: list[list[float]] = []
-    linenos: list[int] = []
+    A bad row, or a bar that breaks an invariant or the time order, is
+    rejected with the number of the first such line."""
+    texts, rows, linenos = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -104,18 +139,19 @@ def load_bars(path: str) -> BarSeries:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 7:
-                raise MarketDataError(f"{path}: row {lineno}: expected 7 fields, got {len(row)}")
+            texts.append(row[0].strip())
+            linenos.append(lineno)
             try:
-                timestamps.append(dt.datetime.fromisoformat(row[0].strip()))
+                if len(row) != 7:
+                    raise ValueError(f"expected 7 fields, got {len(row)}")
                 rows.append([float(x) for x in row[1:]])
             except ValueError as e:
+                _parse_times(path, texts, linenos)   # names a bad time up to this line first
                 raise MarketDataError(f"{path}: row {lineno}: {e}") from None
-            linenos.append(lineno)
     if not rows:
         raise MarketDataError(f"{path}: no bars")
     try:
-        return BarSeries(timestamps, np.array(rows, dtype=np.float64))
+        return BarSeries(_parse_times(path, texts, linenos), np.array(rows, dtype=np.float64))
     except BarError as e:
         raise MarketDataError(f"{path}: row {linenos[e.index]}: {e}") from None
 
@@ -126,24 +162,8 @@ def save_bars(series: BarSeries, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for ts, row in zip(series.timestamps, series.values):
-            writer.writerow([ts.strftime("%Y-%m-%dT%H:%M")] + [repr(float(x)) for x in row])
-
-
-def _group_by_date(series: BarSeries) -> dict[dt.date, slice]:
-    """Each date's slice of the bars. Timestamps increase, so a day ends at
-    the first bar at or after the next midnight, found by bisection."""
-    groups: dict[dt.date, slice] = {}
-    timestamps = series.timestamps
-    start = 0
-    one_day = dt.timedelta(days=1)
-    while start < len(timestamps):
-        date = timestamps[start].date()
-        next_midnight = dt.datetime.combine(date + one_day, dt.time(), timestamps[start].tzinfo)
-        end = bisect_left(timestamps, next_midnight, start + 1)
-        groups[date] = slice(start, end)
-        start = end
-    return groups
+        for ts, row in zip(np.datetime_as_string(series.timestamps, unit="m"), series.values):
+            writer.writerow([ts] + [repr(float(x)) for x in row])
 
 
 def _aggregate_blocks(block: np.ndarray, volume_amount: np.ndarray) -> np.ndarray:
@@ -171,16 +191,14 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
     amount must stay in the float range. Daily bars are stamped at midnight
     of their date; weekly bars at the week's last trading day.
     """
-    groups = _group_by_date(five_min)
-    if not groups:
+    dates, _, counts = _day_starts(five_min.timestamps)
+    if not len(dates):
         raise MarketDataError("no bars to resample")
-    for date, sl in groups.items():
-        n = sl.stop - sl.start
-        if n != BARS_PER_DAY:
-            raise MarketDataError(f"day {date} has {n} bars, expected {BARS_PER_DAY}")
+    d = np.argmax(counts != BARS_PER_DAY)
+    if counts[d] != BARS_PER_DAY:
+        raise MarketDataError(f"day {dates[d]} has {counts[d]} bars, expected {BARS_PER_DAY}")
     bars = five_min.values.reshape(-1, BARS_PER_DAY, 6)
-    dates = list(groups)
-    keys = _iso_weeks(dates)
+    keys = _week_keys(dates)
     ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
     # Volume and amount can sum past the float range where no bar does; the
     # check below names the first day or week that does, so numpy need not warn.
@@ -191,13 +209,12 @@ def resample(five_min: BarSeries) -> tuple[BarSeries, BarSeries]:
         day_values = _aggregate_blocks(bars, sums)
         week_values = _week_to_date(day_values, keys, ends)
     for what, values, days in (("day", day_values, dates),
-                               ("week ending", week_values, [dates[i] for i in ends])):
+                               ("week ending", week_values, dates[ends])):
         bad = ~np.isfinite(values[:, 4:]).all(axis=1)
         if bad.any():
             raise MarketDataError(f"{what} {days[int(np.argmax(bad))]}: its summed "
                                   "volume or amount leaves the float range")
-    daily = BarSeries([dt.datetime.combine(date, dt.time()) for date in dates], day_values)
-    return daily, BarSeries([daily.timestamps[i] for i in ends], week_values)
+    return BarSeries(dates, day_values), BarSeries(dates[ends], week_values)
 
 
 @dataclass(frozen=True)
@@ -235,20 +252,18 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     if not np.all(np.isfinite(daily_vol)) or np.any(daily_vol <= 0):
         raise MarketDataError("daily_vol entries must be finite and positive")
 
-    fm_starts = {d: sl.start for d, sl in _group_by_date(five_min).items()
-                 if sl.stop - sl.start == BARS_PER_DAY}
-    dates = daily.dates()
-    day_keys = _iso_weeks(dates)
+    fm_dates, fm_starts, counts = _day_starts(five_min.timestamps)
+    fm_dates, fm_starts = fm_dates[counts == BARS_PER_DAY], fm_starts[counts == BARS_PER_DAY]
+    dates = daily.timestamps.astype("datetime64[D]")
+    day_keys = _week_keys(dates)
     # Per daily row: completed weekly bars before its ISO week.
-    weeks_before = np.searchsorted(_iso_weeks(weekly.dates()), day_keys)
+    weeks_before = np.searchsorted(_week_keys(weekly.timestamps), day_keys)
 
-    rows = np.array([i for i, d in enumerate(dates) if i >= MID_DAYS - 1
-                     and d in fm_starts and weeks_before[i] >= LONG_WEEKS - 1],
-                    dtype=np.intp)
+    rows = np.flatnonzero((np.arange(len(dates)) >= MID_DAYS - 1) & np.isin(dates, fm_dates)
+                          & (weeks_before >= LONG_WEEKS - 1))
     if not len(rows):
         raise MarketDataError("no trading day admits a full observation window")
-    trading_days = [dates[i] for i in rows]
-    fm_rows = np.array([fm_starts[d] for d in trading_days])[:, None] + np.arange(BARS_PER_DAY)
+    fm_rows = fm_starts[np.searchsorted(fm_dates, dates[rows])][:, None] + np.arange(BARS_PER_DAY)
     mid_rows = rows[:, None] + np.arange(1 - MID_DAYS, 1)
     week_rows = weeks_before[rows, None] + np.arange(1 - LONG_WEEKS, 0)
     windows = {
@@ -260,7 +275,7 @@ def align(five_min: BarSeries, daily: BarSeries, weekly: BarSeries,
     opens = daily.values[rows, 0]
     for array in (*windows.values(), opens):
         array.flags.writeable = False
-    return AlignedDataset(trading_days, windows, opens)
+    return AlignedDataset(dates[rows].tolist(), windows, opens)
 
 
 def window_at(dataset: AlignedDataset, day_index: int) -> dict[str, np.ndarray]:
@@ -388,28 +403,15 @@ class MarketGenParams:
                 raise MarketDataError(f"{name} must be finite")
         if self.alpha0 < 0 or (self.alpha0 == 0 and (self.alpha1 or self.beta1)):
             raise MarketDataError("alpha0 must be > 0 (0 only with alpha1 = beta1 = 0)")
-        if self.alpha1 < 0 or self.beta1 < 0:
-            raise MarketDataError("alpha1 and beta1 must be >= 0")
+        for name in ("alpha1", "beta1", "intraday_noise", "base_volume"):
+            if getattr(self, name) < 0:
+                raise MarketDataError(f"{name} must be >= 0")
         if self.alpha1 + self.beta1 >= 1:
             raise MarketDataError("alpha1 + beta1 must be < 1")
-        if self.intraday_noise < 0:
-            raise MarketDataError("intraday_noise must be >= 0")
         if self.start_price <= 0:
             raise MarketDataError("start_price must be > 0")
-        if self.base_volume < 0:
-            raise MarketDataError("base_volume must be >= 0")
         if self.regime_length is not None and self.regime_length < 1:
             raise MarketDataError("regime_length must be >= 1")
-
-
-def _trading_dates(start: dt.date, n: int) -> list[dt.date]:
-    dates = []
-    d = start
-    while len(dates) < n:
-        if d.weekday() < 5:
-            dates.append(d)
-        d += dt.timedelta(days=1)
-    return dates
 
 
 # Extreme settings can push the path out of the float range; simulate_market's
@@ -474,7 +476,9 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
     range but the amount, volume times price, does not."""
     if n_days < 1:
         raise MarketDataError("n_days must be >= 1")
-    dates = _trading_dates(gen.start_date, n_days)
+    dates = np.busday_offset(gen.start_date, np.arange(n_days), roll="forward")
+    if dates[-1] > np.datetime64(dt.date.max):
+        raise MarketDataError(f"{n_days} trading days from start_date={gen.start_date} pass 9999")
     rows = _simulate_rows(gen, n_days, seed)  # its temporaries are freed by now
     prices_ok = (np.isfinite(rows[:, :4]) & (rows[:, :4] > 0)).all(axis=1)
     bad = ~(prices_ok & np.isfinite(rows[:, 4:]).all(axis=1))
@@ -491,5 +495,4 @@ def simulate_market(gen: MarketGenParams, n_days: int, seed: int) -> BarSeries:
                      f"from start_price={gen.start_price}")
         raise MarketDataError(f"generated bars leave the float range on {dates[d]}; {cause}")
     minutes = np.arange(9 * 60 + 30, 9 * 60 + 30 + 5 * BARS_PER_DAY, 5).astype("timedelta64[m]")
-    timestamps = (np.array(dates, dtype="datetime64[D]")[:, None] + minutes).ravel().tolist()
-    return BarSeries(timestamps, rows)
+    return BarSeries((dates[:, None] + minutes).ravel(), rows)

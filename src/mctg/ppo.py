@@ -50,13 +50,13 @@ class PpoConfig:
                 raise PpoError(f"{name} must be in [0, 1]")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise PpoError("clip_epsilon must be in (0, 1)")
-        if self.minibatches < 1 or self.epochs_per_update < 1:
-            raise PpoError("minibatches and epochs_per_update must be >= 1")
-        if self.checkpoint_every < 0:
-            raise PpoError("checkpoint_every must be >= 0")
+        for name, least in (("rollout", 1), ("minibatches", 1), ("epochs_per_update", 1),
+                            ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise PpoError(f"{name} must be >= {least}")
         if self.rollout % self.minibatches != 0:
             raise PpoError("minibatches must divide the rollout length")
-        if self.rollout < 1 or self.total_steps < self.rollout:
+        if self.total_steps < self.rollout:
             raise PpoError("total_steps must cover at least one rollout")
 
 

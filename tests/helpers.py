@@ -1,5 +1,6 @@
 """Code only the tests run: a finite-difference gradient checker for
-``mctg.nn`` networks, a GARCH(1,1) return simulator, and the references that
+``mctg.nn`` networks, a tiny policy configuration, a GARCH(1,1) return
+simulator, and the references that
 faster code must match bit for bit: the per-day market generator and day
 grouping, the per-array Adam step, the policy backward through every input
 gradient and the per-step rollout."""
@@ -13,9 +14,10 @@ import numpy as np
 
 from mctg import marketdata as md
 from mctg import nn
+from mctg.evalcli import VARIANTS
 from mctg.garch import GarchError, GarchParams
 from mctg.nn import Network, backward, forward
-from mctg.policy import sample_action
+from mctg.policy import PolicyConfig, sample_action
 
 
 def network_parameters(net: Network) -> list[np.ndarray]:
@@ -26,6 +28,16 @@ def network_parameters(net: Network) -> list[np.ndarray]:
         out.append(w)
         out.append(b)
     return out
+
+
+def tiny_policy_config(variant: str = "MCTG", **overrides) -> PolicyConfig:
+    """The ``VARIANTS`` entry's branches and GARCH feature with 4-unit hidden
+    layers, 3-unit branch outputs and no dropout: small enough for finite
+    differences. ``overrides`` win over all of these."""
+    v = VARIANTS[variant]
+    return PolicyConfig(**{"branches": v.branches, "garch_feature": v.garch_feature,
+                           "branch_hidden": (4,), "branch_out": 3, "dropout": 0.0,
+                           "trunk_hidden": 4, **overrides})
 
 
 def relative_error(a: float, b: float) -> float:
@@ -89,7 +101,12 @@ def simulate_market_per_day(gen, n_days: int, seed: int):
     reference the whole-market draw must match bit for bit. No float-range
     check."""
     rng = np.random.default_rng(seed)
-    dates = md._trading_dates(gen.start_date, n_days)
+    dates = []
+    date = gen.start_date
+    while len(dates) < n_days:
+        if date.weekday() < 5:
+            dates.append(date)
+        date += dt.timedelta(days=1)
     persistence = gen.alpha1 + gen.beta1
     var = gen.alpha0 / (1.0 - persistence) if persistence > 0 else gen.alpha0
 
@@ -127,10 +144,16 @@ def simulate_market_per_day(gen, n_days: int, seed: int):
     return timestamps, rows
 
 
+def bar_dates(series) -> list[dt.date]:
+    """Each bar's date, from its time as a ``datetime``."""
+    return [t.date() for t in series.timestamps.tolist()]
+
+
 def group_by_date_per_bar(series) -> dict:
-    """``marketdata._group_by_date`` as one pass over every bar's date."""
+    """Each date's slice of the bars, found in one pass over every bar's date:
+    the reference for the day boundaries ``resample`` and ``align`` find."""
     groups = {}
-    dates = series.dates()
+    dates = bar_dates(series)
     start = 0
     for i in range(1, len(dates) + 1):
         if i == len(dates) or dates[i] != dates[start]:

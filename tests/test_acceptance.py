@@ -18,7 +18,7 @@ from mctg.env import EnvConfig, PortfolioState, TradingEnv, map_action
 from mctg.policy import Policy, PolicyConfig
 
 from conftest import TRUE_GARCH
-from helpers import grad_check
+from helpers import grad_check, tiny_policy_config
 
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
@@ -107,9 +107,7 @@ def test_gradient_integrity():
     # full actor-critic gradients, every ablation variant
     worst_policy = 0.0
     for variant in evalcli.VARIANTS.values():
-        policy = Policy(variant.policy_config(branch_hidden=(4,), branch_out=3,
-                                              dropout=0.0, trunk_hidden=4),
-                        np.random.default_rng(103))
+        policy = Policy(tiny_policy_config(variant.name), np.random.default_rng(103))
         obs = {kind: rng.normal(size=shape) for kind, shape in md.WINDOW_SHAPES.items()}
         flat = policy.flatten_observation(obs)
         cm, cv, cs = 0.6, -1.1, 0.3

@@ -16,7 +16,7 @@ import pytest
 
 from mctg import cli, evalcli, garch
 from mctg.env import EnvConfig, EnvError, TradingEnv, buy_and_hold
-from mctg.evalcli import (VARIANTS, EvalError, SplitConfig, backtest,
+from mctg.evalcli import (EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
                           save_checkpoint, tax_rate)
 from mctg.garch import GarchConfig, rolling_forecast
@@ -25,6 +25,8 @@ from mctg.marketdata import (MID_DAYS, BarSeries, MarketGenParams, ObservationNo
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig
 from mctg.ppo import PpoConfig
+
+from helpers import bar_dates, tiny_policy_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -42,9 +44,7 @@ env.random_start = true
 
 
 def small_variant_policy(variant, seed):
-    cfg = VARIANTS[variant].policy_config(
-        branch_hidden=(4,), branch_out=3, dropout=0.0, trunk_hidden=4)
-    return Policy(cfg, np.random.default_rng(seed))
+    return Policy(tiny_policy_config(variant), np.random.default_rng(seed))
 
 
 def inert_policy(variant="DNN", seed=0):
@@ -196,7 +196,7 @@ class TestNoLookAhead:
     @pytest.mark.parametrize("t", [0, 85, 127, 253])
     def test_days_up_to_cut_ignore_later_bars(self, market, t):
         five_min, dataset = market
-        later = np.array([d > dataset.trading_days[t] for d in five_min.dates()])
+        later = np.array([d > dataset.trading_days[t] for d in bar_dates(five_min)])
         values = five_min.values.copy()
         values[later, :4] *= 1.37
         values[later, 4:] *= 2.0
@@ -427,6 +427,12 @@ OUT_OF_RANGE_CASES = [
     ("ppo.entropy_coef", "inf", "must be finite and >= 0"),
     ("ppo.max_grad_norm", "-1", "must be finite and > 0"),
     ("ppo.max_grad_norm", "0", "must be finite and > 0"),
+    ("ppo.rollout", "0", "must be >= 1"),
+    ("ppo.rollout", "-4", "must be >= 1"),
+    ("ppo.minibatches", "0", "must be >= 1"),
+    ("ppo.epochs_per_update", "0", "must be >= 1"),
+    ("market.alpha1", "-0.1", "must be >= 0"),
+    ("market.beta1", "-0.1", "must be >= 0"),
 ]
 
 
@@ -575,6 +581,36 @@ class TestConfigMapping:
         assert capsys.readouterr().err == (
             "error: day 2015-01-05: its summed volume or amount leaves the float range\n")
 
+    def test_start_date_near_year_9999_fails_generate_data_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "market.cfg"
+        config.write_text("market.start_date = 9999-12-29\n")
+        out = tmp_path / "bars.csv"
+        rc = cli.main(["generate-data", "--out", str(out), "--days", "5",
+                       "--config", str(config)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: 5 trading days from start_date=9999-12-29 pass 9999\n")
+        assert not out.exists()
+        # Wednesday to Friday still fit.
+        assert cli.main(["generate-data", "--out", str(out), "--days", "3",
+                         "--config", str(config)]) == 0
+        assert out.read_text().splitlines()[-1].startswith("9999-12-31T13:25,")
+
+    def test_timestamp_with_utc_offset_fails_fit_garch_naming_the_line(self, tmp_path,
+                                                                       capsys):
+        data = tmp_path / "bars.csv"
+        assert cli.main(["generate-data", "--out", str(data), "--days", "6"]) == 0
+        capsys.readouterr()
+        lines = data.read_text().splitlines()
+        lines[5] = lines[5].replace(",", "+08:00,", 1)   # line 6, the fifth bar
+        data.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["fit-garch", "--data", str(data), "--out", str(tmp_path / "daily.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: row 6: timestamp 2015-01-05T09:50+08:00 has a UTC offset; "
+            "bar times are exchange-local\n")
+        assert not (tmp_path / "daily.csv").exists()
+
     def test_unknown_key_fails_the_command(self, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
         config.write_text("ppo.learning_rat = 1\n")
@@ -620,14 +656,14 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         five_min = load_bars(str(cli_workspace["data"]))
         daily, _ = resample(five_min)
-        assert [r["timestamp"] for r in rows] == [d.isoformat() for d in daily.dates()]
+        assert [r["timestamp"] for r in rows] == [d.isoformat() for d in bar_dates(daily)]
         sigma = np.array([float(r["sigma"]) for r in rows])
         assert np.all(sigma > 0)
         # The config's garch.window = 120 and garch.refit_every = 30 give the
         # volatility that train and backtest build: each mid window's last
         # column is the sigma of the daily rows it holds.
         dataset = evalcli.build_dataset(five_min, 120, 30)
-        dates = daily.dates()
+        dates = bar_dates(daily)
         for day, window in zip(dataset.trading_days, dataset.windows["mid"]):
             i = dates.index(day)
             assert np.array_equal(window[:, 6], sigma[i + 1 - MID_DAYS:i + 1])

@@ -1,5 +1,7 @@
 import datetime as dt
 import itertools
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from mctg.garch import rolling_forecast
 from mctg.marketdata import (MarketDataError, MarketGenParams,
                              ObservationNormalizer, align, load_bars, resample,
                              simulate_market, split, window_at)
-from helpers import group_by_date_per_bar, simulate_market_per_day
+from helpers import bar_dates, group_by_date_per_bar, simulate_market_per_day
 
 
 def write_csv(tmp_path, rows, name="bars.csv"):
@@ -66,6 +68,15 @@ class TestBarSeries:
             bar_series(rows)
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_missing_time_rejected(self, index):
+        times = np.array([row[0] for row in VALID_ROWS], dtype="datetime64[us]")
+        times[index] = np.datetime64("NaT")
+        values = np.array([row[1:] for row in VALID_ROWS], dtype=np.float64)
+        with pytest.raises(MarketDataError, match="missing timestamp at NaT") as err:
+            md.BarSeries(times, values)
+        assert err.value.index == index
+
     def test_empty_series_allowed(self):
         assert len(md.BarSeries([], np.empty((0, 6)))) == 0
 
@@ -111,12 +122,65 @@ class TestLoadBars:
         with pytest.raises(MarketDataError, match=f"row 3: {match}"):
             load_bars(write_csv(tmp_path, rows))
 
+    @pytest.mark.parametrize("text", ["2020-01-06 09:35", "2020-01-06T09:35:00",
+                                      "2020-01-06T09:35:07.25", "20200106T0935",
+                                      " 2020-01-06T09:35 "])
+    def test_other_iso_forms_read_as_fromisoformat(self, tmp_path, text):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][0] = text
+        series = load_bars(write_csv(tmp_path, rows))
+        assert series.timestamps.dtype == np.dtype("datetime64[us]")
+        assert series.timestamps.tolist() == [dt.datetime.fromisoformat(row[0].strip())
+                                              for row in rows]
+
+    @pytest.mark.parametrize("text", ["2020", "2020-01", "today", "now", "NaT", "",
+                                      "0000-01-06T09:35", "10000-01-06T09:35",
+                                      "2020-13-06T09:35", "2019-02-29T09:35",
+                                      "2020-01-06T09:35:00+x"])
+    def test_bad_timestamp_names_row(self, tmp_path, text):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][0] = text
+        with pytest.raises(ValueError) as want:
+            dt.datetime.fromisoformat(text)
+        with pytest.raises(MarketDataError, match=re.escape(f"row 3: {want.value}")):
+            load_bars(write_csv(tmp_path, rows))
+
+    @pytest.mark.parametrize("text", ["2020-01-06T09:35+00:00", "2020-01-06T09:35Z",
+                                      "2020-01-06T09:35-05:00"])
+    def test_utc_offset_refused_naming_row(self, tmp_path, text):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][0] = text
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MarketDataError, match=f"row 3: timestamp {re.escape(text)} "
+                                                      "has a UTC offset"):
+                load_bars(write_csv(tmp_path, rows))
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        rows = [list(row) for row in VALID_ROWS]
+        rows[1][0] = "Monday"   # line 3
+        rows[2][3] = "x"        # line 4
+        with pytest.raises(MarketDataError, match="row 3: Invalid isoformat"):
+            load_bars(write_csv(tmp_path, rows))
+        rows[2][0] = "Tuesday"  # a bad time and a bad value on line 4: the time is named
+        rows[1][0] = VALID_ROWS[1][0]
+        with pytest.raises(MarketDataError, match="row 4: Invalid isoformat"):
+            load_bars(write_csv(tmp_path, rows))
+        rows[2][0] = VALID_ROWS[2][0]
+        with pytest.raises(MarketDataError, match="row 4: could not convert"):
+            load_bars(write_csv(tmp_path, rows))
+        rows = [list(row) for row in VALID_ROWS]
+        rows[2][0] = "Tuesday"
+        rows[1] = rows[1][:5]   # line 3 has 5 fields
+        with pytest.raises(MarketDataError, match="row 3: expected 7 fields, got 5"):
+            load_bars(write_csv(tmp_path, rows))
+
     def test_roundtrip_save_load(self, small_five_min, tmp_path):
         path = str(tmp_path / "rt.csv")
         md.save_bars(small_five_min, path)
         back = load_bars(path)
         assert np.array_equal(back.values, small_five_min.values)
-        assert back.timestamps == small_five_min.timestamps
+        assert np.array_equal(back.timestamps, small_five_min.timestamps)
 
 
 def constant_day(date, price=10.0, volume=1.0):
@@ -187,10 +251,8 @@ def minimum_history_bars():
     five_min = make_series(150)   # exactly 30 weeks
     daily, weekly = resample(five_min)
     daily30 = md.BarSeries(daily.timestamps[-30:], daily.values[-30:])
-    cutoff = dt.datetime.combine(daily30.timestamps[0].date(), dt.time())
-    keep = [i for i, t in enumerate(five_min.timestamps) if t >= cutoff]
-    fm = md.BarSeries([five_min.timestamps[i] for i in keep],
-                      five_min.values[keep])
+    keep = five_min.timestamps >= daily30.timestamps[0]   # from the first day's midnight
+    fm = md.BarSeries(five_min.timestamps[keep], five_min.values[keep])
     return fm, daily30, weekly
 
 
@@ -210,12 +272,12 @@ def aggregate_loops(five_min):
     """Daily and weekly bars, aggregating each day's and then each ISO week's
     bars in turn: the reference for resample."""
     day_ts, day_rows = [], []
-    for date, sl in md._group_by_date(five_min).items():
+    for date, sl in group_by_date_per_bar(five_min).items():
         day_ts.append(dt.datetime.combine(date, dt.time()))
         day_rows.append(_aggregate(five_min.values[sl]))
     daily = md.BarSeries(day_ts, np.array(day_rows))
     week_ts, week_rows = [], []
-    dates = daily.dates()
+    dates = bar_dates(daily)
     start = 0
     for i in range(1, len(dates) + 1):
         if i == len(dates) or dates[i].isocalendar()[:2] != dates[start].isocalendar()[:2]:
@@ -230,10 +292,10 @@ def scanning_windows(five_min, daily, weekly, vol):
     a day's completed weeks are every weekly bar of an earlier ISO
     (year, week), and its partial week starts where the walk back through
     the daily bars leaves its ISO week. The reference for align/window_at."""
-    full = {d: sl for d, sl in md._group_by_date(five_min).items()
+    full = {d: sl for d, sl in group_by_date_per_bar(five_min).items()
             if sl.stop - sl.start == 48}
-    dates = daily.dates()
-    week_keys = [t.date().isocalendar()[:2] for t in weekly.timestamps]
+    dates = bar_dates(daily)
+    week_keys = [d.isocalendar()[:2] for d in bar_dates(weekly)]
     days, windows = [], []
     for i, d in enumerate(dates):
         key = d.isocalendar()[:2]
@@ -270,9 +332,8 @@ def gappy_weeks_bars():
     """From a Wednesday to a Tuesday with the Tuesday of the third week
     missing: partial first and last weeks and a four-day week."""
     five_min = make_series(40, seed=9, start_date=dt.date(2020, 1, 8))
-    dates = five_min.dates()
-    keep = [i for i, d in enumerate(dates) if d != dt.date(2020, 1, 21)]
-    five_min = md.BarSeries([five_min.timestamps[i] for i in keep], five_min.values[keep])
+    keep = [i for i, d in enumerate(bar_dates(five_min)) if d != dt.date(2020, 1, 21)]
+    five_min = md.BarSeries(five_min.timestamps[keep], five_min.values[keep])
     return (five_min, *resample(five_min))
 
 
@@ -281,13 +342,14 @@ class TestResampleOracle:
     def test_matches_aggregate_loops(self, bars):
         five_min, daily, weekly = bars()
         for got, want in zip((daily, weekly), aggregate_loops(five_min)):
-            assert got.timestamps == want.timestamps
+            assert np.array_equal(got.timestamps, want.timestamps)
             assert np.array_equal(got.values, want.values)
 
     def test_gappy_weeks(self):
         _, daily, weekly = gappy_weeks_bars()
         assert len(daily) == 39
-        lengths = np.diff([-1] + [daily.timestamps.index(t) for t in weekly.timestamps])
+        stamps = daily.timestamps.tolist()
+        lengths = np.diff([-1] + [stamps.index(t) for t in weekly.timestamps.tolist()])
         assert list(lengths) == [3, 5, 4, 5, 5, 5, 5, 5, 2]
 
 
@@ -303,6 +365,13 @@ def irregular_bars(seed: int, n: int) -> md.BarSeries:
     return md.BarSeries(stamps, np.tile([10.0, 10.0, 10.0, 10.0, 1.0, 10.0], (n, 1)))
 
 
+def day_slices(series) -> dict:
+    """Each date's slice of the bars, from ``marketdata._day_starts``."""
+    dates, starts, counts = md._day_starts(series.timestamps)
+    return {d: slice(s, s + n) for d, s, n in zip(dates.tolist(), starts.tolist(),
+                                                   counts.tolist())}
+
+
 class TestGroupByDate:
     @pytest.mark.parametrize("bars", [
         lambda: frozen_market_bars()[0], lambda: gappy_weeks_bars()[0],
@@ -311,16 +380,26 @@ class TestGroupByDate:
     ], ids=["frozen_market", "gappy_weeks", "irregular", "one_bar", "empty", "one_day"])
     def test_equal_to_per_bar_pass(self, bars):
         series = bars()
-        got = md._group_by_date(series)
+        got = day_slices(series)
         want = group_by_date_per_bar(series)
         assert list(got.items()) == list(want.items())
 
     def test_irregular_bars_cover_the_edge_cases(self):
         series = irregular_bars(1, 500)
-        lengths = [sl.stop - sl.start for sl in md._group_by_date(series).values()]
-        assert series.timestamps[:2] == [dt.datetime(2020, 1, 5, 23, 59),
-                                         dt.datetime(2020, 1, 6)]
+        lengths = [sl.stop - sl.start for sl in day_slices(series).values()]
+        assert series.timestamps[:2].tolist() == [dt.datetime(2020, 1, 5, 23, 59),
+                                                  dt.datetime(2020, 1, 6)]
         assert lengths[0] == 1 and max(lengths) > 10
+
+    @pytest.mark.parametrize("first", [dt.date(2015, 12, 1), dt.date(2020, 12, 1),
+                                       dt.date(1969, 12, 1)],
+                             ids=["2015-W53", "2020-W53", "around-the-epoch"])
+    def test_week_keys_change_exactly_at_iso_weeks(self, first):
+        days = [first + dt.timedelta(days=k) for k in range(62)]
+        keys = md._week_keys(np.array(days, dtype="datetime64[D]"))
+        assert np.all(np.diff(keys) >= 0)
+        for (a, key_a), (b, key_b) in itertools.combinations(zip(days, keys), 2):
+            assert (key_a == key_b) == (a.isocalendar()[:2] == b.isocalendar()[:2])
 
 
 class TestAlign:
@@ -346,13 +425,23 @@ class TestAlign:
         ds = align(five_min, daily, weekly, vol)
         # 29 completed weeks are needed before a day's week: days 145..174.
         assert ds.n_days == 30
-        assert ds.trading_days[0] == daily.timestamps[145].date()
+        assert ds.trading_days[0] == bar_dates(daily)[145]
 
     def test_minimum_history_single_day(self):
         fm, daily30, weekly = minimum_history_bars()
         ds = align(fm, daily30, weekly, np.full(30, 0.01))
         assert ds.n_days == 1
-        assert ds.trading_days[0] == daily30.timestamps[-1].date()
+        assert ds.trading_days[0] == bar_dates(daily30)[-1]
+
+    def test_no_full_five_minute_day_errors(self):
+        five_min = make_series(150)
+        daily, weekly = resample(five_min)
+        vol = np.full(len(daily), 0.01)
+        short_days = np.arange(len(five_min)) % 48 != 47
+        for fm in (md.BarSeries(five_min.timestamps[short_days], five_min.values[short_days]),
+                   md.BarSeries([], np.empty((0, 6)))):
+            with pytest.raises(MarketDataError, match="no trading day"):
+                align(fm, daily, weekly, vol)
 
     def test_zero_overlap_errors(self):
         a = make_series(150, start_date=dt.date(2015, 1, 5))
@@ -390,7 +479,7 @@ class TestWindowAt:
     def test_mid_last_row_is_decision_day(self, small_dataset, small_daily):
         ds = small_dataset
         obs = window_at(ds, 0)
-        i = small_daily.dates().index(ds.trading_days[0])
+        i = bar_dates(small_daily).index(ds.trading_days[0])
         daily_vol = rolling_forecast(small_daily.values[:, 3], 120, 30)
         assert np.array_equal(obs["mid"][-1, :6], small_daily.values[i])
         assert obs["mid"][-1, 6] == daily_vol[i]
@@ -399,18 +488,19 @@ class TestWindowAt:
         ds = small_dataset
         k = ds.n_days // 2
         obs = window_at(ds, k)
-        sl = [t.date() == ds.trading_days[k] for t in small_five_min.timestamps]
+        sl = [d == ds.trading_days[k] for d in bar_dates(small_five_min)]
         assert np.array_equal(obs["short"], small_five_min.values[sl])
 
     def test_long_window_last_row_is_partial_week(self, small_dataset, small_daily):
         ds = small_dataset
         k = ds.n_days // 2
         d = ds.trading_days[k]
-        i = small_daily.dates().index(d)
+        dates = bar_dates(small_daily)
+        i = dates.index(d)
         # hand-aggregate the in-progress week from daily bars
         week = d.isocalendar()[:2]
         j = i
-        while j > 0 and small_daily.timestamps[j - 1].date().isocalendar()[:2] == week:
+        while j > 0 and dates[j - 1].isocalendar()[:2] == week:
             j -= 1
         rows = small_daily.values[j:i + 1]
         expected = [rows[0, 0], rows[:, 1].max(), rows[:, 2].min(), rows[-1, 3],
@@ -430,7 +520,7 @@ class TestWindowAt:
 
     def test_opens_are_the_daily_opens(self, small_dataset, small_daily):
         ds = small_dataset
-        dates = small_daily.dates()
+        dates = bar_dates(small_daily)
         expected = [small_daily.values[dates.index(d), 0] for d in ds.trading_days]
         assert np.array_equal(ds.opens, expected)
 
@@ -623,7 +713,7 @@ class TestSimulateMarket:
         for seed in (0, 7, 2024):
             series = simulate_market(gen, n_days, seed)
             timestamps, rows = simulate_market_per_day(gen, n_days, seed)
-            assert series.timestamps == timestamps
+            assert series.timestamps.tolist() == timestamps
             assert series.values.tobytes() == rows.tobytes()
 
     def test_zero_everything_constant_path(self):
@@ -637,7 +727,7 @@ class TestSimulateMarket:
         a = make_series(10, seed=42)
         b = make_series(10, seed=42)
         assert np.array_equal(a.values, b.values)
-        assert a.timestamps == b.timestamps
+        assert np.array_equal(a.timestamps, b.timestamps)
 
     def test_different_seed_differs(self):
         assert not np.array_equal(make_series(10, seed=1).values,

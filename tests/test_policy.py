@@ -9,14 +9,7 @@ from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
-from helpers import policy_backward_per_array
-
-
-def small_config(**overrides):
-    """Tiny dropout-free configuration for finite-difference work."""
-    defaults = dict(branch_hidden=(4,), branch_out=3, dropout=0.0, trunk_hidden=4)
-    defaults.update(overrides)
-    return PolicyConfig(**defaults)
+from helpers import policy_backward_per_array, tiny_policy_config
 
 
 def random_observation(rng):
@@ -49,22 +42,22 @@ class TestFlatten:
     def test_drops_vol_column_when_disabled(self):
         rng = np.random.default_rng(0)
         obs = random_observation(rng)
-        with_vol = Policy(small_config(), rng).flatten_observation(obs)
-        without = Policy(small_config(garch_feature=False), rng).flatten_observation(obs)
+        with_vol = Policy(tiny_policy_config(), rng).flatten_observation(obs)
+        without = Policy(tiny_policy_config(garch_feature=False), rng).flatten_observation(obs)
         assert with_vol["mid"].shape == (1, 210)
         assert without["mid"].shape == (1, 180)
         assert np.array_equal(without["mid"].reshape(30, 6), obs["mid"][:, :6])
 
     def test_single_branch_variant(self):
         rng = np.random.default_rng(1)
-        policy = Policy(small_config(branches=("mid",)), rng)
+        policy = Policy(tiny_policy_config(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
         assert set(flat) == {"mid"}
 
     def test_row_major_order(self):
         rng = np.random.default_rng(2)
         obs = random_observation(rng)
-        flat = Policy(small_config(), rng).flatten_observation(obs)
+        flat = Policy(tiny_policy_config(), rng).flatten_observation(obs)
         assert flat["short"][0, 6] == obs["short"][1, 0]
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -82,7 +75,7 @@ class TestFlatten:
 class TestForward:
     def test_unit_weights_equal_plain_concat(self):
         rng = np.random.default_rng(3)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         flat = policy.flatten_observation(random_observation(rng))
         state, _ = policy.assemble_state(flat)
         chunks = [nn.forward(policy.branches[b], flat[b])[0]
@@ -91,7 +84,7 @@ class TestForward:
 
     def test_zero_weight_annihilates_branch(self):
         rng = np.random.default_rng(4)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         policy.branch_weights["mid"][:] = 0.0
         flat = policy.flatten_observation(random_observation(rng))
         state, _ = policy.assemble_state(flat)
@@ -102,7 +95,7 @@ class TestForward:
     def test_compositional_oracle(self):
         # forward() must equal manual branch -> scale -> concat -> trunk chaining
         rng = np.random.default_rng(5)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         policy.branch_weights["short"][:] = rng.normal(size=3)
         flat = policy.flatten_observation(random_observation(rng))
         out, _ = policy.forward(flat)
@@ -120,7 +113,7 @@ class TestForward:
                                          -np.inf, np.inf, np.nan])
     def test_action_std_clamp_matches_np_clip(self, log_std):
         # below, at and inside both bounds, above them, and non-finite
-        policy = Policy(small_config(), np.random.default_rng(6))
+        policy = Policy(tiny_policy_config(), np.random.default_rng(6))
         policy.log_std[...] = log_std
         cfg = policy.config
         want = float(np.exp(np.clip(policy.log_std, cfg.log_std_min, cfg.log_std_max)))
@@ -128,7 +121,7 @@ class TestForward:
 
     def test_action_std_clamped(self):
         rng = np.random.default_rng(6)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         policy.log_std[...] = 10.0
         assert policy.action_std == pytest.approx(math.e)
         policy.log_std[...] = -20.0
@@ -144,7 +137,7 @@ class TestForward:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(8)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         obs = [random_observation(rng) for _ in range(5)]
         flats = [policy.flatten_observation(o) for o in obs]
         batch = {b: np.concatenate([f[b] for f in flats]) for b in policy.config.branches}
@@ -158,7 +151,7 @@ class TestForward:
 class TestParameters:
     def test_names_align_with_arrays(self):
         rng = np.random.default_rng(9)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         named = policy.named_parameters()
         params = policy.parameters()
         assert len(named) == len(params)
@@ -202,7 +195,7 @@ class TestBackward:
     ])
     def test_full_gradient_vs_finite_difference(self, cfg_kwargs):
         rng = np.random.default_rng(13)
-        policy = Policy(small_config(**cfg_kwargs), rng)
+        policy = Policy(tiny_policy_config(**cfg_kwargs), rng)
         flat = policy.flatten_observation(random_observation(rng))
         cm, cv, cs = 0.7, -1.3, 0.4
         _, cache = policy.forward(flat)
@@ -233,7 +226,7 @@ class TestBackward:
 
     def test_log_std_gradient_zero_at_clamp(self):
         rng = np.random.default_rng(14)
-        policy = Policy(small_config(), rng)
+        policy = Policy(tiny_policy_config(), rng)
         policy.log_std[...] = 5.0  # beyond log_std_max
         flat = policy.flatten_observation(random_observation(rng))
         _, cache = policy.forward(flat)
@@ -244,7 +237,7 @@ class TestBackward:
         # d(state_k)/d(W_k) = branch output, so a loss = sum(state) gives
         # branch-weight gradients equal to the raw branch outputs.
         rng = np.random.default_rng(15)
-        policy = Policy(small_config(branches=("mid",)), rng)
+        policy = Policy(tiny_policy_config(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
         state, cache = policy.assemble_state(flat)
         b_out = cache.branch_caches["mid"].acts[-1][0]

@@ -11,14 +11,11 @@ from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
                       ppo_loss_and_grads, ppo_surrogate, prob_ratio, train,
                       update)
 from conftest import first_days
-from helpers import collect_rollout_per_step
+from helpers import collect_rollout_per_step, tiny_policy_config
 
 
-def tiny_policy(rng, dropout=0.0):
-    cfg = PolicyConfig(branches=("mid",), garch_feature=False,
-                       branch_hidden=(4,), branch_out=3, dropout=dropout,
-                       trunk_hidden=4)
-    return Policy(cfg, rng)
+def tiny_policy(rng):
+    return Policy(tiny_policy_config("DNN"), rng)
 
 
 def random_batch(policy, rng, n=8):
@@ -215,9 +212,7 @@ class TestBuffer:
     def test_rows_are_the_env_observations_across_a_carry(self, small_dataset,
                                                           small_normalizer):
         rng = np.random.default_rng(9)
-        cfg = PolicyConfig(branch_hidden=(4,), branch_out=3, dropout=0.0,
-                           trunk_hidden=4)
-        policy = Policy(cfg, np.random.default_rng(10))
+        policy = Policy(tiny_policy_config(), np.random.default_rng(10))
         env = TradingEnv(first_days(small_dataset, 6), EnvConfig(), small_normalizer)
         returns = []
         inputs = policy.flatten_observation(env.windows)
@@ -232,7 +227,7 @@ class TestBuffer:
             buf, row = (first, i) if i < 7 else (second, i - 7)
             assert buf.day[row] == i % 5
             expected = policy.flatten_observation(env.observation(i % 5))
-            for name in cfg.branches:
+            for name in policy.config.branches:
                 assert np.array_equal(buf.inputs[name][buf.day[row]], expected[name][0])
 
     @pytest.mark.parametrize("random_start, n_days, lengths", [
