@@ -115,7 +115,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     trajectory_rows: list[dict] = []
     while not env.done:
         obs = env.observation(p.day_index)
-        out, _ = policy.forward(policy.flatten_observation(obs))
+        out, _ = policy.forward(policy.flatten_observation(obs), tape=False)
         action = min(max(float(out.action_mean[0]), -1.0), 1.0)
         reward, order = env.step(action)
         row = equity_row(action, order.tax_paid)
@@ -289,10 +289,12 @@ def report(metrics_docs: list[dict]) -> list[dict]:
 # -- flat key=value config -------------------------------------------------------
 
 def load_config(path: str | None) -> dict[str, str]:
-    """Flat ``key=value`` config; ``#`` starts a comment, blank lines ignored."""
+    """Flat ``key=value`` config; ``#`` starts a comment, blank lines ignored.
+    A key may appear once."""
     if path is None:
         return {}
     cfg: dict[str, str] = {}
+    key_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -301,7 +303,12 @@ def load_config(path: str | None) -> dict[str, str]:
             if "=" not in line:
                 raise EvalError(f"{path}: line {lineno}: expected key=value")
             key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            key = key.strip()
+            if key in key_line:
+                raise EvalError(f"{path}: line {lineno}: key {key!r} is already "
+                                f"set on line {key_line[key]}")
+            key_line[key] = lineno
+            cfg[key] = value.strip()
     return cfg
 
 

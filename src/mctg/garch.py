@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ALPHA0_FLOOR = 1e-12
-BOUNDARY_TOL = 1e-6  # relative distance from a constraint that counts as on it
+BOUNDARY_TOL = 1e-6  # distance from a constraint that counts as on it
 LOG2PI = math.log(2.0 * math.pi)
 WARMUP_FLOOR = 1e-8  # lowest volatility emitted before the first fit, so it stays > 0
 X_CLAMP = 50.0  # largest exponent _params_from_x takes; beyond it a coordinate is inert
@@ -81,7 +81,8 @@ class GarchParams:
 class FitReport:
     """A fit's parameters and optimizer outcome. ``at_boundary`` flags a fit
     pressed against a constraint: persistence ``alpha1 + beta1`` within
-    ``BOUNDARY_TOL`` of 1 (integrated GARCH), or ``alpha0`` at its floor. The
+    ``BOUNDARY_TOL`` of 1 (integrated GARCH), ``alpha1`` within
+    ``BOUNDARY_TOL`` of 0 (no ARCH term), or ``alpha0`` at its floor. The
     optimizer can report such a fit as converged."""
 
     params: GarchParams
@@ -275,6 +276,7 @@ def fit(returns) -> FitReport:
         iterations=iterations,
         converged=converged,
         at_boundary=(params.alpha1 + params.beta1 > 1.0 - BOUNDARY_TOL
+                     or params.alpha1 < BOUNDARY_TOL
                      or params.alpha0 <= ALPHA0_FLOOR * (1.0 + BOUNDARY_TOL)),
     )
 

@@ -158,12 +158,15 @@ def load_bars(path: str) -> BarSeries:
 
 def save_bars(series: BarSeries, path: str) -> None:
     """Write a BarSeries back to the CSV format accepted by load_bars, with
-    timestamps to the minute."""
+    timestamps to the minute.
+
+    The bytes are ``csv.writer``'s: no field needs quoting, and lines end in
+    ``\r\n``."""
+    stamps = np.datetime_as_string(series.timestamps, unit="m").tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for ts, row in zip(np.datetime_as_string(series.timestamps, unit="m"), series.values):
-            writer.writerow([ts] + [repr(float(x)) for x in row])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines(f"{ts},{','.join(map(repr, row))}\r\n"
+                      for ts, row in zip(stamps, series.values.tolist()))
 
 
 def _aggregate_blocks(block: np.ndarray, volume_amount: np.ndarray) -> np.ndarray:

@@ -23,6 +23,11 @@ class Network:
     Hidden layers are tanh, and so is the output layer when ``tanh_out`` is
     set; otherwise it is linear. When the stack has more than one layer,
     inverted dropout at ``dropout`` follows the first hidden layer.
+
+    ``layers`` holds, per layer, the views ``forward`` reads: ``W.T``, the bias
+    as a (1, out) row and whether a tanh follows. They are built once over the
+    arrays given, so a write into a weight or bias shows in the next forward;
+    an array that replaces a ``weights`` or ``biases`` entry does not.
     """
 
     def __init__(self, weights: list, biases: list, tanh_out: bool = False,
@@ -35,15 +40,31 @@ class Network:
         self.dropout = dropout
         self.in_dim = self.weights[0].shape[1]
         self.out_dim = self.weights[-1].shape[0]
+        last = len(self.weights) - 1
+        self.layers = [(w.T, b[None], i < last or tanh_out)
+                       for i, (w, b) in enumerate(zip(self.weights, self.biases))]
+
+
+def layer_shapes(sizes) -> list[tuple]:
+    """The (out, in) weight and (out,) bias shape of each layer of a stack with
+    layer sizes ``sizes``, in the order ``backward`` returns their gradients."""
+    return [shape for n_in, n_out in zip(sizes[:-1], sizes[1:])
+            for shape in ((n_out, n_in), (n_out,))]
 
 
 def mlp(sizes, rng: np.random.Generator, tanh_out: bool = False,
-        dropout: float = 0.0) -> Network:
+        dropout: float = 0.0, params: list | None = None) -> Network:
     """Build a ``Network`` with layer sizes ``sizes``; weights are
-    scaled-normal initialized from ``rng``, biases are zero."""
-    weights = [rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
-               for n_in, n_out in zip(sizes[:-1], sizes[1:])]
-    return Network(weights, [np.zeros(n) for n in sizes[1:]], tanh_out, dropout)
+    scaled-normal initialized from ``rng``, biases are zero. ``params``, arrays
+    shaped like ``layer_shapes(sizes)``, are filled and used in place of new
+    arrays."""
+    if params is None:
+        params = [np.empty(shape) for shape in layer_shapes(sizes)]
+    weights, biases = params[0::2], params[1::2]
+    for w, b in zip(weights, biases):
+        w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
+        b[...] = 0.0
+    return Network(weights, biases, tanh_out, dropout)
 
 
 @dataclass
@@ -53,10 +74,11 @@ class ForwardCache:
     mask: np.ndarray | None   # the dropout keep-mask (already scaled), if drawn
 
 
-def forward(net: Network, x, rng: np.random.Generator | None = None
-            ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on ``x`` of shape (rows, in_dim); returns the
-    (rows, out_dim) output and a cache for backward.
+def forward(net: Network, x: np.ndarray, rng: np.random.Generator | None = None,
+            tape: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
+    """Run the network on the float64 array ``x`` of shape (rows, in_dim);
+    returns the (rows, out_dim) output and, when ``tape`` is set, the cache
+    ``backward`` reads, else None.
 
     Dropout runs if and only if ``rng`` is given. It is inverted: the mask
     divides by the keep probability, so without an rng nothing is rescaled.
@@ -67,26 +89,26 @@ def forward(net: Network, x, rng: np.random.Generator | None = None
     would change the last bits. The bias is added as a (1, out) row: on one
     row that skips numpy's broadcast set-up, and the sums are the same.
     """
-    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise NetworkError(f"input shape {x.shape} does not match (rows, {net.in_dim})")
 
     inputs, acts = [], []
     mask = None
-    last = len(net.weights) - 1
     h = x
-    for i, w in enumerate(net.weights):
+    for i, (w_t, b_row, tanh) in enumerate(net.layers):
         if i == 1 and rng is not None and net.dropout > 0.0:
             keep = 1.0 - net.dropout
             mask = (rng.random(h.shape) < keep) / keep
             h = h * mask
-        inputs.append(h)
-        h = np.dot(h, w.T)
-        h += net.biases[i][None]
-        if i < last or net.tanh_out:
+        if tape:
+            inputs.append(h)
+        h = np.dot(h, w_t)
+        h += b_row
+        if tanh:
             np.tanh(h, out=h)
-        acts.append(h)
-    return h, ForwardCache(inputs, acts, mask)
+        if tape:
+            acts.append(h)
+    return h, ForwardCache(inputs, acts, mask) if tape else None
 
 
 def backward(net: Network, cache: ForwardCache, grad_output,

@@ -63,10 +63,10 @@ class PolicyConfig:
 @dataclass
 class PolicyOutput:
     """Gaussian head outputs for a batch of observations: ``action_mean`` and
-    ``value`` have shape (rows,); a single observation is a batch of one."""
+    ``value`` have shape (rows,); a single observation is a batch of one. The
+    std is the policy's, ``Policy.action_std``."""
 
     action_mean: np.ndarray
-    action_std: float
     value: np.ndarray
 
 
@@ -81,53 +81,62 @@ class Policy:
     """Parameter container plus forward/backward for the full actor-critic.
 
     Every parameter array is a view into the one float64 ``vector``, in
-    ``named_parameters`` order, so an optimizer can step them all at once."""
+    ``named_parameters`` order, so an optimizer can step them all at once, and
+    the networks are built over those views."""
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
         self.input_dims = config.input_dims()   # branch -> width of its input rows
-        sizes = lambda d: [d, *config.branch_hidden, config.branch_out]
-        self.branches = {
-            name: nn.mlp(sizes(dim), rng, tanh_out=True, dropout=config.dropout)
-            for name, dim in self.input_dims.items()
-        }
-        self.branch_weights = {name: np.ones(config.branch_out) for name in config.branches}
-        self.policy_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1], rng)
-        self.value_trunk = nn.mlp([config.state_dim, config.trunk_hidden, 1], rng)
-        self.log_std = np.array(config.init_log_std, dtype=np.float64)
+        branch_sizes = {name: [dim, *config.branch_hidden, config.branch_out]
+                        for name, dim in self.input_dims.items()}
+        trunk_sizes = [config.state_dim, config.trunk_hidden, 1]
 
-        slots = self._slots()
-        self.shapes = [owner[key].shape for _, owner, key in slots]
-        self.vector = np.concatenate([owner[key].ravel() for _, owner, key in slots])
-        for (_, owner, key), view in zip(slots, self.unflatten(self.vector)):
-            owner[key] = view
+        def dense(prefix: str, sizes) -> list[tuple[str, tuple]]:
+            names = [f"{prefix}.dense{i}.{kind}"
+                     for i in range(len(sizes) - 1) for kind in ("weights", "bias")]
+            return list(zip(names, nn.layer_shapes(sizes)))
+
+        layout: list[tuple[str, tuple]] = []
+        for name in config.branches:
+            layout += dense(f"branch.{name}", branch_sizes[name])
+            layout.append((f"branch_weight.{name}", (config.branch_out,)))
+        layout += dense("policy_trunk", trunk_sizes) + dense("value_trunk", trunk_sizes)
+        layout.append(("log_std", ()))
+        self.shapes = [shape for _, shape in layout]
+        self.vector = np.zeros(sum(math.prod(shape) for shape in self.shapes))
+        self._named = [(name, view) for (name, _), view
+                       in zip(layout, self.unflatten(self.vector))]
+        views = dict(self._named)
+
+        def build(prefix: str, sizes, **kwargs) -> nn.Network:
+            params = [views[name] for name, _ in dense(prefix, sizes)]
+            return nn.mlp(sizes, rng, params=params, **kwargs)
+
+        self.branches = {name: build(f"branch.{name}", sizes, tanh_out=True,
+                                     dropout=config.dropout)
+                         for name, sizes in branch_sizes.items()}
+        self.branch_weights = {name: views[f"branch_weight.{name}"] for name in config.branches}
+        for weight in self.branch_weights.values():
+            weight[...] = 1.0
+        self.policy_trunk = build("policy_trunk", trunk_sizes)
+        self.value_trunk = build("value_trunk", trunk_sizes)
+        self.log_std = views["log_std"]
+        self.log_std[...] = config.init_log_std
+        # assemble_state's loop: each branch's network, its weights as a
+        # (1, out) row and its columns of the state
+        width = config.branch_out
+        self._branch_plan = [(name, self.branches[name], self.branch_weights[name][None],
+                              slice(k * width, (k + 1) * width))
+                             for k, name in enumerate(config.branches)]
 
     # -- parameter plumbing -------------------------------------------------
 
-    def _slots(self) -> list[tuple[str, object, object]]:
-        """(checkpoint name, container, key) of every parameter, in the one
-        order that ``named_parameters``, ``vector`` and ``backward`` share."""
-        slots: list[tuple[str, object, object]] = []
-
-        def add_dense(prefix: str, net: nn.Network) -> None:
-            for i in range(len(net.weights)):
-                slots.append((f"{prefix}.dense{i}.weights", net.weights, i))
-                slots.append((f"{prefix}.dense{i}.bias", net.biases, i))
-
-        for name in self.config.branches:
-            add_dense(f"branch.{name}", self.branches[name])
-            slots.append((f"branch_weight.{name}", self.branch_weights, name))
-        add_dense("policy_trunk", self.policy_trunk)
-        add_dense("value_trunk", self.value_trunk)
-        slots.append(("log_std", vars(self), "log_std"))
-        return slots
-
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """(checkpoint name, array) for every parameter, in ``vector`` order."""
-        return [(name, owner[key]) for name, owner, key in self._slots()]
+        return list(self._named)
 
     def parameters(self) -> list[np.ndarray]:
-        return [p for _, p in self.named_parameters()]
+        return [p for _, p in self._named]
 
     def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of a flat vector laid out like ``vector`` (a gradient, say),
@@ -158,24 +167,38 @@ class Policy:
         return float(np.exp(clamped))
 
     def assemble_state(self, flat_obs: dict[str, np.ndarray],
-                       rng: np.random.Generator | None = None) -> tuple[np.ndarray, PolicyCache]:
+                       rng: np.random.Generator | None = None, tape: bool = True
+                       ) -> tuple[np.ndarray, PolicyCache | None]:
         """The (rows, state_dim) concatenation of the weighted branch outputs
         for (rows, dim) branch inputs; the branches' dropout runs if and only
-        if ``rng`` is given."""
-        cache = PolicyCache()
-        chunks = []
-        for name in self.config.branches:
-            out, cache.branch_caches[name] = nn.forward(self.branches[name], flat_obs[name], rng)
+        if ``rng`` is given. The cache is recorded only when ``tape`` is set."""
+        cache = PolicyCache() if tape else None
+        state = None
+        for name, net, weight_row, columns in self._branch_plan:
+            out, branch_cache = nn.forward(net, flat_obs[name], rng, tape)
+            if state is None:
+                state = np.empty((len(out), self.config.state_dim))
+            elif len(out) != len(state):
+                raise PolicyError(f"branch {name!r} has {len(out)} rows, "
+                                  f"the first branch {len(state)}")
             # a (1, out) row, like the bias in nn.forward: same products, less set-up
-            chunks.append(out * self.branch_weights[name][None])
-        return np.concatenate(chunks, axis=1), cache
+            np.multiply(out, weight_row, out=state[:, columns])
+            if tape:
+                cache.branch_caches[name] = branch_cache
+        return state, cache
 
     def forward(self, flat_obs: dict[str, np.ndarray],
-                rng: np.random.Generator | None = None) -> tuple[PolicyOutput, PolicyCache]:
-        state, cache = self.assemble_state(flat_obs, rng)
-        mean, cache.policy_cache = nn.forward(self.policy_trunk, state, rng)
-        value, cache.value_cache = nn.forward(self.value_trunk, state, rng)
-        return PolicyOutput(mean[:, 0], self.action_std, value[:, 0]), cache
+                rng: np.random.Generator | None = None, tape: bool = True
+                ) -> tuple[PolicyOutput, PolicyCache | None]:
+        """Action means and values for (rows, dim) branch inputs, and the cache
+        ``backward`` reads. A caller that will not differentiate passes
+        ``tape=False`` and gets None in place of the cache."""
+        state, cache = self.assemble_state(flat_obs, rng, tape)
+        mean, policy_cache = nn.forward(self.policy_trunk, state, rng, tape)
+        value, value_cache = nn.forward(self.value_trunk, state, rng, tape)
+        if tape:
+            cache.policy_cache, cache.value_cache = policy_cache, value_cache
+        return PolicyOutput(mean[:, 0], value[:, 0]), cache
 
     def backward(self, cache: PolicyCache, d_mean, d_value,
                  d_log_std: float = 0.0) -> np.ndarray:
@@ -221,7 +244,7 @@ def gaussian_entropy(std: float) -> float:
     return 0.5 * (LOG2PI + 1.0) + math.log(std)
 
 
-def sample_action(out: PolicyOutput, rng: np.random.Generator):
+def sample_action(out: PolicyOutput, std: float, rng: np.random.Generator):
     """Draw u ~ N(mean, std) per row; the environment action is u clipped to
     [-1, 1].
 
@@ -229,6 +252,6 @@ def sample_action(out: PolicyOutput, rng: np.random.Generator):
     log_prob is the density of the pre-clip draw, so ratios stay well-defined
     after saturation.
     """
-    u = out.action_mean + out.action_std * rng.standard_normal(np.shape(out.action_mean))
+    u = out.action_mean + std * rng.standard_normal(np.shape(out.action_mean))
     action = np.minimum(np.maximum(u, -1.0), 1.0)
-    return action, u, gaussian_log_prob(u, out.action_mean, out.action_std)
+    return action, u, gaussian_log_prob(u, out.action_mean, std)

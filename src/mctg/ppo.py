@@ -140,10 +140,10 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     loss = -mean(surrogate) + value_coef * mean((returns - V)^2)
            - entropy_coef * entropy
     """
-    out, cache = policy.forward(batch["obs"], rng)
+    out, cache = policy.forward(batch["obs"], rng, tape=True)
     mean = out.action_mean
     value = out.value
-    std = out.action_std
+    std = policy.action_std
     n = len(mean)
 
     u = batch["u"]
@@ -187,14 +187,24 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     return loss, stats, grad
 
 
-def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
-    """Scale ``grads`` in place so their joint norm is at most ``max_norm``;
-    returns the norm before scaling."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+def clip_grad_norm(grad: np.ndarray, shapes: list[tuple], max_norm: float) -> float:
+    """Scale the flat gradient ``grad``, consecutive runs of parameters shaped
+    ``shapes``, in place so its norm is at most ``max_norm``; returns the norm
+    before scaling.
+
+    The norm adds the per-parameter sums of squares in order, each summed over
+    its own run, as a per-array sum would."""
+    squares = grad * grad
+    total, offset = 0.0, 0
+    for shape in shapes:
+        size = math.prod(shape)
+        total += float(squares[offset:offset + size].sum())
+        offset += size
+    if offset != grad.size:
+        raise PpoError(f"shapes hold {offset} values, the gradient {grad.size}")
+    total = float(np.sqrt(total))
     if total > max_norm:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
@@ -227,7 +237,7 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
                 "returns": returns[idx],
             }
             _, stats, grad = ppo_loss_and_grads(policy, batch, config, rng)
-            grad_norm = clip_grad_norm(policy.unflatten(grad), config.max_grad_norm)
+            grad_norm = clip_grad_norm(grad, policy.shapes, config.max_grad_norm)
             if not math.isfinite(grad_norm):
                 raise PpoError(f"non-finite gradient norm {grad_norm} before clipping")
             adam_step(policy.vector, grad, adam)
@@ -270,7 +280,7 @@ def collect_rollout(env, policy: policy_mod.Policy, inputs: dict[str, np.ndarray
         start = env.state.day_index
         segment = range(start, start + min(env.end - start, n_steps - t))
         for day, z in zip(segment, rng.standard_normal(len(segment)).tolist()):
-            out, _ = policy.forward(day_inputs(day))
+            out, _ = policy.forward(day_inputs(day), tape=False)
             mean = out.action_mean.item()
             u = mean + std * z
             reward, _ = env.step(min(max(u, -1.0), 1.0))
@@ -288,7 +298,7 @@ def collect_rollout(env, policy: policy_mod.Policy, inputs: dict[str, np.ndarray
             ep_return = 0.0
             env.reset(rng)
 
-    out, _ = policy.forward(day_inputs(env.state.day_index))
+    out, _ = policy.forward(day_inputs(env.state.day_index), tape=False)
     u = np.array(us)
     buffer = TrajectoryBuffer(inputs, np.array(days, dtype=np.intp), u,
                               policy_mod.gaussian_log_prob(u, np.array(means), std),

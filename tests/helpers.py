@@ -214,7 +214,7 @@ def collect_rollout_per_step(env, policy, inputs, n_steps: int, rng,
     for t in range(n_steps):
         day = env.state.day_index
         out, _ = policy.forward(day_inputs(day))
-        action, u, log_prob = sample_action(out, rng)
+        action, u, log_prob = sample_action(out, policy.action_std, rng)
         reward, _ = env.step(float(action[0]))
         for key, value in (("day", day), ("u", u[0]), ("old_log_prob", log_prob[0]),
                            ("reward", reward), ("value", out.value[0]), ("done", env.done)):

@@ -134,8 +134,8 @@ class TestBacktest:
         forward = policy.forward
         calls = iter(range(len(means) + 1))
 
-        def scripted_forward(flat, rng=None):
-            out, cache = forward(flat, rng)
+        def scripted_forward(flat, rng=None, tape=True):
+            out, cache = forward(flat, rng, tape)
             k = next(calls)
             out.action_mean = np.array([means[k] if k < len(means) else np.nan])
             return out, cache
@@ -363,6 +363,14 @@ class TestConfigFile:
         p = tmp_path / "c.txt"
         p.write_text("ok = 1\nbroken line\n")
         with pytest.raises(EvalError, match="line 2"):
+            load_config(str(p))
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_text("ppo.rollout = 64\n# comment\nenv.random_start = true\n"
+                     " ppo.rollout=128\n")
+        with pytest.raises(EvalError, match=r"line 4: key 'ppo.rollout' is already set "
+                                            r"on line 1"):
             load_config(str(p))
 
     def test_config_get_casts(self):
@@ -813,7 +821,11 @@ class TestCli:
             self, cli_workspace, tmp_path, capsys, line, want):
         boundary = load_checkpoint(str(cli_workspace["checkpoint"])).metadata["split_boundary"]
         config = tmp_path / "conflict.cfg"
-        config.write_text(CONFIG_TEXT + line + "\n")
+        # the conflicting line replaces the training config's line for its key
+        key = line.split("=")[0].strip()
+        kept = [kept_line for kept_line in CONFIG_TEXT.splitlines()
+                if kept_line.split("=")[0].strip() != key]
+        config.write_text("\n".join(kept + [line]) + "\n")
         rc = cli.main(["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
                        "--data", str(cli_workspace["data"]), "--config", str(config),
                        "--out-metrics", str(tmp_path / "m.json"),

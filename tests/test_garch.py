@@ -370,6 +370,16 @@ class TestFit:
         assert p.alpha1 + p.beta1 > 1.0 - 1e-6
         assert report.at_boundary
 
+    def test_fit_without_arch_term_flagged_at_boundary(self):
+        # The refit at t = 510 of the frozen market's rolling forecast (seed
+        # 2024): alpha1 ends near 5e-13, inside the persistence and alpha0
+        # bounds.
+        report = fit(frozen_market_returns(2024)[260:510])
+        p = report.params
+        assert p.alpha1 < 1e-10
+        assert p.alpha1 + p.beta1 < 1.0 - 1e-6 and p.alpha0 > 2e-12
+        assert report.at_boundary
+
     def test_mle_dominates_coarse_grid(self, garch_sample_10k, garch_fit_10k):
         # independent coarse grid over (alpha1, beta1), alpha0 targeting the
         # sample variance and mu at the sample mean

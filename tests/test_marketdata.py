@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import itertools
 import re
@@ -181,6 +182,28 @@ class TestLoadBars:
         back = load_bars(path)
         assert np.array_equal(back.values, small_five_min.values)
         assert np.array_equal(back.timestamps, small_five_min.timestamps)
+
+    def test_save_writes_the_csv_writer_bytes(self, small_five_min, tmp_path):
+        def csv_writer_bytes(series):
+            out = tmp_path / "reference.csv"
+            with open(out, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(md.CSV_HEADER)
+                for ts, row in zip(np.datetime_as_string(series.timestamps, unit="m"),
+                                   series.values):
+                    writer.writerow([ts] + [repr(float(x)) for x in row])
+            return out.read_bytes()
+
+        edge = md.BarSeries(
+            np.array(["0001-01-01T00:00", "2020-02-29T23:59", "9999-12-31T09:35"],
+                     dtype="datetime64[us]"),
+            [[1e300, 1.7976931348623157e308, 5e-324, 1.0, 0.0, 0.0],
+             [0.1, 0.30000000000000004, 1e-7, 0.2, 1e16, 123456789.125],
+             [2.5, 3.0, 2.0, 2.75, 5e-324, 1e-300]])
+        for series in (small_five_min, edge):
+            path = tmp_path / "saved.csv"
+            md.save_bars(series, str(path))
+            assert path.read_bytes() == csv_writer_bytes(series)
 
 
 def constant_day(date, price=10.0, volume=1.0):

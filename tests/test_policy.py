@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mctg import nn
-from mctg.evalcli import VARIANTS
+from mctg.evalcli import VARIANTS, Checkpoint
 from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
@@ -148,6 +148,98 @@ class TestForward:
             assert out.value[i] == pytest.approx(single.value[0], abs=1e-14)
 
 
+def forward_by_name(policy, flat):
+    """``h @ W.T + b`` per layer from the arrays ``named_parameters`` gives,
+    never through a ``Network``: the (means, values) those parameters define."""
+    params = dict(policy.named_parameters())
+
+    def dense(prefix, h, n_layers, tanh_out):
+        for i in range(n_layers):
+            h = h @ params[f"{prefix}.dense{i}.weights"].T + params[f"{prefix}.dense{i}.bias"]
+            if i < n_layers - 1 or tanh_out:
+                h = np.tanh(h)
+        return h
+
+    n_branch = len(policy.config.branch_hidden) + 1
+    state = np.concatenate([dense(f"branch.{b}", flat[b], n_branch, True)
+                            * params[f"branch_weight.{b}"] for b in policy.config.branches],
+                           axis=1)
+    return (dense("policy_trunk", state, 2, False)[:, 0],
+            dense("value_trunk", state, 2, False)[:, 0])
+
+
+class TestTape:
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_forward_without_tape_is_bit_equal(self, variant, rows):
+        rng = np.random.default_rng(30)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
+        taped, cache = policy.forward(flat)
+        acting, none = policy.forward(flat, tape=False)
+        assert cache is not None and none is None
+        for got, want in ((acting.action_mean, taped.action_mean), (acting.value, taped.value)):
+            assert got.shape == (rows,) and got.tobytes() == want.tobytes()
+        # with dropout on, the same rng stream gives the same bits either way
+        taped, _ = policy.forward(flat, np.random.default_rng(31))
+        acting, none = policy.forward(flat, np.random.default_rng(31), tape=False)
+        assert none is None
+        assert acting.action_mean.tobytes() == taped.action_mean.tobytes()
+        assert acting.value.tobytes() == taped.value.tobytes()
+
+    def test_acting_forward_records_nothing(self):
+        rng = np.random.default_rng(32)
+        policy = Policy(PolicyConfig(), rng)
+        flat = {b: rng.normal(size=(1, d)) for b, d in policy.input_dims.items()}
+        state, none = policy.assemble_state(flat, tape=False)
+        assert none is None and state.shape == (1, policy.config.state_dim)
+        for net in (*policy.branches.values(), policy.policy_trunk):
+            x = rng.normal(size=(1, net.in_dim))
+            assert nn.forward(net, x, tape=False)[1] is None
+            assert nn.forward(net, x, rng, tape=False)[1] is None
+
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    def test_forward_reads_parameters_after_an_adam_step(self, variant):
+        rng = np.random.default_rng(33)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        flat = {b: rng.normal(size=(4, d)) for b, d in policy.input_dims.items()}
+        before, _ = policy.forward(flat, tape=False)
+        adam = nn.AdamState(policy.parameters(), 1e-2)
+        nn.adam_step(policy.vector, rng.normal(size=policy.vector.size), adam)
+        for tape in (True, False):
+            out, _ = policy.forward(flat, tape=tape)
+            mean, value = forward_by_name(policy, flat)
+            assert np.array_equal(out.action_mean, mean) and np.array_equal(out.value, value)
+            assert not np.array_equal(out.action_mean, before.action_mean)
+
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN-GARCH"])
+    def test_forward_reads_parameters_loaded_from_a_checkpoint(self, variant):
+        config = VARIANTS[variant].policy_config()
+        trained = Policy(config, np.random.default_rng(34))
+        trained.vector += np.random.default_rng(35).normal(0.0, 0.1, trained.vector.size)
+        ck = Checkpoint(variant, config, {name: p.copy() for name, p
+                                          in trained.named_parameters()},
+                        0, {}, {})
+        loaded = ck.build_policy()
+        flat = {b: np.random.default_rng(36).normal(size=(3, d))
+                for b, d in loaded.input_dims.items()}
+        out, _ = loaded.forward(flat, tape=False)
+        want, _ = trained.forward(flat, tape=False)
+        mean, value = forward_by_name(loaded, flat)
+        assert np.array_equal(out.action_mean, mean) and np.array_equal(out.value, value)
+        assert np.array_equal(out.action_mean, want.action_mean)
+        fresh, _ = Policy(config, np.random.default_rng(0)).forward(flat, tape=False)
+        assert not np.array_equal(out.action_mean, fresh.action_mean)
+
+    def test_branches_of_unequal_rows_rejected(self):
+        rng = np.random.default_rng(37)
+        policy = Policy(tiny_policy_config(), rng)
+        flat = {b: rng.normal(size=(2 if b == "short" else 1, d))
+                for b, d in policy.input_dims.items()}
+        with pytest.raises(PolicyError, match="'mid' has 1 rows, the first branch 2"):
+            policy.forward(flat, tape=False)
+
+
 class TestParameters:
     def test_names_align_with_arrays(self):
         rng = np.random.default_rng(9)
@@ -289,9 +381,8 @@ class TestGaussianHead:
             mean.append(m)
         mean.append(np.nan)
         from mctg.policy import PolicyOutput
-        out = PolicyOutput(action_mean=np.array(mean), action_std=std,
-                           value=np.zeros(len(mean)))
-        action, u, logp = sample_action(out, np.random.default_rng(17))
+        out = PolicyOutput(action_mean=np.array(mean), value=np.zeros(len(mean)))
+        action, u, logp = sample_action(out, std, np.random.default_rng(17))
         assert np.array_equal(u[:-1], targets)
         want = np.clip(u, -1.0, 1.0)
         assert action.tobytes() == want.tobytes()
@@ -302,8 +393,8 @@ class TestGaussianHead:
         rng = np.random.default_rng(16)
         from mctg.policy import PolicyOutput
         out = PolicyOutput(action_mean=rng.normal(0, 2, size=1_000_000),
-                           action_std=1.5, value=np.zeros(1))
-        action, u, logp = sample_action(out, rng)
+                           value=np.zeros(1))
+        action, u, logp = sample_action(out, 1.5, rng)
         assert np.all(action >= -1.0) and np.all(action <= 1.0)
         # log-prob is of the pre-clip draw
         assert np.allclose(logp, gaussian_log_prob(u, out.action_mean, 1.5))

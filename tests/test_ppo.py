@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mctg.env import EnvConfig, TradingEnv
+from mctg.evalcli import VARIANTS
 from mctg.nn import AdamState
 from mctg.policy import Policy, PolicyConfig, gaussian_log_prob
 from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
@@ -197,7 +198,7 @@ class TestBuffer:
         buf, _ = collect_rollout(env, policy, inputs, 32, rng)
         for i in range(32):
             out, _ = policy.forward({"mid": buf.inputs["mid"][buf.day[i:i + 1]]})
-            lp = gaussian_log_prob(buf.u[i], out.action_mean, out.action_std)
+            lp = gaussian_log_prob(buf.u[i], out.action_mean, policy.action_std)
             assert buf.old_log_prob[i] == pytest.approx(lp[0], abs=1e-12)
 
     def test_done_bookkeeping(self, small_dataset):
@@ -298,7 +299,7 @@ class TestLossAndGrads:
         config = PpoConfig(rollout=64, minibatches=1, total_steps=64)
         batch = random_batch(policy, rng, n=64)
         out, _ = policy.forward(batch["obs"])
-        new = gaussian_log_prob(batch["u"], out.action_mean, out.action_std)
+        new = gaussian_log_prob(batch["u"], out.action_mean, policy.action_std)
         # rows 0-7 clamp the ratio's exponent (both signs); the rest spread
         # the ratio over about [0.6, 1.65], across both clip edges
         shift = np.concatenate([[80.0, -80.0] * 4, rng.uniform(-0.5, 0.5, size=56)])
@@ -330,7 +331,7 @@ class TestLossAndGrads:
         obs = {name: rng.normal(size=(n, d)) for name, d in dims.items()}
         out, _ = policy.forward(obs)
         u = out.action_mean + 0.1  # arbitrary draws
-        lp = gaussian_log_prob(u, out.action_mean, out.action_std)
+        lp = gaussian_log_prob(u, out.action_mean, policy.action_std)
         batch = {"obs": obs, "u": u, "old_log_prob": lp,
                  "advantages": np.zeros(n), "returns": out.value.copy()}
         config = PpoConfig(rollout=8, minibatches=1, total_steps=8,
@@ -340,13 +341,35 @@ class TestLossAndGrads:
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_grad_clipping(self):
-        grads = [np.array([3.0, 4.0])]
-        norm = clip_grad_norm(grads, 1.0)
+        grad = np.array([3.0, 4.0])
+        norm = clip_grad_norm(grad, [(2,)], 1.0)
         assert norm == pytest.approx(5.0)
-        assert np.allclose(grads[0], [0.6, 0.8])
-        grads = [np.array([0.3, 0.4])]
-        clip_grad_norm(grads, 1.0)
-        assert np.allclose(grads[0], [0.3, 0.4])
+        assert np.allclose(grad, [0.6, 0.8])
+        grad = np.array([0.3, 0.4])
+        clip_grad_norm(grad, [(2,)], 1.0)
+        assert np.allclose(grad, [0.3, 0.4])
+
+    @pytest.mark.parametrize("variant", ["MCTG", "MCT", "DNN", "DNN-GARCH"])
+    def test_flat_clip_equals_per_array_clip(self, variant):
+        # the norm and the scaled gradient hold the bits of the per-array
+        # form: one sum of squares per parameter, added in order
+        rng = np.random.default_rng(40)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        for _ in range(20):
+            size = policy.vector.size
+            grad = rng.normal(size=size) * np.exp(rng.uniform(-25.0, 2.0, size=size))
+            views = [g.copy() for g in policy.unflatten(grad)]
+            want = float(np.sqrt(sum(float((g * g).sum()) for g in views)))
+            max_norm = want * rng.uniform(0.5, 1.5)
+            if want > max_norm:
+                for g in views:
+                    g *= max_norm / want
+            assert clip_grad_norm(grad, policy.shapes, max_norm) == want
+            assert grad.tobytes() == np.concatenate([g.ravel() for g in views]).tobytes()
+
+    def test_grad_clipping_shapes_must_cover_the_gradient(self):
+        with pytest.raises(PpoError, match="shapes hold 2 values, the gradient 3"):
+            clip_grad_norm(np.ones(3), [(2,)], 1.0)
 
 
 class TestTrainLoop:
