@@ -20,14 +20,23 @@ class NetworkError(Exception):
 class Network:
     """A dense stack: ``weights[i]`` is (out, in) and ``biases[i]`` is (out,).
 
+    A network may also be a stack of ``members`` networks of one shape, run
+    side by side: then ``weights[i]`` is (members, out, in) and ``biases[i]``
+    (members, out), and every array ``forward`` makes has a leading member
+    axis. The members read one shared (rows, in) input, unless the first
+    layer's weights are a list of per-member (out, in_m) arrays: then member
+    m reads its own (rows, in_m) input, and ``forward`` takes a list of them.
+
     Hidden layers are tanh, and so is the output layer when ``tanh_out`` is
     set; otherwise it is linear. When the stack has more than one layer,
     inverted dropout at ``dropout`` follows the first hidden layer.
 
-    ``layers`` holds, per layer, the views ``forward`` reads: ``W.T``, the bias
-    as a (1, out) row and whether a tanh follows. They are built once over the
-    arrays given, so a write into a weight or bias shows in the next forward;
-    an array that replaces a ``weights`` or ``biases`` entry does not.
+    ``layers`` holds, per layer, what ``forward`` reads: the product
+    (``np.matmul``, or one ``np.dot`` per member for per-member inputs), the
+    view ``W.T`` (per member), the bias as a (1, out) row (per member), whether
+    a tanh follows and whether dropout precedes. The views are built once over
+    the arrays given, so a write into a weight or bias shows in the next
+    forward; an array that replaces a ``weights`` or ``biases`` entry does not.
     """
 
     def __init__(self, weights: list, biases: list, tanh_out: bool = False,
@@ -38,11 +47,19 @@ class Network:
         self.biases = list(biases)
         self.tanh_out = tanh_out
         self.dropout = dropout
-        self.in_dim = self.weights[0].shape[1]
-        self.out_dim = self.weights[-1].shape[0]
+        first = self.weights[0]
+        self.per_member_inputs = isinstance(first, list)
+        self.in_dim = [w.shape[1] for w in first] if self.per_member_inputs else first.shape[-1]
+        self.out_dim = self.weights[-1].shape[-2]
         last = len(self.weights) - 1
-        self.layers = [(w.T, b[None], i < last or tanh_out)
-                       for i, (w, b) in enumerate(zip(self.weights, self.biases))]
+        self.layers = []
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if isinstance(w, list):
+                product, w_t = _member_products, [w_m.T for w_m in w]
+            else:
+                product, w_t = np.matmul, w.swapaxes(-1, -2)
+            self.layers.append((product, w_t, b[..., None, :], i < last or tanh_out,
+                                i == 1 and dropout > 0.0))
 
 
 def layer_shapes(sizes) -> list[tuple]:
@@ -74,35 +91,54 @@ class ForwardCache:
     mask: np.ndarray | None   # the dropout keep-mask (already scaled), if drawn
 
 
-def forward(net: Network, x: np.ndarray, rng: np.random.Generator | None = None,
+def _member_products(xs: list, w_ts: list) -> np.ndarray:
+    """The (members, rows, out) first-layer products of members that read
+    inputs of their own widths: member m's ``np.dot`` writes slice m."""
+    h = np.empty((len(w_ts), len(xs[0]), w_ts[0].shape[1]))
+    try:
+        if len(xs) == len(w_ts):
+            for x_m, w_t, h_m in zip(xs, w_ts, h):
+                np.dot(x_m, w_t, out=h_m)
+            return h
+    except ValueError:   # np.dot rejects an input whose shape does not fit its slice
+        pass
+    raise NetworkError(f"member inputs of shapes {[np.shape(x) for x in xs]} do not "
+                       f"match (rows, in) for in = {[w.shape[0] for w in w_ts]}")
+
+
+def forward(net: Network, x, rng: np.random.Generator | None = None,
             tape: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
-    """Run the network on the float64 array ``x`` of shape (rows, in_dim);
-    returns the (rows, out_dim) output and, when ``tape`` is set, the cache
-    ``backward`` reads, else None.
+    """Run the network on the float64 array ``x`` of shape (rows, in_dim), or
+    on the list of per-member inputs of a stack whose first layer is per
+    member; returns the (rows, out_dim) output, with a leading member axis
+    for a stack, and, when ``tape`` is set, the cache ``backward`` reads, else
+    None.
 
     Dropout runs if and only if ``rng`` is given. It is inverted: the mask
     divides by the keep probability, so without an rng nothing is rescaled.
+    A stack draws one mask over all its members, the stream of one draw per
+    member in member order.
 
-    A dense layer is ``np.dot(h, W.T)``, then the bias and the activation in
-    place on that fresh array; ``x`` is never written. ``np.dot`` gives the bits
-    of ``h @ W.T`` at less per-call cost, while a contiguous copy of ``W.T``
-    would change the last bits. The bias is added as a (1, out) row: on one
-    row that skips numpy's broadcast set-up, and the sums are the same.
+    A dense layer is one ``np.matmul`` of ``h`` by the transposed view of
+    the weights over all members, then the bias and the activation in place
+    on that fresh array; ``x`` is never written. Per member the product has
+    the bits of ``h @ W.T``, while a contiguous copy of ``W.T`` would change
+    the last bits. The bias is added as a (1, out) row per member.
     """
-    if x.ndim != 2 or x.shape[1] != net.in_dim:
+    if not net.per_member_inputs and (x.ndim != 2 or x.shape[1] != net.in_dim):
         raise NetworkError(f"input shape {x.shape} does not match (rows, {net.in_dim})")
 
     inputs, acts = [], []
     mask = None
     h = x
-    for i, (w_t, b_row, tanh) in enumerate(net.layers):
-        if i == 1 and rng is not None and net.dropout > 0.0:
+    for product, w_t, b_row, tanh, drop in net.layers:
+        if drop and rng is not None:
             keep = 1.0 - net.dropout
             mask = (rng.random(h.shape) < keep) / keep
             h = h * mask
         if tape:
             inputs.append(h)
-        h = np.dot(h, w_t)
+        h = product(h, w_t)
         h += b_row
         if tanh:
             np.tanh(h, out=h)
@@ -112,34 +148,41 @@ def forward(net: Network, x: np.ndarray, rng: np.random.Generator | None = None,
 
 
 def backward(net: Network, cache: ForwardCache, grad_output,
-             input_grad: bool = True) -> tuple[list[np.ndarray], np.ndarray | None]:
+             input_grad: bool = True) -> tuple[list, np.ndarray | list | None]:
     """Exact reverse-mode gradients of the forward map recorded in ``cache``.
 
-    ``grad_output`` has the (rows, out_dim) shape of the output. Returns the
-    gradients of ``weights[0], biases[0], weights[1], ...`` plus the (rows,
-    in_dim) gradient with respect to the input, or None when ``input_grad`` is
-    false, which skips its product. The dropout mask is replayed, never
-    re-sampled.
+    ``grad_output`` has the shape of the output. Returns the gradients of
+    ``weights[0], biases[0], weights[1], ...``, shaped like them, plus the
+    gradient with respect to the input, or None when ``input_grad`` is false,
+    which skips its product. A stack's members that share one input add
+    their gradients of it; members with inputs of their own get a list. The
+    dropout mask is replayed, never re-sampled.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.acts[-1].shape:
         raise NetworkError(
             f"gradient shape {g.shape} does not match output {cache.acts[-1].shape}")
 
-    grads: list[np.ndarray] = []
+    grads: list = []
     last = len(net.weights) - 1
     for i in range(last, -1, -1):
         a = cache.acts[i]
+        h = cache.inputs[i]
         dz = g * (1.0 - a * a) if i < last or net.tanh_out else g
-        grads.append(dz.sum(axis=0))                 # bias
-        grads.append(dz.T @ cache.inputs[i])         # weights
+        grads.append(dz.sum(axis=-2))                # bias
+        per_member = i == 0 and net.per_member_inputs
+        grads.append([dz_m.T @ h_m for dz_m, h_m in zip(dz, h)] if per_member
+                     else np.matmul(dz.swapaxes(-1, -2), h))    # weights
         if i == 0 and not input_grad:
             g = None
             break
-        g = dz @ net.weights[i]
+        w = net.weights[i]
+        g = [dz_m @ w_m for dz_m, w_m in zip(dz, w)] if per_member else dz @ w
         if i == 1 and cache.mask is not None:
             g = g * cache.mask
     grads.reverse()
+    if g is not None and not net.per_member_inputs and g.ndim > cache.inputs[0].ndim:
+        g = g.sum(axis=0)
     return grads, g
 
 
@@ -155,6 +198,30 @@ def unflatten(vector: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     return views
 
 
+def flat_slices(params: list) -> list[slice]:
+    """Where each array of ``params`` lies in the one flat float64 vector
+    they all view, as a slice of it, in the order of ``params``. An array that
+    owns its memory is that vector itself. The arrays must be contiguous and
+    must together cover the vector."""
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    vector = owner(params[0])
+    start = vector.ctypes.data
+    slices = []
+    for p in params:
+        if owner(p) is not vector or not p.flags.c_contiguous:
+            raise NetworkError("parameters must be contiguous views of one flat vector")
+        offset = (p.ctypes.data - start) // p.itemsize
+        slices.append(slice(offset, offset + p.size))
+    if sum(p.size for p in params) != vector.size:
+        raise NetworkError(f"parameters hold {sum(p.size for p in params)} values, "
+                           f"their vector {vector.size}")
+    return slices
+
+
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -163,17 +230,18 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam moment accumulators with bias correction for the parameters
-    ``params``, kept as one flat vector each in the order of ``params``;
-    ``m`` and ``v`` are their per-parameter views."""
+    ``params``, kept as one flat vector each, laid out like the flat vector
+    ``params`` view (``flat_slices``); ``m`` and ``v`` are their
+    per-parameter views, in the order of ``params``."""
 
     def __init__(self, params: list, learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
-        shapes = [np.shape(p) for p in params]
-        size = sum(math.prod(shape) for shape in shapes)
+        slices = flat_slices(params)
+        size = sum(s.stop - s.start for s in slices)
         self.m_vector, self.v_vector = np.zeros(size), np.zeros(size)
-        self.m = unflatten(self.m_vector, shapes)
-        self.v = unflatten(self.v_vector, shapes)
+        self.m = [self.m_vector[s].reshape(np.shape(p)) for s, p in zip(slices, params)]
+        self.v = [self.v_vector[s].reshape(np.shape(p)) for s, p in zip(slices, params)]
         # adam_step's two work vectors, so a step allocates nothing.
         self._scratch = (np.empty(size), np.empty(size))
 

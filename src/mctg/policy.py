@@ -12,7 +12,7 @@ at the pre-clip draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,67 +72,88 @@ class PolicyOutput:
 
 @dataclass
 class PolicyCache:
-    branch_caches: dict = field(default_factory=dict)
-    policy_cache: object = None
-    value_cache: object = None
+    branch_cache: nn.ForwardCache   # the branch stack's tape
+    trunk_cache: nn.ForwardCache    # the trunk stack's tape
+
+
+TRUNKS = ("policy_trunk", "value_trunk")
 
 
 class Policy:
     """Parameter container plus forward/backward for the full actor-critic.
 
-    Every parameter array is a view into the one float64 ``vector``, in
-    ``named_parameters`` order, so an optimizer can step them all at once, and
-    the networks are built over those views."""
+    The branches run as one ``nn`` stack with a member per branch, and the
+    policy and value trunks as a second stack of two over the shared state.
+    Every parameter array is a view into the one float64 ``vector``, which
+    holds each level of a stack as one contiguous (members, ...) block, so an
+    optimizer can step them all at once and the stacks read the blocks in
+    place. ``named_parameters`` gives per-name views of those blocks in
+    checkpoint order, and ``branches``, ``policy_trunk`` and ``value_trunk``
+    are per-member networks over the same views."""
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
         self.input_dims = config.input_dims()   # branch -> width of its input rows
-        branch_sizes = {name: [dim, *config.branch_hidden, config.branch_out]
-                        for name, dim in self.input_dims.items()}
+        k = len(config.branches)
+        branch_sizes = [*config.branch_hidden, config.branch_out]
         trunk_sizes = [config.state_dim, config.trunk_hidden, 1]
+        # the blocks in vector order: the first branch level's weights per
+        # branch, then a (members, ...) block per weight, bias and branch
+        # weight, then the trunks' blocks and the log-std
+        block_shapes = [(branch_sizes[0], dim) for dim in self.input_dims.values()]
+        block_shapes += [(k, branch_sizes[0])]
+        block_shapes += [(k, *shape) for shape in nn.layer_shapes(branch_sizes)]
+        block_shapes += [(k, config.branch_out)]
+        block_shapes += [(len(TRUNKS), *shape) for shape in nn.layer_shapes(trunk_sizes)]
+        block_shapes += [()]
+        self.vector = np.zeros(sum(math.prod(shape) for shape in block_shapes))
+        blocks = nn.unflatten(self.vector, block_shapes)
+        # first: per branch; branch_blocks: bias0, weights1, bias1, ...
+        n_branch_blocks = 2 * len(branch_sizes) - 1
+        first, branch_blocks = blocks[:k], blocks[k:k + n_branch_blocks]
+        branch_weight, *trunk_blocks, self.log_std = blocks[k + n_branch_blocks:]
 
-        def dense(prefix: str, sizes) -> list[tuple[str, tuple]]:
-            names = [f"{prefix}.dense{i}.{kind}"
-                     for i in range(len(sizes) - 1) for kind in ("weights", "bias")]
-            return list(zip(names, nn.layer_shapes(sizes)))
+        named: list[tuple[str, np.ndarray]] = []
+        member_params = {}
+        for m, name in enumerate(config.branches):
+            params = [first[m], *(block[m] for block in branch_blocks)]
+            member_params[name] = params
+            named += self._dense_names(f"branch.{name}", params)
+            named.append((f"branch_weight.{name}", branch_weight[m]))
+        for m, name in enumerate(TRUNKS):
+            member_params[name] = [block[m] for block in trunk_blocks]
+            named += self._dense_names(name, member_params[name])
+        named.append(("log_std", self.log_std))
+        self._named = named
+        self.slices = nn.flat_slices(self.parameters())
 
-        layout: list[tuple[str, tuple]] = []
-        for name in config.branches:
-            layout += dense(f"branch.{name}", branch_sizes[name])
-            layout.append((f"branch_weight.{name}", (config.branch_out,)))
-        layout += dense("policy_trunk", trunk_sizes) + dense("value_trunk", trunk_sizes)
-        layout.append(("log_std", ()))
-        self.shapes = [shape for _, shape in layout]
-        self.vector = np.zeros(sum(math.prod(shape) for shape in self.shapes))
-        self._named = [(name, view) for (name, _), view
-                       in zip(layout, self.unflatten(self.vector))]
-        views = dict(self._named)
-
-        def build(prefix: str, sizes, **kwargs) -> nn.Network:
-            params = [views[name] for name, _ in dense(prefix, sizes)]
-            return nn.mlp(sizes, rng, params=params, **kwargs)
-
-        self.branches = {name: build(f"branch.{name}", sizes, tanh_out=True,
-                                     dropout=config.dropout)
-                         for name, sizes in branch_sizes.items()}
-        self.branch_weights = {name: views[f"branch_weight.{name}"] for name in config.branches}
-        for weight in self.branch_weights.values():
-            weight[...] = 1.0
-        self.policy_trunk = build("policy_trunk", trunk_sizes)
-        self.value_trunk = build("value_trunk", trunk_sizes)
-        self.log_std = views["log_std"]
+        # Initialization draws from rng member by member, in named order.
+        self.branches = {name: nn.mlp([dim, *branch_sizes], rng, tanh_out=True,
+                                      dropout=config.dropout, params=member_params[name])
+                         for name, dim in self.input_dims.items()}
+        branch_weight[...] = 1.0
+        self.branch_weights = dict(zip(config.branches, branch_weight))
+        self.policy_trunk, self.value_trunk = (
+            nn.mlp(trunk_sizes, rng, params=member_params[name]) for name in TRUNKS)
         self.log_std[...] = config.init_log_std
-        # assemble_state's loop: each branch's network, its weights as a
-        # (1, out) row and its columns of the state
-        width = config.branch_out
-        self._branch_plan = [(name, self.branches[name], self.branch_weights[name][None],
-                              slice(k * width, (k + 1) * width))
-                             for k, name in enumerate(config.branches)]
+
+        self.branch_stack = nn.Network([list(first), *branch_blocks[1::2]],
+                                       branch_blocks[0::2], tanh_out=True,
+                                       dropout=config.dropout)
+        self.trunk_stack = nn.Network(trunk_blocks[0::2], trunk_blocks[1::2])
+        self._branch_weight_rows = branch_weight[:, None, :]
+
+    @staticmethod
+    def _dense_names(prefix: str, params: list) -> list[tuple[str, np.ndarray]]:
+        return [(f"{prefix}.dense{i // 2}.{'bias' if i % 2 else 'weights'}", p)
+                for i, p in enumerate(params)]
 
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        """(checkpoint name, array) for every parameter, in ``vector`` order."""
+        """(checkpoint name, array) for every parameter: per branch its dense
+        weights and biases and its branch weight, then the policy trunk, the
+        value trunk and the log-std."""
         return list(self._named)
 
     def parameters(self) -> list[np.ndarray]:
@@ -141,7 +162,14 @@ class Policy:
     def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views of a flat vector laid out like ``vector`` (a gradient, say),
         shaped like the parameters, in ``named_parameters`` order."""
-        return nn.unflatten(vector, self.shapes)
+        return [vector[s].reshape(p.shape) for s, p in zip(self.slices, self.parameters())]
+
+    def __deepcopy__(self, memo) -> "Policy":
+        """A policy of the same config over a copy of ``vector``: its views
+        and networks read its own vector, never this one's."""
+        twin = Policy(self.config, np.random.default_rng(0))
+        twin.vector[...] = self.vector
+        return twin
 
     # -- observation handling ----------------------------------------------
 
@@ -168,24 +196,23 @@ class Policy:
 
     def assemble_state(self, flat_obs: dict[str, np.ndarray],
                        rng: np.random.Generator | None = None, tape: bool = True
-                       ) -> tuple[np.ndarray, PolicyCache | None]:
+                       ) -> tuple[np.ndarray, nn.ForwardCache | None]:
         """The (rows, state_dim) concatenation of the weighted branch outputs
-        for (rows, dim) branch inputs; the branches' dropout runs if and only
-        if ``rng`` is given. The cache is recorded only when ``tape`` is set."""
-        cache = PolicyCache() if tape else None
-        state = None
-        for name, net, weight_row, columns in self._branch_plan:
-            out, branch_cache = nn.forward(net, flat_obs[name], rng, tape)
-            if state is None:
-                state = np.empty((len(out), self.config.state_dim))
-            elif len(out) != len(state):
-                raise PolicyError(f"branch {name!r} has {len(out)} rows, "
-                                  f"the first branch {len(state)}")
-            # a (1, out) row, like the bias in nn.forward: same products, less set-up
-            np.multiply(out, weight_row, out=state[:, columns])
-            if tape:
-                cache.branch_caches[name] = branch_cache
-        return state, cache
+        for (rows, dim) branch inputs, and the branch stack's tape when
+        ``tape`` is set, else None; the branches' dropout runs if and only if
+        ``rng`` is given."""
+        xs = [flat_obs[name] for name in self.config.branches]
+        try:
+            out, branch_cache = nn.forward(self.branch_stack, xs, rng, tape)
+        except nn.NetworkError:
+            for name, x in zip(self.config.branches, xs):
+                if len(x) != len(xs[0]):
+                    raise PolicyError(f"branch {name!r} has {len(x)} rows, "
+                                      f"the first branch {len(xs[0])}") from None
+            raise
+        # Member m's weighted output goes to columns m*out:(m+1)*out of each row.
+        weighted = np.multiply(out, self._branch_weight_rows)
+        return weighted.transpose(1, 0, 2).reshape(len(xs[0]), -1), branch_cache
 
     def forward(self, flat_obs: dict[str, np.ndarray],
                 rng: np.random.Generator | None = None, tape: bool = True
@@ -193,12 +220,10 @@ class Policy:
         """Action means and values for (rows, dim) branch inputs, and the cache
         ``backward`` reads. A caller that will not differentiate passes
         ``tape=False`` and gets None in place of the cache."""
-        state, cache = self.assemble_state(flat_obs, rng, tape)
-        mean, policy_cache = nn.forward(self.policy_trunk, state, rng, tape)
-        value, value_cache = nn.forward(self.value_trunk, state, rng, tape)
-        if tape:
-            cache.policy_cache, cache.value_cache = policy_cache, value_cache
-        return PolicyOutput(mean[:, 0], value[:, 0]), cache
+        state, branch_cache = self.assemble_state(flat_obs, rng, tape)
+        heads, trunk_cache = nn.forward(self.trunk_stack, state, rng, tape)
+        out = PolicyOutput(heads[0, :, 0], heads[1, :, 0])
+        return out, PolicyCache(branch_cache, trunk_cache) if tape else None
 
     def backward(self, cache: PolicyCache, d_mean, d_value,
                  d_log_std: float = 0.0) -> np.ndarray:
@@ -207,31 +232,23 @@ class Policy:
         (raw) log-std, as one flat vector laid out like ``vector``.
 
         The branches' inputs are data, so their gradient is never formed."""
-        d_mean = np.asarray(d_mean, dtype=np.float64)[:, None]
-        d_value = np.asarray(d_value, dtype=np.float64)[:, None]
-        p_grads, d_state_p = nn.backward(self.policy_trunk, cache.policy_cache, d_mean)
-        v_grads, d_state_v = nn.backward(self.value_trunk, cache.value_cache, d_value)
-        d_state = d_state_p + d_state_v
+        d_heads = np.stack([np.asarray(d_mean, dtype=np.float64),
+                            np.asarray(d_value, dtype=np.float64)])[:, :, None]
+        trunk_grads, d_state = nn.backward(self.trunk_stack, cache.trunk_cache, d_heads)
 
-        grads: list[np.ndarray] = []
-        offset = 0
-        width = self.config.branch_out
-        for name in self.config.branches:
-            d_chunk = d_state[:, offset:offset + width]
-            offset += width
-            b_cache = cache.branch_caches[name]
-            b_grads, _ = nn.backward(self.branches[name], b_cache,
-                                     d_chunk * self.branch_weights[name], input_grad=False)
-            grads.extend(b_grads)
-            grads.append((d_chunk * b_cache.acts[-1]).sum(axis=0))
-        grads.extend(p_grads)
-        grads.extend(v_grads)
+        rows, k = len(d_state), len(self.config.branches)
+        d_out = d_state.reshape(rows, k, -1).transpose(1, 0, 2)
+        d_branch = np.multiply(d_out, self._branch_weight_rows, order="C")
+        branch_grads, _ = nn.backward(self.branch_stack, cache.branch_cache, d_branch,
+                                      input_grad=False)
+        d_branch_weight = (d_out * cache.branch_cache.acts[-1]).sum(axis=1)
 
         # Clamped log-std saturates: no gradient outside the bounds.
         raw = float(self.log_std)
         inside = self.config.log_std_min < raw < self.config.log_std_max
-        grads.append(np.array(d_log_std if inside else 0.0, dtype=np.float64))
-        return np.concatenate([g.ravel() for g in grads])
+        d_log_std = np.array(d_log_std if inside else 0.0, dtype=np.float64)
+        return np.concatenate([g.ravel() for g in (*branch_grads[0], *branch_grads[1:],
+                                                   d_branch_weight, *trunk_grads, d_log_std)])
 
 
 def gaussian_log_prob(u, mean, std: float):

@@ -187,21 +187,20 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     return loss, stats, grad
 
 
-def clip_grad_norm(grad: np.ndarray, shapes: list[tuple], max_norm: float) -> float:
-    """Scale the flat gradient ``grad``, consecutive runs of parameters shaped
-    ``shapes``, in place so its norm is at most ``max_norm``; returns the norm
-    before scaling.
+def clip_grad_norm(grad: np.ndarray, slices: list[slice], max_norm: float) -> float:
+    """Scale the flat gradient ``grad`` in place so its norm is at most
+    ``max_norm``; returns the norm before scaling.
 
-    The norm adds the per-parameter sums of squares in order, each summed over
-    its own run, as a per-array sum would."""
+    ``slices`` cut ``grad`` into its parameters, as ``Policy.slices`` do. The
+    norm adds the per-parameter sums of squares in their order, each summed
+    over its own run, as a per-array sum would."""
     squares = grad * grad
-    total, offset = 0.0, 0
-    for shape in shapes:
-        size = math.prod(shape)
-        total += float(squares[offset:offset + size].sum())
-        offset += size
-    if offset != grad.size:
-        raise PpoError(f"shapes hold {offset} values, the gradient {grad.size}")
+    total = 0.0
+    for s in slices:
+        total += float(squares[s].sum())
+    covered = sum(s.stop - s.start for s in slices)
+    if covered != grad.size:
+        raise PpoError(f"slices hold {covered} values, the gradient {grad.size}")
     total = float(np.sqrt(total))
     if total > max_norm:
         grad *= max_norm / total
@@ -237,7 +236,7 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
                 "returns": returns[idx],
             }
             _, stats, grad = ppo_loss_and_grads(policy, batch, config, rng)
-            grad_norm = clip_grad_norm(grad, policy.shapes, config.max_grad_norm)
+            grad_norm = clip_grad_norm(grad, policy.slices, config.max_grad_norm)
             if not math.isfinite(grad_norm):
                 raise PpoError(f"non-finite gradient norm {grad_norm} before clipping")
             adam_step(policy.vector, grad, adam)

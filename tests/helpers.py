@@ -2,8 +2,8 @@
 ``mctg.nn`` networks, a tiny policy configuration, a GARCH(1,1) return
 simulator, and the references that
 faster code must match bit for bit: the per-day market generator and day
-grouping, the per-array Adam step, the policy backward through every input
-gradient and the per-step rollout."""
+grouping, the per-array Adam step, the policy forward and backward one member
+network at a time, and the per-step rollout."""
 
 from __future__ import annotations
 
@@ -175,22 +175,38 @@ def adam_step_per_array(params, grads, m, v, t: int, learning_rate: float) -> No
         p -= learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
 
 
-def policy_backward_per_array(policy, cache, d_mean, d_value, d_log_std: float = 0.0):
-    """``Policy.backward`` as a list of per-parameter gradients, each branch's
-    taken from the full ``nn.backward``, input gradient included."""
+def policy_forward_per_member(policy, flat, rng=None):
+    """``Policy.forward`` one member network at a time: each branch of
+    ``policy.branches`` in order (dropout from ``rng``), the weighted outputs
+    concatenated, then ``policy_trunk`` and ``value_trunk``. Returns the
+    (rows,) means and values and the per-member tapes by name."""
+    outs, tapes = {}, {}
+    for name in policy.config.branches:
+        outs[name], tapes[name] = forward(policy.branches[name], flat[name], rng)
+    state = np.concatenate([outs[name] * policy.branch_weights[name]
+                            for name in policy.config.branches], axis=1)
+    mean, tapes["policy_trunk"] = forward(policy.policy_trunk, state, rng)
+    value, tapes["value_trunk"] = forward(policy.value_trunk, state, rng)
+    return mean[:, 0], value[:, 0], tapes
+
+
+def policy_backward_per_array(policy, flat, rng, d_mean, d_value, d_log_std: float = 0.0):
+    """``Policy.backward`` as a list of per-parameter gradients, in
+    ``named_parameters`` order, from ``policy_forward_per_member``'s tapes
+    and each member's full ``nn.backward``, input gradient included."""
+    _, _, tapes = policy_forward_per_member(policy, flat, rng)
     d_mean = np.asarray(d_mean, dtype=np.float64)[:, None]
     d_value = np.asarray(d_value, dtype=np.float64)[:, None]
-    p_grads, d_state_p = backward(policy.policy_trunk, cache.policy_cache, d_mean)
-    v_grads, d_state_v = backward(policy.value_trunk, cache.value_cache, d_value)
+    p_grads, d_state_p = backward(policy.policy_trunk, tapes["policy_trunk"], d_mean)
+    v_grads, d_state_v = backward(policy.value_trunk, tapes["value_trunk"], d_value)
     d_state = d_state_p + d_state_v
     grads, width = [], policy.config.branch_out
     for k, name in enumerate(policy.config.branches):
         d_chunk = d_state[:, k * width:(k + 1) * width]
-        b_cache = cache.branch_caches[name]
-        b_grads, _ = backward(policy.branches[name], b_cache,
+        b_grads, _ = backward(policy.branches[name], tapes[name],
                               d_chunk * policy.branch_weights[name])
         grads.extend(b_grads)
-        grads.append((d_chunk * b_cache.acts[-1]).sum(axis=0))
+        grads.append((d_chunk * tapes[name].acts[-1]).sum(axis=0))
     grads.extend(p_grads)
     grads.extend(v_grads)
     raw = float(policy.log_std)

@@ -3,8 +3,8 @@ import pytest
 
 from mctg.evalcli import VARIANTS
 from mctg.marketdata import window_at
-from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, forward, mlp,
-                     unflatten)
+from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, flat_slices, forward,
+                     mlp, unflatten)
 from mctg.policy import Policy
 
 from helpers import adam_step_per_array, grad_check, network_parameters, relative_error
@@ -119,6 +119,61 @@ class TestForwardOracle:
         assert np.array_equal(out.value, want_value)
         for b, a in flat.items():
             assert np.array_equal(a, before[b])
+
+
+def stack_and_members(per_member_inputs, rng):
+    """A three-member stack over one flat vector, and a ``Network`` per member
+    over views of the same blocks: 20-, 12- and 7-wide inputs of their own,
+    or one shared 9-wide input."""
+    widths = [20, 12, 7] if per_member_inputs else [9, 9, 9]
+    firsts = [rng.normal(size=(5, w)) for w in widths]
+    blocks = [rng.normal(size=shape) for shape in [(3, 5), (3, 4, 5), (3, 4)]]
+    w0 = firsts if per_member_inputs else np.stack(firsts)
+    stack = Network([w0, blocks[1]], [blocks[0], blocks[2]], tanh_out=True, dropout=0.25)
+    members = [Network([firsts[m], blocks[1][m]], [blocks[0][m], blocks[2][m]],
+                       tanh_out=True, dropout=0.25) for m in range(3)]
+    return stack, members, widths
+
+
+class TestStack:
+    @pytest.mark.parametrize("per_member_inputs", [True, False])
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_stack_holds_the_bits_of_its_members(self, per_member_inputs, rows, mode):
+        rng = np.random.default_rng(50)
+        stack, members, widths = stack_and_members(per_member_inputs, rng)
+        xs = [rng.normal(size=(rows, w)) for w in widths]
+        x = xs if per_member_inputs else xs[0]
+        y, cache = forward(stack, x, dropout_rng(mode, 51))
+        member_rng = dropout_rng(mode, 51)
+        runs = [forward(net, x_m if per_member_inputs else xs[0], member_rng)
+                for net, x_m in zip(members, xs)]
+        assert y.shape == (3, rows, 4)
+        assert y.tobytes() == np.stack([out for out, _ in runs]).tobytes()
+
+        g = rng.normal(size=y.shape)
+        grads, d_input = backward(stack, cache, g)
+        member_grads = [backward(net, tape, g_m) for net, (_, tape), g_m in zip(members, runs, g)]
+        for i, got in enumerate(grads):
+            want = [mg[0][i] for mg in member_grads]
+            if isinstance(got, list):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+            else:
+                assert got.tobytes() == np.stack(want).tobytes()
+        d_inputs = [d for _, d in member_grads]
+        if per_member_inputs:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(d_input, d_inputs, strict=True))
+        else:
+            assert d_input.tobytes() == (d_inputs[0] + d_inputs[1] + d_inputs[2]).tobytes()
+
+    def test_member_inputs_of_the_wrong_shape_or_count_rejected(self):
+        stack, _, widths = stack_and_members(True, np.random.default_rng(52))
+        for bad in ([np.zeros((1, w + 1)) for w in widths], [np.zeros((1, w)) for w in widths[:2]],
+                    [np.zeros((1, w)) for w in widths] + [np.zeros((1, 3))],
+                    [np.zeros((1 + m, w)) for m, w in enumerate(widths)],
+                    [np.zeros(w) for w in widths]):
+            with pytest.raises(NetworkError, match="member inputs of shapes"):
+                forward(stack, bad)
 
 
 class TestForward:
@@ -316,6 +371,23 @@ class TestAdam:
         assert state.to_dict() == {
             "learning_rate": 2.5e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
             "step_count": 5, "m": [a.tolist() for a in m], "v": [a.tolist() for a in v]}
+
+    def test_moments_follow_the_layout_of_the_vector(self):
+        # parameters out of vector order keep their own places in it
+        vector = np.arange(10.0)
+        a, b = vector[6:10].reshape(2, 2), vector[0:6].reshape(3, 2)
+        assert flat_slices([a, b]) == [slice(6, 10), slice(0, 6)]
+        state = AdamState([a, b.ravel()], 0.1)
+        adam_step(vector, np.arange(10.0), state)
+        first_m = np.arange(10.0) * (1.0 - 0.9)
+        assert state.m[0].tobytes() == first_m[6:].tobytes()
+        assert state.m[1].tobytes() == first_m[:6].tobytes()
+        with pytest.raises(NetworkError, match="one flat vector"):
+            flat_slices([a, np.zeros(6)])
+        with pytest.raises(NetworkError, match="one flat vector"):
+            flat_slices([vector[::2], vector[1::2]])
+        with pytest.raises(NetworkError, match="hold 6 values, their vector 10"):
+            flat_slices([b])
 
     def test_shape_mismatch(self):
         p = np.zeros(3)

@@ -1,15 +1,18 @@
+import collections
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
 from mctg import nn
-from mctg.evalcli import VARIANTS, Checkpoint
+from mctg.evalcli import VARIANTS, Checkpoint, save_checkpoint
 from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
-from helpers import policy_backward_per_array, tiny_policy_config
+from helpers import policy_backward_per_array, policy_forward_per_member, tiny_policy_config
 
 
 def random_observation(rng):
@@ -72,15 +75,24 @@ class TestFlatten:
             assert np.array_equal(rows, want)
 
 
+def dropout_rng(seed):
+    """None, or an rng of ``seed``: the forward runs with dropout off or on."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
 class TestForward:
-    def test_unit_weights_equal_plain_concat(self):
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("seed", [None, 41])
+    def test_unit_weights_equal_plain_concat(self, variant, rows, seed):
         rng = np.random.default_rng(3)
-        policy = Policy(tiny_policy_config(), rng)
-        flat = policy.flatten_observation(random_observation(rng))
-        state, _ = policy.assemble_state(flat)
-        chunks = [nn.forward(policy.branches[b], flat[b])[0]
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
+        state, _ = policy.assemble_state(flat, dropout_rng(seed))
+        member_rng = dropout_rng(seed)
+        chunks = [nn.forward(policy.branches[b], flat[b], member_rng)[0]
                   for b in policy.config.branches]
-        assert np.allclose(state, np.concatenate(chunks, axis=1), atol=1e-14)
+        assert state.tobytes() == np.concatenate(chunks, axis=1).tobytes()
 
     def test_zero_weight_annihilates_branch(self):
         rng = np.random.default_rng(4)
@@ -92,21 +104,38 @@ class TestForward:
         assert np.all(state[0, k:2 * k] == 0.0)
         assert np.any(state[0, :k] != 0.0)
 
-    def test_compositional_oracle(self):
-        # forward() must equal manual branch -> scale -> concat -> trunk chaining
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("seed", [None, 42])
+    def test_compositional_oracle(self, variant, rows, seed):
+        # forward() holds the bits of branch -> scale -> concat -> trunk, run
+        # one member network at a time
         rng = np.random.default_rng(5)
-        policy = Policy(tiny_policy_config(), rng)
-        policy.branch_weights["short"][:] = rng.normal(size=3)
-        flat = policy.flatten_observation(random_observation(rng))
-        out, _ = policy.forward(flat)
-        state = np.concatenate([
-            nn.forward(policy.branches[b], flat[b])[0] * policy.branch_weights[b]
-            for b in policy.config.branches
-        ], axis=1)
-        mean = nn.forward(policy.policy_trunk, state)[0]
-        value = nn.forward(policy.value_trunk, state)[0]
-        assert out.action_mean[0] == pytest.approx(mean[0, 0], abs=1e-14)
-        assert out.value[0] == pytest.approx(value[0, 0], abs=1e-14)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        for weight in policy.branch_weights.values():
+            weight[:] = rng.normal(size=weight.shape)
+        flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
+        for tape in (True, False):
+            out, _ = policy.forward(flat, dropout_rng(seed), tape=tape)
+            mean, value, _ = policy_forward_per_member(policy, flat, dropout_rng(seed))
+            assert out.action_mean.tobytes() == mean.tobytes()
+            assert out.value.tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_second_forward_leaves_the_first_output_alone(self, tape):
+        rng = np.random.default_rng(43)
+        policy = Policy(PolicyConfig(), rng)
+        first_flat, second_flat = ({b: rng.normal(size=(1, d))
+                                    for b, d in policy.input_dims.items()} for _ in range(2))
+        first, cache = policy.forward(first_flat, tape=tape)
+        kept = (first.action_mean.copy(), first.value.copy())
+        acts = [a.copy() for a in cache.trunk_cache.acts] if tape else []
+        second, _ = policy.forward(second_flat, tape=tape)
+        assert second.action_mean[0] != kept[0][0]
+        assert first.action_mean.tobytes() == kept[0].tobytes()
+        assert first.value.tobytes() == kept[1].tobytes()
+        if tape:
+            assert all(np.array_equal(a, b) for a, b in zip(cache.trunk_cache.acts, acts))
 
     @pytest.mark.parametrize("log_std", [-20.0, -5.0, np.nextafter(-5.0, 0.0), -0.5,
                                          0.0, np.nextafter(1.0, 0.0), 1.0, 10.0,
@@ -254,6 +283,108 @@ class TestParameters:
         assert "branch_weight.short" in names
 
 
+def dense_layout(prefix, sizes):
+    return [(f"{prefix}.dense{i}.{kind}", shape) for i, (n_in, n_out)
+            in enumerate(zip(sizes[:-1], sizes[1:]))
+            for kind, shape in (("weights", (n_out, n_in)), ("bias", (n_out,)))]
+
+
+# The checkpoint's parameter order, pinned: per branch its dense layers and
+# branch weight, then the policy trunk, the value trunk and the log-std.
+CHECKPOINT_LAYOUT = {
+    "MCTG": [*(entry for name, width in (("short", 288), ("mid", 210), ("long", 180))
+               for entry in (*dense_layout(f"branch.{name}", [width, 32, 16, 16]),
+                             (f"branch_weight.{name}", (16,)))),
+             *dense_layout("policy_trunk", [48, 32, 1]),
+             *dense_layout("value_trunk", [48, 32, 1]), ("log_std", ())],
+    "DNN": [*dense_layout("branch.mid", [180, 32, 16, 16]), ("branch_weight.mid", (16,)),
+            *dense_layout("policy_trunk", [16, 32, 1]),
+            *dense_layout("value_trunk", [16, 32, 1]), ("log_std", ())],
+}
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("variant", sorted(CHECKPOINT_LAYOUT))
+    def test_parameter_order_pinned(self, variant, tmp_path, small_normalizer):
+        policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(44))
+        layout = CHECKPOINT_LAYOUT[variant]
+        assert [(name, p.shape) for name, p in policy.named_parameters()] == layout
+        adam = nn.AdamState(policy.parameters(), 1e-3)
+        nn.adam_step(policy.vector, np.random.default_rng(45).normal(size=policy.vector.size),
+                     adam)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(path, variant, policy, small_normalizer, adam)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert list(doc["params"]) == [name for name, _ in layout]
+        for (name, p), m, v in zip(policy.named_parameters(), doc["adam"]["m"],
+                                   doc["adam"]["v"], strict=True):
+            assert np.array(doc["params"][name]).shape == p.shape
+            assert np.shape(m) == np.shape(v) == p.shape
+
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    def test_slices_cut_the_vector_into_the_named_parameters(self, variant):
+        policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(46))
+        covered = np.zeros(policy.vector.size, dtype=int)
+        for s, (name, p) in zip(policy.slices, policy.named_parameters(), strict=True):
+            assert np.shares_memory(p, policy.vector[s]), name
+            assert p.ravel().tobytes() == policy.vector[s].tobytes(), name
+            covered[s] += 1
+        assert np.all(covered == 1)
+
+
+class TestDeepCopy:
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    def test_copy_is_linked_and_independent(self, variant):
+        rng = np.random.default_rng(47)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        flat = {b: rng.normal(size=(3, d)) for b, d in policy.input_dims.items()}
+        before, _ = policy.forward(flat, tape=False)
+        twin = copy.deepcopy(policy)
+        same, _ = twin.forward(flat, tape=False)
+        assert same.action_mean.tobytes() == before.action_mean.tobytes()
+        twin.vector += rng.normal(0.0, 0.1, twin.vector.size)
+        moved, _ = twin.forward(flat, tape=False)
+        assert not np.array_equal(moved.action_mean, before.action_mean)
+        mean, value, _ = policy_forward_per_member(twin, flat)
+        assert moved.action_mean.tobytes() == mean.tobytes()
+        assert moved.value.tobytes() == value.tobytes()
+        after, _ = policy.forward(flat, tape=False)
+        assert after.action_mean.tobytes() == before.action_mean.tobytes()
+        assert after.value.tobytes() == before.value.tobytes()
+        assert all(np.shares_memory(p, twin.vector) for p in twin.parameters())
+
+
+class TestCallCount:
+    def test_calls_do_not_grow_with_the_branches(self, monkeypatch):
+        # one forward and one backward run the branches as one stack: as many
+        # nn calls for MCTG's three branches as for DNN's one
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(nn, "forward", counting("forward", nn.forward))
+        monkeypatch.setattr(nn, "backward", counting("backward", nn.backward))
+        seen = {}
+        for variant in ("MCTG", "DNN"):
+            rng = np.random.default_rng(48)
+            policy = Policy(VARIANTS[variant].policy_config(), rng)
+            flat = {b: rng.normal(size=(4, d)) for b, d in policy.input_dims.items()}
+            counts.clear()
+            policy.forward(flat, tape=False)
+            acting = dict(counts)
+            counts.clear()
+            _, cache = policy.forward(flat, rng)
+            policy.backward(cache, rng.normal(size=4), rng.normal(size=4))
+            seen[variant] = (acting, dict(counts))
+        assert seen["MCTG"] == seen["DNN"]
+        assert seen["MCTG"][0]["forward"] > 0 and seen["MCTG"][1]["backward"] > 0
+
+
 class TestBackward:
     def finite_difference(self, policy, flat, loss_fn, eps=1e-6):
         """Central-difference gradient of loss_fn() w.r.t. every parameter."""
@@ -307,10 +438,11 @@ class TestBackward:
         rng = np.random.default_rng(16)
         policy = Policy(VARIANTS[variant].policy_config(), rng)
         flat = {name: rng.normal(size=(rows, dim)) for name, dim in policy.input_dims.items()}
-        _, cache = policy.forward(flat, rng)
+        _, cache = policy.forward(flat, np.random.default_rng(17))
         d_mean, d_value = rng.normal(size=rows), rng.normal(size=rows)
         grad = policy.backward(cache, d_mean, d_value, d_log_std=0.3)
-        want = policy_backward_per_array(policy, cache, d_mean, d_value, d_log_std=0.3)
+        want = policy_backward_per_array(policy, flat, np.random.default_rng(17),
+                                         d_mean, d_value, d_log_std=0.3)
         assert grad.shape == policy.vector.shape
         for (name, _), got, ref in zip(policy.named_parameters(), policy.unflatten(grad),
                                        want, strict=True):
@@ -326,23 +458,20 @@ class TestBackward:
         assert grads[-1] == 0.0
 
     def test_branch_weight_gradient_closed_form(self):
-        # d(state_k)/d(W_k) = branch output, so a loss = sum(state) gives
-        # branch-weight gradients equal to the raw branch outputs.
+        # d(state_k)/d(W_k) = branch output, so the branch-weight gradient of
+        # the mean is (d mean / d state_k) * branch_out_k.
         rng = np.random.default_rng(15)
         policy = Policy(tiny_policy_config(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
-        state, cache = policy.assemble_state(flat)
-        b_out = cache.branch_caches["mid"].acts[-1][0]
-        # route d_state = 1 through a fake identity trunk gradient by using
-        # backward on a forward pass whose trunks we bypass analytically:
-        out, full_cache = policy.forward(flat)
+        b_out, _ = nn.forward(policy.branches["mid"], flat["mid"])
+        state, _ = policy.assemble_state(flat)
+        _, full_cache = policy.forward(flat)
         grads = policy.backward(full_cache, np.ones(1), np.zeros(1))
         names = [name for name, _ in policy.named_parameters()]
         gw = policy.unflatten(grads)[names.index("branch_weight.mid")]
-        # chain rule: d mean / d W_k = (d mean / d state_k) * branch_out_k
-        _, d_state = nn.backward(policy.policy_trunk, full_cache.policy_cache,
-                                 np.array([[1.0]]))
-        assert np.allclose(gw, d_state[0] * b_out, atol=1e-12)
+        _, trunk_cache = nn.forward(policy.policy_trunk, state)
+        _, d_state = nn.backward(policy.policy_trunk, trunk_cache, np.array([[1.0]]))
+        assert np.allclose(gw, d_state[0] * b_out[0], atol=1e-12)
 
 
 class TestGaussianHead:
