@@ -22,7 +22,7 @@ from .garch import FitReport, GarchConfig, GarchError, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketDataError, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import AdamState
-from .policy import Policy, PolicyConfig
+from .policy import Policy, PolicyConfig, PolicyError
 
 TRADING_DAYS_PER_YEAR = 252
 CHECKPOINT_VERSION = 1
@@ -222,6 +222,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             else:
                 check_json(value, _JSON_KINDS[type(f.default)], what)
             stored[f.name] = value
+        try:
+            policy_config = PolicyConfig(**stored)
+        except PolicyError as e:
+            raise EvalError(f"{path}: checkpoint policy_config {e}") from None
         params = {}
         for name, value in doc["params"].items():
             try:
@@ -234,7 +238,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                                 "an array of finite numbers")
             params[name] = array
         return Checkpoint(
-            variant=doc["variant"], policy_config=PolicyConfig(**stored),
+            variant=doc["variant"], policy_config=policy_config,
             param_values=params, training_step=doc["training_step"],
             norm_stats=doc["norm_stats"], metadata=doc["metadata"],
         )

@@ -69,21 +69,6 @@ def layer_shapes(sizes) -> list[tuple]:
             for shape in ((n_out, n_in), (n_out,))]
 
 
-def mlp(sizes, rng: np.random.Generator, tanh_out: bool = False,
-        dropout: float = 0.0, params: list | None = None) -> Network:
-    """Build a ``Network`` with layer sizes ``sizes``; weights are
-    scaled-normal initialized from ``rng``, biases are zero. ``params``, arrays
-    shaped like ``layer_shapes(sizes)``, are filled and used in place of new
-    arrays."""
-    if params is None:
-        params = [np.empty(shape) for shape in layer_shapes(sizes)]
-    weights, biases = params[0::2], params[1::2]
-    for w, b in zip(weights, biases):
-        w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
-        b[...] = 0.0
-    return Network(weights, biases, tanh_out, dropout)
-
-
 @dataclass
 class ForwardCache:
     inputs: list        # per-layer input, the dropout mask already applied

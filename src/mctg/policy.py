@@ -48,6 +48,13 @@ class PolicyConfig:
                 raise PolicyError(f"unknown branch {b!r}")
         if len(set(self.branches)) != len(self.branches):
             raise PolicyError("duplicate branch names")
+        if not self.branch_hidden:
+            raise PolicyError("'branch_hidden' must list at least one layer width")
+        narrowest = {"branch_hidden": min(self.branch_hidden),
+                     "branch_out": self.branch_out, "trunk_hidden": self.trunk_hidden}
+        for field, width in narrowest.items():
+            if width < 1:
+                raise PolicyError(f"{field!r} widths must be >= 1, got {getattr(self, field)}")
 
     def input_dims(self) -> dict[str, int]:
         dims = {b: rows * cols for b, (rows, cols) in WINDOW_SHAPES.items()}
@@ -88,8 +95,7 @@ class Policy:
     holds each level of a stack as one contiguous (members, ...) block, so an
     optimizer can step them all at once and the stacks read the blocks in
     place. ``named_parameters`` gives per-name views of those blocks in
-    checkpoint order, and ``branches``, ``policy_trunk`` and ``value_trunk``
-    are per-member networks over the same views."""
+    checkpoint order."""
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
@@ -114,27 +120,22 @@ class Policy:
         branch_weight, *trunk_blocks, self.log_std = blocks[k + n_branch_blocks:]
 
         named: list[tuple[str, np.ndarray]] = []
-        member_params = {}
         for m, name in enumerate(config.branches):
-            params = [first[m], *(block[m] for block in branch_blocks)]
-            member_params[name] = params
-            named += self._dense_names(f"branch.{name}", params)
+            named += self._dense_names(f"branch.{name}",
+                                       [first[m], *(block[m] for block in branch_blocks)])
             named.append((f"branch_weight.{name}", branch_weight[m]))
         for m, name in enumerate(TRUNKS):
-            member_params[name] = [block[m] for block in trunk_blocks]
-            named += self._dense_names(name, member_params[name])
+            named += self._dense_names(name, [block[m] for block in trunk_blocks])
         named.append(("log_std", self.log_std))
         self._named = named
         self.slices = nn.flat_slices(self.parameters())
 
-        # Initialization draws from rng member by member, in named order.
-        self.branches = {name: nn.mlp([dim, *branch_sizes], rng, tanh_out=True,
-                                      dropout=config.dropout, params=member_params[name])
-                         for name, dim in self.input_dims.items()}
+        # Weights are scaled-normal, drawn from rng name by name in named
+        # order; biases stay zero.
+        for name, p in named:
+            if name.endswith(".weights"):
+                p[...] = rng.normal(0.0, 1.0 / np.sqrt(p.shape[1]), size=p.shape)
         branch_weight[...] = 1.0
-        self.branch_weights = dict(zip(config.branches, branch_weight))
-        self.policy_trunk, self.value_trunk = (
-            nn.mlp(trunk_sizes, rng, params=member_params[name]) for name in TRUNKS)
         self.log_std[...] = config.init_log_std
 
         self.branch_stack = nn.Network([list(first), *branch_blocks[1::2]],
@@ -166,7 +167,7 @@ class Policy:
 
     def __deepcopy__(self, memo) -> "Policy":
         """A policy of the same config over a copy of ``vector``: its views
-        and networks read its own vector, never this one's."""
+        and stacks read its own vector, never this one's."""
         twin = Policy(self.config, np.random.default_rng(0))
         twin.vector[...] = self.vector
         return twin

@@ -1,9 +1,10 @@
-"""Code only the tests run: a finite-difference gradient checker for
-``mctg.nn`` networks, a tiny policy configuration, a GARCH(1,1) return
-simulator, and the references that
+"""Code only the tests run: a scaled-normal network builder and a
+finite-difference gradient checker for ``mctg.nn`` networks, a tiny policy
+configuration, a GARCH(1,1) return simulator, and the references that
 faster code must match bit for bit: the per-day market generator and day
-grouping, the per-array Adam step, the policy forward and backward one member
-network at a time, and the per-step rollout."""
+grouping, the per-array Adam step, the policy's per-member networks and its
+forward and backward one member network at a time, and the per-step
+rollout."""
 
 from __future__ import annotations
 
@@ -17,7 +18,18 @@ from mctg import nn
 from mctg.evalcli import VARIANTS
 from mctg.garch import GarchError, GarchParams
 from mctg.nn import Network, backward, forward
-from mctg.policy import PolicyConfig, sample_action
+from mctg.policy import TRUNKS, PolicyConfig, sample_action
+
+
+def mlp(sizes, rng: np.random.Generator, tanh_out: bool = False,
+        dropout: float = 0.0) -> Network:
+    """A ``Network`` with layer sizes ``sizes``: each layer's weights drawn
+    scaled-normal from ``rng`` in turn, biases zero."""
+    weights, biases = [], []
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in)))
+        biases.append(np.zeros(n_out))
+    return Network(weights, biases, tanh_out, dropout)
 
 
 def network_parameters(net: Network) -> list[np.ndarray]:
@@ -175,18 +187,38 @@ def adam_step_per_array(params, grads, m, v, t: int, learning_rate: float) -> No
         p -= learning_rate * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
 
 
+def member_networks(policy) -> dict[str, Network]:
+    """A plain ``Network`` per member of the policy's stacks, over its
+    ``named_parameters`` views: each branch by name, tanh out with the
+    policy's dropout, then the linear ``policy_trunk`` and ``value_trunk``.
+    The per-member reference the stacks are held to."""
+    params = dict(policy.named_parameters())
+
+    def network(prefix, n_layers, **kwargs):
+        return Network([params[f"{prefix}.dense{i}.weights"] for i in range(n_layers)],
+                       [params[f"{prefix}.dense{i}.bias"] for i in range(n_layers)], **kwargs)
+
+    n_branch = len(policy.config.branch_hidden) + 1
+    nets = {name: network(f"branch.{name}", n_branch, tanh_out=True,
+                          dropout=policy.config.dropout) for name in policy.config.branches}
+    nets.update((name, network(name, 2)) for name in TRUNKS)
+    return nets
+
+
 def policy_forward_per_member(policy, flat, rng=None):
-    """``Policy.forward`` one member network at a time: each branch of
-    ``policy.branches`` in order (dropout from ``rng``), the weighted outputs
-    concatenated, then ``policy_trunk`` and ``value_trunk``. Returns the
-    (rows,) means and values and the per-member tapes by name."""
+    """``Policy.forward`` one member network of ``member_networks`` at a time:
+    each branch in order (dropout from ``rng``), the outputs scaled by their
+    branch weights and concatenated, then ``policy_trunk`` and
+    ``value_trunk``. Returns the (rows,) means and values and the per-member
+    tapes by name."""
+    nets, params = member_networks(policy), dict(policy.named_parameters())
     outs, tapes = {}, {}
     for name in policy.config.branches:
-        outs[name], tapes[name] = forward(policy.branches[name], flat[name], rng)
-    state = np.concatenate([outs[name] * policy.branch_weights[name]
+        outs[name], tapes[name] = forward(nets[name], flat[name], rng)
+    state = np.concatenate([outs[name] * params[f"branch_weight.{name}"]
                             for name in policy.config.branches], axis=1)
-    mean, tapes["policy_trunk"] = forward(policy.policy_trunk, state, rng)
-    value, tapes["value_trunk"] = forward(policy.value_trunk, state, rng)
+    mean, tapes["policy_trunk"] = forward(nets["policy_trunk"], state, rng)
+    value, tapes["value_trunk"] = forward(nets["value_trunk"], state, rng)
     return mean[:, 0], value[:, 0], tapes
 
 
@@ -195,16 +227,17 @@ def policy_backward_per_array(policy, flat, rng, d_mean, d_value, d_log_std: flo
     ``named_parameters`` order, from ``policy_forward_per_member``'s tapes
     and each member's full ``nn.backward``, input gradient included."""
     _, _, tapes = policy_forward_per_member(policy, flat, rng)
+    nets, params = member_networks(policy), dict(policy.named_parameters())
     d_mean = np.asarray(d_mean, dtype=np.float64)[:, None]
     d_value = np.asarray(d_value, dtype=np.float64)[:, None]
-    p_grads, d_state_p = backward(policy.policy_trunk, tapes["policy_trunk"], d_mean)
-    v_grads, d_state_v = backward(policy.value_trunk, tapes["value_trunk"], d_value)
+    p_grads, d_state_p = backward(nets["policy_trunk"], tapes["policy_trunk"], d_mean)
+    v_grads, d_state_v = backward(nets["value_trunk"], tapes["value_trunk"], d_value)
     d_state = d_state_p + d_state_v
     grads, width = [], policy.config.branch_out
     for k, name in enumerate(policy.config.branches):
         d_chunk = d_state[:, k * width:(k + 1) * width]
-        b_grads, _ = backward(policy.branches[name], tapes[name],
-                              d_chunk * policy.branch_weights[name])
+        b_grads, _ = backward(nets[name], tapes[name],
+                              d_chunk * params[f"branch_weight.{name}"])
         grads.extend(b_grads)
         grads.append((d_chunk * tapes[name].acts[-1]).sum(axis=0))
     grads.extend(p_grads)

@@ -12,13 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from mctg import cli, evalcli, garch, nn, ppo
+from mctg import cli, evalcli, garch, ppo
 from mctg import marketdata as md
 from mctg.env import EnvConfig, PortfolioState, TradingEnv, map_action
 from mctg.policy import Policy, PolicyConfig
 
 from conftest import TRUE_GARCH
-from helpers import grad_check, tiny_policy_config
+from helpers import grad_check, mlp, tiny_policy_config
 
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
@@ -101,7 +101,7 @@ def test_gradient_integrity():
     worst = 0.0
     for _ in range(100):
         sizes = [int(rng.integers(2, 8)) for _ in range(int(rng.integers(2, 5)))]
-        net = nn.mlp(sizes, rng=rng)
+        net = mlp(sizes, rng=rng)
         worst = max(worst, grad_check(net, rng.normal(size=(1, sizes[0])), rng))
 
     # full actor-critic gradients, every ablation variant

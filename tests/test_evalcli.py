@@ -50,8 +50,9 @@ def small_variant_policy(variant, seed):
 def inert_policy(variant="DNN", seed=0):
     """A policy whose action mean is identically zero (never trades)."""
     policy = small_variant_policy(variant, seed)
-    policy.policy_trunk.weights[-1][...] = 0.0
-    policy.policy_trunk.biases[-1][...] = 0.0
+    params = dict(policy.named_parameters())
+    params["policy_trunk.dense1.weights"][...] = 0.0
+    params["policy_trunk.dense1.bias"][...] = 0.0
     return policy
 
 
@@ -950,6 +951,10 @@ class TestCli:
         (lambda doc: {**doc, "policy_config": {**doc["policy_config"],
                                                "branch_hidden": ["16"]}},
          "policy_config 'branch_hidden' entry is not a JSON integer"),
+        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "branch_hidden": []}},
+         "checkpoint policy_config 'branch_hidden' must list at least one layer width"),
+        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "branch_hidden": [0]}},
+         "checkpoint policy_config 'branch_hidden' widths must be >= 1, got (0,)"),
         (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "garch_feature": 1}},
          "policy_config 'garch_feature' is not a JSON boolean"),
         (lambda doc: {**doc, "params": {**doc["params"], "log_std": {"value": 0.0}}},
@@ -977,6 +982,7 @@ class TestCli:
          "metadata 'garch_window' is not a JSON integer"),
     ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
             "norm_stats.mid", "training_step", "branch_hidden", "branch_hidden_entry",
+            "branch_hidden_empty", "branch_hidden_zero",
             "garch_feature", "params_entry", "params_null", "params_shape", "variant",
             "dropout", "dropout_negative", "split_boundary_number",
             "split_boundary_not_a_date", "garch_window_string", "garch_window_boolean",

@@ -4,10 +4,11 @@ import pytest
 from mctg.evalcli import VARIANTS
 from mctg.marketdata import window_at
 from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, flat_slices, forward,
-                     mlp, unflatten)
+                     unflatten)
 from mctg.policy import Policy
 
-from helpers import adam_step_per_array, grad_check, network_parameters, relative_error
+from helpers import (adam_step_per_array, grad_check, member_networks, mlp, network_parameters,
+                     relative_error)
 
 
 # -- oracle: the per-layer expression forward, kept to pin the in-place form ---
@@ -38,11 +39,12 @@ def assert_same_entries(got, want):
 
 
 def oracle_policy_forward(policy, flat, rng=None):
-    chunks = [oracle_forward(policy.branches[b], flat[b], rng)[0]
-              * policy.branch_weights[b] for b in policy.config.branches]
+    nets, params = member_networks(policy), dict(policy.named_parameters())
+    chunks = [oracle_forward(nets[b], flat[b], rng)[0]
+              * params[f"branch_weight.{b}"] for b in policy.config.branches]
     state = np.concatenate(chunks, axis=1)
-    mean = oracle_forward(policy.policy_trunk, state, rng)[0]
-    value = oracle_forward(policy.value_trunk, state, rng)[0]
+    mean = oracle_forward(nets["policy_trunk"], state, rng)[0]
+    value = oracle_forward(nets["value_trunk"], state, rng)[0]
     return mean[:, 0], value[:, 0]
 
 

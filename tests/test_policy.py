@@ -12,7 +12,8 @@ from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
-from helpers import policy_backward_per_array, policy_forward_per_member, tiny_policy_config
+from helpers import (member_networks, policy_backward_per_array, policy_forward_per_member,
+                     tiny_policy_config)
 
 
 def random_observation(rng):
@@ -39,6 +40,12 @@ class TestConfig:
             PolicyConfig(branches=("short", "weekly"))
         with pytest.raises(PolicyError):
             PolicyConfig(branches=("mid", "mid"))
+
+    @pytest.mark.parametrize("field,value", [("branch_hidden", ()), ("branch_hidden", (32, 0)),
+                                             ("branch_out", 0), ("trunk_hidden", -1)])
+    def test_widths_that_cannot_build_rejected(self, field, value):
+        with pytest.raises(PolicyError, match=f"'{field}'"):
+            PolicyConfig(**{field: value})
 
 
 class TestFlatten:
@@ -89,15 +96,14 @@ class TestForward:
         policy = Policy(VARIANTS[variant].policy_config(), rng)
         flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
         state, _ = policy.assemble_state(flat, dropout_rng(seed))
-        member_rng = dropout_rng(seed)
-        chunks = [nn.forward(policy.branches[b], flat[b], member_rng)[0]
-                  for b in policy.config.branches]
+        member_rng, nets = dropout_rng(seed), member_networks(policy)
+        chunks = [nn.forward(nets[b], flat[b], member_rng)[0] for b in policy.config.branches]
         assert state.tobytes() == np.concatenate(chunks, axis=1).tobytes()
 
     def test_zero_weight_annihilates_branch(self):
         rng = np.random.default_rng(4)
         policy = Policy(tiny_policy_config(), rng)
-        policy.branch_weights["mid"][:] = 0.0
+        dict(policy.named_parameters())["branch_weight.mid"][:] = 0.0
         flat = policy.flatten_observation(random_observation(rng))
         state, _ = policy.assemble_state(flat)
         k = policy.config.branch_out
@@ -112,8 +118,9 @@ class TestForward:
         # one member network at a time
         rng = np.random.default_rng(5)
         policy = Policy(VARIANTS[variant].policy_config(), rng)
-        for weight in policy.branch_weights.values():
-            weight[:] = rng.normal(size=weight.shape)
+        for name, weight in policy.named_parameters():
+            if name.startswith("branch_weight."):
+                weight[:] = rng.normal(size=weight.shape)
         flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
         for tape in (True, False):
             out, _ = policy.forward(flat, dropout_rng(seed), tape=tape)
@@ -222,8 +229,8 @@ class TestTape:
         flat = {b: rng.normal(size=(1, d)) for b, d in policy.input_dims.items()}
         state, none = policy.assemble_state(flat, tape=False)
         assert none is None and state.shape == (1, policy.config.state_dim)
-        for net in (*policy.branches.values(), policy.policy_trunk):
-            x = rng.normal(size=(1, net.in_dim))
+        xs = [rng.normal(size=(1, d)) for d in policy.branch_stack.in_dim]
+        for net, x in ((policy.branch_stack, xs), (policy.trunk_stack, state)):
             assert nn.forward(net, x, tape=False)[1] is None
             assert nn.forward(net, x, rng, tape=False)[1] is None
 
@@ -281,6 +288,29 @@ class TestParameters:
         assert len(set(names)) == len(names)
         assert names[-1] == "log_std"
         assert "branch_weight.short" in names
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_initial_vector_rebuilt_name_by_name(self, variant, seed):
+        # per weight name in order a scaled-normal draw from an rng of the same
+        # seed; biases 0, branch weights 1, the log-std at its initial value
+        config = VARIANTS[variant].policy_config()
+        rng = np.random.default_rng(seed)
+        policy = Policy(config, rng)
+        want_rng = np.random.default_rng(seed)
+        want = np.empty_like(policy.vector)
+        for s, (name, p) in zip(policy.slices, policy.named_parameters(), strict=True):
+            if name.endswith(".weights"):   # shaped (out, fan_in)
+                want[s] = want_rng.normal(0.0, 1.0 / math.sqrt(p.shape[1]), size=p.shape).ravel()
+            elif name.startswith("branch_weight."):
+                want[s] = 1.0
+            elif name == "log_std":
+                want[s] = config.init_log_std
+            else:
+                assert name.endswith(".bias"), name
+                want[s] = 0.0
+        assert policy.vector.tobytes() == want.tobytes()
+        assert rng.random() == want_rng.random()
 
 
 def dense_layout(prefix, sizes):
@@ -384,6 +414,20 @@ class TestCallCount:
         assert seen["MCTG"] == seen["DNN"]
         assert seen["MCTG"][0]["forward"] > 0 and seen["MCTG"][1]["backward"] > 0
 
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    def test_a_policy_builds_its_two_stacks_only(self, variant, monkeypatch):
+        built = []
+        init = nn.Network.__init__
+
+        def counting(net, *args, **kwargs):
+            built.append(net)
+            init(net, *args, **kwargs)
+
+        monkeypatch.setattr(nn.Network, "__init__", counting)
+        policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(49))
+        assert len(built) == 2
+        assert built[0] is policy.branch_stack and built[1] is policy.trunk_stack
+
 
 class TestBackward:
     def finite_difference(self, policy, flat, loss_fn, eps=1e-6):
@@ -463,14 +507,15 @@ class TestBackward:
         rng = np.random.default_rng(15)
         policy = Policy(tiny_policy_config(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
-        b_out, _ = nn.forward(policy.branches["mid"], flat["mid"])
+        nets = member_networks(policy)
+        b_out, _ = nn.forward(nets["mid"], flat["mid"])
         state, _ = policy.assemble_state(flat)
         _, full_cache = policy.forward(flat)
         grads = policy.backward(full_cache, np.ones(1), np.zeros(1))
         names = [name for name, _ in policy.named_parameters()]
         gw = policy.unflatten(grads)[names.index("branch_weight.mid")]
-        _, trunk_cache = nn.forward(policy.policy_trunk, state)
-        _, d_state = nn.backward(policy.policy_trunk, trunk_cache, np.array([[1.0]]))
+        _, trunk_cache = nn.forward(nets["policy_trunk"], state)
+        _, d_state = nn.backward(nets["policy_trunk"], trunk_cache, np.array([[1.0]]))
         assert np.allclose(gw, d_state[0] * b_out[0], atol=1e-12)
 
 
