@@ -50,7 +50,6 @@ class Network:
         first = self.weights[0]
         self.per_member_inputs = isinstance(first, list)
         self.in_dim = [w.shape[1] for w in first] if self.per_member_inputs else first.shape[-1]
-        self.out_dim = self.weights[-1].shape[-2]
         last = len(self.weights) - 1
         self.layers = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -95,7 +94,7 @@ def forward(net: Network, x, rng: np.random.Generator | None = None,
             tape: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the network on the float64 array ``x`` of shape (rows, in_dim), or
     on the list of per-member inputs of a stack whose first layer is per
-    member; returns the (rows, out_dim) output, with a leading member axis
+    member; returns the (rows, out) output, with a leading member axis
     for a stack, and, when ``tape`` is set, the cache ``backward`` reads, else
     None.
 

@@ -48,6 +48,8 @@ class PolicyConfig:
                 raise PolicyError(f"unknown branch {b!r}")
         if len(set(self.branches)) != len(self.branches):
             raise PolicyError("duplicate branch names")
+        if not 0.0 <= self.dropout < 1.0:
+            raise PolicyError(f"'dropout' must be in [0, 1), got {self.dropout}")
         if not self.branch_hidden:
             raise PolicyError("'branch_hidden' must list at least one layer width")
         narrowest = {"branch_hidden": min(self.branch_hidden),
@@ -159,11 +161,6 @@ class Policy:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for _, p in self._named]
-
-    def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
-        """Views of a flat vector laid out like ``vector`` (a gradient, say),
-        shaped like the parameters, in ``named_parameters`` order."""
-        return [vector[s].reshape(p.shape) for s, p in zip(self.slices, self.parameters())]
 
     def __deepcopy__(self, memo) -> "Policy":
         """A policy of the same config over a copy of ``vector``: its views

@@ -1,10 +1,10 @@
 """Code only the tests run: a scaled-normal network builder and a
 finite-difference gradient checker for ``mctg.nn`` networks, a tiny policy
-configuration, a GARCH(1,1) return simulator, and the references that
-faster code must match bit for bit: the per-day market generator and day
-grouping, the per-array Adam step, the policy's per-member networks and its
-forward and backward one member network at a time, and the per-step
-rollout."""
+configuration, a policy's per-name views of a flat vector, a GARCH(1,1)
+return simulator, and the references that faster code must match bit for
+bit: the per-day market generator and day grouping, the per-array Adam step,
+the policy's per-member networks and its forward and backward one member
+network at a time, and the per-step rollout."""
 
 from __future__ import annotations
 
@@ -52,6 +52,12 @@ def tiny_policy_config(variant: str = "MCTG", **overrides) -> PolicyConfig:
                            "trunk_hidden": 4, **overrides})
 
 
+def unflatten(policy, vector: np.ndarray) -> list[np.ndarray]:
+    """Views of the flat ``vector``, laid out like ``policy.vector`` (a
+    gradient, say), shaped like the parameters, in ``named_parameters`` order."""
+    return [vector[s].reshape(p.shape) for s, p in zip(policy.slices, policy.parameters())]
+
+
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
@@ -66,7 +72,7 @@ def grad_check(net: Network, x, rng: np.random.Generator | None = None,
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    c = rng.normal(size=net.out_dim)
+    c = rng.normal(size=net.weights[-1].shape[-2])
 
     def loss() -> float:
         y, _ = forward(net, x)

@@ -18,7 +18,7 @@ from mctg.env import EnvConfig, PortfolioState, TradingEnv, map_action
 from mctg.policy import Policy, PolicyConfig
 
 from conftest import TRUE_GARCH
-from helpers import grad_check, mlp, tiny_policy_config
+from helpers import grad_check, mlp, tiny_policy_config, unflatten
 
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
@@ -121,7 +121,7 @@ def test_gradient_integrity():
         _, cache = policy.forward(flat)
         analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         eps = 1e-6
-        for p, g in zip(policy.parameters(), policy.unflatten(analytic)):
+        for p, g in zip(policy.parameters(), unflatten(policy, analytic)):
             fd = np.zeros_like(p)
             it = np.nditer(p, flags=["multi_index"])
             while not it.finished:

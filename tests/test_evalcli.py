@@ -305,6 +305,15 @@ class TestCheckpoint:
         with pytest.raises(EvalError, match="missing parameter 'log_std'"):
             load_checkpoint(str(path)).build_policy()
 
+    def test_unknown_parameter_detected(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        doc["params"]["branch.short.dense0.weights"] = [[0.0]]
+        doc["params"]["bogus"] = 0.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match="unknown parameter 'branch.short.dense0.weights'"):
+            load_checkpoint(str(path)).build_policy()
+
     def test_mis_shaped_parameter_named(self, tmp_path):
         path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
@@ -965,9 +974,9 @@ class TestCli:
          "parameter 'log_std' has shape (2,), expected ()"),
         (lambda doc: {**doc, "variant": ["MCTG"]}, "field 'variant' is not a JSON string"),
         (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": 1.5}},
-         "dropout rate must be in [0, 1)"),
+         "checkpoint.json: checkpoint policy_config 'dropout' must be in [0, 1), got 1.5"),
         (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": -0.5}},
-         "dropout rate must be in [0, 1)"),
+         "checkpoint.json: checkpoint policy_config 'dropout' must be in [0, 1), got -0.5"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "split_boundary": 5}},
          "metadata 'split_boundary' is not a JSON string"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "split_boundary": "2016-13-01"}},

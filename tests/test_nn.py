@@ -8,7 +8,7 @@ from mctg.nn import (AdamState, Network, NetworkError, adam_step, backward, flat
 from mctg.policy import Policy
 
 from helpers import (adam_step_per_array, grad_check, member_networks, mlp, network_parameters,
-                     relative_error)
+                     relative_error, unflatten as unflatten_policy)
 
 
 # -- oracle: the per-layer expression forward, kept to pin the in-place form ---
@@ -368,7 +368,7 @@ class TestAdam:
             size = policy.vector.size
             g = rng.normal(size=size) * np.exp(rng.uniform(-25.0, 2.0, size=size))
             adam_step(policy.vector, g, state)
-            adam_step_per_array(params, policy.unflatten(g), m, v, t, 2.5e-4)
+            adam_step_per_array(params, unflatten_policy(policy, g), m, v, t, 2.5e-4)
         assert all(np.array_equal(a, b) for a, b in zip(policy.parameters(), params))
         assert state.to_dict() == {
             "learning_rate": 2.5e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,

@@ -13,7 +13,7 @@ from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
                          gaussian_entropy, gaussian_log_prob, sample_action)
 
 from helpers import (member_networks, policy_backward_per_array, policy_forward_per_member,
-                     tiny_policy_config)
+                     tiny_policy_config, unflatten)
 
 
 def random_observation(rng):
@@ -46,6 +46,11 @@ class TestConfig:
     def test_widths_that_cannot_build_rejected(self, field, value):
         with pytest.raises(PolicyError, match=f"'{field}'"):
             PolicyConfig(**{field: value})
+
+    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, math.nan])
+    def test_dropout_out_of_range_rejected(self, rate):
+        with pytest.raises(PolicyError, match=r"'dropout' must be in \[0, 1\)"):
+            PolicyConfig(dropout=rate)
 
 
 class TestFlatten:
@@ -469,7 +474,7 @@ class TestBackward:
         analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
         fd = self.finite_difference(policy, flat,
                                     lambda: self.scalar_loss(policy, flat, cm, cv, cs))
-        for (name, _), a, b in zip(policy.named_parameters(), policy.unflatten(analytic), fd):
+        for (name, _), a, b in zip(policy.named_parameters(), unflatten(policy, analytic), fd):
             denom = np.linalg.norm(a) + np.linalg.norm(b)
             rel = np.linalg.norm(a - b) / denom if denom > 0 else 0.0
             assert rel < 1e-5, f"{name}: relative error {rel}"
@@ -488,7 +493,7 @@ class TestBackward:
         want = policy_backward_per_array(policy, flat, np.random.default_rng(17),
                                          d_mean, d_value, d_log_std=0.3)
         assert grad.shape == policy.vector.shape
-        for (name, _), got, ref in zip(policy.named_parameters(), policy.unflatten(grad),
+        for (name, _), got, ref in zip(policy.named_parameters(), unflatten(policy, grad),
                                        want, strict=True):
             assert got.shape == ref.shape and np.array_equal(got, ref), name
 
@@ -513,7 +518,7 @@ class TestBackward:
         _, full_cache = policy.forward(flat)
         grads = policy.backward(full_cache, np.ones(1), np.zeros(1))
         names = [name for name, _ in policy.named_parameters()]
-        gw = policy.unflatten(grads)[names.index("branch_weight.mid")]
+        gw = unflatten(policy, grads)[names.index("branch_weight.mid")]
         _, trunk_cache = nn.forward(nets["policy_trunk"], state)
         _, d_state = nn.backward(nets["policy_trunk"], trunk_cache, np.array([[1.0]]))
         assert np.allclose(gw, d_state[0] * b_out[0], atol=1e-12)

@@ -12,7 +12,7 @@ from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
                       ppo_loss_and_grads, ppo_surrogate, prob_ratio, train,
                       update)
 from conftest import first_days
-from helpers import collect_rollout_per_step, tiny_policy_config
+from helpers import collect_rollout_per_step, tiny_policy_config, unflatten
 
 
 def tiny_policy(rng):
@@ -276,7 +276,7 @@ class TestLossAndGrads:
 
         _, _, analytic = ppo_loss_and_grads(policy, batch, config)
         eps = 1e-6
-        for p, g in zip(policy.parameters(), policy.unflatten(analytic)):
+        for p, g in zip(policy.parameters(), unflatten(policy, analytic)):
             fd = np.zeros_like(p)
             it = np.nditer(p, flags=["multi_index"])
             while not it.finished:
@@ -358,14 +358,14 @@ class TestLossAndGrads:
         for _ in range(20):
             size = policy.vector.size
             grad = rng.normal(size=size) * np.exp(rng.uniform(-25.0, 2.0, size=size))
-            views = [g.copy() for g in policy.unflatten(grad)]
+            views = [g.copy() for g in unflatten(policy, grad)]
             want = float(np.sqrt(sum(float((g * g).sum()) for g in views)))
             max_norm = want * rng.uniform(0.5, 1.5)
             if want > max_norm:
                 for g in views:
                     g *= max_norm / want
             assert clip_grad_norm(grad, policy.slices, max_norm) == want
-            assert all(g.tobytes() == v.tobytes() for g, v in zip(policy.unflatten(grad), views))
+            assert all(g.tobytes() == v.tobytes() for g, v in zip(unflatten(policy, grad), views))
 
     def test_grad_clipping_slices_must_cover_the_gradient(self):
         with pytest.raises(PpoError, match="slices hold 2 values, the gradient 3"):

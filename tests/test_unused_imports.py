@@ -1,6 +1,8 @@
 """Every name a module imports is used in that module: the package's, the
 tests' and the repo-root ``conftest.py``. And every top-level function and
-class of the package is used by the package, or is one of its re-exports.
+class of the package, and every method of its classes, is used by the
+package, or is one of its re-exports: a name used only by the tests belongs
+in the tests.
 
 ``__init__.py`` is left out of the import check: the names it imports are the
 package's re-exports.
@@ -50,31 +52,83 @@ def test_no_unused_imports(path):
 
 def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
     """``module.name`` of each top-level function and class in ``sources``
-    (module name -> text) that no code there names, as a name or an
-    attribute, outside the definition itself, unless ``exported`` holds it."""
-    statements = [(module, node) for module, text in sources.items()
-                  for node in ast.parse(text).body]
-    named = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-              if isinstance(n, (ast.Name, ast.Attribute))} for _, node in statements]
-    unused = []
-    for i, (module, node) in enumerate(statements):
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported
-                and not any(node.name in names for j, names in enumerate(named) if j != i)):
-            unused.append(f"{module}.{node.name}")
-    return unused
+    (module name -> text), and ``module.Class.name`` of each of its classes'
+    non-dunder methods, that no code there uses outside the definition itself,
+    unless ``exported`` holds the top-level ``module.name``.
+
+    Module ``m``'s ``f`` is used by a bare ``f`` in ``m``, by ``g`` in a module
+    where ``from m import f as g`` binds it, or by ``.f`` on a name bound to
+    module ``m``. A method ``f`` is used by ``.f`` on anything else."""
+    defined = []                 # (name, node, the key of its uses)
+    uses: dict[str, set] = {}    # key -> the nodes that use it
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        modules, imported = {}, {}   # bound name -> module, -> its "module.name"
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    if isinstance(node, ast.Import) or node.module is None:
+                        if alias.name in sources:
+                            modules[bound] = alias.name
+                    elif node.module in sources:
+                        imported[bound] = f"{node.module}.{alias.name}"
+        top = {}   # top-level name -> "module.name"
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top[node.name] = f"{module}.{node.name}"
+                defined.append((top[node.name], node, top[node.name]))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{top[node.name]}.{n.name}", n, f".{n.name}") for n in node.body
+                            if isinstance(n, ast.FunctionDef) and not n.name.startswith("__")]
+        for node in ast.walk(tree):
+            key = None
+            if isinstance(node, ast.Name):
+                key = top.get(node.id) or imported.get(node.id)
+            elif isinstance(node, ast.Attribute):
+                base = node.value.id if isinstance(node.value, ast.Name) else None
+                key = f"{modules[base]}.{node.attr}" if base in modules else f".{node.attr}"
+            if key:
+                uses.setdefault(key, set()).add(node)
+    return [name for name, node, key in defined
+            if name not in exported and uses.get(key, set()) <= set(ast.walk(node))]
 
 
 def test_the_check_finds_an_unreferenced_definition():
     sources = {"a": "def used(): pass\ndef recursive(): recursive()\nclass Exported: pass\n"
-                    "class Unused: pass\n",
-               "b": "from a import used\nimport a\nused()\na.recursive\n",
-               "c": "def alone(): return alone\n"}
-    assert unreferenced_definitions(sources, {"Exported"}) == ["a.Unused", "c.alone"]
+                    "class Unused: pass\ndef relative(): pass\n"
+                    "class Kept:\n"
+                    "    def __init__(self): pass\n"
+                    "    def run(self): pass\n"
+                    "    def tested(self): return self.tested\n",
+               "b": "from a import used\nfrom .a import relative\nimport a\nused()\n"
+                    "relative()\na.recursive\nk = a.Kept()\nk.run()\nk.shared\n"
+                    "a.tested\na.shared\n",
+               "c": "def alone(): return alone\ndef shared(): pass\n"}
+    assert unreferenced_definitions(sources, {"a.Exported"}) == [
+        "a.Unused", "a.Kept.tested", "c.alone", "c.shared"]
+
+
+def package_sources() -> tuple[dict[str, str], set[str]]:
+    """The package's modules by name, without ``__init__.py``, and the
+    ``module.name`` of each name ``__init__.py`` re-exports."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {f"{node.module}.{alias.name}" for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {p.stem: p.read_text() for p in SOURCES}, exported
 
 
 def test_every_definition_is_referenced():
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    sources = {p.stem: p.read_text() for p in SOURCES}
-    assert unreferenced_definitions(sources, exported) == []
+    assert unreferenced_definitions(*package_sources()) == []
+
+
+def test_the_check_flags_a_method_only_the_tests_call():
+    sources, exported = package_sources()
+    anchor = "    def parameters(self)"
+    assert anchor in sources["policy"]
+    sources["policy"] = sources["policy"].replace(anchor, (
+        "    def unflatten(self, vector):\n"
+        "        return [vector[s].reshape(p.shape)\n"
+        "                for s, p in zip(self.slices, self.parameters())]\n"
+        "\n" + anchor))
+    assert unreferenced_definitions(sources, exported) == ["policy.Policy.unflatten"]
