@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import json
 import os
@@ -125,8 +126,12 @@ def _split_dataset(cfg: dict, path: str, metadata: dict, on_fit):
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     variant = evalcli.VARIANTS[args.variant]
-    overrides = {} if args.total_steps is None else {"total_steps": args.total_steps}
-    ppo_config = evalcli.section_from_config(cfg, "ppo", **overrides)
+    ppo_config = evalcli.section_from_config(cfg, "ppo")
+    if args.total_steps is not None:
+        try:
+            ppo_config = dataclasses.replace(ppo_config, total_steps=args.total_steps)
+        except PpoError as e:
+            raise evalcli.EvalError(f"--total-steps {args.total_steps}: {e}") from None
     env_config = evalcli.section_from_config(cfg, "env")
     fit_reports = []
     train_ds, _, pinned = _split_dataset(cfg, args.data, {}, fit_reports.append)
@@ -169,7 +174,8 @@ def cmd_backtest(args) -> int:
             f"{args.variant} has a different network shape")
     policy = checkpoint.build_policy()
     normalizer = checkpoint.build_normalizer()
-    env_config = evalcli.section_from_config(cfg, "env", random_start=False)
+    env_config = dataclasses.replace(evalcli.section_from_config(cfg, "env"),
+                                     random_start=False)
     train_ds, test_ds, _ = _split_dataset(cfg, args.data, checkpoint.metadata, None)
     dataset = train_ds if args.segment == "train" else test_ds
     metrics, equity_rows, trajectory_rows = evalcli.backtest(

@@ -21,7 +21,7 @@ from .env import EnvConfig, EnvError, TradingEnv, buy_and_hold
 from .garch import FitReport, GarchConfig, GarchError, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketDataError, MarketGenParams,
                          ObservationNormalizer, align, resample)
-from .nn import AdamState
+from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 from .policy import Policy, PolicyConfig, PolicyError
 
 TRADING_DAYS_PER_YEAR = 252
@@ -174,13 +174,22 @@ def save_checkpoint(path: str, variant: str, policy: Policy,
                     normalizer: ObservationNormalizer, adam: AdamState | None = None,
                     training_step: int = 0, rng: np.random.Generator | None = None,
                     metadata: dict | None = None) -> None:
-    """Write a JSON checkpoint atomically (temp file + rename)."""
+    """Write a JSON checkpoint atomically (temp file + rename). The Adam
+    moments are stored per parameter, shaped like it, in ``params`` order."""
+    def per_parameter(vector: np.ndarray) -> list:
+        return [vector[s].reshape(p.shape).tolist()
+                for s, p in zip(policy.slices, policy.parameters())]
+
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "variant": variant,
         "policy_config": asdict(policy.config),
         "params": {name: np.asarray(p).tolist() for name, p in policy.named_parameters()},
-        "adam": adam.to_dict() if adam is not None else None,
+        "adam": None if adam is None else {
+            "learning_rate": adam.learning_rate, "beta1": ADAM_BETA1,
+            "beta2": ADAM_BETA2, "eps": ADAM_EPS, "step_count": adam.step_count,
+            "m": per_parameter(adam.m_vector), "v": per_parameter(adam.v_vector),
+        },
         "training_step": training_step,
         "rng_state": rng.bit_generator.state if rng is not None else None,
         "norm_stats": normalizer.to_dict(),
@@ -206,8 +215,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise EvalError(f"{path}: checkpoint format version {version}, "
                             f"this build reads version {CHECKPOINT_VERSION}")
         doc.setdefault("metadata", {})
-        # norm_stats is checked by ObservationNormalizer.from_dict; the Adam
-        # and RNG state are written for the record, and nothing reads them.
+        # The Adam and RNG state are written for the record; nothing reads them.
         for name, kind in (("variant", "string"), ("policy_config", "object"),
                            ("params", "object"), ("training_step", "integer"),
                            ("metadata", "object")):
@@ -240,6 +248,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise EvalError(f"{path}: checkpoint parameter {name!r} is not "
                                 "an array of finite numbers")
             params[name] = array
+        try:
+            ObservationNormalizer.from_dict(doc["norm_stats"])
+        except MarketDataError as e:
+            raise EvalError(f"{path}: checkpoint norm_stats: {e}") from None
         return Checkpoint(
             variant=doc["variant"], policy_config=policy_config,
             param_values=params, training_step=doc["training_step"],
@@ -378,9 +390,9 @@ def check_config_keys(cfg: dict) -> None:
             raise EvalError(f"unknown config key {key!r}")
 
 
-def section_from_config(cfg: dict, section: str, **overrides):
+def section_from_config(cfg: dict, section: str):
     """Build a section's dataclass from the keys present in ``cfg``; absent
-    keys keep the dataclass defaults and ``overrides`` win over both."""
+    keys keep the dataclass defaults."""
     cls = _SECTIONS[section]
     hints = typing.get_type_hints(cls)
     kwargs = {}
@@ -389,7 +401,7 @@ def section_from_config(cfg: dict, section: str, **overrides):
         if key in cfg:
             kwargs[f.name] = config_get(cfg, key, _CASTS.get(hints[f.name], hints[f.name]))
     try:
-        return cls(**{**kwargs, **overrides})
+        return cls(**kwargs)
     except (MarketDataError, ppo_mod.PpoError, EnvError, GarchError, EvalError) as e:
         # Each section's checks start their message with the field's name, so
         # the section prefix turns it into the config key.

@@ -131,16 +131,15 @@ def forward(net: Network, x, rng: np.random.Generator | None = None,
     return h, ForwardCache(inputs, acts, mask) if tape else None
 
 
-def backward(net: Network, cache: ForwardCache, grad_output,
-             input_grad: bool = True) -> tuple[list, np.ndarray | list | None]:
+def backward(net: Network, cache: ForwardCache, grad_output) -> tuple[list, np.ndarray | None]:
     """Exact reverse-mode gradients of the forward map recorded in ``cache``.
 
     ``grad_output`` has the shape of the output. Returns the gradients of
     ``weights[0], biases[0], weights[1], ...``, shaped like them, plus the
-    gradient with respect to the input, or None when ``input_grad`` is false,
-    which skips its product. A stack's members that share one input add
-    their gradients of it; members with inputs of their own get a list. The
-    dropout mask is replayed, never re-sampled.
+    gradient with respect to the input. A stack's members that share one
+    input add their gradients of it; members that read inputs of their own
+    read data, so their input gradient is never formed and None is returned
+    in its place. The dropout mask is replayed, never re-sampled.
     """
     g = np.asarray(grad_output, dtype=np.float64)
     if g.shape != cache.acts[-1].shape:
@@ -154,18 +153,16 @@ def backward(net: Network, cache: ForwardCache, grad_output,
         h = cache.inputs[i]
         dz = g * (1.0 - a * a) if i < last or net.tanh_out else g
         grads.append(dz.sum(axis=-2))                # bias
-        per_member = i == 0 and net.per_member_inputs
-        grads.append([dz_m.T @ h_m for dz_m, h_m in zip(dz, h)] if per_member
-                     else np.matmul(dz.swapaxes(-1, -2), h))    # weights
-        if i == 0 and not input_grad:
+        if i == 0 and net.per_member_inputs:
+            grads.append([dz_m.T @ h_m for dz_m, h_m in zip(dz, h)])   # weights
             g = None
             break
-        w = net.weights[i]
-        g = [dz_m @ w_m for dz_m, w_m in zip(dz, w)] if per_member else dz @ w
+        grads.append(np.matmul(dz.swapaxes(-1, -2), h))    # weights
+        g = dz @ net.weights[i]
         if i == 1 and cache.mask is not None:
             g = g * cache.mask
     grads.reverse()
-    if g is not None and not net.per_member_inputs and g.ndim > cache.inputs[0].ndim:
+    if g is not None and g.ndim > cache.inputs[0].ndim:
         g = g.sum(axis=0)
     return grads, g
 
@@ -182,30 +179,6 @@ def unflatten(vector: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
     return views
 
 
-def flat_slices(params: list) -> list[slice]:
-    """Where each array of ``params`` lies in the one flat float64 vector
-    they all view, as a slice of it, in the order of ``params``. An array that
-    owns its memory is that vector itself. The arrays must be contiguous and
-    must together cover the vector."""
-    def owner(a):
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        return a
-
-    vector = owner(params[0])
-    start = vector.ctypes.data
-    slices = []
-    for p in params:
-        if owner(p) is not vector or not p.flags.c_contiguous:
-            raise NetworkError("parameters must be contiguous views of one flat vector")
-        offset = (p.ctypes.data - start) // p.itemsize
-        slices.append(slice(offset, offset + p.size))
-    if sum(p.size for p in params) != vector.size:
-        raise NetworkError(f"parameters hold {sum(p.size for p in params)} values, "
-                           f"their vector {vector.size}")
-    return slices
-
-
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -214,27 +187,17 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam moment accumulators with bias correction for the parameters
-    ``params``, kept as one flat vector each, laid out like the flat vector
-    ``params`` view (``flat_slices``); ``m`` and ``v`` are their
-    per-parameter views, in the order of ``params``."""
+    ``params``: two flat vectors, ``m_vector`` and ``v_vector``, of their
+    total size. A value's moments sit at the value's place in the flat
+    parameter vector that ``adam_step`` moves."""
 
     def __init__(self, params: list, learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
-        slices = flat_slices(params)
-        size = sum(s.stop - s.start for s in slices)
+        size = sum(np.size(p) for p in params)
         self.m_vector, self.v_vector = np.zeros(size), np.zeros(size)
-        self.m = [self.m_vector[s].reshape(np.shape(p)) for s, p in zip(slices, params)]
-        self.v = [self.v_vector[s].reshape(np.shape(p)) for s, p in zip(slices, params)]
         # adam_step's two work vectors, so a step allocates nothing.
         self._scratch = (np.empty(size), np.empty(size))
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate, "beta1": ADAM_BETA1,
-            "beta2": ADAM_BETA2, "eps": ADAM_EPS, "step_count": self.step_count,
-            "m": [a.tolist() for a in self.m], "v": [a.tolist() for a in self.v],
-        }
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:

@@ -97,7 +97,7 @@ class Policy:
     holds each level of a stack as one contiguous (members, ...) block, so an
     optimizer can step them all at once and the stacks read the blocks in
     place. ``named_parameters`` gives per-name views of those blocks in
-    checkpoint order."""
+    checkpoint order, and ``slices`` the run of ``vector`` each one views."""
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
         self.config = config
@@ -130,7 +130,11 @@ class Policy:
             named += self._dense_names(name, [block[m] for block in trunk_blocks])
         named.append(("log_std", self.log_std))
         self._named = named
-        self.slices = nn.flat_slices(self.parameters())
+        # Every named view is a contiguous run of vector: its slice starts at
+        # the view's offset, in values, from the vector's first byte.
+        start = self.vector.ctypes.data
+        offsets = [(p.ctypes.data - start) // p.itemsize for _, p in named]
+        self.slices = [slice(o, o + p.size) for o, (_, p) in zip(offsets, named)]
 
         # Weights are scaled-normal, drawn from rng name by name in named
         # order; biases stay zero.
@@ -237,8 +241,7 @@ class Policy:
         rows, k = len(d_state), len(self.config.branches)
         d_out = d_state.reshape(rows, k, -1).transpose(1, 0, 2)
         d_branch = np.multiply(d_out, self._branch_weight_rows, order="C")
-        branch_grads, _ = nn.backward(self.branch_stack, cache.branch_cache, d_branch,
-                                      input_grad=False)
+        branch_grads, _ = nn.backward(self.branch_stack, cache.branch_cache, d_branch)
         d_branch_weight = (d_out * cache.branch_cache.acts[-1]).sum(axis=1)
 
         # Clamped log-std saturates: no gradient outside the bounds.

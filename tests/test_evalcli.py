@@ -491,11 +491,6 @@ class TestConfigMapping:
         settings = SplitConfig(split_boundary=dt.date(2015, 6, 1), train_fraction=0.4)
         assert evalcli.split_boundary(small_dataset, settings) == dt.date(2015, 6, 1)
 
-    def test_overrides_win(self):
-        cfg = {"ppo.total_steps": "4096", "env.random_start": "true"}
-        assert evalcli.section_from_config(cfg, "ppo", total_steps=2048).total_steps == 2048
-        assert not evalcli.section_from_config(cfg, "env", random_start=False).random_start
-
     @pytest.mark.parametrize("key", ["ppo.learning_rat", "env.start", "env.end",
                                      "env.min_episode_steps", "garch.alpha1", "seed"])
     def test_unknown_key_rejected(self, key):
@@ -756,6 +751,22 @@ class TestCli:
         assert load_checkpoint(str(out_dir / "checkpoint.json")).training_step == 128
         assert "for 128 steps" in capsys.readouterr().out
 
+    def test_total_steps_flag_wins_over_the_config_and_is_named(self, cli_workspace,
+                                                                 tmp_path, capsys):
+        config = tmp_path / "steps.cfg"
+        config.write_text(CONFIG_TEXT + "ppo.total_steps = 4096\n")
+
+        def train(steps):
+            return cli.main(["train", "--data", str(cli_workspace["data"]),
+                             "--variant", "DNN", "--config", str(config), "--seed", "3",
+                             "--total-steps", steps, "--out-dir", str(tmp_path / steps)])
+
+        assert train("64") == 0
+        assert "for 64 steps" in capsys.readouterr().out
+        assert train("10") == 1
+        assert capsys.readouterr().err == \
+            "error: --total-steps 10: total_steps must cover at least one rollout\n"
+
     def test_train_is_seed_deterministic(self, cli_workspace, tmp_path):
         out_dir = tmp_path / "rerun"
         rc = cli.main(["train", "--data", str(cli_workspace["data"]),
@@ -950,9 +961,14 @@ class TestCli:
          "'params' is not a JSON object"),
         (lambda doc: {**doc, "metadata": []}, "'metadata' is not a JSON object"),
         (lambda doc: {**doc, "norm_stats": []},
-         "normalizer statistics are not a JSON object"),
+         "checkpoint.json: checkpoint norm_stats: normalizer statistics are not a JSON object"),
+        (lambda doc: {**doc, "norm_stats": 5},
+         "checkpoint.json: checkpoint norm_stats: normalizer statistics are not a JSON object"),
         (lambda doc: {**doc, "norm_stats": {**doc["norm_stats"], "mid": ["mean", "std"]}},
-         "normalizer mid is not a JSON object"),
+         "checkpoint.json: checkpoint norm_stats: normalizer mid is not a JSON object"),
+        (lambda doc: {**doc, "norm_stats": {k: v for k, v in doc["norm_stats"].items()
+                                            if k != "short"}},
+         "checkpoint.json: checkpoint norm_stats: normalizer lacks short.mean"),
         (lambda doc: {**doc, "training_step": [1]},
          "field 'training_step' is not a JSON integer"),
         (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "branch_hidden": 5}},
@@ -990,7 +1006,8 @@ class TestCli:
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "garch_window": None}},
          "metadata 'garch_window' is not a JSON integer"),
     ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
-            "norm_stats.mid", "training_step", "branch_hidden", "branch_hidden_entry",
+            "norm_stats_number", "norm_stats.mid", "norm_stats_without_short",
+            "training_step", "branch_hidden", "branch_hidden_entry",
             "branch_hidden_empty", "branch_hidden_zero",
             "garch_feature", "params_entry", "params_null", "params_shape", "variant",
             "dropout", "dropout_negative", "split_boundary_number",

@@ -352,12 +352,19 @@ class TestCheckpointLayout:
         with open(path) as fh:
             doc = json.load(fh)
         assert list(doc["params"]) == [name for name, _ in layout]
-        for (name, p), m, v in zip(policy.named_parameters(), doc["adam"]["m"],
-                                   doc["adam"]["v"], strict=True):
+        for name, p in policy.named_parameters():
             assert np.array(doc["params"][name]).shape == p.shape
-            assert np.shape(m) == np.shape(v) == p.shape
+        assert list(doc["adam"]) == ["learning_rate", "beta1", "beta2", "eps",
+                                     "step_count", "m", "v"]
+        assert [doc["adam"][k] for k in ("learning_rate", "beta1", "beta2", "eps",
+                                         "step_count")] == [1e-3, 0.9, 0.999, 1e-8, 1]
+        # the moments per name, cut out of the flat vectors like the parameters
+        for key, moments in (("m", adam.m_vector), ("v", adam.v_vector)):
+            for stored, want in zip(doc["adam"][key], unflatten(policy, moments), strict=True):
+                got = np.array(stored, dtype=np.float64)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_slices_cut_the_vector_into_the_named_parameters(self, variant):
         policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(46))
         covered = np.zeros(policy.vector.size, dtype=int)
