@@ -168,10 +168,12 @@ def cmd_backtest(args) -> int:
     cfg = _load_config(args.config)
     checkpoint = evalcli.load_checkpoint(args.checkpoint)
     if args.variant is not None and args.variant != checkpoint.variant:
+        def inputs(config):
+            return ", ".join(f"{kind} {width}" for kind, width in config.input_dims().items())
         raise evalcli.EvalError(
-            f"checkpoint was trained as {checkpoint.variant} (state dimension "
-            f"{checkpoint.policy_config.state_dim}); requested variant "
-            f"{args.variant} has a different network shape")
+            f"checkpoint was trained as {checkpoint.variant} (inputs "
+            f"{inputs(checkpoint.policy_config)}); requested variant {args.variant} "
+            f"has inputs {inputs(evalcli.VARIANTS[args.variant].policy_config())}")
     policy = checkpoint.build_policy()
     normalizer = checkpoint.build_normalizer()
     env_config = dataclasses.replace(evalcli.section_from_config(cfg, "env"),
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="5-minute bar CSV")
     p.add_argument("--segment", choices=("train", "test"), default="test")
-    p.add_argument("--variant", default=None,
+    p.add_argument("--variant", choices=sorted(evalcli.VARIANTS), default=None,
                    help="must match the checkpoint's variant when given")
     p.add_argument("--config", default=None)
     p.add_argument("--out-metrics", required=True)

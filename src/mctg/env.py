@@ -87,7 +87,8 @@ class TradingEnv:
     from the dataset, normalized once here when a fitted normalizer is
     supplied, and cached per day, as they do not depend on the agent's actions;
     the caller asks ``observation(state.day_index)`` for the day it acts on.
-    ``windows`` holds every day's observation at once, with a leading day axis.
+    ``windows`` holds every day's observation at once, with a leading day axis,
+    and ``opens`` the daily opens as a list of Python floats.
     """
 
     def __init__(self, dataset: AlignedDataset, config: EnvConfig, normalizer=None):
@@ -97,7 +98,7 @@ class TradingEnv:
         self.windows = self.dataset.windows
         self.config = config
         self.end = dataset.n_days - 1
-        self.opens = dataset.opens
+        self.opens = dataset.opens.tolist()
         self._obs_cache: dict[int, dict[str, np.ndarray]] = {}
         self.state: PortfolioState | None = None
 
@@ -134,10 +135,10 @@ class TradingEnv:
             raise EnvError(f"action {action} outside [-1, 1]")
 
         p = self.state
-        prev_open = float(self.opens[p.day_index])
+        prev_open = self.opens[p.day_index]
         prev_value = p.value(prev_open)
         exec_day = p.day_index + 1
-        opening = float(self.opens[exec_day])
+        opening = self.opens[exec_day]
         order = map_action(action, p, opening, self.config)
         if order.signed_shares > 0:
             p.cash -= order.signed_shares * opening * (1.0 + self.config.tax_rate)

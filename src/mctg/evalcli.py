@@ -100,14 +100,18 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     """
     if not normalizer.fitted_:
         raise EvalError("backtest requires fitted normalization statistics")
-    env = TradingEnv(dataset, env_config, normalizer)
-    bh = buy_and_hold(dataset, env_config)
+    # The env normalizes and serves only the window kinds the policy reads.
+    env = TradingEnv(AlignedDataset(dataset.trading_days,
+                                    {kind: dataset.windows[kind] for kind in policy.input_dims},
+                                    dataset.opens),
+                     env_config, normalizer)
+    bh = buy_and_hold(dataset, env_config).tolist()
     p = env.reset()
 
     def equity_row(action: float, tax_paid: float) -> dict:
         day = p.day_index
-        return {"date": dataset.trading_days[day], "value": p.value(float(env.opens[day])),
-                "bh_value": float(bh[day]), "action": action, "shares": p.shares,
+        return {"date": dataset.trading_days[day], "value": p.value(env.opens[day]),
+                "bh_value": bh[day], "action": action, "shares": p.shares,
                 "cash": p.cash, "tax_paid": tax_paid}
 
     equity_rows = [equity_row(0.0, 0.0)]
@@ -120,7 +124,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
         row = equity_row(action, order.tax_paid)
         equity_rows.append(row)
         trajectory_rows.append({
-            "date": row["date"], "open": float(env.opens[p.day_index]), "action": action,
+            "date": row["date"], "open": env.opens[p.day_index], "action": action,
             "order_shares": order.signed_shares, "tax_paid": order.tax_paid,
             "cash": row["cash"], "shares": row["shares"], "value": row["value"],
             "reward": reward,
@@ -151,7 +155,7 @@ class Checkpoint:
     metadata: dict
 
     def build_policy(self) -> Policy:
-        policy = Policy(self.policy_config, np.random.default_rng(0))
+        policy = Policy.zeroed(self.policy_config)
         named = dict(policy.named_parameters())
         for name in self.param_values:
             if name not in named:

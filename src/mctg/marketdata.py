@@ -319,13 +319,20 @@ class ObservationNormalizer:
 
     def transform(self, dataset: AlignedDataset) -> AlignedDataset:
         """The dataset with every window array z-scored, as new read-only
-        arrays; the input dataset is left as it is."""
+        arrays; the input dataset is left as it is.
+
+        Each statistic is first spread to a contiguous (rows, cols) array, so
+        the subtract and divide each run over whole window rows; the bits
+        are those of ``(windows - mean) / std``."""
         if not self.fitted_:
             raise MarketDataError("normalizer is not fitted")
         normalized = {}
         for kind, windows in dataset.windows.items():
-            normalized[kind] = (windows - self.mean_[kind]) / self.std_[kind]
-            normalized[kind].flags.writeable = False
+            shape = windows.shape[1:]
+            z = np.subtract(windows, np.broadcast_to(self.mean_[kind], shape).copy())
+            z /= np.broadcast_to(self.std_[kind], shape).copy()
+            z.flags.writeable = False
+            normalized[kind] = z
         return AlignedDataset(dataset.trading_days, normalized, dataset.opens)
 
     def to_dict(self) -> dict:

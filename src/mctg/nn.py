@@ -75,6 +75,13 @@ class ForwardCache:
     mask: np.ndarray | None   # the dropout keep-mask (already scaled), if drawn
 
 
+def member_shape_error(xs: list, w_ts: list) -> NetworkError:
+    """The error for member inputs ``xs`` that do not fit the per-member
+    first-layer weight views ``w_ts``."""
+    return NetworkError(f"member inputs of shapes {[np.shape(x) for x in xs]} do not "
+                        f"match (rows, in) for in = {[w.shape[0] for w in w_ts]}")
+
+
 def _member_products(xs: list, w_ts: list) -> np.ndarray:
     """The (members, rows, out) first-layer products of members that read
     inputs of their own widths: member m's ``np.dot`` writes slice m."""
@@ -86,17 +93,15 @@ def _member_products(xs: list, w_ts: list) -> np.ndarray:
             return h
     except ValueError:   # np.dot rejects an input whose shape does not fit its slice
         pass
-    raise NetworkError(f"member inputs of shapes {[np.shape(x) for x in xs]} do not "
-                       f"match (rows, in) for in = {[w.shape[0] for w in w_ts]}")
+    raise member_shape_error(xs, w_ts)
 
 
-def forward(net: Network, x, rng: np.random.Generator | None = None,
-            tape: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
+def forward(net: Network, x, rng: np.random.Generator | None = None
+            ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on the float64 array ``x`` of shape (rows, in_dim), or
     on the list of per-member inputs of a stack whose first layer is per
     member; returns the (rows, out) output, with a leading member axis
-    for a stack, and, when ``tape`` is set, the cache ``backward`` reads, else
-    None.
+    for a stack, and the cache ``backward`` reads.
 
     Dropout runs if and only if ``rng`` is given. It is inverted: the mask
     divides by the keep probability, so without an rng nothing is rescaled.
@@ -120,15 +125,13 @@ def forward(net: Network, x, rng: np.random.Generator | None = None,
             keep = 1.0 - net.dropout
             mask = (rng.random(h.shape) < keep) / keep
             h = h * mask
-        if tape:
-            inputs.append(h)
+        inputs.append(h)
         h = product(h, w_t)
         h += b_row
         if tanh:
             np.tanh(h, out=h)
-        if tape:
-            acts.append(h)
-    return h, ForwardCache(inputs, acts, mask) if tape else None
+        acts.append(h)
+    return h, ForwardCache(inputs, acts, mask)
 
 
 def backward(net: Network, cache: ForwardCache, grad_output) -> tuple[list, np.ndarray | None]:

@@ -97,9 +97,33 @@ class Policy:
     holds each level of a stack as one contiguous (members, ...) block, so an
     optimizer can step them all at once and the stacks read the blocks in
     place. ``named_parameters`` gives per-name views of those blocks in
-    checkpoint order, and ``slices`` the run of ``vector`` each one views."""
+    checkpoint order, and ``slices`` the run of ``vector`` each one views.
+
+    An untaped forward without an rng is the acting pass: it writes every
+    level but the last into buffers the policy owns, so one policy serves one
+    caller at a time."""
 
     def __init__(self, config: PolicyConfig, rng: np.random.Generator):
+        self._lay_out(config)
+        # Weights are scaled-normal, drawn from rng name by name in named
+        # order; biases stay zero.
+        for name, p in self._named:
+            if name.endswith(".weights"):
+                p[...] = rng.normal(0.0, 1.0 / np.sqrt(p.shape[1]), size=p.shape)
+        self._branch_weight_rows[...] = 1.0
+        self.log_std[...] = config.init_log_std
+
+    @classmethod
+    def zeroed(cls, config: PolicyConfig) -> "Policy":
+        """A policy of ``config`` whose every value is zero, built without a
+        draw: for a caller that writes every value, as a load or a copy does."""
+        policy = cls.__new__(cls)
+        policy._lay_out(config)
+        return policy
+
+    def _lay_out(self, config: PolicyConfig) -> None:
+        """The zero vector, its named views and slices, the two stacks over
+        them, and the acting pass's entries for one row."""
         self.config = config
         self.input_dims = config.input_dims()   # branch -> width of its input rows
         k = len(config.branches)
@@ -136,19 +160,32 @@ class Policy:
         offsets = [(p.ctypes.data - start) // p.itemsize for _, p in named]
         self.slices = [slice(o, o + p.size) for o, (_, p) in zip(offsets, named)]
 
-        # Weights are scaled-normal, drawn from rng name by name in named
-        # order; biases stay zero.
-        for name, p in named:
-            if name.endswith(".weights"):
-                p[...] = rng.normal(0.0, 1.0 / np.sqrt(p.shape[1]), size=p.shape)
-        branch_weight[...] = 1.0
-        self.log_std[...] = config.init_log_std
-
         self.branch_stack = nn.Network([list(first), *branch_blocks[1::2]],
                                        branch_blocks[0::2], tanh_out=True,
                                        dropout=config.dropout)
         self.trunk_stack = nn.Network(trunk_blocks[0::2], trunk_blocks[1::2])
         self._branch_weight_rows = branch_weight[:, None, :]
+        self._lay_out_acting(1)
+
+    def _lay_out_acting(self, rows: int) -> None:
+        """The acting pass's entries for inputs of ``rows`` rows: per level it
+        writes, the ``W.T`` view and bias row from the stack's ``layers`` and
+        the (members, rows, out) buffer, plus the (rows, state_dim) state
+        buffer. The trunks' last level has no buffer: its output is fresh per
+        call."""
+        def levels(layers):
+            return [(w_t, b_row, np.empty((len(b_row), rows, b_row.shape[-1])))
+                    for _, w_t, b_row, _, _ in layers]
+
+        self._acting_rows = rows
+        first, *self._acting_branch = levels(self.branch_stack.layers)
+        # the first level's per-member weights and the member slices of its buffer
+        self._acting_first = (*first, list(first[2]))
+        (self._acting_trunk,) = levels(self.trunk_stack.layers[:-1])
+        self._acting_state = np.empty((rows, self.config.state_dim))
+        # Member m of this view is columns m*out:(m+1)*out of the state rows.
+        self._acting_state_members = self._acting_state.reshape(
+            rows, len(self.config.branches), -1).transpose(1, 0, 2)
 
     @staticmethod
     def _dense_names(prefix: str, params: list) -> list[tuple[str, np.ndarray]]:
@@ -167,9 +204,9 @@ class Policy:
         return [p for _, p in self._named]
 
     def __deepcopy__(self, memo) -> "Policy":
-        """A policy of the same config over a copy of ``vector``: its views
-        and stacks read its own vector, never this one's."""
-        twin = Policy(self.config, np.random.default_rng(0))
+        """A policy of the same config over a copy of ``vector``: its views,
+        stacks and acting buffers are its own, never this one's."""
+        twin = Policy.zeroed(self.config)
         twin.vector[...] = self.vector
         return twin
 
@@ -196,21 +233,25 @@ class Policy:
                       self.config.log_std_max)
         return float(np.exp(clamped))
 
+    def _check_branch_rows(self, xs: list) -> None:
+        """Raise the PolicyError that names the first branch whose rows differ
+        from the first branch's; do nothing when all agree."""
+        for name, x in zip(self.config.branches, xs):
+            if len(x) != len(xs[0]):
+                raise PolicyError(f"branch {name!r} has {len(x)} rows, "
+                                  f"the first branch {len(xs[0])}") from None
+
     def assemble_state(self, flat_obs: dict[str, np.ndarray],
-                       rng: np.random.Generator | None = None, tape: bool = True
-                       ) -> tuple[np.ndarray, nn.ForwardCache | None]:
+                       rng: np.random.Generator | None = None
+                       ) -> tuple[np.ndarray, nn.ForwardCache]:
         """The (rows, state_dim) concatenation of the weighted branch outputs
-        for (rows, dim) branch inputs, and the branch stack's tape when
-        ``tape`` is set, else None; the branches' dropout runs if and only if
-        ``rng`` is given."""
+        for (rows, dim) branch inputs, and the branch stack's tape; the
+        branches' dropout runs if and only if ``rng`` is given."""
         xs = [flat_obs[name] for name in self.config.branches]
         try:
-            out, branch_cache = nn.forward(self.branch_stack, xs, rng, tape)
+            out, branch_cache = nn.forward(self.branch_stack, xs, rng)
         except nn.NetworkError:
-            for name, x in zip(self.config.branches, xs):
-                if len(x) != len(xs[0]):
-                    raise PolicyError(f"branch {name!r} has {len(x)} rows, "
-                                      f"the first branch {len(xs[0])}") from None
+            self._check_branch_rows(xs)
             raise
         # Member m's weighted output goes to columns m*out:(m+1)*out of each row.
         weighted = np.multiply(out, self._branch_weight_rows)
@@ -221,11 +262,46 @@ class Policy:
                 ) -> tuple[PolicyOutput, PolicyCache | None]:
         """Action means and values for (rows, dim) branch inputs, and the cache
         ``backward`` reads. A caller that will not differentiate passes
-        ``tape=False`` and gets None in place of the cache."""
-        state, branch_cache = self.assemble_state(flat_obs, rng, tape)
-        heads, trunk_cache = nn.forward(self.trunk_stack, state, rng, tape)
+        ``tape=False`` and gets None in place of the cache; without an rng
+        that call is the acting pass, with one it runs the taped pass."""
+        if not tape and rng is None:
+            return self._act([flat_obs[name] for name in self.config.branches]), None
+        state, branch_cache = self.assemble_state(flat_obs, rng)
+        heads, trunk_cache = nn.forward(self.trunk_stack, state, rng)
         out = PolicyOutput(heads[0, :, 0], heads[1, :, 0])
         return out, PolicyCache(branch_cache, trunk_cache) if tape else None
+
+    def _act(self, xs: list) -> PolicyOutput:
+        """The acting pass: the taped pass's products, bias adds, tanhs (on
+        every branch level and the trunks' hidden one, as the stacks are
+        built) and branch weighting, in its order and with its bits, written
+        into the buffers of ``_lay_out_acting``, which are rebuilt when the
+        row count changes. The outputs view the last level's fresh array, so
+        a caller may keep them across calls."""
+        if len(xs[0]) != self._acting_rows:
+            self._lay_out_acting(len(xs[0]))
+        w_ts, b_row, h, h_members = self._acting_first
+        try:
+            for x, w_t, h_m in zip(xs, w_ts, h_members):
+                np.dot(x, w_t, h_m)
+        except ValueError:   # np.dot rejects an input whose shape does not fit its slice
+            self._check_branch_rows(xs)
+            raise nn.member_shape_error(xs, w_ts) from None
+        h += b_row
+        np.tanh(h, h)
+        for w_t, b_row, buffer in self._acting_branch:
+            h = np.matmul(h, w_t, buffer)
+            h += b_row
+            np.tanh(h, h)
+        np.multiply(h, self._branch_weight_rows, self._acting_state_members)
+        w_t, b_row, buffer = self._acting_trunk
+        h = np.matmul(self._acting_state, w_t, buffer)
+        h += b_row
+        np.tanh(h, h)
+        _, w_t, b_row, _, _ = self.trunk_stack.layers[-1]
+        heads = np.matmul(h, w_t)
+        heads += b_row
+        return PolicyOutput(heads[0, :, 0], heads[1, :, 0])
 
     def backward(self, cache: PolicyCache, d_mean, d_value,
                  d_log_std: float = 0.0) -> np.ndarray:

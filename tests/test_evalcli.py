@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -172,6 +173,27 @@ class TestBacktest:
         taxes = [row["tax_paid"] for row in trajectory]
         assert metrics.tax_rate_annualized == tax_rate(taxes, 1e6, len(values))
         assert metrics.n_trades == sum(r["order_shares"] != 0 for r in trajectory)
+
+
+    @pytest.mark.parametrize("variant", list(evalcli.VARIANTS))
+    def test_a_dataset_of_the_policy_kinds_backtests_like_the_full_one(
+            self, variant, small_dataset, small_normalizer):
+        policy = small_variant_policy(variant, 8)
+        cut = dataclasses.replace(small_dataset, windows={
+            kind: small_dataset.windows[kind] for kind in policy.input_dims})
+        full = backtest(policy, small_dataset, EnvConfig(), small_normalizer)
+        assert backtest(policy, cut, EnvConfig(), small_normalizer) == full
+        # the reference: the env over every kind, stepped by the acting forward
+        env = TradingEnv(small_dataset, EnvConfig(), small_normalizer)
+        p = env.reset()
+        actions = []
+        while not env.done:
+            flat = policy.flatten_observation(env.observation(p.day_index))
+            out, _ = policy.forward(flat)
+            actions.append(min(max(float(out.action_mean[0]), -1.0), 1.0))
+            env.step(actions[-1])
+        assert [row["action"] for row in full[2]] == actions
+        assert full[1][-1]["value"] == p.value(float(small_dataset.opens[-1]))
 
 
 class TestNoLookAhead:
@@ -878,6 +900,29 @@ class TestCli:
         assert rc == 1
         err = capsys.readouterr().err
         assert "DNN" in err and "MCTG" in err
+
+    def test_backtest_variant_mismatch_names_the_inputs(self, cli_workspace, tmp_path,
+                                                        capsys):
+        # DNN and DNN-GARCH share a state dimension; their mid inputs differ
+        rc = cli.main(["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
+                       "--data", str(cli_workspace["data"]), "--variant", "DNN-GARCH",
+                       "--out-metrics", str(tmp_path / "m.json"),
+                       "--out-equity", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint was trained as DNN (inputs mid 180); requested variant "
+            "DNN-GARCH has inputs mid 210\n")
+
+    @pytest.mark.parametrize("variant", ["mctg", "MCTG-X", ""])
+    def test_backtest_unknown_variant_is_usage_error(self, cli_workspace, tmp_path,
+                                                     capsys, variant):
+        rc = cli.main(["backtest", "--checkpoint", str(cli_workspace["checkpoint"]),
+                       "--data", str(cli_workspace["data"]), "--variant", variant,
+                       "--out-metrics", str(tmp_path / "m.json"),
+                       "--out-equity", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_report_cli(self, cli_workspace, tmp_path):
         docs = []

@@ -702,6 +702,22 @@ class TestNormalizer:
                 for kind in ("short", "mid", "long"):
                     assert np.array_equal(got[kind], expected[kind]), (k, kind)
 
+    def test_transform_equals_the_whole_array_formula_byte_for_byte(self, frozen_split):
+        # every other day (a strided input) and a dataset of one kind too
+        train, test = frozen_split
+        norm = ObservationNormalizer().fit(train, range(train.n_days))
+        every_other = replace(test, trading_days=test.trading_days[::2],
+                              windows={k: w[::2] for k, w in test.windows.items()},
+                              opens=test.opens[::2])
+        mid_only = replace(test, windows={"mid": test.windows["mid"]})
+        for ds in (train, test, every_other, mid_only):
+            normalized = norm.transform(ds)
+            assert set(normalized.windows) == set(ds.windows)
+            for kind, w in ds.windows.items():
+                want = (w - norm.mean_[kind]) / norm.std_[kind]
+                got = normalized.windows[kind]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), kind
+
     def test_transform_returns_read_only_arrays_and_keeps_input(self, small_dataset,
                                                                 small_normalizer):
         ds = small_dataset

@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import json
 import math
 
@@ -212,9 +213,13 @@ def forward_by_name(policy, flat):
 class TestTape:
     @pytest.mark.parametrize("variant", list(VARIANTS))
     @pytest.mark.parametrize("rows", [1, 64])
-    def test_forward_without_tape_is_bit_equal(self, variant, rows):
+    @pytest.mark.parametrize("branch_hidden", [(32, 16), (8,), (12, 8, 6)])
+    def test_forward_without_tape_is_bit_equal(self, variant, rows, branch_hidden):
+        # the acting pass's entries are built per level, so the depth varies
         rng = np.random.default_rng(30)
-        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        config = dataclasses.replace(VARIANTS[variant].policy_config(),
+                                     branch_hidden=branch_hidden)
+        policy = Policy(config, rng)
         flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
         taped, cache = policy.forward(flat)
         acting, none = policy.forward(flat, tape=False)
@@ -229,21 +234,26 @@ class TestTape:
         assert acting.value.tobytes() == taped.value.tobytes()
 
     def test_acting_forward_records_nothing(self):
+        # only the acting pass goes untaped: assemble_state and nn.forward
+        # always record their tape
         rng = np.random.default_rng(32)
         policy = Policy(PolicyConfig(), rng)
         flat = {b: rng.normal(size=(1, d)) for b, d in policy.input_dims.items()}
-        state, none = policy.assemble_state(flat, tape=False)
-        assert none is None and state.shape == (1, policy.config.state_dim)
+        out, none = policy.forward(flat, tape=False)
+        assert none is None and out.action_mean.shape == (1,)
+        state, cache = policy.assemble_state(flat)
+        assert cache is not None and state.shape == (1, policy.config.state_dim)
         xs = [rng.normal(size=(1, d)) for d in policy.branch_stack.in_dim]
         for net, x in ((policy.branch_stack, xs), (policy.trunk_stack, state)):
-            assert nn.forward(net, x, tape=False)[1] is None
-            assert nn.forward(net, x, rng, tape=False)[1] is None
+            assert nn.forward(net, x)[1] is not None
+            assert nn.forward(net, x, rng)[1] is not None
 
     @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
-    def test_forward_reads_parameters_after_an_adam_step(self, variant):
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_forward_reads_parameters_after_an_adam_step(self, variant, rows):
         rng = np.random.default_rng(33)
         policy = Policy(VARIANTS[variant].policy_config(), rng)
-        flat = {b: rng.normal(size=(4, d)) for b, d in policy.input_dims.items()}
+        flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
         before, _ = policy.forward(flat, tape=False)
         adam = nn.AdamState(policy.parameters(), 1e-2)
         nn.adam_step(policy.vector, rng.normal(size=policy.vector.size), adam)
@@ -254,7 +264,8 @@ class TestTape:
             assert not np.array_equal(out.action_mean, before.action_mean)
 
     @pytest.mark.parametrize("variant", ["MCTG", "DNN-GARCH"])
-    def test_forward_reads_parameters_loaded_from_a_checkpoint(self, variant):
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_forward_reads_parameters_loaded_from_a_checkpoint(self, variant, rows):
         config = VARIANTS[variant].policy_config()
         trained = Policy(config, np.random.default_rng(34))
         trained.vector += np.random.default_rng(35).normal(0.0, 0.1, trained.vector.size)
@@ -262,7 +273,7 @@ class TestTape:
                                           in trained.named_parameters()},
                         0, {}, {})
         loaded = ck.build_policy()
-        flat = {b: np.random.default_rng(36).normal(size=(3, d))
+        flat = {b: np.random.default_rng(36).normal(size=(rows, d))
                 for b, d in loaded.input_dims.items()}
         out, _ = loaded.forward(flat, tape=False)
         want, _ = trained.forward(flat, tape=False)
@@ -272,13 +283,51 @@ class TestTape:
         fresh, _ = Policy(config, np.random.default_rng(0)).forward(flat, tape=False)
         assert not np.array_equal(out.action_mean, fresh.action_mean)
 
-    def test_branches_of_unequal_rows_rejected(self):
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_branches_of_unequal_rows_rejected(self, tape):
         rng = np.random.default_rng(37)
         policy = Policy(tiny_policy_config(), rng)
         flat = {b: rng.normal(size=(2 if b == "short" else 1, d))
                 for b, d in policy.input_dims.items()}
         with pytest.raises(PolicyError, match="'mid' has 1 rows, the first branch 2"):
-            policy.forward(flat, tape=False)
+            policy.forward(flat, tape=tape)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("bad", ["width", "ndim"])
+    def test_bad_inputs_raise_the_same_error_taped_and_acting(self, rows, bad):
+        policy = Policy(tiny_policy_config(), np.random.default_rng(38))
+        shapes = {b: (rows, d) for b, d in policy.input_dims.items()}
+        shapes["mid"] = (rows, shapes["mid"][1] + 1) if bad == "width" else (shapes["mid"][1],)
+        flat = {b: np.zeros(shape) for b, shape in shapes.items()}
+        messages = []
+        for tape in (True, False):
+            with pytest.raises((PolicyError, nn.NetworkError)) as err:
+                policy.forward(flat, tape=tape)
+            messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
+        # a 1-d mid input has as many rows as values, not the first branch's
+        assert messages[0][0] is (nn.NetworkError if bad == "width" else PolicyError)
+        # the acting pass still serves well-formed inputs afterwards
+        good = {b: np.ones((rows, d)) for b, d in policy.input_dims.items()}
+        acting, _ = policy.forward(good, tape=False)
+        taped, _ = policy.forward(good)
+        assert acting.action_mean.tobytes() == taped.action_mean.tobytes()
+
+    def test_outputs_survive_later_calls_and_twins(self):
+        # collect_rollout keeps every step's out.value; a row count that
+        # changes rebuilds the buffers; a deep copy's buffers are its own
+        rng = np.random.default_rng(39)
+        policy = Policy(PolicyConfig(), rng)
+        flats = [{b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
+                 for rows in (1, 1, 3, 1)]
+        held = [policy.forward(flat, tape=False)[0] for flat in flats]
+        want = [policy.forward(flat)[0] for flat in flats]
+        twin = copy.deepcopy(policy)
+        for flat in flats:
+            twin.forward(flat, tape=False)
+        for got, ref in zip(held, want, strict=True):
+            assert got.action_mean.tobytes() == ref.action_mean.tobytes()
+            assert got.value.tobytes() == ref.value.tobytes()
 
 
 class TestParameters:
@@ -375,12 +424,52 @@ class TestCheckpointLayout:
         assert np.all(covered == 1)
 
 
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``normal`` calls in ``normal_calls``."""
+
+    normal_calls = 0
+
+    def normal(self, *args, **kwargs):
+        CountingGenerator.normal_calls += 1
+        return super().normal(*args, **kwargs)
+
+
+class TestBuildWithoutDraws:
+    @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
+    def test_load_and_copy_draw_nothing(self, variant, monkeypatch):
+        # every rng the package makes counts its normal draws
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: CountingGenerator(np.random.PCG64(seed)))
+        config = VARIANTS[variant].policy_config()
+        CountingGenerator.normal_calls = 0
+        policy = Policy(config, np.random.default_rng(50))
+        assert CountingGenerator.normal_calls == sum(
+            name.endswith(".weights") for name, _ in policy.named_parameters())
+        ck = Checkpoint(variant, config, {name: p.copy() for name, p
+                                          in policy.named_parameters()}, 0, {}, {})
+        CountingGenerator.normal_calls = 0
+        loaded, twin = ck.build_policy(), copy.deepcopy(policy)
+        assert CountingGenerator.normal_calls == 0
+        for built in (loaded, twin):
+            assert built.vector.tobytes() == policy.vector.tobytes()
+            assert not np.shares_memory(built.vector, policy.vector)
+
+    def test_a_zeroed_policy_is_all_zeros_and_laid_out(self):
+        config = VARIANTS["MCTG"].policy_config()
+        policy, zeroed = Policy(config, np.random.default_rng(51)), Policy.zeroed(config)
+        assert not zeroed.vector.any()
+        assert zeroed.slices == policy.slices
+        assert [(n, p.shape) for n, p in zeroed.named_parameters()] \
+            == [(n, p.shape) for n, p in policy.named_parameters()]
+
+
 class TestDeepCopy:
     @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
-    def test_copy_is_linked_and_independent(self, variant):
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_copy_is_linked_and_independent(self, variant, rows):
         rng = np.random.default_rng(47)
         policy = Policy(VARIANTS[variant].policy_config(), rng)
-        flat = {b: rng.normal(size=(3, d)) for b, d in policy.input_dims.items()}
+        flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
         before, _ = policy.forward(flat, tape=False)
         twin = copy.deepcopy(policy)
         same, _ = twin.forward(flat, tape=False)
@@ -424,7 +513,8 @@ class TestCallCount:
             policy.backward(cache, rng.normal(size=4), rng.normal(size=4))
             seen[variant] = (acting, dict(counts))
         assert seen["MCTG"] == seen["DNN"]
-        assert seen["MCTG"][0]["forward"] > 0 and seen["MCTG"][1]["backward"] > 0
+        # the acting pass runs no nn.forward at all
+        assert seen["MCTG"][0] == {} and seen["MCTG"][1]["backward"] > 0
 
     @pytest.mark.parametrize("variant", ["MCTG", "DNN"])
     def test_a_policy_builds_its_two_stacks_only(self, variant, monkeypatch):
