@@ -22,7 +22,7 @@ from .garch import (FitReport, GarchParams, filter_variances, fit, log_likelihoo
                     rolling_forecast)
 from .marketdata import (AlignedDataset, BarSeries, MarketGenParams, ObservationNormalizer,
                          align, load_bars, resample, simulate_market, split, window_at)
-from .policy import Policy, PolicyConfig, PolicyOutput, sample_action
+from .policy import Policy, PolicyConfig, PolicyOutput
 from .ppo import PpoConfig, TrajectoryBuffer, compute_gae, ppo_surrogate, prob_ratio, train
 
 __version__ = "0.1.0"

@@ -168,12 +168,11 @@ def cmd_backtest(args) -> int:
     cfg = _load_config(args.config)
     checkpoint = evalcli.load_checkpoint(args.checkpoint)
     if args.variant is not None and args.variant != checkpoint.variant:
-        def inputs(config):
-            return ", ".join(f"{kind} {width}" for kind, width in config.input_dims().items())
+        requested = evalcli.VARIANTS[args.variant].policy_config()
         raise evalcli.EvalError(
             f"checkpoint was trained as {checkpoint.variant} (inputs "
-            f"{inputs(checkpoint.policy_config)}); requested variant {args.variant} "
-            f"has inputs {inputs(evalcli.VARIANTS[args.variant].policy_config())}")
+            f"{evalcli.input_widths(checkpoint.policy_config)}); requested variant "
+            f"{args.variant} has inputs {evalcli.input_widths(requested)}")
     policy = checkpoint.build_policy()
     normalizer = checkpoint.build_normalizer()
     env_config = dataclasses.replace(evalcli.section_from_config(cfg, "env"),

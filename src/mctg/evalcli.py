@@ -22,10 +22,10 @@ from .garch import FitReport, GarchConfig, GarchError, rolling_forecast
 from .marketdata import (AlignedDataset, BarSeries, MarketDataError, MarketGenParams,
                          ObservationNormalizer, align, resample)
 from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
-from .policy import Policy, PolicyConfig, PolicyError
+from .policy import Policy, PolicyConfig
 
 TRADING_DAYS_PER_YEAR = 252
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class EvalError(Exception):
@@ -50,6 +50,19 @@ VARIANTS = {
     "MCT": VariantConfig("MCT", ("short", "mid", "long"), False),
     "MCTG": VariantConfig("MCTG", ("short", "mid", "long"), True),
 }
+
+
+def known_variant(name: str, what: str) -> VariantConfig:
+    """``VARIANTS[name]``; an unknown name is an ``EvalError`` that starts
+    with ``what`` and names it."""
+    if name not in VARIANTS:
+        raise EvalError(f"{what} {name!r} is none of {', '.join(VARIANTS)}")
+    return VARIANTS[name]
+
+
+def input_widths(config: PolicyConfig) -> str:
+    """The branch inputs of ``config`` as text: "mid 180", say."""
+    return ", ".join(f"{kind} {width}" for kind, width in config.input_dims().items())
 
 
 # -- metrics -----------------------------------------------------------------
@@ -147,12 +160,15 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
 
 @dataclass
 class Checkpoint:
-    variant: str
-    policy_config: PolicyConfig
+    variant: str   # a key of VARIANTS
     param_values: dict[str, np.ndarray]
     training_step: int
     norm_stats: dict
     metadata: dict
+
+    @property
+    def policy_config(self) -> PolicyConfig:
+        return VARIANTS[self.variant].policy_config()
 
     def build_policy(self) -> Policy:
         policy = Policy.zeroed(self.policy_config)
@@ -179,7 +195,13 @@ def save_checkpoint(path: str, variant: str, policy: Policy,
                     training_step: int = 0, rng: np.random.Generator | None = None,
                     metadata: dict | None = None) -> None:
     """Write a JSON checkpoint atomically (temp file + rename). The Adam
-    moments are stored per parameter, shaped like it, in ``params`` order."""
+    moments are stored per parameter, shaped like it, in ``params`` order.
+    ``variant`` names the policy's config, which must be the variant's."""
+    config = known_variant(variant, "variant").policy_config()
+    if policy.config != config:
+        raise EvalError(f"variant {variant} has inputs {input_widths(config)}; "
+                        f"the policy has inputs {input_widths(policy.config)}")
+
     def per_parameter(vector: np.ndarray) -> list:
         return [vector[s].reshape(p.shape).tolist()
                 for s, p in zip(policy.slices, policy.parameters())]
@@ -187,7 +209,6 @@ def save_checkpoint(path: str, variant: str, policy: Policy,
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "variant": variant,
-        "policy_config": asdict(policy.config),
         "params": {name: np.asarray(p).tolist() for name, p in policy.named_parameters()},
         "adam": None if adam is None else {
             "learning_rate": adam.learning_rate, "beta1": ADAM_BETA1,
@@ -220,27 +241,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                             f"this build reads version {CHECKPOINT_VERSION}")
         doc.setdefault("metadata", {})
         # The Adam and RNG state are written for the record; nothing reads them.
-        for name, kind in (("variant", "string"), ("policy_config", "object"),
-                           ("params", "object"), ("training_step", "integer"),
-                           ("metadata", "object")):
+        for name, kind in (("variant", "string"), ("params", "object"),
+                           ("training_step", "integer"), ("metadata", "object")):
             check_json(doc[name], kind, f"{path}: checkpoint field {name!r}")
-        stored = {}
-        for f in fields(PolicyConfig):
-            value = doc["policy_config"][f.name]
-            what = f"{path}: checkpoint policy_config {f.name!r}"
-            if isinstance(f.default, tuple):
-                # JSON stores the config's tuples as lists.
-                check_json(value, "array", what)
-                for item in value:
-                    check_json(item, _JSON_KINDS[type(f.default[0])], f"{what} entry")
-                value = tuple(value)
-            else:
-                check_json(value, _JSON_KINDS[type(f.default)], what)
-            stored[f.name] = value
-        try:
-            policy_config = PolicyConfig(**stored)
-        except PolicyError as e:
-            raise EvalError(f"{path}: checkpoint policy_config {e}") from None
+        known_variant(doc["variant"], f"{path}: checkpoint variant")
         params = {}
         for name, value in doc["params"].items():
             try:
@@ -257,25 +261,20 @@ def load_checkpoint(path: str) -> Checkpoint:
         except MarketDataError as e:
             raise EvalError(f"{path}: checkpoint norm_stats: {e}") from None
         return Checkpoint(
-            variant=doc["variant"], policy_config=policy_config,
-            param_values=params, training_step=doc["training_step"],
+            variant=doc["variant"], param_values=params, training_step=doc["training_step"],
             norm_stats=doc["norm_stats"], metadata=doc["metadata"],
         )
     except KeyError as e:
         raise EvalError(f"{path}: checkpoint lacks field {e.args[0]!r}") from None
 
 
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
-               "number": (int, float), "boolean": bool}
-# Python type of a default value -> the JSON kind that stores it.
-_JSON_KINDS = {str: "string", int: "integer", float: "number", bool: "boolean"}
+_JSON_TYPES = {"object": dict, "string": str, "integer": int, "number": (int, float)}
 
 
 def check_json(value, kind: str, what: str) -> None:
     """JSON read from a file can be valid yet of the wrong type; ``kind`` is a
-    key of ``_JSON_TYPES``. Only a ``boolean`` may be a JSON boolean."""
-    if isinstance(value, bool) != (kind == "boolean") \
-            or not isinstance(value, _JSON_TYPES[kind]):
+    key of ``_JSON_TYPES``. A JSON boolean is of none of these kinds."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise EvalError(f"{what} is not a JSON {kind}")
 
 

@@ -23,6 +23,17 @@ LOG2PI = math.log(2.0 * math.pi)
 BRANCH_NAMES = tuple(WINDOW_SHAPES)
 VOL_COLUMN = WINDOW_SHAPES["mid"][1] - 1   # the mid window's last column: the GARCH forecast
 
+# Every variant's networks: the branch layer widths, the dropout rate after a
+# branch's first hidden layer, the trunks' hidden width, and the log-std's
+# initial value and clamp.
+BRANCH_HIDDEN = (32, 16)
+BRANCH_OUT = 16
+DROPOUT = 0.25
+TRUNK_HIDDEN = 32
+INIT_LOG_STD = -0.5
+LOG_STD_MIN = -5.0
+LOG_STD_MAX = 1.0
+
 
 class PolicyError(Exception):
     pass
@@ -30,15 +41,10 @@ class PolicyError(Exception):
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """Which branches run, and whether the mid branch reads the GARCH column."""
+
     branches: tuple[str, ...] = BRANCH_NAMES
     garch_feature: bool = True
-    branch_hidden: tuple[int, ...] = (32, 16)
-    branch_out: int = 16
-    dropout: float = 0.25
-    trunk_hidden: int = 32
-    init_log_std: float = -0.5
-    log_std_min: float = -5.0
-    log_std_max: float = 1.0
 
     def __post_init__(self):
         if not self.branches:
@@ -48,15 +54,6 @@ class PolicyConfig:
                 raise PolicyError(f"unknown branch {b!r}")
         if len(set(self.branches)) != len(self.branches):
             raise PolicyError("duplicate branch names")
-        if not 0.0 <= self.dropout < 1.0:
-            raise PolicyError(f"'dropout' must be in [0, 1), got {self.dropout}")
-        if not self.branch_hidden:
-            raise PolicyError("'branch_hidden' must list at least one layer width")
-        narrowest = {"branch_hidden": min(self.branch_hidden),
-                     "branch_out": self.branch_out, "trunk_hidden": self.trunk_hidden}
-        for field, width in narrowest.items():
-            if width < 1:
-                raise PolicyError(f"{field!r} widths must be >= 1, got {getattr(self, field)}")
 
     def input_dims(self) -> dict[str, int]:
         dims = {b: rows * cols for b, (rows, cols) in WINDOW_SHAPES.items()}
@@ -66,7 +63,7 @@ class PolicyConfig:
 
     @property
     def state_dim(self) -> int:
-        return self.branch_out * len(self.branches)
+        return BRANCH_OUT * len(self.branches)
 
 
 @dataclass
@@ -111,7 +108,7 @@ class Policy:
             if name.endswith(".weights"):
                 p[...] = rng.normal(0.0, 1.0 / np.sqrt(p.shape[1]), size=p.shape)
         self._branch_weight_rows[...] = 1.0
-        self.log_std[...] = config.init_log_std
+        self.log_std[...] = INIT_LOG_STD
 
     @classmethod
     def zeroed(cls, config: PolicyConfig) -> "Policy":
@@ -127,15 +124,15 @@ class Policy:
         self.config = config
         self.input_dims = config.input_dims()   # branch -> width of its input rows
         k = len(config.branches)
-        branch_sizes = [*config.branch_hidden, config.branch_out]
-        trunk_sizes = [config.state_dim, config.trunk_hidden, 1]
+        branch_sizes = [*BRANCH_HIDDEN, BRANCH_OUT]
+        trunk_sizes = [config.state_dim, TRUNK_HIDDEN, 1]
         # the blocks in vector order: the first branch level's weights per
         # branch, then a (members, ...) block per weight, bias and branch
         # weight, then the trunks' blocks and the log-std
         block_shapes = [(branch_sizes[0], dim) for dim in self.input_dims.values()]
         block_shapes += [(k, branch_sizes[0])]
         block_shapes += [(k, *shape) for shape in nn.layer_shapes(branch_sizes)]
-        block_shapes += [(k, config.branch_out)]
+        block_shapes += [(k, BRANCH_OUT)]
         block_shapes += [(len(TRUNKS), *shape) for shape in nn.layer_shapes(trunk_sizes)]
         block_shapes += [()]
         self.vector = np.zeros(sum(math.prod(shape) for shape in block_shapes))
@@ -161,8 +158,7 @@ class Policy:
         self.slices = [slice(o, o + p.size) for o, (_, p) in zip(offsets, named)]
 
         self.branch_stack = nn.Network([list(first), *branch_blocks[1::2]],
-                                       branch_blocks[0::2], tanh_out=True,
-                                       dropout=config.dropout)
+                                       branch_blocks[0::2], tanh_out=True, dropout=DROPOUT)
         self.trunk_stack = nn.Network(trunk_blocks[0::2], trunk_blocks[1::2])
         self._branch_weight_rows = branch_weight[:, None, :]
         self._lay_out_acting(1)
@@ -229,8 +225,7 @@ class Policy:
     @property
     def action_std(self) -> float:
         # min/max on a Python float: np.clip's bits at a fraction of its call cost.
-        clamped = min(max(float(self.log_std), self.config.log_std_min),
-                      self.config.log_std_max)
+        clamped = min(max(float(self.log_std), LOG_STD_MIN), LOG_STD_MAX)
         return float(np.exp(clamped))
 
     def _check_branch_rows(self, xs: list) -> None:
@@ -322,7 +317,7 @@ class Policy:
 
         # Clamped log-std saturates: no gradient outside the bounds.
         raw = float(self.log_std)
-        inside = self.config.log_std_min < raw < self.config.log_std_max
+        inside = LOG_STD_MIN < raw < LOG_STD_MAX
         d_log_std = np.array(d_log_std if inside else 0.0, dtype=np.float64)
         return np.concatenate([g.ravel() for g in (*branch_grads[0], *branch_grads[1:],
                                                    d_branch_weight, *trunk_grads, d_log_std)])
@@ -337,15 +332,3 @@ def gaussian_log_prob(u, mean, std: float):
 def gaussian_entropy(std: float) -> float:
     return 0.5 * (LOG2PI + 1.0) + math.log(std)
 
-
-def sample_action(out: PolicyOutput, std: float, rng: np.random.Generator):
-    """Draw u ~ N(mean, std) per row; the environment action is u clipped to
-    [-1, 1].
-
-    Returns (action, u, log_prob), each shaped like ``out.action_mean``, where
-    log_prob is the density of the pre-clip draw, so ratios stay well-defined
-    after saturation.
-    """
-    u = out.action_mean + std * rng.standard_normal(np.shape(out.action_mean))
-    action = np.minimum(np.maximum(u, -1.0), 1.0)
-    return action, u, gaussian_log_prob(u, out.action_mean, std)

@@ -122,19 +122,11 @@ def ppo_surrogate(rho, advantage, epsilon: float):
                       np.clip(rho, 1.0 - epsilon, 1.0 + epsilon) * advantage)
 
 
-@dataclass
-class UpdateStats:
-    policy_loss: float
-    value_loss: float
-    entropy: float
-    clip_fraction: float
-    approx_kl: float
-
-
 def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig,
                        rng: np.random.Generator | None = None
-                       ) -> tuple[float, UpdateStats, np.ndarray]:
-    """Total PPO loss on one minibatch plus its analytic gradient, laid out like
+                       ) -> tuple[float, dict[str, float], np.ndarray]:
+    """Total PPO loss on one minibatch, its statistics keyed by their
+    ``log.csv`` columns, and its analytic gradient, laid out like
     ``policy.vector``; the policy's dropout runs if and only if ``rng`` is given.
 
     loss = -mean(surrogate) + value_coef * mean((returns - V)^2)
@@ -177,13 +169,13 @@ def ppo_loss_and_grads(policy: policy_mod.Policy, batch: dict, config: PpoConfig
     d_value = 2.0 * config.value_coef * v_err / n
 
     grad = policy.backward(cache, d_mean, d_value, d_log_std)
-    stats = UpdateStats(
-        policy_loss=float(policy_loss),
-        value_loss=float(value_loss),
-        entropy=float(entropy),
-        clip_fraction=float(np.mean(np.abs(rho - 1.0) > config.clip_epsilon)),
-        approx_kl=float(np.mean(batch["old_log_prob"] - new_log_prob)),
-    )
+    stats = {
+        "policy_loss": float(policy_loss),
+        "value_loss": float(value_loss),
+        "entropy": float(entropy),
+        "clip_frac": float(np.mean(np.abs(rho - 1.0) > config.clip_epsilon)),
+        "approx_kl": float(np.mean(batch["old_log_prob"] - new_log_prob)),
+    }
     return loss, stats, grad
 
 
@@ -208,20 +200,21 @@ def clip_grad_norm(grad: np.ndarray, slices: list[slice], max_norm: float) -> fl
 
 
 def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfig,
-           adam: AdamState, rng: np.random.Generator) -> UpdateStats:
+           adam: AdamState, rng: np.random.Generator) -> dict[str, float]:
     """Several shuffled minibatch epochs over one rollout, against its
     normalized GAE advantages and value targets (``config.gamma``,
-    ``config.gae_lambda``). A non-finite gradient norm raises ``PpoError``
-    before that minibatch's Adam step, so no parameter takes it. Each step
-    moves the whole ``policy.vector`` by its flat gradient."""
+    ``config.gae_lambda``); returns the mean of each statistic of
+    ``ppo_loss_and_grads`` over the minibatches. A non-finite gradient norm
+    raises ``PpoError`` before that minibatch's Adam step, so no parameter
+    takes it. Each step moves the whole ``policy.vector`` by its flat
+    gradient."""
     adv, returns = compute_gae(buffer.reward, buffer.value, buffer.done,
                                buffer.bootstrap_value, config.gamma, config.gae_lambda)
     advantages = normalize_advantages(adv)
     n = len(buffer.u)
     mb_size = n // config.minibatches
 
-    agg = {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0,
-           "clip_fraction": 0.0, "approx_kl": 0.0}
+    totals: dict[str, float] = {}
     passes = 0
     for _ in range(config.epochs_per_update):
         perm = rng.permutation(n)
@@ -240,10 +233,10 @@ def update(policy: policy_mod.Policy, buffer: TrajectoryBuffer, config: PpoConfi
             if not math.isfinite(grad_norm):
                 raise PpoError(f"non-finite gradient norm {grad_norm} before clipping")
             adam_step(policy.vector, grad, adam)
-            for key in agg:
-                agg[key] += getattr(stats, key)
+            for key, value in stats.items():
+                totals[key] = totals.get(key, 0.0) + value
             passes += 1
-    return UpdateStats(**{k: v / passes for k, v in agg.items()})
+    return {key: total / passes for key, total in totals.items()}
 
 
 def collect_rollout(env, policy: policy_mod.Policy, inputs: dict[str, np.ndarray], n_steps: int,
@@ -254,7 +247,8 @@ def collect_rollout(env, policy: policy_mod.Policy, inputs: dict[str, np.ndarray
     and the running return of the episode in progress, for the next call's
     ``ep_return``; without one, the environment is reset first.
 
-    Each step is ``sample_action`` on one row, on Python floats. The
+    Each step draws u ~ N(mean, std) on one row, on Python floats, acts on u
+    clipped to [-1, 1] and keeps u, whose density is the log-prob. The
     standard normals of an episode segment, up to its end or the rollout's,
     are one draw: the same stream as one draw per step, taken before the reset
     that may follow draws a random start. The log-densities are taken once,
@@ -326,16 +320,8 @@ def train(policy: policy_mod.Policy, env, config: PpoConfig,
                                             ep_return, episode_returns=episode_returns)
         stats = update(policy, buffer, config, adam, rng)
         recent.extend(episode_returns)
-        rows.append({
-            "update": k,
-            "steps": k * config.rollout,
-            "mean_ep_reward": float(np.mean(recent)) if recent else 0.0,
-            "policy_loss": stats.policy_loss,
-            "value_loss": stats.value_loss,
-            "entropy": stats.entropy,
-            "clip_frac": stats.clip_fraction,
-            "approx_kl": stats.approx_kl,
-        })
+        rows.append({"update": k, "steps": k * config.rollout,
+                     "mean_ep_reward": float(np.mean(recent)) if recent else 0.0, **stats})
         if checkpoint_fn is not None and config.checkpoint_every \
                 and k % config.checkpoint_every == 0:
             checkpoint_fn(k, policy, adam)

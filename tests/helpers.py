@@ -1,10 +1,10 @@
 """Code only the tests run: a scaled-normal network builder and a
-finite-difference gradient checker for ``mctg.nn`` networks, a tiny policy
-configuration, a policy's per-name views of a flat vector, a GARCH(1,1)
-return simulator, and the references that faster code must match bit for
-bit: the per-day market generator and day grouping, the per-array Adam step,
-the policy's per-member networks and its forward and backward one member
-network at a time, and the per-step rollout."""
+finite-difference gradient checker for ``mctg.nn`` networks, a policy's
+per-name views of a flat vector, a GARCH(1,1) return simulator, and the
+references that faster code must match bit for bit: the per-day market
+generator and day grouping, the per-array Adam step, the policy's per-member
+networks and its forward and backward one member network at a time, the
+numpy action sampler and the per-step rollout."""
 
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ import numpy as np
 
 from mctg import marketdata as md
 from mctg import nn
-from mctg.evalcli import VARIANTS
 from mctg.garch import GarchError, GarchParams
 from mctg.nn import Network, backward, forward
-from mctg.policy import TRUNKS, PolicyConfig, sample_action
+from mctg.policy import (BRANCH_HIDDEN, BRANCH_OUT, DROPOUT, LOG_STD_MAX, LOG_STD_MIN, TRUNKS,
+                         PolicyOutput, gaussian_log_prob)
 
 
 def mlp(sizes, rng: np.random.Generator, tanh_out: bool = False,
@@ -40,16 +40,6 @@ def network_parameters(net: Network) -> list[np.ndarray]:
         out.append(w)
         out.append(b)
     return out
-
-
-def tiny_policy_config(variant: str = "MCTG", **overrides) -> PolicyConfig:
-    """The ``VARIANTS`` entry's branches and GARCH feature with 4-unit hidden
-    layers, 3-unit branch outputs and no dropout: small enough for finite
-    differences. ``overrides`` win over all of these."""
-    v = VARIANTS[variant]
-    return PolicyConfig(**{"branches": v.branches, "garch_feature": v.garch_feature,
-                           "branch_hidden": (4,), "branch_out": 3, "dropout": 0.0,
-                           "trunk_hidden": 4, **overrides})
 
 
 def unflatten(policy, vector: np.ndarray) -> list[np.ndarray]:
@@ -204,9 +194,9 @@ def member_networks(policy) -> dict[str, Network]:
         return Network([params[f"{prefix}.dense{i}.weights"] for i in range(n_layers)],
                        [params[f"{prefix}.dense{i}.bias"] for i in range(n_layers)], **kwargs)
 
-    n_branch = len(policy.config.branch_hidden) + 1
-    nets = {name: network(f"branch.{name}", n_branch, tanh_out=True,
-                          dropout=policy.config.dropout) for name in policy.config.branches}
+    n_branch = len(BRANCH_HIDDEN) + 1
+    nets = {name: network(f"branch.{name}", n_branch, tanh_out=True, dropout=DROPOUT)
+            for name in policy.config.branches}
     nets.update((name, network(name, 2)) for name in TRUNKS)
     return nets
 
@@ -239,7 +229,7 @@ def policy_backward_per_array(policy, flat, rng, d_mean, d_value, d_log_std: flo
     p_grads, d_state_p = backward(nets["policy_trunk"], tapes["policy_trunk"], d_mean)
     v_grads, d_state_v = backward(nets["value_trunk"], tapes["value_trunk"], d_value)
     d_state = d_state_p + d_state_v
-    grads, width = [], policy.config.branch_out
+    grads, width = [], BRANCH_OUT
     for k, name in enumerate(policy.config.branches):
         d_chunk = d_state[:, k * width:(k + 1) * width]
         b_grads, _ = backward(nets[name], tapes[name],
@@ -249,9 +239,23 @@ def policy_backward_per_array(policy, flat, rng, d_mean, d_value, d_log_std: flo
     grads.extend(p_grads)
     grads.extend(v_grads)
     raw = float(policy.log_std)
-    inside = policy.config.log_std_min < raw < policy.config.log_std_max
+    inside = LOG_STD_MIN < raw < LOG_STD_MAX
     grads.append(np.array(d_log_std if inside else 0.0, dtype=np.float64))
     return grads
+
+
+def sample_action(out: PolicyOutput, std: float, rng: np.random.Generator):
+    """Draw u ~ N(mean, std) per row; the environment action is u clipped to
+    [-1, 1].
+
+    Returns (action, u, log_prob), each shaped like ``out.action_mean``, where
+    log_prob is the density of the pre-clip draw, so ratios stay well-defined
+    after saturation: the numpy reference for ``ppo.collect_rollout``'s
+    per-step draw.
+    """
+    u = out.action_mean + std * rng.standard_normal(np.shape(out.action_mean))
+    action = np.minimum(np.maximum(u, -1.0), 1.0)
+    return action, u, gaussian_log_prob(u, out.action_mean, std)
 
 
 def collect_rollout_per_step(env, policy, inputs, n_steps: int, rng,

@@ -15,10 +15,10 @@ import pytest
 from mctg import cli, evalcli, garch, ppo
 from mctg import marketdata as md
 from mctg.env import EnvConfig, PortfolioState, TradingEnv, map_action
-from mctg.policy import Policy, PolicyConfig
+from mctg.policy import LOG_STD_MAX, LOG_STD_MIN, Policy, PolicyConfig
 
 from conftest import TRUE_GARCH
-from helpers import grad_check, mlp, tiny_policy_config, unflatten
+from helpers import grad_check, mlp, unflatten
 
 
 def _line(name: str, ok: bool, detail: str = "") -> None:
@@ -107,15 +107,14 @@ def test_gradient_integrity():
     # full actor-critic gradients, every ablation variant
     worst_policy = 0.0
     for variant in evalcli.VARIANTS.values():
-        policy = Policy(tiny_policy_config(variant.name), np.random.default_rng(103))
+        policy = Policy(variant.policy_config(), np.random.default_rng(103))
         obs = {kind: rng.normal(size=shape) for kind, shape in md.WINDOW_SHAPES.items()}
         flat = policy.flatten_observation(obs)
         cm, cv, cs = 0.6, -1.1, 0.3
 
         def loss():
             out, _ = policy.forward(flat)
-            raw = float(np.clip(policy.log_std, policy.config.log_std_min,
-                                policy.config.log_std_max))
+            raw = float(np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX))
             return cm * out.action_mean[0] + cv * out.value[0] + cs * raw
 
         _, cache = policy.forward(flat)

@@ -24,10 +24,10 @@ from mctg.garch import GarchConfig, rolling_forecast
 from mctg.marketdata import (MID_DAYS, BarSeries, MarketGenParams, ObservationNormalizer,
                              load_bars, resample, save_bars, simulate_market)
 from mctg.nn import AdamState
-from mctg.policy import Policy, PolicyConfig
+from mctg.policy import Policy
 from mctg.ppo import PpoConfig
 
-from helpers import bar_dates, tiny_policy_config
+from helpers import bar_dates
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -44,13 +44,13 @@ env.random_start = true
 """
 
 
-def small_variant_policy(variant, seed):
-    return Policy(tiny_policy_config(variant), np.random.default_rng(seed))
+def variant_policy(variant, seed):
+    return Policy(evalcli.VARIANTS[variant].policy_config(), np.random.default_rng(seed))
 
 
 def inert_policy(variant="DNN", seed=0):
     """A policy whose action mean is identically zero (never trades)."""
-    policy = small_variant_policy(variant, seed)
+    policy = variant_policy(variant, seed)
     params = dict(policy.named_parameters())
     params["policy_trunk.dense1.weights"][...] = 0.0
     params["policy_trunk.dense1.bias"][...] = 0.0
@@ -164,7 +164,7 @@ class TestBacktest:
     def test_trading_policy_accounting_consistent(self, small_dataset,
                                                   small_normalizer):
         metrics, equity, trajectory = backtest(
-            small_variant_policy("MCTG", 7), small_dataset, EnvConfig(),
+            variant_policy("MCTG", 7), small_dataset, EnvConfig(),
             small_normalizer)
         values = [row["value"] for row in equity]
         annualized, cumulative = profit_rate(values)
@@ -178,7 +178,7 @@ class TestBacktest:
     @pytest.mark.parametrize("variant", list(evalcli.VARIANTS))
     def test_a_dataset_of_the_policy_kinds_backtests_like_the_full_one(
             self, variant, small_dataset, small_normalizer):
-        policy = small_variant_policy(variant, 8)
+        policy = variant_policy(variant, 8)
         cut = dataclasses.replace(small_dataset, windows={
             kind: small_dataset.windows[kind] for kind in policy.input_dims})
         full = backtest(policy, small_dataset, EnvConfig(), small_normalizer)
@@ -212,7 +212,7 @@ class TestNoLookAhead:
         """Normalizer statistics fit on days ``0..t`` and the backtest's
         actions, in decision-day order."""
         normalizer = ObservationNormalizer().fit(dataset, range(t + 1))
-        _, _, trajectory = backtest(small_variant_policy("MCTG", 7), dataset, EnvConfig(),
+        _, _, trajectory = backtest(variant_policy("MCTG", 7), dataset, EnvConfig(),
                                     normalizer)
         return normalizer, [row["action"] for row in trajectory]
 
@@ -252,7 +252,7 @@ class TestCheckpoint:
         return path, load_checkpoint(str(path))
 
     def test_bitwise_parameter_roundtrip(self, tmp_path):
-        policy = small_variant_policy("DNN", 4)
+        policy = variant_policy("DNN", 4)
         path, ckpt = self.roundtrip(tmp_path, policy)
         rebuilt = ckpt.build_policy()
         for a, b in zip(policy.parameters(), rebuilt.parameters()):
@@ -262,64 +262,81 @@ class TestCheckpoint:
         assert ckpt.metadata == {"seed": 5}
         assert json.loads(path.read_text())["rng_state"] is not None
 
-    def test_nondefault_policy_config_roundtrip(self, tmp_path):
-        cfg = PolicyConfig(branches=("long", "short"), garch_feature=False,
-                           branch_hidden=(5, 3), branch_out=2, dropout=0.1,
-                           trunk_hidden=7, init_log_std=-1.0, log_std_min=-3.0,
-                           log_std_max=0.5)
-        path, ckpt = self.roundtrip(tmp_path, Policy(cfg, np.random.default_rng(1)))
-        assert ckpt.policy_config == cfg
-        # the format_version 1 layout: every field, in field order, tuples as lists
-        assert list(json.loads(path.read_text())["policy_config"].items()) == [
-            ("branches", ["long", "short"]), ("garch_feature", False),
-            ("branch_hidden", [5, 3]), ("branch_out", 2), ("dropout", 0.1),
-            ("trunk_hidden", 7), ("init_log_std", -1.0), ("log_std_min", -3.0),
-            ("log_std_max", 0.5)]
+    @pytest.mark.parametrize("variant", list(evalcli.VARIANTS))
+    def test_the_file_names_its_variant_in_place_of_a_config(self, tmp_path, variant):
+        # the format_version 2 layout: no policy_config; the variant gives it
+        path, ckpt = self.roundtrip(tmp_path, variant_policy(variant, 1), variant)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version", "variant", "params", "adam", "training_step",
+                             "rng_state", "norm_stats", "metadata"]
+        assert doc["format_version"] == 2 and doc["variant"] == variant
+        assert ckpt.policy_config == evalcli.VARIANTS[variant].policy_config()
+        assert ckpt.build_policy().config == ckpt.policy_config
 
     def test_version_bump_names_both_versions(self, tmp_path):
-        policy = small_variant_policy("DNN", 4)
+        policy = variant_policy("DNN", 4)
         path, _ = self.roundtrip(tmp_path, policy)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 2
+        doc["format_version"] = 3
         path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match=r"version 2.*version 1"):
+        with pytest.raises(EvalError, match=r"version 3.*version 2"):
             load_checkpoint(str(path))
 
+    def test_a_renamed_variant_does_not_fit_the_stored_parameters(self, tmp_path):
+        # an MCTG file relabelled DNN builds DNN's network, which lacks the
+        # short branch the file stores
+        path, _ = self.roundtrip(tmp_path, variant_policy("MCTG", 4), "MCTG")
+        doc = json.loads(path.read_text())
+        doc["variant"] = "DNN"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match="unknown parameter 'branch.short.dense0.weights'"):
+            load_checkpoint(str(path)).build_policy()
+
+    @pytest.mark.parametrize("variant,policy_variant", [
+        (variant, other) for variant in evalcli.VARIANTS for other in evalcli.VARIANTS
+        if other != variant])
+    def test_save_refuses_a_policy_of_another_variant(self, tmp_path, variant,
+                                                      policy_variant):
+        policy = variant_policy(policy_variant, 4)
+        want = (f"variant {variant} has inputs "
+                f"{evalcli.input_widths(evalcli.VARIANTS[variant].policy_config())}; "
+                f"the policy has inputs {evalcli.input_widths(policy.config)}")
+        with pytest.raises(EvalError, match=re.escape(want)):
+            self.roundtrip(tmp_path, policy, variant)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_an_unknown_variant(self, tmp_path):
+        with pytest.raises(EvalError, match=re.escape(
+                "variant 'FOO' is none of DNN, DNN-GARCH, MCT, MCTG")):
+            self.roundtrip(tmp_path, variant_policy("DNN", 4), "FOO")
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_file_is_a_clean_error(self, tmp_path):
-        policy = small_variant_policy("DNN", 4)
+        policy = variant_policy("DNN", 4)
         path, _ = self.roundtrip(tmp_path, policy)
         text = path.read_text()
         path.write_text(text[:len(text) // 2])
         with pytest.raises(EvalError, match="corrupt"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("field", ["variant", "policy_config", "params",
-                                       "training_step", "norm_stats"])
+    @pytest.mark.parametrize("field", ["variant", "params", "training_step", "norm_stats"])
     def test_missing_field_is_named(self, tmp_path, field):
-        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
         del doc[field]
         path.write_text(json.dumps(doc))
         with pytest.raises(EvalError, match=f"lacks field '{field}'"):
             load_checkpoint(str(path))
 
-    def test_missing_policy_config_field_is_named(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
-        doc = json.loads(path.read_text())
-        del doc["policy_config"]["trunk_hidden"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match="lacks field 'trunk_hidden'"):
-            load_checkpoint(str(path))
-
     def test_metadata_is_optional(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
         del doc["metadata"]
         path.write_text(json.dumps(doc))
         assert load_checkpoint(str(path)).metadata == {}
 
     def test_missing_parameter_detected(self, tmp_path):
-        policy = small_variant_policy("DNN", 4)
+        policy = variant_policy("DNN", 4)
         path, _ = self.roundtrip(tmp_path, policy)
         doc = json.loads(path.read_text())
         del doc["params"]["log_std"]
@@ -328,7 +345,7 @@ class TestCheckpoint:
             load_checkpoint(str(path)).build_policy()
 
     def test_unknown_parameter_detected(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
         doc["params"]["branch.short.dense0.weights"] = [[0.0]]
         doc["params"]["bogus"] = 0.0
@@ -337,16 +354,16 @@ class TestCheckpoint:
             load_checkpoint(str(path)).build_policy()
 
     def test_mis_shaped_parameter_named(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
         doc["params"]["branch.mid.dense0.bias"].append(0.0)
         path.write_text(json.dumps(doc))
         with pytest.raises(EvalError, match=re.escape(
-                "parameter 'branch.mid.dense0.bias' has shape (5,), expected (4,)")):
+                "parameter 'branch.mid.dense0.bias' has shape (33,), expected (32,)")):
             load_checkpoint(str(path)).build_policy()
 
     def test_boolean_format_version_rejected(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, small_variant_policy("DNN", 4))
+        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
         doc["format_version"] = True
         path.write_text(json.dumps(doc))
@@ -1000,8 +1017,6 @@ class TestCli:
 
     @pytest.mark.parametrize("edit,what", [
         (lambda doc: [], "checkpoint is not a JSON object"),
-        (lambda doc: {**doc, "policy_config": list(doc["policy_config"].values())},
-         "'policy_config' is not a JSON object"),
         (lambda doc: {**doc, "params": list(doc["params"].values())},
          "'params' is not a JSON object"),
         (lambda doc: {**doc, "metadata": []}, "'metadata' is not a JSON object"),
@@ -1016,17 +1031,6 @@ class TestCli:
          "checkpoint.json: checkpoint norm_stats: normalizer lacks short.mean"),
         (lambda doc: {**doc, "training_step": [1]},
          "field 'training_step' is not a JSON integer"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "branch_hidden": 5}},
-         "policy_config 'branch_hidden' is not a JSON array"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"],
-                                               "branch_hidden": ["16"]}},
-         "policy_config 'branch_hidden' entry is not a JSON integer"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "branch_hidden": []}},
-         "checkpoint policy_config 'branch_hidden' must list at least one layer width"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "branch_hidden": [0]}},
-         "checkpoint policy_config 'branch_hidden' widths must be >= 1, got (0,)"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "garch_feature": 1}},
-         "policy_config 'garch_feature' is not a JSON boolean"),
         (lambda doc: {**doc, "params": {**doc["params"], "log_std": {"value": 0.0}}},
          "parameter 'log_std' is not an array of finite numbers"),
         (lambda doc: {**doc, "params": {**doc["params"], "log_std": None}},
@@ -1034,10 +1038,12 @@ class TestCli:
         (lambda doc: {**doc, "params": {**doc["params"], "log_std": [0.0, 0.0]}},
          "parameter 'log_std' has shape (2,), expected ()"),
         (lambda doc: {**doc, "variant": ["MCTG"]}, "field 'variant' is not a JSON string"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": 1.5}},
-         "checkpoint.json: checkpoint policy_config 'dropout' must be in [0, 1), got 1.5"),
-        (lambda doc: {**doc, "policy_config": {**doc["policy_config"], "dropout": -0.5}},
-         "checkpoint.json: checkpoint policy_config 'dropout' must be in [0, 1), got -0.5"),
+        (lambda doc: {**doc, "variant": "FOO"},
+         "checkpoint.json: checkpoint variant 'FOO' is none of DNN, DNN-GARCH, MCT, MCTG"),
+        # a version-1 file spelled out its policy_config; this build reads none
+        (lambda doc: {**doc, "format_version": 1,
+                      "policy_config": {"branches": ["mid"], "garch_feature": False}},
+         "checkpoint.json: checkpoint format version 1, this build reads version 2"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "split_boundary": 5}},
          "metadata 'split_boundary' is not a JSON string"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "split_boundary": "2016-13-01"}},
@@ -1050,12 +1056,10 @@ class TestCli:
          "metadata 'garch_refit_every' is not a JSON integer"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "garch_window": None}},
          "metadata 'garch_window' is not a JSON integer"),
-    ], ids=["document", "policy_config", "params", "metadata", "norm_stats",
+    ], ids=["document", "params", "metadata", "norm_stats",
             "norm_stats_number", "norm_stats.mid", "norm_stats_without_short",
-            "training_step", "branch_hidden", "branch_hidden_entry",
-            "branch_hidden_empty", "branch_hidden_zero",
-            "garch_feature", "params_entry", "params_null", "params_shape", "variant",
-            "dropout", "dropout_negative", "split_boundary_number",
+            "training_step", "params_entry", "params_null", "params_shape", "variant",
+            "variant_unknown", "format_version_1", "split_boundary_number",
             "split_boundary_not_a_date", "garch_window_string", "garch_window_boolean",
             "garch_refit_every_float", "garch_window_null"])
     def test_checkpoint_of_the_wrong_shape_fails_backtest_cleanly(

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from mctg import nn
+from mctg import policy as policy_module
 from mctg.evalcli import VARIANTS, Checkpoint, save_checkpoint
 from mctg.marketdata import WINDOW_SHAPES, window_at
-from mctg.policy import (LOG2PI, Policy, PolicyConfig, PolicyError,
-                         gaussian_entropy, gaussian_log_prob, sample_action)
+from mctg.policy import (BRANCH_HIDDEN, BRANCH_OUT, INIT_LOG_STD, LOG2PI, LOG_STD_MAX,
+                         LOG_STD_MIN, Policy, PolicyConfig, PolicyError, PolicyOutput,
+                         gaussian_entropy, gaussian_log_prob)
 
 from helpers import (member_networks, policy_backward_per_array, policy_forward_per_member,
-                     tiny_policy_config, unflatten)
+                     sample_action, unflatten)
 
 
 def random_observation(rng):
@@ -42,38 +44,32 @@ class TestConfig:
         with pytest.raises(PolicyError):
             PolicyConfig(branches=("mid", "mid"))
 
-    @pytest.mark.parametrize("field,value", [("branch_hidden", ()), ("branch_hidden", (32, 0)),
-                                             ("branch_out", 0), ("trunk_hidden", -1)])
-    def test_widths_that_cannot_build_rejected(self, field, value):
-        with pytest.raises(PolicyError, match=f"'{field}'"):
-            PolicyConfig(**{field: value})
-
-    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, math.nan])
-    def test_dropout_out_of_range_rejected(self, rate):
-        with pytest.raises(PolicyError, match=r"'dropout' must be in \[0, 1\)"):
-            PolicyConfig(dropout=rate)
+    def test_a_config_is_its_branches_and_garch_feature(self):
+        # the widths, dropout and log-std bounds are module constants
+        assert [f.name for f in dataclasses.fields(PolicyConfig)] == ["branches",
+                                                                      "garch_feature"]
 
 
 class TestFlatten:
     def test_drops_vol_column_when_disabled(self):
         rng = np.random.default_rng(0)
         obs = random_observation(rng)
-        with_vol = Policy(tiny_policy_config(), rng).flatten_observation(obs)
-        without = Policy(tiny_policy_config(garch_feature=False), rng).flatten_observation(obs)
+        with_vol = Policy(PolicyConfig(), rng).flatten_observation(obs)
+        without = Policy(PolicyConfig(garch_feature=False), rng).flatten_observation(obs)
         assert with_vol["mid"].shape == (1, 210)
         assert without["mid"].shape == (1, 180)
         assert np.array_equal(without["mid"].reshape(30, 6), obs["mid"][:, :6])
 
     def test_single_branch_variant(self):
         rng = np.random.default_rng(1)
-        policy = Policy(tiny_policy_config(branches=("mid",)), rng)
+        policy = Policy(PolicyConfig(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
         assert set(flat) == {"mid"}
 
     def test_row_major_order(self):
         rng = np.random.default_rng(2)
         obs = random_observation(rng)
-        flat = Policy(tiny_policy_config(), rng).flatten_observation(obs)
+        flat = Policy(PolicyConfig(), rng).flatten_observation(obs)
         assert flat["short"][0, 6] == obs["short"][1, 0]
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -108,11 +104,11 @@ class TestForward:
 
     def test_zero_weight_annihilates_branch(self):
         rng = np.random.default_rng(4)
-        policy = Policy(tiny_policy_config(), rng)
+        policy = Policy(PolicyConfig(), rng)
         dict(policy.named_parameters())["branch_weight.mid"][:] = 0.0
         flat = policy.flatten_observation(random_observation(rng))
         state, _ = policy.assemble_state(flat)
-        k = policy.config.branch_out
+        k = BRANCH_OUT
         assert np.all(state[0, k:2 * k] == 0.0)
         assert np.any(state[0, :k] != 0.0)
 
@@ -155,15 +151,14 @@ class TestForward:
                                          -np.inf, np.inf, np.nan])
     def test_action_std_clamp_matches_np_clip(self, log_std):
         # below, at and inside both bounds, above them, and non-finite
-        policy = Policy(tiny_policy_config(), np.random.default_rng(6))
+        policy = Policy(PolicyConfig(), np.random.default_rng(6))
         policy.log_std[...] = log_std
-        cfg = policy.config
-        want = float(np.exp(np.clip(policy.log_std, cfg.log_std_min, cfg.log_std_max)))
+        want = float(np.exp(np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)))
         assert np.float64(policy.action_std).tobytes() == np.float64(want).tobytes()
 
     def test_action_std_clamped(self):
         rng = np.random.default_rng(6)
-        policy = Policy(tiny_policy_config(), rng)
+        policy = Policy(PolicyConfig(), rng)
         policy.log_std[...] = 10.0
         assert policy.action_std == pytest.approx(math.e)
         policy.log_std[...] = -20.0
@@ -179,7 +174,7 @@ class TestForward:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(8)
-        policy = Policy(tiny_policy_config(), rng)
+        policy = Policy(PolicyConfig(), rng)
         obs = [random_observation(rng) for _ in range(5)]
         flats = [policy.flatten_observation(o) for o in obs]
         batch = {b: np.concatenate([f[b] for f in flats]) for b in policy.config.branches}
@@ -202,7 +197,7 @@ def forward_by_name(policy, flat):
                 h = np.tanh(h)
         return h
 
-    n_branch = len(policy.config.branch_hidden) + 1
+    n_branch = len(BRANCH_HIDDEN) + 1
     state = np.concatenate([dense(f"branch.{b}", flat[b], n_branch, True)
                             * params[f"branch_weight.{b}"] for b in policy.config.branches],
                            axis=1)
@@ -213,13 +208,14 @@ def forward_by_name(policy, flat):
 class TestTape:
     @pytest.mark.parametrize("variant", list(VARIANTS))
     @pytest.mark.parametrize("rows", [1, 64])
-    @pytest.mark.parametrize("branch_hidden", [(32, 16), (8,), (12, 8, 6)])
-    def test_forward_without_tape_is_bit_equal(self, variant, rows, branch_hidden):
+    @pytest.mark.parametrize("branch_hidden", [BRANCH_HIDDEN, (8,), (12, 8, 6)])
+    def test_forward_without_tape_is_bit_equal(self, variant, rows, branch_hidden,
+                                               monkeypatch):
         # the acting pass's entries are built per level, so the depth varies
+        monkeypatch.setattr(policy_module, "BRANCH_HIDDEN", branch_hidden)
         rng = np.random.default_rng(30)
-        config = dataclasses.replace(VARIANTS[variant].policy_config(),
-                                     branch_hidden=branch_hidden)
-        policy = Policy(config, rng)
+        policy = Policy(VARIANTS[variant].policy_config(), rng)
+        assert len(policy.branch_stack.layers) == len(branch_hidden) + 1
         flat = {b: rng.normal(size=(rows, d)) for b, d in policy.input_dims.items()}
         taped, cache = policy.forward(flat)
         acting, none = policy.forward(flat, tape=False)
@@ -269,8 +265,7 @@ class TestTape:
         config = VARIANTS[variant].policy_config()
         trained = Policy(config, np.random.default_rng(34))
         trained.vector += np.random.default_rng(35).normal(0.0, 0.1, trained.vector.size)
-        ck = Checkpoint(variant, config, {name: p.copy() for name, p
-                                          in trained.named_parameters()},
+        ck = Checkpoint(variant, {name: p.copy() for name, p in trained.named_parameters()},
                         0, {}, {})
         loaded = ck.build_policy()
         flat = {b: np.random.default_rng(36).normal(size=(rows, d))
@@ -286,7 +281,7 @@ class TestTape:
     @pytest.mark.parametrize("tape", [True, False])
     def test_branches_of_unequal_rows_rejected(self, tape):
         rng = np.random.default_rng(37)
-        policy = Policy(tiny_policy_config(), rng)
+        policy = Policy(PolicyConfig(), rng)
         flat = {b: rng.normal(size=(2 if b == "short" else 1, d))
                 for b, d in policy.input_dims.items()}
         with pytest.raises(PolicyError, match="'mid' has 1 rows, the first branch 2"):
@@ -295,7 +290,7 @@ class TestTape:
     @pytest.mark.parametrize("rows", [1, 2])
     @pytest.mark.parametrize("bad", ["width", "ndim"])
     def test_bad_inputs_raise_the_same_error_taped_and_acting(self, rows, bad):
-        policy = Policy(tiny_policy_config(), np.random.default_rng(38))
+        policy = Policy(PolicyConfig(), np.random.default_rng(38))
         shapes = {b: (rows, d) for b, d in policy.input_dims.items()}
         shapes["mid"] = (rows, shapes["mid"][1] + 1) if bad == "width" else (shapes["mid"][1],)
         flat = {b: np.zeros(shape) for b, shape in shapes.items()}
@@ -333,7 +328,7 @@ class TestTape:
 class TestParameters:
     def test_names_align_with_arrays(self):
         rng = np.random.default_rng(9)
-        policy = Policy(tiny_policy_config(), rng)
+        policy = Policy(PolicyConfig(), rng)
         named = policy.named_parameters()
         params = policy.parameters()
         assert len(named) == len(params)
@@ -359,7 +354,7 @@ class TestParameters:
             elif name.startswith("branch_weight."):
                 want[s] = 1.0
             elif name == "log_std":
-                want[s] = config.init_log_std
+                want[s] = INIT_LOG_STD
             else:
                 assert name.endswith(".bias"), name
                 want[s] = 0.0
@@ -445,8 +440,8 @@ class TestBuildWithoutDraws:
         policy = Policy(config, np.random.default_rng(50))
         assert CountingGenerator.normal_calls == sum(
             name.endswith(".weights") for name, _ in policy.named_parameters())
-        ck = Checkpoint(variant, config, {name: p.copy() for name, p
-                                          in policy.named_parameters()}, 0, {}, {})
+        ck = Checkpoint(variant, {name: p.copy() for name, p in policy.named_parameters()},
+                        0, {}, {})
         CountingGenerator.normal_calls = 0
         loaded, twin = ck.build_policy(), copy.deepcopy(policy)
         assert CountingGenerator.normal_calls == 0
@@ -532,30 +527,24 @@ class TestCallCount:
 
 
 class TestBackward:
-    def finite_difference(self, policy, flat, loss_fn, eps=1e-6):
-        """Central-difference gradient of loss_fn() w.r.t. every parameter."""
-        fd = []
-        for p in policy.parameters():
-            g = np.zeros_like(p)
-            it = np.nditer(p, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = p[idx]
-                p[idx] = orig + eps
-                hi = loss_fn()
-                p[idx] = orig - eps
-                lo = loss_fn()
-                p[idx] = orig
-                g[idx] = (hi - lo) / (2 * eps)
-                it.iternext()
-            fd.append(g)
+    def finite_difference(self, policy, loss_fn, eps=1e-6):
+        """Central-difference gradient of loss_fn() w.r.t. every value of
+        ``policy.vector``, laid out like it."""
+        vector, fd = policy.vector, np.zeros_like(policy.vector)
+        for i in range(vector.size):
+            orig = vector[i]
+            vector[i] = orig + eps
+            hi = loss_fn()
+            vector[i] = orig - eps
+            lo = loss_fn()
+            vector[i] = orig
+            fd[i] = (hi - lo) / (2 * eps)
         return fd
 
     def scalar_loss(self, policy, flat, cm, cv, cs):
-        out, _ = policy.forward(flat)
+        out, _ = policy.forward(flat, tape=False)
         return cm * out.action_mean[0] + cv * out.value[0] \
-            + cs * float(np.clip(policy.log_std, policy.config.log_std_min,
-                                 policy.config.log_std_max))
+            + cs * float(np.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX))
 
     @pytest.mark.parametrize("cfg_kwargs", [
         {},
@@ -564,14 +553,14 @@ class TestBackward:
     ])
     def test_full_gradient_vs_finite_difference(self, cfg_kwargs):
         rng = np.random.default_rng(13)
-        policy = Policy(tiny_policy_config(**cfg_kwargs), rng)
+        policy = Policy(PolicyConfig(**cfg_kwargs), rng)
         flat = policy.flatten_observation(random_observation(rng))
         cm, cv, cs = 0.7, -1.3, 0.4
         _, cache = policy.forward(flat)
         analytic = policy.backward(cache, np.array([cm]), np.array([cv]), d_log_std=cs)
-        fd = self.finite_difference(policy, flat,
-                                    lambda: self.scalar_loss(policy, flat, cm, cv, cs))
-        for (name, _), a, b in zip(policy.named_parameters(), unflatten(policy, analytic), fd):
+        fd = self.finite_difference(policy, lambda: self.scalar_loss(policy, flat, cm, cv, cs))
+        for (name, _), a, b in zip(policy.named_parameters(), unflatten(policy, analytic),
+                                   unflatten(policy, fd)):
             denom = np.linalg.norm(a) + np.linalg.norm(b)
             rel = np.linalg.norm(a - b) / denom if denom > 0 else 0.0
             assert rel < 1e-5, f"{name}: relative error {rel}"
@@ -596,8 +585,8 @@ class TestBackward:
 
     def test_log_std_gradient_zero_at_clamp(self):
         rng = np.random.default_rng(14)
-        policy = Policy(tiny_policy_config(), rng)
-        policy.log_std[...] = 5.0  # beyond log_std_max
+        policy = Policy(PolicyConfig(), rng)
+        policy.log_std[...] = 5.0  # beyond LOG_STD_MAX
         flat = policy.flatten_observation(random_observation(rng))
         _, cache = policy.forward(flat)
         grads = policy.backward(cache, np.zeros(1), np.zeros(1), d_log_std=2.0)
@@ -607,7 +596,7 @@ class TestBackward:
         # d(state_k)/d(W_k) = branch output, so the branch-weight gradient of
         # the mean is (d mean / d state_k) * branch_out_k.
         rng = np.random.default_rng(15)
-        policy = Policy(tiny_policy_config(branches=("mid",)), rng)
+        policy = Policy(PolicyConfig(branches=("mid",)), rng)
         flat = policy.flatten_observation(random_observation(rng))
         nets = member_networks(policy)
         b_out, _ = nn.forward(nets["mid"], flat["mid"])
@@ -656,7 +645,6 @@ class TestGaussianHead:
                 m = np.nextafter(m, np.inf if m + e < t else -np.inf)
             mean.append(m)
         mean.append(np.nan)
-        from mctg.policy import PolicyOutput
         out = PolicyOutput(action_mean=np.array(mean), value=np.zeros(len(mean)))
         action, u, logp = sample_action(out, std, np.random.default_rng(17))
         assert np.array_equal(u[:-1], targets)
@@ -667,7 +655,6 @@ class TestGaussianHead:
 
     def test_sampled_actions_always_in_range(self):
         rng = np.random.default_rng(16)
-        from mctg.policy import PolicyOutput
         out = PolicyOutput(action_mean=rng.normal(0, 2, size=1_000_000),
                            value=np.zeros(1))
         action, u, logp = sample_action(out, 1.5, rng)

@@ -12,11 +12,11 @@ from mctg.ppo import (PpoConfig, PpoError, clip_grad_norm,
                       ppo_loss_and_grads, ppo_surrogate, prob_ratio, train,
                       update)
 from conftest import first_days
-from helpers import collect_rollout_per_step, tiny_policy_config, unflatten
+from helpers import collect_rollout_per_step, unflatten
 
 
-def tiny_policy(rng):
-    return Policy(tiny_policy_config("DNN"), rng)
+def dnn_policy(rng):
+    return Policy(VARIANTS["DNN"].policy_config(), rng)
 
 
 def random_batch(policy, rng, n=8):
@@ -192,7 +192,7 @@ class TestBuffer:
     def test_stored_log_probs_recomputable(self, small_dataset):
         # old_log_prob must equal the density of the stored pre-clip draw
         rng = np.random.default_rng(5)
-        policy = tiny_policy(np.random.default_rng(6))
+        policy = dnn_policy(np.random.default_rng(6))
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         inputs = policy.flatten_observation(env.windows)
         buf, _ = collect_rollout(env, policy, inputs, 32, rng)
@@ -203,7 +203,7 @@ class TestBuffer:
 
     def test_done_bookkeeping(self, small_dataset):
         rng = np.random.default_rng(7)
-        policy = tiny_policy(np.random.default_rng(8))
+        policy = dnn_policy(np.random.default_rng(8))
         env = TradingEnv(first_days(small_dataset, 6), EnvConfig())
         inputs = policy.flatten_observation(env.windows)
         buf, _ = collect_rollout(env, policy, inputs, 16, rng)
@@ -213,7 +213,7 @@ class TestBuffer:
     def test_rows_are_the_env_observations_across_a_carry(self, small_dataset,
                                                           small_normalizer):
         rng = np.random.default_rng(9)
-        policy = Policy(tiny_policy_config(), np.random.default_rng(10))
+        policy = Policy(PolicyConfig(), np.random.default_rng(10))
         env = TradingEnv(first_days(small_dataset, 6), EnvConfig(), small_normalizer)
         returns = []
         inputs = policy.flatten_observation(env.windows)
@@ -241,7 +241,8 @@ class TestBuffer:
     def test_equal_to_per_step_sampling(self, small_dataset, small_normalizer,
                                         random_start, n_days, lengths, log_std):
         dataset = small_dataset if n_days is None else first_days(small_dataset, n_days)
-        policy = Policy(PolicyConfig(init_log_std=log_std), np.random.default_rng(3))
+        policy = Policy(PolicyConfig(), np.random.default_rng(3))
+        policy.log_std[...] = log_std
         runs = []
         for collect in (collect_rollout, collect_rollout_per_step):
             env = TradingEnv(dataset, EnvConfig(random_start=random_start), small_normalizer)
@@ -265,7 +266,7 @@ class TestBuffer:
 class TestLossAndGrads:
     def test_finite_difference_full_loss(self):
         rng = np.random.default_rng(9)
-        policy = tiny_policy(rng)
+        policy = dnn_policy(rng)
         policy.log_std[...] = -0.4
         config = PpoConfig(rollout=8, minibatches=1, total_steps=8)
         batch = random_batch(policy, rng)
@@ -295,7 +296,7 @@ class TestLossAndGrads:
 
     def test_policy_loss_is_the_surrogate(self):
         rng = np.random.default_rng(17)
-        policy = tiny_policy(rng)
+        policy = dnn_policy(rng)
         config = PpoConfig(rollout=64, minibatches=1, total_steps=64)
         batch = random_batch(policy, rng, n=64)
         out, _ = policy.forward(batch["obs"])
@@ -309,23 +310,24 @@ class TestLossAndGrads:
 
         _, stats, _ = ppo_loss_and_grads(policy, batch, config)
         want = -ppo_surrogate(rho, batch["advantages"], config.clip_epsilon).mean()
-        assert stats.policy_loss == want
+        assert stats["policy_loss"] == want
 
     def test_stats_ranges(self):
         rng = np.random.default_rng(10)
-        policy = tiny_policy(rng)
+        policy = dnn_policy(rng)
         config = PpoConfig(rollout=8, minibatches=1, total_steps=8)
         _, stats, _ = ppo_loss_and_grads(policy, random_batch(policy, rng), config)
-        assert 0.0 <= stats.clip_fraction <= 1.0
-        assert np.isfinite(stats.approx_kl)
-        assert stats.value_loss >= 0.0
+        assert list(stats) == ["policy_loss", "value_loss", "entropy", "clip_frac", "approx_kl"]
+        assert 0.0 <= stats["clip_frac"] <= 1.0
+        assert np.isfinite(stats["approx_kl"])
+        assert stats["value_loss"] >= 0.0
 
     def test_null_gradient_at_self_consistent_batch(self):
         # evaluating the frozen policy on its own draws with zero advantages
         # and perfect value targets leaves only the entropy gradient, and with
         # entropy_coef = 0 every gradient is exactly zero
         rng = np.random.default_rng(11)
-        policy = tiny_policy(rng)
+        policy = dnn_policy(rng)
         n = 8
         dims = policy.config.input_dims()
         obs = {name: rng.normal(size=(n, d)) for name, d in dims.items()}
@@ -374,7 +376,7 @@ class TestLossAndGrads:
 
 class TestTrainLoop:
     def run_train(self, small_dataset, seed, total_steps=128, rollout=64):
-        policy = tiny_policy(np.random.default_rng(seed))
+        policy = dnn_policy(np.random.default_rng(seed))
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         config = PpoConfig(rollout=rollout, minibatches=2, epochs_per_update=2,
                            total_steps=total_steps)
@@ -400,16 +402,17 @@ class TestTrainLoop:
 
     def test_parameters_actually_move(self, small_dataset):
         policy, _ = self.run_train(small_dataset, seed=14)
-        fresh = tiny_policy(np.random.default_rng(14))
+        fresh = dnn_policy(np.random.default_rng(14))
         moved = any(not np.array_equal(a, b)
                     for a, b in zip(policy.parameters(), fresh.parameters()))
         assert moved
 
     def test_update_scores_values_against_gae_returns_from_config(self, small_dataset):
-        # one epoch of one dropout-free minibatch evaluates the rollout's own
-        # value estimates against GAE returns built from config.gamma/gae_lambda
+        # one epoch of one minibatch scores the value estimates of the
+        # update's own forward, which replays its permutation and dropout
+        # draws, against GAE returns built from config.gamma/gae_lambda
         rng = np.random.default_rng(16)
-        policy = tiny_policy(rng)
+        policy = dnn_policy(rng)
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         inputs = policy.flatten_observation(env.windows)
         buf, _ = collect_rollout(env, policy, inputs, 16, rng)
@@ -417,10 +420,15 @@ class TestTrainLoop:
                            total_steps=16, gamma=0.5, gae_lambda=0.8)
         _, returns = compute_gae(buf.reward, buf.value, buf.done, buf.bootstrap_value,
                                  0.5, 0.8)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        perm = replay.permutation(16)
+        out, _ = policy.forward({"mid": inputs["mid"][buf.day[perm]]}, replay)
         adam = AdamState(policy.parameters(), config.learning_rate)
         stats = update(policy, buf, config, adam, rng)
-        assert stats.value_loss == pytest.approx(np.mean((buf.value - returns) ** 2),
-                                                 rel=1e-12)
+        assert stats["value_loss"] == np.mean((out.value - returns[perm]) ** 2)
+        # the dropout the update ran moves the estimates off the rollout's own
+        assert stats["value_loss"] != np.mean((buf.value - returns) ** 2)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -429,7 +437,7 @@ class TestTrainLoop:
         # saturates it, so the loss stays finite, but backward multiplies
         # that weight by a zero derivative and the gradient norm is NaN.
         rng = np.random.default_rng(17)
-        policy = tiny_policy(rng)
+        policy = dnn_policy(rng)
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         inputs = policy.flatten_observation(env.windows)
         buf, _ = collect_rollout(env, policy, inputs, 16, rng)
@@ -448,7 +456,7 @@ class TestTrainLoop:
             self, small_dataset, every, want):
         # the final update gets no call of its own: the caller saves the
         # final state once, after train returns
-        policy = tiny_policy(np.random.default_rng(15))
+        policy = dnn_policy(np.random.default_rng(15))
         env = TradingEnv(small_dataset, EnvConfig(random_start=True))
         config = PpoConfig(rollout=64, minibatches=2, epochs_per_update=1,
                            total_steps=192, checkpoint_every=every)

@@ -1,8 +1,8 @@
 """Every name a module imports is used in that module: the package's, the
 tests' and the repo-root ``conftest.py``. And every top-level function and
-class of the package, and every method of its classes, is used by the
-package, or is one of its re-exports: a name used only by the tests belongs
-in the tests.
+class of the package, and every method of its classes, is used by a module
+of the package other than ``__init__.py``: a name used only by the tests
+belongs in the tests, re-exported or not.
 
 ``__init__.py`` is left out of the import check: the names it imports are the
 package's re-exports.
@@ -50,11 +50,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each top-level function and class in ``sources``
     (module name -> text), and ``module.Class.name`` of each of its classes'
-    non-dunder methods, that no code there uses outside the definition itself,
-    unless ``exported`` holds the top-level ``module.name``.
+    non-dunder methods, that no code there uses outside the definition itself.
 
     Module ``m``'s ``f`` is used by a bare ``f`` in ``m``, by ``g`` in a module
     where ``from m import f as g`` binds it, or by ``.f`` on a name bound to
@@ -91,7 +90,7 @@ def unreferenced_definitions(sources: dict[str, str], exported: set[str]) -> lis
             if key:
                 uses.setdefault(key, set()).add(node)
     return [name for name, node, key in defined
-            if name not in exported and uses.get(key, set()) <= set(ast.walk(node))]
+            if uses.get(key, set()) <= set(ast.walk(node))]
 
 
 def test_the_check_finds_an_unreferenced_definition():
@@ -105,25 +104,37 @@ def test_the_check_finds_an_unreferenced_definition():
                     "relative()\na.recursive\nk = a.Kept()\nk.run()\nk.shared\n"
                     "a.tested\na.shared\n",
                "c": "def alone(): return alone\ndef shared(): pass\n"}
-    assert unreferenced_definitions(sources, {"a.Exported"}) == [
-        "a.Unused", "a.Kept.tested", "c.alone", "c.shared"]
+    assert unreferenced_definitions(sources) == [
+        "a.Exported", "a.Unused", "a.Kept.tested", "c.alone", "c.shared"]
 
 
-def package_sources() -> tuple[dict[str, str], set[str]]:
-    """The package's modules by name, without ``__init__.py``, and the
-    ``module.name`` of each name ``__init__.py`` re-exports."""
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {f"{node.module}.{alias.name}" for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    return {p.stem: p.read_text() for p in SOURCES}, exported
+def package_sources() -> dict[str, str]:
+    """The package's modules by name, without ``__init__.py``."""
+    return {p.stem: p.read_text() for p in SOURCES}
 
 
 def test_every_definition_is_referenced():
-    assert unreferenced_definitions(*package_sources()) == []
+    assert unreferenced_definitions(package_sources()) == []
+
+
+def test_the_check_flags_a_re_export_no_module_uses():
+    # __init__ re-exports what the package offers its callers; that alone
+    # does not keep a definition in src
+    sources = package_sources()
+    sources["policy"] += (
+        "\n\ndef sample_action(out, std, rng):\n"
+        "    u = out.action_mean + std * rng.standard_normal(np.shape(out.action_mean))\n"
+        "    action = np.minimum(np.maximum(u, -1.0), 1.0)\n"
+        "    return action, u, gaussian_log_prob(u, out.action_mean, std)\n")
+    init = (PACKAGE / "__init__.py").read_text().replace(
+        "PolicyOutput\n", "PolicyOutput, sample_action\n")
+    assert "sample_action" in init
+    sources["__init__"] = init
+    assert unreferenced_definitions(sources) == ["policy.sample_action"]
 
 
 def test_the_check_flags_a_method_only_the_tests_call():
-    sources, exported = package_sources()
+    sources = package_sources()
     anchor = "    def parameters(self)"
     assert anchor in sources["policy"]
     sources["policy"] = sources["policy"].replace(anchor, (
@@ -131,4 +142,4 @@ def test_the_check_flags_a_method_only_the_tests_call():
         "        return [vector[s].reshape(p.shape)\n"
         "                for s, p in zip(self.slices, self.parameters())]\n"
         "\n" + anchor))
-    assert unreferenced_definitions(sources, exported) == ["policy.Policy.unflatten"]
+    assert unreferenced_definitions(sources) == ["policy.Policy.unflatten"]
