@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import evalcli, ppo
-from .env import EnvError, TradingEnv
+from .env import EnvError
 from .garch import GarchError, rolling_forecast
 from .marketdata import (CSV_HEADER, MarketDataError, ObservationNormalizer, load_bars,
                          resample, save_bars, simulate_market, split)
@@ -137,10 +137,9 @@ def cmd_train(args) -> int:
     train_ds, _, pinned = _split_dataset(cfg, args.data, {}, fit_reports.append)
 
     normalizer = ObservationNormalizer().fit(train_ds, range(train_ds.n_days))
-    env = TradingEnv(train_ds, env_config, normalizer)
-
     rng = np.random.default_rng(args.seed)
     policy = Policy(variant.policy_config(), rng)
+    env = evalcli.policy_env(policy, train_ds, env_config, normalizer)
     adam = AdamState(policy.parameters(), ppo_config.learning_rate)
 
     os.makedirs(args.out_dir, exist_ok=True)

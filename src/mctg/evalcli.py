@@ -8,6 +8,7 @@ per year.
 
 from __future__ import annotations
 
+import base64
 import datetime as dt
 import json
 import os
@@ -25,7 +26,7 @@ from .nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 from .policy import Policy, PolicyConfig
 
 TRADING_DAYS_PER_YEAR = 252
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class EvalError(Exception):
@@ -102,6 +103,16 @@ def tax_rate(taxes_paid, initial_capital: float, n_days: int) -> float:
 
 # -- backtest ----------------------------------------------------------------
 
+def policy_env(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
+               normalizer: ObservationNormalizer) -> TradingEnv:
+    """An env over ``dataset`` that normalizes and serves only the window
+    kinds ``policy`` reads."""
+    return TradingEnv(AlignedDataset(dataset.trading_days,
+                                     {kind: dataset.windows[kind] for kind in policy.input_dims},
+                                     dataset.opens),
+                      env_config, normalizer)
+
+
 def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
              normalizer: ObservationNormalizer) -> tuple[Metrics, list[dict], list[dict]]:
     """Run the policy deterministically (clipped mean, no sampling) through the
@@ -113,11 +124,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
     """
     if not normalizer.fitted_:
         raise EvalError("backtest requires fitted normalization statistics")
-    # The env normalizes and serves only the window kinds the policy reads.
-    env = TradingEnv(AlignedDataset(dataset.trading_days,
-                                    {kind: dataset.windows[kind] for kind in policy.input_dims},
-                                    dataset.opens),
-                     env_config, normalizer)
+    env = policy_env(policy, dataset, env_config, normalizer)
     bh = buy_and_hold(dataset, env_config).tolist()
     p = env.reset()
 
@@ -161,7 +168,7 @@ def backtest(policy: Policy, dataset: AlignedDataset, env_config: EnvConfig,
 @dataclass
 class Checkpoint:
     variant: str   # a key of VARIANTS
-    param_values: dict[str, np.ndarray]
+    vector: np.ndarray   # laid out as the variant's Policy.vector
     training_step: int
     norm_stats: dict
     metadata: dict
@@ -172,48 +179,58 @@ class Checkpoint:
 
     def build_policy(self) -> Policy:
         policy = Policy.zeroed(self.policy_config)
-        named = dict(policy.named_parameters())
-        for name in self.param_values:
-            if name not in named:
-                raise EvalError(f"checkpoint has unknown parameter {name!r}")
-        for name, param in named.items():
-            if name not in self.param_values:
-                raise EvalError(f"checkpoint missing parameter {name!r}")
-            value = self.param_values[name]
-            if value.shape != param.shape:
-                raise EvalError(f"checkpoint parameter {name!r} has shape {value.shape}, "
-                                f"expected {param.shape}")
-            param[...] = value
+        policy.vector[...] = self.vector
         return policy
 
     def build_normalizer(self) -> ObservationNormalizer:
         return ObservationNormalizer.from_dict(self.norm_stats)
 
 
+def _encode(vector: np.ndarray) -> str:
+    """Standard base64, with padding, of ``vector``'s little-endian float64 bytes."""
+    return base64.b64encode(vector.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _decode(text, what: str) -> np.ndarray:
+    """The finite float64 values that ``_encode`` wrote as ``text``; anything
+    else is an ``EvalError`` that starts with ``what``."""
+    check_json(text, "string", what)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:   # binascii.Error, or a character outside ASCII
+        raise EvalError(f"{what} is not base64") from None
+    if len(raw) % 8:
+        raise EvalError(f"{what} holds {len(raw)} bytes, not a whole number of float64 values")
+    vector = np.frombuffer(raw, dtype="<f8")
+    if not np.isfinite(vector).all():
+        raise EvalError(f"{what} holds a value that is not finite")
+    return vector
+
+
 def save_checkpoint(path: str, variant: str, policy: Policy,
                     normalizer: ObservationNormalizer, adam: AdamState | None = None,
                     training_step: int = 0, rng: np.random.Generator | None = None,
                     metadata: dict | None = None) -> None:
-    """Write a JSON checkpoint atomically (temp file + rename). The Adam
-    moments are stored per parameter, shaped like it, in ``params`` order.
-    ``variant`` names the policy's config, which must be the variant's."""
+    """Write a JSON checkpoint atomically (temp file + rename). ``variant``
+    names the policy's config, which must be the variant's, and the variant
+    fixes the layout of ``policy.vector``, which ``vector`` stores whole, as
+    ``adam.m``/``adam.v`` store the Adam moments. A change to that layout
+    must bump ``CHECKPOINT_VERSION``."""
     config = known_variant(variant, "variant").policy_config()
     if policy.config != config:
         raise EvalError(f"variant {variant} has inputs {input_widths(config)}; "
                         f"the policy has inputs {input_widths(policy.config)}")
-
-    def per_parameter(vector: np.ndarray) -> list:
-        return [vector[s].reshape(p.shape).tolist()
-                for s, p in zip(policy.slices, policy.parameters())]
-
+    if adam is not None and adam.m_vector.size != policy.vector.size:
+        raise EvalError(f"the Adam state holds {adam.m_vector.size} values per moment, "
+                        f"the policy {policy.vector.size}")
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "variant": variant,
-        "params": {name: np.asarray(p).tolist() for name, p in policy.named_parameters()},
+        "vector": _encode(policy.vector),
         "adam": None if adam is None else {
             "learning_rate": adam.learning_rate, "beta1": ADAM_BETA1,
             "beta2": ADAM_BETA2, "eps": ADAM_EPS, "step_count": adam.step_count,
-            "m": per_parameter(adam.m_vector), "v": per_parameter(adam.v_vector),
+            "m": _encode(adam.m_vector), "v": _encode(adam.v_vector),
         },
         "training_step": training_step,
         "rng_state": rng.bit_generator.state if rng is not None else None,
@@ -222,7 +239,7 @@ def save_checkpoint(path: str, variant: str, policy: Policy,
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)  # streamed: one json.dumps is ~2x faster but +8% peak RSS
+        json.dump(doc, fh)
     os.replace(tmp, path)
 
 
@@ -241,27 +258,21 @@ def load_checkpoint(path: str) -> Checkpoint:
                             f"this build reads version {CHECKPOINT_VERSION}")
         doc.setdefault("metadata", {})
         # The Adam and RNG state are written for the record; nothing reads them.
-        for name, kind in (("variant", "string"), ("params", "object"),
-                           ("training_step", "integer"), ("metadata", "object")):
+        for name, kind in (("variant", "string"), ("training_step", "integer"),
+                           ("metadata", "object")):
             check_json(doc[name], kind, f"{path}: checkpoint field {name!r}")
-        known_variant(doc["variant"], f"{path}: checkpoint variant")
-        params = {}
-        for name, value in doc["params"].items():
-            try:
-                # JSON null converts to NaN, so the finiteness check rejects it.
-                array = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError):
-                array = None
-            if array is None or not np.isfinite(array).all():
-                raise EvalError(f"{path}: checkpoint parameter {name!r} is not "
-                                "an array of finite numbers")
-            params[name] = array
+        config = known_variant(doc["variant"], f"{path}: checkpoint variant").policy_config()
+        what = f"{path}: checkpoint field 'vector'"
+        vector, size = _decode(doc["vector"], what), Policy.zeroed(config).vector.size
+        if vector.size != size:
+            raise EvalError(f"{what} holds {vector.size} values; variant {doc['variant']} "
+                            f"has {size}")
         try:
             ObservationNormalizer.from_dict(doc["norm_stats"])
         except MarketDataError as e:
             raise EvalError(f"{path}: checkpoint norm_stats: {e}") from None
         return Checkpoint(
-            variant=doc["variant"], param_values=params, training_step=doc["training_step"],
+            variant=doc["variant"], vector=vector, training_step=doc["training_step"],
             norm_stats=doc["norm_stats"], metadata=doc["metadata"],
         )
     except KeyError as e:

@@ -93,8 +93,9 @@ class Policy:
     Every parameter array is a view into the one float64 ``vector``, which
     holds each level of a stack as one contiguous (members, ...) block, so an
     optimizer can step them all at once and the stacks read the blocks in
-    place. ``named_parameters`` gives per-name views of those blocks in
-    checkpoint order, and ``slices`` the run of ``vector`` each one views.
+    place. A checkpoint stores ``vector`` whole, so its layout is the
+    checkpoint's. ``named_parameters`` gives per-name views of those blocks,
+    and ``slices`` the run of ``vector`` each one views.
 
     An untaped forward without an rng is the acting pass: it writes every
     level but the last into buffers the policy owns, so one policy serves one
@@ -104,7 +105,7 @@ class Policy:
         self._lay_out(config)
         # Weights are scaled-normal, drawn from rng name by name in named
         # order; biases stay zero.
-        for name, p in self._named:
+        for name, p in self.named_parameters():
             if name.endswith(".weights"):
                 p[...] = rng.normal(0.0, 1.0 / np.sqrt(p.shape[1]), size=p.shape)
         self._branch_weight_rows[...] = 1.0
@@ -191,7 +192,7 @@ class Policy:
     # -- parameter plumbing -------------------------------------------------
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        """(checkpoint name, array) for every parameter: per branch its dense
+        """(name, array) for every parameter: per branch its dense
         weights and biases and its branch weight, then the policy trunk, the
         value trunk and the log-std."""
         return list(self._named)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import dataclasses
 import datetime as dt
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mctg import cli, evalcli, garch
+from mctg import cli, evalcli, garch, nn
 from mctg.env import EnvConfig, EnvError, TradingEnv, buy_and_hold
 from mctg.evalcli import (EvalError, SplitConfig, backtest,
                           load_checkpoint, load_config, profit_rate, report,
@@ -239,15 +240,18 @@ class TestNoLookAhead:
 
 
 class TestCheckpoint:
-    def roundtrip(self, tmp_path, policy, variant="DNN"):
-        norm = ObservationNormalizer.from_dict({
+    @staticmethod
+    def normalizer():
+        return ObservationNormalizer.from_dict({
             kind: {"mean": [0.0] * width, "std": [1.0] * width}
             for kind, width in (("short", 6), ("mid", 7), ("long", 6))
         })
+
+    def roundtrip(self, tmp_path, policy, variant="DNN"):
         path = tmp_path / "ckpt.json"
         adam = AdamState(policy.parameters(), 1e-3)
         rng = np.random.default_rng(5)
-        save_checkpoint(str(path), variant, policy, norm, adam,
+        save_checkpoint(str(path), variant, policy, self.normalizer(), adam,
                         training_step=42, rng=rng, metadata={"seed": 5})
         return path, load_checkpoint(str(path))
 
@@ -263,34 +267,89 @@ class TestCheckpoint:
         assert json.loads(path.read_text())["rng_state"] is not None
 
     @pytest.mark.parametrize("variant", list(evalcli.VARIANTS))
-    def test_the_file_names_its_variant_in_place_of_a_config(self, tmp_path, variant):
-        # the format_version 2 layout: no policy_config; the variant gives it
-        path, ckpt = self.roundtrip(tmp_path, variant_policy(variant, 1), variant)
+    def test_the_file_holds_its_variant_and_three_base64_vectors(self, tmp_path, variant):
+        # format_version 3: the policy's vector and the Adam moments, each as
+        # base64 over its little-endian float64 bytes
+        policy = variant_policy(variant, 1)
+        adam = AdamState(policy.parameters(), 1e-3)
+        nn.adam_step(policy.vector, np.random.default_rng(2).normal(size=policy.vector.size),
+                     adam)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), variant, policy, self.normalizer(), adam)
         doc = json.loads(path.read_text())
-        assert list(doc) == ["format_version", "variant", "params", "adam", "training_step",
+        assert list(doc) == ["format_version", "variant", "vector", "adam", "training_step",
                              "rng_state", "norm_stats", "metadata"]
-        assert doc["format_version"] == 2 and doc["variant"] == variant
+        assert doc["format_version"] == 3 and doc["variant"] == variant
+        assert list(doc["adam"]) == ["learning_rate", "beta1", "beta2", "eps",
+                                     "step_count", "m", "v"]
+        assert [doc["adam"][k] for k in ("learning_rate", "beta1", "beta2", "eps",
+                                         "step_count")] == [1e-3, 0.9, 0.999, 1e-8, 1]
+        for text, want in ((doc["vector"], policy.vector), (doc["adam"]["m"], adam.m_vector),
+                           (doc["adam"]["v"], adam.v_vector)):
+            assert base64.b64decode(text, validate=True) == want.astype("<f8").tobytes()
+        ckpt = load_checkpoint(str(path))
         assert ckpt.policy_config == evalcli.VARIANTS[variant].policy_config()
-        assert ckpt.build_policy().config == ckpt.policy_config
+        rebuilt = ckpt.build_policy()
+        assert rebuilt.config == ckpt.policy_config
+        assert rebuilt.vector.tobytes() == policy.vector.tobytes()
 
     def test_version_bump_names_both_versions(self, tmp_path):
         policy = variant_policy("DNN", 4)
         path, _ = self.roundtrip(tmp_path, policy)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 3
+        doc["format_version"] = 4
         path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match=r"version 3.*version 2"):
+        with pytest.raises(EvalError, match=r"version 4.*version 3"):
             load_checkpoint(str(path))
 
     def test_a_renamed_variant_does_not_fit_the_stored_parameters(self, tmp_path):
-        # an MCTG file relabelled DNN builds DNN's network, which lacks the
-        # short branch the file stores
+        # an MCTG file relabelled DNN holds more values than DNN's policy
         path, _ = self.roundtrip(tmp_path, variant_policy("MCTG", 4), "MCTG")
         doc = json.loads(path.read_text())
         doc["variant"] = "DNN"
         path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match="unknown parameter 'branch.short.dense0.weights'"):
-            load_checkpoint(str(path)).build_policy()
+        with pytest.raises(EvalError, match=re.escape(
+                f"{path}: checkpoint field 'vector' holds 27443 values; variant DNN has 7763")):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda text: [0.0], "is not a JSON string"),
+        (lambda text: None, "is not a JSON string"),
+        (lambda text: text[:-4] + "!!!!", "is not base64"),
+        (lambda text: text.rstrip("="), "is not base64"),
+        (lambda text: text[:-4] + "é===", "is not base64"),
+        (lambda text: base64.b64encode(base64.b64decode(text)[:-3]).decode(),
+         "holds 62101 bytes, not a whole number of float64 values"),
+        (lambda text: base64.b64encode(base64.b64decode(text)[:-8]).decode(),
+         "holds 7762 values; variant DNN has 7763"),
+        (lambda text: base64.b64encode(base64.b64decode(text) + bytes(8)).decode(),
+         "holds 7764 values; variant DNN has 7763"),
+        (lambda text: base64.b64encode(np.full(7763, np.nan).tobytes()).decode(),
+         "holds a value that is not finite"),
+        (lambda text: base64.b64encode(np.r_[np.zeros(7762), -np.inf].tobytes()).decode(),
+         "holds a value that is not finite"),
+    ], ids=["list", "null", "alphabet", "padding", "non_ascii", "bytes", "short", "long",
+            "nan", "inf"])
+    def test_a_bad_vector_is_refused(self, tmp_path, edit, what):
+        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
+        doc = json.loads(path.read_text())
+        doc["vector"] = edit(doc["vector"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EvalError, match=re.escape(f"{path}: checkpoint field 'vector' {what}")):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("adam_variant,variant", [("MCTG", "DNN"), ("DNN", "MCTG")])
+    def test_save_refuses_an_adam_state_of_another_size(self, tmp_path, adam_variant,
+                                                       variant):
+        adam = AdamState(variant_policy(adam_variant, 4).parameters(), 1e-3)
+        policy = variant_policy(variant, 4)
+        sizes = {"DNN": 7763, "MCTG": 27443}
+        with pytest.raises(EvalError, match=re.escape(
+                f"the Adam state holds {sizes[adam_variant]} values per moment, "
+                f"the policy {sizes[variant]}")):
+            save_checkpoint(str(tmp_path / "ckpt.json"), variant, policy, self.normalizer(),
+                            adam)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("variant,policy_variant", [
         (variant, other) for variant in evalcli.VARIANTS for other in evalcli.VARIANTS
@@ -319,7 +378,7 @@ class TestCheckpoint:
         with pytest.raises(EvalError, match="corrupt"):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("field", ["variant", "params", "training_step", "norm_stats"])
+    @pytest.mark.parametrize("field", ["variant", "vector", "training_step", "norm_stats"])
     def test_missing_field_is_named(self, tmp_path, field):
         path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
         doc = json.loads(path.read_text())
@@ -334,33 +393,6 @@ class TestCheckpoint:
         del doc["metadata"]
         path.write_text(json.dumps(doc))
         assert load_checkpoint(str(path)).metadata == {}
-
-    def test_missing_parameter_detected(self, tmp_path):
-        policy = variant_policy("DNN", 4)
-        path, _ = self.roundtrip(tmp_path, policy)
-        doc = json.loads(path.read_text())
-        del doc["params"]["log_std"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match="missing parameter 'log_std'"):
-            load_checkpoint(str(path)).build_policy()
-
-    def test_unknown_parameter_detected(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
-        doc = json.loads(path.read_text())
-        doc["params"]["branch.short.dense0.weights"] = [[0.0]]
-        doc["params"]["bogus"] = 0.0
-        path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match="unknown parameter 'branch.short.dense0.weights'"):
-            load_checkpoint(str(path)).build_policy()
-
-    def test_mis_shaped_parameter_named(self, tmp_path):
-        path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
-        doc = json.loads(path.read_text())
-        doc["params"]["branch.mid.dense0.bias"].append(0.0)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(EvalError, match=re.escape(
-                "parameter 'branch.mid.dense0.bias' has shape (33,), expected (32,)")):
-            load_checkpoint(str(path)).build_policy()
 
     def test_boolean_format_version_rejected(self, tmp_path):
         path, _ = self.roundtrip(tmp_path, variant_policy("DNN", 4))
@@ -816,6 +848,30 @@ class TestCli:
         assert (out_dir / "log.csv").read_bytes() == \
             (cli_workspace["out_dir"] / "log.csv").read_bytes()
 
+    def test_a_dnn_train_env_holds_only_mid_and_trains_as_the_full_one(
+            self, cli_workspace, tmp_path, monkeypatch):
+        made = evalcli.policy_env
+        envs = []
+
+        def recording(*args):
+            envs.append(made(*args))
+            return envs[-1]
+
+        def full(policy, dataset, env_config, normalizer):
+            return TradingEnv(dataset, env_config, normalizer)
+
+        outputs = []
+        for name, policy_env in (("cut", recording), ("full", full)):
+            monkeypatch.setattr(evalcli, "policy_env", policy_env)
+            out_dir = tmp_path / name
+            assert cli.main(["train", "--data", str(cli_workspace["data"]),
+                             "--variant", "DNN", "--config", str(cli_workspace["config"]),
+                             "--seed", "3", "--total-steps", "128",
+                             "--out-dir", str(out_dir)]) == 0
+            outputs.append([(out_dir / f).read_bytes() for f in ("log.csv", "checkpoint.json")])
+        assert [list(env.windows) for env in envs] == [["mid"]]
+        assert outputs[0] == outputs[1]
+
     def test_train_bits_do_not_depend_on_blas_threads(self, cli_workspace, tmp_path):
         # MCTG's mid-branch weight gradient on a 256-row minibatch is a
         # (32, 256) x (256, 210) product, which OpenBLAS splits by thread count
@@ -1017,8 +1073,7 @@ class TestCli:
 
     @pytest.mark.parametrize("edit,what", [
         (lambda doc: [], "checkpoint is not a JSON object"),
-        (lambda doc: {**doc, "params": list(doc["params"].values())},
-         "'params' is not a JSON object"),
+        (lambda doc: {**doc, "vector": [0.0]}, "field 'vector' is not a JSON string"),
         (lambda doc: {**doc, "metadata": []}, "'metadata' is not a JSON object"),
         (lambda doc: {**doc, "norm_stats": []},
          "checkpoint.json: checkpoint norm_stats: normalizer statistics are not a JSON object"),
@@ -1031,19 +1086,15 @@ class TestCli:
          "checkpoint.json: checkpoint norm_stats: normalizer lacks short.mean"),
         (lambda doc: {**doc, "training_step": [1]},
          "field 'training_step' is not a JSON integer"),
-        (lambda doc: {**doc, "params": {**doc["params"], "log_std": {"value": 0.0}}},
-         "parameter 'log_std' is not an array of finite numbers"),
-        (lambda doc: {**doc, "params": {**doc["params"], "log_std": None}},
-         "parameter 'log_std' is not an array of finite numbers"),
-        (lambda doc: {**doc, "params": {**doc["params"], "log_std": [0.0, 0.0]}},
-         "parameter 'log_std' has shape (2,), expected ()"),
+        (lambda doc: {**doc, "vector": base64.b64encode(np.zeros(3).tobytes()).decode()},
+         "checkpoint.json: checkpoint field 'vector' holds 3 values; variant DNN has 7763"),
         (lambda doc: {**doc, "variant": ["MCTG"]}, "field 'variant' is not a JSON string"),
         (lambda doc: {**doc, "variant": "FOO"},
          "checkpoint.json: checkpoint variant 'FOO' is none of DNN, DNN-GARCH, MCT, MCTG"),
-        # a version-1 file spelled out its policy_config; this build reads none
-        (lambda doc: {**doc, "format_version": 1,
-                      "policy_config": {"branches": ["mid"], "garch_feature": False}},
-         "checkpoint.json: checkpoint format version 1, this build reads version 2"),
+        # a version-2 file stored per-name arrays; this build reads one vector
+        (lambda doc: {**{k: v for k, v in doc.items() if k != "vector"}, "format_version": 2,
+                      "params": {"log_std": -0.5}},
+         "checkpoint.json: checkpoint format version 2, this build reads version 3"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "split_boundary": 5}},
          "metadata 'split_boundary' is not a JSON string"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "split_boundary": "2016-13-01"}},
@@ -1056,10 +1107,10 @@ class TestCli:
          "metadata 'garch_refit_every' is not a JSON integer"),
         (lambda doc: {**doc, "metadata": {**doc["metadata"], "garch_window": None}},
          "metadata 'garch_window' is not a JSON integer"),
-    ], ids=["document", "params", "metadata", "norm_stats",
+    ], ids=["document", "vector", "metadata", "norm_stats",
             "norm_stats_number", "norm_stats.mid", "norm_stats_without_short",
-            "training_step", "params_entry", "params_null", "params_shape", "variant",
-            "variant_unknown", "format_version_1", "split_boundary_number",
+            "training_step", "vector_count", "variant", "variant_unknown", "format_version_2",
+            "split_boundary_number",
             "split_boundary_not_a_date", "garch_window_string", "garch_window_boolean",
             "garch_refit_every_float", "garch_window_null"])
     def test_checkpoint_of_the_wrong_shape_fails_backtest_cleanly(

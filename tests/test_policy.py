@@ -1,7 +1,6 @@
 import collections
 import copy
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 
 from mctg import nn
 from mctg import policy as policy_module
-from mctg.evalcli import VARIANTS, Checkpoint, save_checkpoint
+from mctg.evalcli import VARIANTS, Checkpoint
 from mctg.marketdata import WINDOW_SHAPES, window_at
 from mctg.policy import (BRANCH_HIDDEN, BRANCH_OUT, INIT_LOG_STD, LOG2PI, LOG_STD_MAX,
                          LOG_STD_MIN, Policy, PolicyConfig, PolicyError, PolicyOutput,
@@ -265,8 +264,7 @@ class TestTape:
         config = VARIANTS[variant].policy_config()
         trained = Policy(config, np.random.default_rng(34))
         trained.vector += np.random.default_rng(35).normal(0.0, 0.1, trained.vector.size)
-        ck = Checkpoint(variant, {name: p.copy() for name, p in trained.named_parameters()},
-                        0, {}, {})
+        ck = Checkpoint(variant, trained.vector.copy(), 0, {}, {})
         loaded = ck.build_policy()
         flat = {b: np.random.default_rng(36).normal(size=(rows, d))
                 for b, d in loaded.input_dims.items()}
@@ -368,9 +366,9 @@ def dense_layout(prefix, sizes):
             for kind, shape in (("weights", (n_out, n_in)), ("bias", (n_out,)))]
 
 
-# The checkpoint's parameter order, pinned: per branch its dense layers and
+# The parameter names and shapes, pinned: per branch its dense layers and
 # branch weight, then the policy trunk, the value trunk and the log-std.
-CHECKPOINT_LAYOUT = {
+NAMED_LAYOUT = {
     "MCTG": [*(entry for name, width in (("short", 288), ("mid", 210), ("long", 180))
                for entry in (*dense_layout(f"branch.{name}", [width, 32, 16, 16]),
                              (f"branch_weight.{name}", (16,)))),
@@ -382,31 +380,33 @@ CHECKPOINT_LAYOUT = {
 }
 
 
+def vector_order(branches):
+    """The parameter names in the order their values lie in ``Policy.vector``,
+    which is a checkpoint's layout: level by level, member by member, first the
+    branches (weights, bias, ..., branch weight), then the two trunks, then the
+    log-std."""
+    dense = [f"dense{i}.{kind}" for i in range(3) for kind in ("weights", "bias")]
+    return [*(f"branch.{b}.{kind}" for kind in dense for b in branches),
+            *(f"branch_weight.{b}" for b in branches),
+            *(f"{trunk}.{kind}" for kind in dense[:4]
+              for trunk in ("policy_trunk", "value_trunk")),
+            "log_std"]
+
+
 class TestCheckpointLayout:
-    @pytest.mark.parametrize("variant", sorted(CHECKPOINT_LAYOUT))
-    def test_parameter_order_pinned(self, variant, tmp_path, small_normalizer):
+    @pytest.mark.parametrize("variant", sorted(NAMED_LAYOUT))
+    def test_parameter_order_pinned(self, variant):
         policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(44))
-        layout = CHECKPOINT_LAYOUT[variant]
-        assert [(name, p.shape) for name, p in policy.named_parameters()] == layout
-        adam = nn.AdamState(policy.parameters(), 1e-3)
-        nn.adam_step(policy.vector, np.random.default_rng(45).normal(size=policy.vector.size),
-                     adam)
-        path = str(tmp_path / "ck.json")
-        save_checkpoint(path, variant, policy, small_normalizer, adam)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert list(doc["params"]) == [name for name, _ in layout]
-        for name, p in policy.named_parameters():
-            assert np.array(doc["params"][name]).shape == p.shape
-        assert list(doc["adam"]) == ["learning_rate", "beta1", "beta2", "eps",
-                                     "step_count", "m", "v"]
-        assert [doc["adam"][k] for k in ("learning_rate", "beta1", "beta2", "eps",
-                                         "step_count")] == [1e-3, 0.9, 0.999, 1e-8, 1]
-        # the moments per name, cut out of the flat vectors like the parameters
-        for key, moments in (("m", adam.m_vector), ("v", adam.v_vector)):
-            for stored, want in zip(doc["adam"][key], unflatten(policy, moments), strict=True):
-                got = np.array(stored, dtype=np.float64)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert [(name, p.shape) for name, p in policy.named_parameters()] \
+            == NAMED_LAYOUT[variant]
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_vector_order_pinned(self, variant):
+        # a change here changes what a checkpoint's vector means
+        policy = Policy(VARIANTS[variant].policy_config(), np.random.default_rng(44))
+        named = sorted(zip(policy.slices, policy.named_parameters()),
+                       key=lambda entry: entry[0].start)
+        assert [name for _, (name, _) in named] == vector_order(policy.config.branches)
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_slices_cut_the_vector_into_the_named_parameters(self, variant):
@@ -440,8 +440,7 @@ class TestBuildWithoutDraws:
         policy = Policy(config, np.random.default_rng(50))
         assert CountingGenerator.normal_calls == sum(
             name.endswith(".weights") for name, _ in policy.named_parameters())
-        ck = Checkpoint(variant, {name: p.copy() for name, p in policy.named_parameters()},
-                        0, {}, {})
+        ck = Checkpoint(variant, policy.vector.copy(), 0, {}, {})
         CountingGenerator.normal_calls = 0
         loaded, twin = ck.build_policy(), copy.deepcopy(policy)
         assert CountingGenerator.normal_calls == 0

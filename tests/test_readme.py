@@ -1,11 +1,21 @@
-"""Every call README.md names is code that exists: a backticked span that
-starts with ``name(`` names a function, class or method of the package or of
-``tests/helpers.py``, by the last component of its dotted name. Calls of
-numpy (``np.``) and of a numpy generator (``rng.``) are left out."""
+"""README.md says what the code does: a backticked span that starts with
+``name(`` names a function, class or method of the package or of
+``tests/helpers.py``, by the last component of its dotted name (calls of
+numpy, ``np.``, and of a numpy generator, ``rng.``, are left out), and the
+field list of its Checkpoints section is the fields ``save_checkpoint``
+writes, in file order."""
 
 import ast
+import json
 import re
 from pathlib import Path
+
+import numpy as np
+
+from mctg.evalcli import VARIANTS, save_checkpoint
+from mctg.marketdata import ObservationNormalizer
+from mctg.nn import AdamState
+from mctg.policy import Policy
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFINING = sorted((ROOT / "src" / "mctg").glob("*.py")) + [ROOT / "tests" / "helpers.py"]
@@ -44,3 +54,28 @@ def test_readme_names_only_calls_that_exist():
     readme = (ROOT / "README.md").read_text()
     assert len(named_calls(readme)) >= 10
     assert undefined_calls(readme, [p.read_text() for p in DEFINING]) == []
+
+
+def checkpoint_fields(markdown: str) -> list[str]:
+    """The backticked name that starts each top-level bullet of the
+    ``## Checkpoints`` section."""
+    section = markdown.split("\n## Checkpoints\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `(\w+)`", section, flags=re.M)
+
+
+def test_the_check_reads_the_checkpoints_section():
+    markdown = ("## Other\n- `no`\n\n## Checkpoints\n\nText `not`.\n\n- `a`: one\n"
+                "  - `nested`\n- `b`\n\n## Next\n- `c`\n")
+    assert checkpoint_fields(markdown) == ["a", "b"]
+
+
+def test_readme_lists_exactly_the_checkpoint_fields(tmp_path):
+    policy = Policy.zeroed(VARIANTS["DNN"].policy_config())
+    normalizer = ObservationNormalizer.from_dict({
+        kind: {"mean": [0.0] * width, "std": [1.0] * width}
+        for kind, width in (("short", 6), ("mid", 7), ("long", 6))})
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(str(path), "DNN", policy, normalizer,
+                    AdamState(policy.parameters(), 1e-3), rng=np.random.default_rng(0))
+    written = list(json.loads(path.read_text()))
+    assert checkpoint_fields((ROOT / "README.md").read_text()) == written
